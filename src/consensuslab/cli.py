@@ -66,7 +66,7 @@ from .markov import (
     square_chain,
     uniform_edge_matrix,
 )
-from .simulate import SimConfig, estimate_delta_ss, simulate_consensus
+from .simulate import SimConfig, simulate_consensus
 from .formation import (
     form_exact,
     load_formation_spec,
@@ -396,7 +396,6 @@ def cmd_simulate(args) -> int:
         noise=args.noise,
     )
     trace = simulate_consensus(P, noise, np.zeros(g.n), cfg)
-    est, se = estimate_delta_ss(P, noise, cfg)
 
     try:
         exact: float | None = delta_ss_theorem(P, noise).delta_ss
@@ -408,7 +407,7 @@ def cmd_simulate(args) -> int:
         **_noise_config(args),
         "horizon": args.horizon,
         "trials": args.trials,
-        "burn_in": args.burn_in,
+        "burn_in": trace.burn_in,
         "record_every": args.record_every,
         "noise": args.noise,
     }
@@ -418,8 +417,8 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "config": config,
         "n": g.n,
-        "delta_hat": est,
-        "stderr": se,
+        "delta_hat": trace.estimate,
+        "stderr": trace.estimate_stderr,
         "delta_ss_exact": exact,
     }
     if args.out:
@@ -467,6 +466,7 @@ def cmd_formation(args) -> int:
         )
         trace, (est, se) = simulate_formation(spec, cfg)
         report.form_simulated, report.stderr = est, se
+        config["burn_in"] = trace.burn_in
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(

@@ -401,6 +401,19 @@ def delta_uni_bounds(P: StochasticMatrix, noise: NoiseCovariance) -> tuple[float
 # oracle: covariance fixed point
 # =====================================================================
 
+def _recursion_terms(P: StochasticMatrix, noise: NoiseCovariance):
+    """pi, M = P - 1 pi' and the symmetrised N = (I - J) Sigma_w (I - J)'.
+
+    The error covariance then evolves as S(t+1) = M S(t) M' + N.
+    """
+    n = P.n
+    pi = P.stationary()
+    J = np.outer(np.ones(n), pi)
+    IJ = np.eye(n) - J
+    N = IJ @ noise.matrix() @ IJ.T
+    return pi, P.entries - J, 0.5 * (N + N.T)
+
+
 def delta_oracle(
     P: StochasticMatrix,
     noise: NoiseCovariance,
@@ -429,19 +442,14 @@ def delta_oracle(
     if not P.irreducible:
         raise NotIrreducible("the covariance recursion needs an irreducible chain")
     n = P.n
-    pi = P.stationary()
-    J = np.outer(np.ones(n), pi)
-    M = P.entries - J
-    IJ = np.eye(n) - J
-    N = IJ @ noise.matrix() @ IJ.T
-    N = 0.5 * (N + N.T)
+    pi, M, N = _recursion_terms(P, noise)
 
     rho = float(np.abs(np.linalg.eigvals(M)).max()) if n > 1 else 0.0
     budget = max_iters
     if budget is None:
         budget = min(int(math.ceil(200.0 / max(1e-6, -math.log(rho)))) if rho > 0 else 200,
                      1_000_000)
-        if rho >= 1.0 - 1e-12:
+        if rho >= tolerances.NO_CONTRACTION_RHO:
             budget = 512  # provably no contraction; collect evidence and bail
 
     if sigma0 is not None:

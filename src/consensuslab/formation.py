@@ -34,7 +34,7 @@ from .errors import (
 )
 from .graphs import Graph, custom_graph
 from .markov import StochasticMatrix, kemeny_constant_combinatorial, square_chain
-from .simulate import SimConfig, _trial_rng, auto_burn_in
+from .simulate import SimConfig, _resolve_burn_in, _run_trials, _summarize
 
 __all__ = [
     "FormationSpec",
@@ -118,12 +118,13 @@ class FormationReport:
 
 @dataclass(frozen=True)
 class FormationTrace:
-    """Recorded trajectory (trial 0) and per-step formation error."""
+    """Recorded trajectory (trial 0), per-step formation error, resolved burn-in."""
 
     times: np.ndarray
     positions: np.ndarray      # (n_rec, n, dim), trial 0
     form_mean: np.ndarray      # across trials
     form_stderr: np.ndarray
+    burn_in: int
 
 
 def default_weights(graph: Graph) -> dict:
@@ -333,65 +334,31 @@ def simulate_formation(
     standard error of the per-step metric) and the tail estimate
     (mean of per-trial tail averages past the burn-in, stderr across
     trials), directly comparable to :func:`form_exact`.
+
+    The in-formation positions phat satisfy P_form phat - C = phat, where
+    C_i = sum_j f_ij r_ij is the offsets' drift, so q = p - phat runs the
+    plain noisy consensus q(t+1) = P_form q(t) + n(t), and form_metric(p)
+    is the uniform disagreement of q summed over the d coordinates.
     """
     n, d = spec.n, spec.dim
     P = formation_matrix(spec)
-    E = P.entries
-    burn = cfg.burn_in if cfg.burn_in is not None else auto_burn_in(P)
-    if burn >= cfg.horizon:
-        raise InvalidParam(f"burn-in {burn} >= horizon {cfg.horizon}; lengthen the run")
-
+    burn = _resolve_burn_in(P, cfg)
     if p0 is None:
         p0 = spec.positions
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (n, d):
         raise DimensionMismatch(f"p0 must have shape ({n},{d}), got {p0.shape}")
 
-    # constant drift from the offsets: C[i] = sum_j f_ij r_ij
-    C = np.zeros((n, d))
-    for (i, j), r in spec.offsets.items():
-        w = spec.weights[(i, j)]
-        C[i] += w * r
-        C[j] -= w * r
-
-    sig = np.sqrt(spec.lambda2)[:, None]
-
-    times = np.arange(0, cfg.horizon + 1, cfg.record_every)
-    form = np.empty((cfg.trials, times.size))
-    positions_trace = np.empty((times.size, n, d))
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        if cfg.noise == "gaussian":
-            Z = rng.standard_normal((cfg.horizon, n, d))
-        else:
-            Z = rng.integers(0, 2, size=(cfg.horizon, n, d)).astype(float) * 2.0 - 1.0
-        p = p0.copy()
-        k = 0
-        form[trial, k] = form_metric(p, spec)
-        if trial == 0:
-            positions_trace[k] = p
-        k += 1
-        for t in range(1, cfg.horizon + 1):
-            p = E @ p - C + sig * Z[t - 1]
-            if t % cfg.record_every == 0:
-                form[trial, k] = form_metric(p, spec)
-                if trial == 0:
-                    positions_trace[k] = p
-                k += 1
-
-    tail = times > burn
-    per_trial = form[:, tail].mean(axis=1)
-    est = float(per_trial.mean())
-    se = float(per_trial.std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-    if cfg.trials > 1:
-        form_se = form.std(axis=0, ddof=1) / np.sqrt(cfg.trials)
-    else:
-        form_se = np.zeros(times.size)
+    noise = NoiseCovariance.diagonal(spec.lambda2)
+    times, _, form, positions = _run_trials(P, noise, p0 - spec.positions, cfg)
+    positions += spec.positions
+    form_mean, form_se, est, se = _summarize(times, form, burn)
     trace = FormationTrace(
         times=times,
-        positions=positions_trace,
-        form_mean=form.mean(axis=0),
+        positions=positions,
+        form_mean=form_mean,
         form_stderr=form_se,
+        burn_in=burn,
     )
     return trace, (est, se)
 

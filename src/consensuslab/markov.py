@@ -167,19 +167,24 @@ class StochasticMatrix:
     # -- stationary law ------------------------------------------------
 
     def stationary(self, *, residual_tol: float = tol.STATIONARY_RESIDUAL_TOL) -> np.ndarray:
+        # the residual is cached with pi so every call checks its own tolerance
         if self._pi_cache is None:
-            self._pi_cache = _solve_stationary(self, residual_tol)
-        return self._pi_cache
+            self._pi_cache = _solve_stationary(self)
+        pi, resid = self._pi_cache
+        if resid > residual_tol:
+            raise SingularSystem(f"stationary residual {resid:.3e} exceeds {residual_tol:g}")
+        return pi
 
-    _pi_cache: np.ndarray | None = None
+    _pi_cache: tuple[np.ndarray, float] | None = None
 
 
-def _solve_stationary(P: StochasticMatrix, residual_tol: float) -> np.ndarray:
+def _solve_stationary(P: StochasticMatrix) -> tuple[np.ndarray, float]:
+    """pi and its residual ||pi' P - pi'||_inf (before normalization)."""
     if not P.irreducible:
         raise NotIrreducible("stationary distribution needs an irreducible chain")
     n = P.n
     if n == 1:
-        return np.ones(1)
+        return np.ones(1), 0.0
     # (P' - I) pi = 0 with one row traded for the normalization sum(pi) = 1
     A = P.entries.T - np.eye(n)
     A[-1, :] = 1.0
@@ -190,15 +195,11 @@ def _solve_stationary(P: StochasticMatrix, residual_tol: float) -> np.ndarray:
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(f"stationary solve failed: {exc}") from exc
     resid = float(np.abs(pi @ P.entries - pi).max())
-    if resid > residual_tol:
-        raise SingularSystem(
-            f"stationary residual {resid:.3e} exceeds {residual_tol:g}"
-        )
     if pi.min() <= 0:
         raise SingularSystem("stationary solve produced non-positive mass")
     pi /= pi.sum()
     pi.setflags(write=False)
-    return pi
+    return pi, resid
 
 
 def stationary_distribution(

@@ -1,9 +1,12 @@
 """Monte-Carlo simulation of the noisy consensus recursion.
 
-Trials are reproducible and order-independent: trial k draws from its own
-stream seeded by (seed, k) through numpy's SeedSequence spawning, and each
-trial pre-generates its noise block in one shot, so rechunking or
-parallelizing trials cannot change the numbers.
+Trial k draws its whole noise block in one shot from its own stream,
+seeded by (seed, k) through numpy's SeedSequence spawning, so its noise
+depends only on (seed, k) and the state shape: adding trials leaves the
+earlier ones unchanged.  Reruns with identical inputs are bit-identical.
+
+One kernel, :func:`_run_trials`, steps every trial; the formation
+simulator runs it too, on a state of shape (n, d).
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disagreement import NoiseCovariance
+from . import tolerances
+from .disagreement import NoiseCovariance, _check_noise, _recursion_terms
 from .errors import DimensionMismatch, InvalidParam, NoConvergence
 from .markov import StochasticMatrix
 
@@ -61,12 +65,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Per-step disagreement estimates averaged across trials."""
+    """Per-step disagreement estimates averaged across trials, the burn-in
+    the run used, and the tail estimate past it with its standard error."""
 
     times: np.ndarray
     delta_hat: np.ndarray
     delta_uni_hat: np.ndarray
     stderr: np.ndarray
+    burn_in: int
+    estimate: float
+    estimate_stderr: float
 
     def to_csv(self, path=None) -> str | None:
         """Write the trace as CSV; with no path, return the text instead."""
@@ -85,44 +93,82 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
-def _noise_block(rng, noise: NoiseCovariance, steps: int, kind: str) -> np.ndarray:
-    n = noise.n
+def _noise_block(rng, noise: NoiseCovariance, shape: tuple, kind: str) -> np.ndarray:
+    """Noise for ``shape = (steps, n, ...)``: covariance ``noise`` across the n nodes.
+
+    A full covariance is drawn for (steps, n) blocks only.
+    """
     if kind == "gaussian":
-        z = rng.standard_normal((steps, n))
+        z = rng.standard_normal(shape)
     else:  # rademacher
-        z = rng.integers(0, 2, size=(steps, n)).astype(float) * 2.0 - 1.0
-    if noise.kind == "scalar":
-        return z * np.sqrt(noise.equal_variance())
-    if noise.kind == "diagonal":
-        return z * np.sqrt(noise.variances())[None, :]
-    return z @ noise.sampling_factor().T
+        z = rng.integers(0, 2, size=shape).astype(float)
+        z *= 2.0
+        z -= 1.0
+    if noise.kind == "full":
+        return z @ noise.sampling_factor().T
+    # one scale per node (axis 1), applied in place: the formation block is
+    # the largest array a run holds
+    z *= np.sqrt(noise.variances()).reshape(shape[1:2] + (1,) * (len(shape) - 2))
+    return z
 
 
 def _run_trials(P: StochasticMatrix, noise: NoiseCovariance, x0: np.ndarray, cfg: SimConfig):
-    """Recorded weighted / uniform squared errors, shape (trials, n_rec)."""
-    n = P.n
+    """The trial loop: x(t+1) = P x(t) + w(t) from x0 of shape (n,) or (n, d).
+
+    Returns the recorded times, the weighted and uniform squared errors,
+    each summed over the d coordinates and of shape (trials, n_rec), and
+    trial 0's recorded states, shape (n_rec, *x0.shape).
+    """
     pi = P.stationary()
     E = P.entries
     times = np.arange(0, cfg.horizon + 1, cfg.record_every)
-    wsq = np.empty((cfg.trials, times.size))
-    usq = np.empty((cfg.trials, times.size))
+    wsq = np.empty((cfg.trials, times.size, *x0.shape[1:]))
+    usq = np.empty_like(wsq)
+    states = np.empty((times.size, *x0.shape))
     for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        W = _noise_block(rng, noise, cfg.horizon, cfg.noise)
-        x = x0.astype(float).copy()
-        k = 0
-        e = x - (pi @ x)
-        wsq[trial, k] = pi @ (e * e)
-        usq[trial, k] = np.mean(e * e)
-        k += 1
-        for t in range(1, cfg.horizon + 1):
-            x = E @ x + W[t - 1]
+        W = _noise_block(_trial_rng(cfg.seed, trial), noise, (cfg.horizon, *x0.shape), cfg.noise)
+        x = x0
+        for t in range(cfg.horizon + 1):
+            if t > 0:
+                x = E @ x + W[t - 1]
             if t % cfg.record_every == 0:
-                e = x - (pi @ x)
-                wsq[trial, k] = pi @ (e * e)
-                usq[trial, k] = np.mean(e * e)
-                k += 1
-    return times, wsq, usq
+                k = t // cfg.record_every
+                e = x - pi @ x
+                e *= e
+                wsq[trial, k] = pi @ e
+                usq[trial, k] = e.mean(axis=0)
+                if trial == 0:
+                    states[k] = x
+    per_coord = (cfg.trials, times.size, -1)
+    return times, wsq.reshape(per_coord).sum(axis=2), usq.reshape(per_coord).sum(axis=2), states
+
+
+def _resolve_burn_in(P: StochasticMatrix, cfg: SimConfig) -> int:
+    """cfg.burn_in, or the automatic one; some recorded step must follow it."""
+    burn = cfg.burn_in if cfg.burn_in is not None else auto_burn_in(P)
+    if burn >= cfg.horizon:
+        raise InvalidParam(f"burn-in {burn} >= horizon {cfg.horizon}; lengthen the run")
+    if cfg.horizon // cfg.record_every * cfg.record_every <= burn:
+        raise InvalidParam("no recorded steps after the burn-in; lower record_every")
+    return burn
+
+
+def _summarize(times: np.ndarray, sq: np.ndarray, burn: int):
+    """Across-trial mean and stderr per recorded step, and the tail estimate.
+
+    The tail estimate is the mean over trials of each trial's average past
+    ``burn``, with its standard error across trials; every standard error
+    is zero for a single trial.
+    """
+    trials = sq.shape[0]
+    per_trial = sq[:, times > burn].mean(axis=1)
+    if trials > 1:
+        stderr = sq.std(axis=0, ddof=1) / np.sqrt(trials)
+        se = float(per_trial.std(ddof=1) / np.sqrt(trials))
+    else:
+        stderr = np.zeros(times.size)
+        se = 0.0
+    return sq.mean(axis=0), stderr, float(per_trial.mean()), se
 
 
 def simulate_consensus(
@@ -135,41 +181,33 @@ def simulate_consensus(
 
     Returns the across-trial mean of the pi-weighted and uniform squared
     errors at every recorded step, with the standard error of the weighted
-    one (zero when trials == 1).  Identical inputs give bit-identical
-    output.
+    one (zero when trials == 1), plus the resolved burn-in and the tail
+    estimate past it.  Raises InvalidParam when the burn-in leaves no
+    recorded step.  Identical inputs give bit-identical output.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (P.n,):
         raise DimensionMismatch(f"x0 must have shape ({P.n},), got {x0.shape}")
-    if noise.n != P.n:
-        raise DimensionMismatch(
-            f"noise covariance is {noise.n}-dimensional but the chain has {P.n} states"
-        )
-    times, wsq, usq = _run_trials(P, noise, x0, cfg)
-    if cfg.trials > 1:
-        stderr = wsq.std(axis=0, ddof=1) / np.sqrt(cfg.trials)
-    else:
-        stderr = np.zeros(times.size)
+    _check_noise(P, noise)
+    burn = _resolve_burn_in(P, cfg)
+    times, wsq, usq, _ = _run_trials(P, noise, x0, cfg)
+    delta_hat, stderr, est, se = _summarize(times, wsq, burn)
     return SimTrace(
         times=times,
-        delta_hat=wsq.mean(axis=0),
+        delta_hat=delta_hat,
         delta_uni_hat=usq.mean(axis=0),
         stderr=stderr,
+        burn_in=burn,
+        estimate=est,
+        estimate_stderr=se,
     )
-
-
-def _contraction_radius(P: StochasticMatrix) -> float:
-    pi = P.stationary()
-    if P.n == 1:
-        return 0.0
-    M = P.entries - np.outer(np.ones(P.n), pi)
-    return float(np.abs(np.linalg.eigvals(M)).max())
 
 
 def auto_burn_in(P: StochasticMatrix) -> int:
     """ceil(20 / (1 - rho^2)) with rho = rho(P - 1 pi')."""
-    rho = _contraction_radius(P)
-    if rho >= 1.0 - 1e-12:
+    M = P.entries - np.outer(np.ones(P.n), P.stationary())
+    rho = float(np.abs(np.linalg.eigvals(M)).max()) if P.n > 1 else 0.0
+    if rho >= tolerances.NO_CONTRACTION_RHO:
         raise NoConvergence(
             "no spectral gap (rho(P - J) ~ 1); the recursion has no steady state"
         )
@@ -183,30 +221,11 @@ def estimate_delta_ss(
 ) -> tuple[float, float]:
     """Tail-averaged Monte-Carlo estimate of the weighted disagreement.
 
-    Averages the recorded weighted squared error over steps past the
-    burn-in, per trial; returns (mean across trials, standard error across
-    trials).  Starts from x0 = 0 — the steady state does not depend on it.
+    The (estimate, estimate_stderr) of :func:`simulate_consensus` started
+    from x0 = 0 — the steady state does not depend on it.
     """
-    if noise.n != P.n:
-        raise DimensionMismatch(
-            f"noise covariance is {noise.n}-dimensional but the chain has {P.n} states"
-        )
-    burn = cfg.burn_in if cfg.burn_in is not None else auto_burn_in(P)
-    if burn >= cfg.horizon:
-        raise InvalidParam(
-            f"burn-in {burn} >= horizon {cfg.horizon}; lengthen the run"
-        )
-    times, wsq, _ = _run_trials(P, noise, np.zeros(P.n), cfg)
-    tail = times > burn
-    if not tail.any():
-        raise InvalidParam("no recorded steps after the burn-in; lower record_every")
-    per_trial = wsq[:, tail].mean(axis=1)
-    est = float(per_trial.mean())
-    if cfg.trials > 1:
-        se = float(per_trial.std(ddof=1) / np.sqrt(cfg.trials))
-    else:
-        se = 0.0
-    return est, se
+    trace = simulate_consensus(P, noise, np.zeros(P.n), cfg)
+    return trace.estimate, trace.estimate_stderr
 
 
 def divergence_probe(P: StochasticMatrix, noise: NoiseCovariance, horizon: int) -> np.ndarray:
@@ -217,21 +236,12 @@ def divergence_probe(P: StochasticMatrix, noise: NoiseCovariance, horizon: int) 
     growth of a noisy consensus on a bipartite graph, where the simple
     walk's -1 eigenvalue never mixes.  Returns traces[t] for t = 0..horizon.
     """
-    if noise.n != P.n:
-        raise DimensionMismatch(
-            f"noise covariance is {noise.n}-dimensional but the chain has {P.n} states"
-        )
+    _check_noise(P, noise)
     if horizon < 1:
         raise InvalidParam(f"horizon must be >= 1, got {horizon}")
-    n = P.n
-    pi = P.stationary()
-    J = np.outer(np.ones(n), pi)
-    M = P.entries - J
-    IJ = np.eye(n) - J
-    N = IJ @ noise.matrix() @ IJ.T
-    N = 0.5 * (N + N.T)
+    _, M, N = _recursion_terms(P, noise)
     traces = np.zeros(horizon + 1)
-    S = np.zeros((n, n))
+    S = np.zeros((P.n, P.n))
     for t in range(1, horizon + 1):
         S = M @ S @ M.T + N
         traces[t] = np.trace(S)

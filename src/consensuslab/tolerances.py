@@ -34,6 +34,10 @@ SPECTRAL_IMAG_TOL = 1e-9
 PSD_SHIFT_SCALE = 1e-12
 """Shifted-Cholesky PSD test: the shift is PSD_SHIFT_SCALE * trace / n."""
 
+NO_CONTRACTION_RHO = 1.0 - 1e-12
+"""rho(P - 1 pi') at or above this means no contraction: the noisy
+recursion has no steady state."""
+
 ORACLE_TOL = 1e-12
 """Stopping tolerance of the covariance fixed-point iteration."""
 

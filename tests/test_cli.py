@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+import consensuslab
 
 
 def run_cli(*args, **kw):
@@ -142,6 +147,18 @@ def test_simulate_writes_trace_and_summary(tmp_path):
     np.testing.assert_array_equal(data[:, 0], np.arange(0, 401, 4))
 
 
+def test_simulate_records_the_automatic_burn_in():
+    from consensuslab.graphs import ring_graph
+    from consensuslab.markov import lazy_walk_matrix
+    from consensuslab.simulate import auto_burn_in
+
+    r = run_cli("simulate", "--family", "ring", "--n", "6", "--horizon", "400",
+                "--trials", "2", "--seed", "5")
+    assert r.returncode == 0, r.stderr
+    burn = json.loads(r.stdout)["config"]["burn_in"]
+    assert burn == auto_burn_in(lazy_walk_matrix(ring_graph(6)))
+
+
 def test_simulate_reruns_are_identical(tmp_path):
     t1, t2 = tmp_path / "1.csv", tmp_path / "2.csv"
     base = ("simulate", "--family", "star", "--n", "5", "--horizon", "200",
@@ -204,3 +221,29 @@ def test_selftest_passes():
     assert r.returncode == 0, r.stdout + r.stderr
     assert "checks passed" in r.stdout
     assert "FAIL" not in r.stdout
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().split("\n## CLI\n", 1)[1]
+    block = text.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv:
+            assert argv[0] == "consensuslab", line
+            commands.append(argv[1:])
+    return commands
+
+
+def test_readme_cli_examples_run(tmp_path):
+    commands = _readme_cli_commands()
+    assert len(commands) == 6
+    pkg_root = os.path.dirname(os.path.dirname(consensuslab.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))}
+    for argv in commands:
+        r = run_cli(*argv, cwd=tmp_path, env=env)
+        assert r.returncode == 0, (argv, r.stderr)
+    # the formation example resolves its automatic burn-in in the output
+    assert json.loads((tmp_path / "form.json").read_text())["config"]["burn_in"] == 7052

@@ -163,6 +163,18 @@ def test_noiseless_simulation_converges_from_random_start():
     assert trace.form_mean[-1] < 1e-6 * trace.form_mean[0]
 
 
+def test_simulated_error_is_the_formation_metric_of_the_trajectory():
+    # the simulator runs consensus on p - phat; its metric must be
+    # form_metric of the recorded positions, started away from the formation
+    spec = spec_from_graph(build_graph("tree", 15), lambda2=4e-4)
+    p0 = spec.positions + np.random.default_rng(3).normal(size=(15, 2))
+    cfg = SimConfig(horizon=300, trials=1, burn_in=50, seed=8, record_every=7)
+    trace, _ = simulate_formation(spec, cfg, p0=p0)
+    direct = [form_metric(p, spec) for p in trace.positions]
+    np.testing.assert_allclose(trace.form_mean, direct, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(trace.positions[0], p0, rtol=0, atol=1e-14)
+
+
 def test_simulated_error_matches_closed_form():
     spec = ring_demo_spec()  # fast mixer, tiny n
     cfg = SimConfig(horizon=3000, trials=40, burn_in=300, seed=11)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import mc_first_passage, random_reversible_chain
 
-from consensuslab.errors import InvalidParam, NotIrreducible, NotReversible
+from consensuslab.errors import InvalidParam, NotIrreducible, NotReversible, SingularSystem
 from consensuslab.graphs import (
     builtin_families,
     build_graph,
@@ -70,6 +70,13 @@ def test_flags_on_small_chains():
 def test_stationary_two_state_hand_value():
     P = StochasticMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]))
     np.testing.assert_allclose(P.stationary(), [2 / 3, 1 / 3], rtol=0, atol=1e-14)
+
+
+def test_stationary_residual_tolerance_holds_after_caching():
+    P = lazy_walk_matrix(ring_graph(8))
+    P.stationary()
+    with pytest.raises(SingularSystem):
+        stationary_distribution(P, residual_tol=0.0)
 
 
 def test_lazy_walk_stationary_is_degree_proportional():

@@ -63,9 +63,18 @@ def test_trial_streams_do_not_shift_when_more_trials_are_added():
     # estimate_delta_ss averages per-trial tails, so check via simulate paths
     from consensuslab.simulate import _run_trials
 
-    _, wsq_few, _ = _run_trials(P, noise, np.zeros(5), few)
-    _, wsq_many, _ = _run_trials(P, noise, np.zeros(5), many)
+    _, wsq_few, _, _ = _run_trials(P, noise, np.zeros(5), few)
+    _, wsq_many, _, _ = _run_trials(P, noise, np.zeros(5), many)
     np.testing.assert_array_equal(wsq_few, wsq_many[:3])
+
+
+def test_estimate_is_the_tail_of_the_simulated_trace():
+    P = lazy_walk_matrix(star_graph(6))
+    noise = NoiseCovariance.diagonal([1.0, 0.5, 2.0, 1.0, 0.3, 1.5])
+    cfg = SimConfig(horizon=600, trials=5, seed=4, record_every=3)
+    trace = simulate_consensus(P, noise, np.zeros(6), cfg)
+    assert trace.burn_in == auto_burn_in(P)
+    assert (trace.estimate, trace.estimate_stderr) == estimate_delta_ss(P, noise, cfg)
 
 
 def test_estimate_matches_closed_form_within_three_stderr():
@@ -133,9 +142,11 @@ def test_burn_in_must_leave_a_tail():
     P = lazy_walk_matrix(ring_graph(5))
     noise = NoiseCovariance.scalar(5, 1.0)
     # times recorded: 0, 30, 60, 90 — nothing survives a burn-in of 95
+    cfg = SimConfig(horizon=100, trials=2, burn_in=95, seed=0, record_every=30)
     with pytest.raises(InvalidParam):
-        estimate_delta_ss(P, noise, SimConfig(horizon=100, trials=2, burn_in=95, seed=0,
-                                              record_every=30))
+        estimate_delta_ss(P, noise, cfg)
+    with pytest.raises(InvalidParam):
+        simulate_consensus(P, noise, np.zeros(5), cfg)
 
 
 def test_divergence_probe_grows_linearly_on_bipartite_ring():
