@@ -36,7 +36,6 @@ from .disagreement import (
     delta_ss_resistance,
     delta_ss_spectral,
     delta_ss_theorem,
-    delta_uni_bounds,
 )
 from .errors import (
     AsymmetricWeights,
@@ -68,12 +67,12 @@ from .markov import (
 )
 from .simulate import SimConfig, simulate_consensus
 from .formation import (
+    _write_trajectory,
     form_exact,
     load_formation_spec,
     ring_demo_spec,
     simulate_formation,
     spec_from_graph,
-    write_trajectory_csv,
 )
 
 __all__ = ["main"]
@@ -274,14 +273,13 @@ def cmd_analyze(args) -> int:
     if g.n <= args.oracle_cap:
         selected.append("oracle")
 
-    methods: dict[str, object] = {}
-    report = None
-    for name in selected:
+    # the theorem also gives the uniform-disagreement sandwich, so its
+    # errors end the command
+    report = delta_ss_theorem(P, noise)
+    methods: dict[str, object] = {"theorem1": report.delta_ss}
+    for name in selected[1:]:
         try:
-            if name == "theorem1":
-                report = delta_ss_theorem(P, noise, hitting_sq=H2)
-                methods[name] = report.delta_ss
-            elif name == "kemeny":
+            if name == "kemeny":
                 methods[name] = delta_ss_kemeny(P, eq)
             elif name == "spectral":
                 methods[name] = delta_ss_spectral(P, eq)
@@ -294,7 +292,6 @@ def cmd_analyze(args) -> int:
         except ConsensusError as exc:
             methods[name] = {"error": f"{type(exc).__name__}: {exc}"}
 
-    uni_lo, uni_hi = delta_uni_bounds(P, noise)
     doc = {
         "version": __version__,
         "command": "analyze",
@@ -308,9 +305,9 @@ def cmd_analyze(args) -> int:
         "kemeny_p2": kemeny_p2,
         "method_selection": selected,
         "methods": methods,
-        "delta_ss": report.delta_ss if report is not None else None,
-        "delta_uni_lower": uni_lo,
-        "delta_uni_upper": uni_hi,
+        "delta_ss": report.delta_ss,
+        "delta_uni_lower": report.delta_uni_lower,
+        "delta_uni_upper": report.delta_uni_upper,
     }
     _emit_json(doc, args.out)
     return 0
@@ -329,7 +326,7 @@ def _sweep_row(fam: str, n: int, args) -> dict:
         noise = _build_noise(g.n, args)
         P2 = square_chain(P)
         H2 = hitting_times(P2)
-        rep = delta_ss_theorem(P, noise, hitting_sq=H2)
+        rep = delta_ss_theorem(P, noise)
         row["delta_ss"] = rep.delta_ss
         row["delta_uni_lower"] = rep.delta_uni_lower
         row["delta_uni_upper"] = rep.delta_uni_upper
@@ -473,7 +470,7 @@ def cmd_formation(args) -> int:
                     _meta_lines({"version": __version__, "command": "formation",
                                  "seed": args.seed, "config": config})
                 )
-            _append_trajectory(args.out, trace)
+                _write_trajectory(fh, trace)
 
     summary = {
         "version": __version__,
@@ -484,16 +481,6 @@ def cmd_formation(args) -> int:
     }
     _emit_json(summary, args.summary)
     return 0
-
-
-def _append_trajectory(path: str, trace) -> None:
-    import os
-
-    tmp = path + ".body"
-    write_trajectory_csv(tmp, trace)
-    with open(tmp) as src, open(path, "a") as dst:
-        dst.write(src.read())
-    os.remove(tmp)
 
 
 # ---------------------------------------------------------------------
@@ -604,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chain_args(a)
     _add_noise_args(a)
     a.add_argument("--oracle-cap", type=int, default=64,
-                   help="run the iterative oracle when n <= cap (default 64)")
+                   help="run the doubling oracle when n <= cap (default 64)")
     a.add_argument("--out", help="write JSON here instead of stdout")
     a.set_defaults(fn=cmd_analyze)
 

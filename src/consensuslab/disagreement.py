@@ -15,7 +15,7 @@ has a closed form for reversible chains in terms of hitting times of the
 This module implements that closed form, its specializations (diagonal
 noise, equal-variance noise on symmetric chains via the Kemeny constant /
 spectrum / effective resistances), two-sided bounds, and an independent
-oracle that iterates the error-covariance fixed point directly.  The
+oracle that sums the error-covariance recursion directly by doubling.  The
 uniform disagreement delta_uni (plain average instead of pi-weighted) is
 bracketed by the sandwich delta_ss/(n pi_max) <= delta_uni <=
 delta_ss/(n pi_min).
@@ -23,7 +23,6 @@ delta_ss/(n pi_min).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +107,7 @@ class NoiseCovariance:
             raise InvalidParam(f"full covariance must be square, got shape {m.shape}")
         n = m.shape[0]
         scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > 1e-12 * scale:
+        if float(np.abs(m - m.T).max()) > tolerances.SYMMETRY_RTOL * scale:
             raise InvalidParam("covariance must be symmetric")
         m = 0.5 * (m + m.T)
         tr = float(np.trace(m))
@@ -247,7 +246,7 @@ class JPropertyReport:
     def max_violation(self) -> float:
         return max(self.violations.values())
 
-    def ok(self, identity_tol: float = 1e-12) -> bool:
+    def ok(self, identity_tol: float = tolerances.J_IDENTITY_TOL) -> bool:
         return self.max_violation() <= identity_tol and self.rho < 1.0
 
 
@@ -268,33 +267,23 @@ def _require_closed_form(P: StochasticMatrix) -> None:
         raise NotReversible("closed form holds for reversible chains only")
 
 
-def _hitting_sq(P: StochasticMatrix, hitting_sq: np.ndarray | None) -> np.ndarray:
-    if hitting_sq is not None:
-        return hitting_sq
-    return hitting_times(square_chain(P))
-
-
 # =====================================================================
 # closed forms
 # =====================================================================
 
-def delta_ss_theorem(
-    P: StochasticMatrix,
-    noise: NoiseCovariance,
-    *,
-    hitting_sq: np.ndarray | None = None,
-) -> DisagreementReport:
+def delta_ss_theorem(P: StochasticMatrix, noise: NoiseCovariance) -> DisagreementReport:
     """Exact weighted steady-state disagreement of a reversible chain.
 
     delta_ss = pi' H D Sigma D 1 - Tr(H D Sigma D) with H the hitting
-    times of P^2 and D = diag(pi).  Pass ``hitting_sq`` to reuse a
-    precomputed H.  The report's uniform-disagreement fields hold the
-    sandwich bounds delta_ss/(n pi_max) and delta_ss/(n pi_min).
+    times of P^2 and D = diag(pi); P^2 and H are cached on the chains, so
+    every closed form shares them.  The report's uniform-disagreement
+    fields hold the sandwich bounds delta_ss/(n pi_max) and
+    delta_ss/(n pi_min).
     """
     _check_noise(P, noise)
     _require_closed_form(P)
     pi = P.stationary()
-    H = _hitting_sq(P, hitting_sq)
+    H = hitting_times(square_chain(P))
     A = (pi[:, None] * noise.matrix()) * pi[None, :]
     term1 = float(pi @ (H @ A.sum(axis=1)))
     term2 = float(np.sum(H * A.T))
@@ -309,12 +298,7 @@ def delta_ss_theorem(
     )
 
 
-def delta_ss_diag(
-    P: StochasticMatrix,
-    variances,
-    *,
-    hitting_sq: np.ndarray | None = None,
-) -> float:
+def delta_ss_diag(P: StochasticMatrix, variances) -> float:
     """Diagonal-noise specialization: sum_ij sigma_i^2 pi_i^2 pi_j H(j -> i)."""
     v = np.asarray(variances, dtype=float)
     if v.shape != (P.n,):
@@ -323,7 +307,7 @@ def delta_ss_diag(
         raise InvalidParam("variances must be >= 0")
     _require_closed_form(P)
     pi = P.stationary()
-    H = _hitting_sq(P, hitting_sq)
+    H = hitting_times(square_chain(P))
     reach = pi @ H  # reach[i] = sum_j pi_j H(j -> i)
     return float(np.sum(v * pi * pi * reach))
 
@@ -366,12 +350,7 @@ def delta_ss_resistance(P: StochasticMatrix, sigma2: float) -> float:
     return sigma2 / P.n * float(R.sum() / 2.0) / P.n ** 2
 
 
-def delta_ss_bounds(
-    P: StochasticMatrix,
-    variances,
-    *,
-    hitting_sq: np.ndarray | None = None,
-) -> tuple[float, float]:
+def delta_ss_bounds(P: StochasticMatrix, variances) -> tuple[float, float]:
     """Two-sided bounds for diagonal noise on a reversible chain.
 
     lower = (min_i sigma_i^2 pi_i) * K(P^2)
@@ -383,7 +362,7 @@ def delta_ss_bounds(
     _require_closed_form(P)
     pi = P.stationary()
     P2 = square_chain(P)
-    H = _hitting_sq(P, hitting_sq)
+    H = hitting_times(P2)
     K = kemeny_constant_combinatorial(P2, hitting=H)
     R = H + H.T
     lower = float((v * pi).min()) * K
@@ -398,8 +377,17 @@ def delta_uni_bounds(P: StochasticMatrix, noise: NoiseCovariance) -> tuple[float
 
 
 # =====================================================================
-# oracle: covariance fixed point
+# oracle: covariance doubling
 # =====================================================================
+
+_MAX_SQUARINGS = 64
+"""Default squaring budget: 2^64 steps of the recursion, enough for every
+rho(P - J) below tolerances.NO_CONTRACTION_RHO."""
+
+_NO_CONTRACTION_SQUARINGS = 9
+"""Squarings run as evidence on a chain without contraction (2^9 = 512
+steps of the recursion), after which NoConvergence is raised."""
+
 
 def _recursion_terms(P: StochasticMatrix, noise: NoiseCovariance):
     """pi, M = P - 1 pi' and the symmetrised N = (I - J) Sigma_w (I - J)'.
@@ -414,6 +402,17 @@ def _recursion_terms(P: StochasticMatrix, noise: NoiseCovariance):
     return pi, P.entries - J, 0.5 * (N + N.T)
 
 
+def _compose(head: np.ndarray, A: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """S(s + t) = S(s) + M^s S(t) M^s': how the recursion composes.
+
+    S(t) = sum_{u < t} M^u N M^u' is the covariance after t steps from
+    zero; ``head`` = S(s), ``A`` = M^s and ``tail`` = S(t).  With s = 1
+    (head = N, A = M) this is one step S(t+1) = N + M S(t) M'; with
+    tail = head it is one doubling S(2s).
+    """
+    return head + A @ tail @ A.T
+
+
 def delta_oracle(
     P: StochasticMatrix,
     noise: NoiseCovariance,
@@ -422,63 +421,65 @@ def delta_oracle(
     max_iters: int | None = None,
     sigma0: np.ndarray | None = None,
 ) -> tuple[SteadyStateCovariance, DisagreementReport]:
-    """Steady state by iterating the error-covariance recursion directly.
+    """Steady state of the error-covariance recursion, by Smith's doubling.
 
-    S(t+1) = (P - J) S(t) (P - J)' + (I - J) Sigma_w (I - J)',  S(0) = 0,
+    The recursion S(t+1) = M S(t) M' + N with M = P - J and
+    N = (I - J) Sigma_w (I - J)' is summed by doubling (R. A. Smith, 1968):
+    starting from X = N = S(1) and A = M, each squaring sets
+    X <- X + A X A' (now S(2^k)) and then A <- A^2 (now M^(2^k)).  It
+    stops once a squaring changes X by at most ``tol * (1 + max|X|)``; the
+    terms still left out are that change carried through the new A once
+    more, so they are smaller again by about as much.  ``sigma0`` replaces
+    the zero start: A S0 A' is added at the end, and the limit must not
+    depend on it.  Works for any irreducible chain (no reversibility
+    needed) and shares nothing with the hitting-time routes, which is what
+    makes it an independent check on the closed forms.
+    delta_ss = Tr(S diag(pi)) and delta_uni = Tr(S)/n.
 
-    run until the update falls below ``tol_ * (1 + max|S|)``.  Works for any
-    irreducible chain (no reversibility needed), which is what makes it an
-    independent check on the closed forms.  delta_ss = Tr(S diag(pi)) and
-    delta_uni = Tr(S)/n.
-
-    The default iteration budget is ceil(200 / max(1e-6, -ln rho)) with
-    rho = rho(P - J), capped at 1e6; when rho >= 1 - 1e-12 (no contraction,
-    e.g. a noisy bipartite walk) a short diagnostic window runs instead and
-    NoConvergence carries the growing trace history.  An explicit
-    ``max_iters`` always wins.  ``sigma0`` overrides the zero start —
-    the limit must not depend on it.
+    ``iterations`` counts squarings (k squarings cover 2^k steps of the
+    recursion); ``max_iters`` caps them (default 64).  ``residual`` is
+    max |M S M' + N - S| of the result.  When rho = rho(P - J) >= 1 - 1e-12
+    (no contraction, e.g. a noisy bipartite walk) A = M^(2^k) does not
+    shrink, so at most 9 squarings run and NoConvergence carries their
+    trace history, which about doubles at each one.
     """
     _check_noise(P, noise)
     if not P.irreducible:
         raise NotIrreducible("the covariance recursion needs an irreducible chain")
+    budget = _MAX_SQUARINGS if max_iters is None else max_iters
+    if budget < 1:
+        raise InvalidParam(f"max_iters must be >= 1, got {max_iters}")
     n = P.n
+    if sigma0 is not None:
+        S0 = np.array(sigma0, dtype=float)
+        if S0.shape != (n, n):
+            raise DimensionMismatch(f"sigma0 must be ({n},{n}), got {S0.shape}")
     pi, M, N = _recursion_terms(P, noise)
 
     rho = float(np.abs(np.linalg.eigvals(M)).max()) if n > 1 else 0.0
-    budget = max_iters
-    if budget is None:
-        budget = min(int(math.ceil(200.0 / max(1e-6, -math.log(rho)))) if rho > 0 else 200,
-                     1_000_000)
-        if rho >= tolerances.NO_CONTRACTION_RHO:
-            budget = 512  # provably no contraction; collect evidence and bail
+    if rho >= tolerances.NO_CONTRACTION_RHO:
+        budget = min(budget, _NO_CONTRACTION_SQUARINGS)
 
-    if sigma0 is not None:
-        S = np.array(sigma0, dtype=float)
-        if S.shape != (n, n):
-            raise DimensionMismatch(f"sigma0 must be ({n},{n}), got {S.shape}")
-    else:
-        S = np.zeros((n, n))
-
+    X, A = N, M
     trace_history = []
-    converged = False
-    its = 0
     for its in range(1, budget + 1):
-        S_next = M @ S @ M.T + N
-        diff = float(np.abs(S_next - S).max())
-        S = S_next
-        trace_history.append(float(np.trace(S)))
-        if diff <= tol * (1.0 + float(np.abs(S).max())):
-            converged = True
+        X_next = _compose(X, A, X)
+        A = A @ A
+        diff = float(np.abs(X_next - X).max())
+        X = X_next
+        trace_history.append(float(np.trace(X)))
+        if diff <= tol * (1.0 + float(np.abs(X).max())):
             break
-    if not converged:
+    else:
         raise NoConvergence(
-            f"covariance iteration did not converge in {its} steps "
+            f"covariance doubling did not converge in {its} squarings "
             f"(rho(P-J) = {rho:.6g}); final trace {trace_history[-1]:.6g}",
             iterations=its,
             trace_history=np.asarray(trace_history),
         )
 
-    residual = float(np.abs(M @ S @ M.T + N - S).max())
+    S = X if sigma0 is None else _compose(X, A, S0)
+    residual = float(np.abs(_compose(N, M, S) - S).max())
     delta = float(np.diag(S) @ pi)
     delta_uni = float(np.trace(S) / n)
     lo, hi = _sandwich(delta, pi)
@@ -533,12 +534,7 @@ def check_j_properties(P: StochasticMatrix, powers=(1, 2, 3)) -> JPropertyReport
     return JPropertyReport(violations=v, rho=rho)
 
 
-def sigma_hat(
-    P: StochasticMatrix,
-    noise: NoiseCovariance,
-    *,
-    hitting_sq: np.ndarray | None = None,
-) -> np.ndarray:
+def sigma_hat(P: StochasticMatrix, noise: NoiseCovariance) -> np.ndarray:
     """Closed-form steady-state covariance companion matrix.
 
     Sigma_hat = -H D Sigma D + 1 pi' H D Sigma D, with H the hitting times
@@ -549,7 +545,7 @@ def sigma_hat(
     _check_noise(P, noise)
     _require_closed_form(P)
     pi = P.stationary()
-    H = _hitting_sq(P, hitting_sq)
+    H = hitting_times(square_chain(P))
     A = (pi[:, None] * noise.matrix()) * pi[None, :]
     M = H @ A
     return np.outer(np.ones(P.n), pi @ M) - M

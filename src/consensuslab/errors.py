@@ -60,8 +60,9 @@ class NoConvergence(ConsensusError, RuntimeError):
     """An iteration failed to converge within its budget.
 
     Carries diagnostics: ``iterations`` actually run and ``trace_history``,
-    the trace of the iterate at each step (useful to see divergence, e.g.
-    the linearly growing disagreement of a noisy bipartite walk).
+    the trace of the iterate at each step, or each squaring for the
+    doubling oracle (useful to see divergence, e.g. the growing
+    disagreement of a noisy bipartite walk).
     """
 
     def __init__(self, message, *, iterations=None, trace_history=None):

@@ -152,7 +152,7 @@ def _canonical_edge_map(graph: Graph, mapping, what: str, *, negate_flip: bool):
             raise InvalidParam(f"{what} given for non-edge ({i},{j})")
         v = value if (i, j) == canon else (-value if negate_flip else value)
         if canon in out:
-            same = np.allclose(out[canon], v, rtol=0.0, atol=1e-12)
+            same = np.allclose(out[canon], v, rtol=0.0, atol=tolerances.EDGE_VALUE_ATOL)
             if not same:
                 if negate_flip:
                     raise InvalidParam(
@@ -488,11 +488,15 @@ def load_formation_spec(path) -> FormationSpec:
 
 def write_trajectory_csv(path, trace: FormationTrace) -> None:
     """Dump recorded positions: one row per (t, node), columns x1..xd."""
-    d = trace.positions.shape[2]
-    header = "t,node," + ",".join(f"x{k + 1}" for k in range(d))
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for k, t in enumerate(trace.times):
-            for node in range(trace.positions.shape[1]):
-                coords = ",".join(f"{c:.16e}" for c in trace.positions[k, node])
-                fh.write(f"{int(t)},{node},{coords}\n")
+        _write_trajectory(fh, trace)
+
+
+def _write_trajectory(fh, trace: FormationTrace) -> None:
+    """The trajectory CSV (header and rows) into an open text file."""
+    d = trace.positions.shape[2]
+    fh.write("t,node," + ",".join(f"x{k + 1}" for k in range(d)) + "\n")
+    for k, t in enumerate(trace.times):
+        for node in range(trace.positions.shape[1]):
+            coords = ",".join(f"{c:.16e}" for c in trace.positions[k, node])
+            fh.write(f"{int(t)},{node},{coords}\n")

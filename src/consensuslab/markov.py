@@ -52,13 +52,12 @@ __all__ = [
     "write_matrix_csv",
 ]
 
-# per-target LU is O(n^4) over all targets; past this size use the
-# fundamental-matrix route (same residual guarantee, one factorization)
-_PER_TARGET_MAX_N = 200
-
 
 class StochasticMatrix:
     """A validated row-stochastic matrix with cached structural flags.
+
+    The stationary law, the squared chain and the hitting-time matrix are
+    computed at most once per matrix and cached with it.
 
     Parameters
     ----------
@@ -175,7 +174,10 @@ class StochasticMatrix:
             raise SingularSystem(f"stationary residual {resid:.3e} exceeds {residual_tol:g}")
         return pi
 
+    # results computed once per chain, each residual kept with its value
     _pi_cache: tuple[np.ndarray, float] | None = None
+    _hitting_cache: tuple[np.ndarray, float] | None = None
+    _square_cache: StochasticMatrix | None = None
 
 
 def _solve_stationary(P: StochasticMatrix) -> tuple[np.ndarray, float]:
@@ -296,39 +298,45 @@ def hitting_times(
     ``H[i,j] = 1 + sum_k P[i,k] H[k,j]`` (i != j, H[j,j] = 0) with residual
     tolerance ``residual_tol * n``:
 
+    * ``fundamental`` (what ``auto`` means): invert I - P + 1 pi' once and
+      read off H[i,j] = (Z[j,j] - Z[i,j]) / pi[j] (Kemeny & Snell).  One
+      O(n^3) solve; the result and its residual are cached on ``P``, so
+      later calls only check their own ``residual_tol``.
     * ``per-target``: for each target j solve (I - P) h = 1 with row j
-      replaced by h_j = 0.  One LU per target; the default for n <= 200.
-    * ``fundamental``: invert I - P + 1 pi' once and read off
-      H[i,j] = (Z[j,j] - Z[i,j]) / pi[j].  Used above that size, where
-      per-target is O(n^4).
+      replaced by h_j = 0.  One LU per target, O(n^4) in all, never
+      cached: the independent referee for the fundamental route.
+
+    The returned array is read-only.
 
     Parameters
     ----------
     P : StochasticMatrix
         Must be irreducible.
-    method : {"auto", "per-target", "fundamental"}
+    method : {"auto", "fundamental", "per-target"}
     """
     if not P.irreducible:
         raise NotIrreducible("hitting times need an irreducible chain")
-    n = P.n
-    if n == 1:
-        return np.zeros((1, 1))
-    if method == "auto":
-        method = "per-target" if n <= _PER_TARGET_MAX_N else "fundamental"
-    if method == "per-target":
-        H = _hitting_per_target(P.entries)
-    elif method == "fundamental":
-        H = _hitting_fundamental(P)
+    if method in ("auto", "fundamental"):
+        if P._hitting_cache is None:
+            P._hitting_cache = _checked_hitting(P, _hitting_fundamental(P))
+        H, worst = P._hitting_cache
+    elif method == "per-target":
+        H, worst = _checked_hitting(P, _hitting_per_target(P.entries))
     else:
         raise InvalidParam(f"unknown hitting-time method {method!r}")
-    resid = H - P.entries @ H - 1.0
-    np.fill_diagonal(resid, 0.0)
-    worst = float(np.abs(resid).max())
-    if worst > residual_tol * n:
+    if worst > residual_tol * P.n:
         raise SingularSystem(
-            f"hitting-time residual {worst:.3e} exceeds {residual_tol * n:.3e}"
+            f"hitting-time residual {worst:.3e} exceeds {residual_tol * P.n:.3e}"
         )
     return H
+
+
+def _checked_hitting(P: StochasticMatrix, H: np.ndarray) -> tuple[np.ndarray, float]:
+    """H made read-only, with its defining-equation residual."""
+    resid = H - P.entries @ H - 1.0
+    np.fill_diagonal(resid, 0.0)
+    H.setflags(write=False)
+    return H, float(np.abs(resid).max())
 
 
 def _hitting_per_target(E: np.ndarray) -> np.ndarray:
@@ -363,8 +371,10 @@ def _hitting_fundamental(P: StochasticMatrix) -> np.ndarray:
 
 
 def square_chain(P: StochasticMatrix) -> StochasticMatrix:
-    """The two-step chain P @ P."""
-    return StochasticMatrix(P.entries @ P.entries)
+    """The two-step chain P @ P, built once and cached on ``P``."""
+    if P._square_cache is None:
+        P._square_cache = StochasticMatrix(P.entries @ P.entries)
+    return P._square_cache
 
 
 # =====================================================================
@@ -422,7 +432,7 @@ def kemeny_constant_spectral(P: StochasticMatrix) -> float:
         raise EigSolverFailure(f"eigenvalue solve failed: {exc}") from exc
     # exactly one unit eigenvalue for an irreducible chain; drop it
     drop = int(np.argmin(np.abs(lam - 1.0)))
-    if abs(lam[drop] - 1.0) > 1e-8:
+    if abs(lam[drop] - 1.0) > tol.UNIT_EIGENVALUE_TOL:
         raise EigSolverFailure(
             f"no eigenvalue close to 1 (nearest {lam[drop]!r}); spectrum unusable"
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .disagreement import NoiseCovariance, _check_noise, _recursion_terms
+from .disagreement import NoiseCovariance, _check_noise, _compose, _recursion_terms
 from .errors import DimensionMismatch, InvalidParam, NoConvergence
 from .markov import StochasticMatrix
 
@@ -231,10 +231,11 @@ def estimate_delta_ss(
 def divergence_probe(P: StochasticMatrix, noise: NoiseCovariance, horizon: int) -> np.ndarray:
     """Trace of the exact error covariance after each of ``horizon`` steps.
 
-    Runs the covariance recursion itself (no sampling), so it shows cleanly
-    whether the disagreement settles or keeps growing — e.g. the linear
-    growth of a noisy consensus on a bipartite graph, where the simple
-    walk's -1 eigenvalue never mixes.  Returns traces[t] for t = 0..horizon.
+    Steps, one at a time and without sampling, the covariance recursion
+    that ``delta_oracle`` sums by doubling, so it shows cleanly whether the
+    disagreement settles or keeps growing — e.g. the linear growth of a
+    noisy consensus on a bipartite graph, where the simple walk's -1
+    eigenvalue never mixes.  Returns traces[t] for t = 0..horizon.
     """
     _check_noise(P, noise)
     if horizon < 1:
@@ -243,6 +244,6 @@ def divergence_probe(P: StochasticMatrix, noise: NoiseCovariance, horizon: int) 
     traces = np.zeros(horizon + 1)
     S = np.zeros((P.n, P.n))
     for t in range(1, horizon + 1):
-        S = M @ S @ M.T + N
+        S = _compose(N, M, S)
         traces[t] = np.trace(S)
     return traces

@@ -16,7 +16,8 @@ REVERSIBILITY_RTOL = 1e-10
 """Detailed-balance check, relative to max_ij pi_i P_ij."""
 
 SYMMETRY_RTOL = 1e-12
-"""Matrix-symmetry check, relative to max |entry|."""
+"""Matrix-symmetry check (transition matrices, full noise covariances),
+relative to max(1, max |entry|)."""
 
 HITTING_RESIDUAL_TOL = 1e-9
 """Hitting-time defining-equation residual, scaled by n."""
@@ -27,6 +28,10 @@ RANDOM_TARGET_TOL = 1e-9
 KEMENY_CROSS_RTOL = 1e-8
 """Relative disagreement allowed between the combinatorial and spectral
 Kemeny constants."""
+
+UNIT_EIGENVALUE_TOL = 1e-8
+"""Distance from 1 allowed for the unit eigenvalue of an irreducible chain
+before its spectrum is declared unusable."""
 
 SPECTRAL_IMAG_TOL = 1e-9
 """Imaginary residue allowed when summing a (possibly complex) spectrum."""
@@ -39,7 +44,16 @@ NO_CONTRACTION_RHO = 1.0 - 1e-12
 recursion has no steady state."""
 
 ORACLE_TOL = 1e-12
-"""Stopping tolerance of the covariance fixed-point iteration."""
+"""Stopping tolerance of the covariance doubling: the last squaring's
+update, scaled by (1 + max |S|)."""
+
+J_IDENTITY_TOL = 1e-12
+"""Largest violation of the J = 1 pi' projector identities accepted by
+JPropertyReport.ok."""
+
+EDGE_VALUE_ATOL = 1e-12
+"""Absolute agreement required of two entries given for the same formation
+edge (offsets after the antisymmetry flip, or weights)."""
 
 CONSISTENCY_TOL = 1e-9
 """Max residual of the offset least-squares solve for a formation to be

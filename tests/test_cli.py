@@ -183,6 +183,22 @@ def test_formation_demo_run(tmp_path):
     assert len(body) == 1 + 41 * 4
 
 
+def test_formation_csv_is_the_metadata_then_the_trajectory(tmp_path):
+    traj = tmp_path / "traj.csv"
+    r = run_cli("formation", "--demo", "--horizon", "300", "--trials", "2",
+                "--record-every", "7", "--seed", "5", "--out", traj,
+                "--summary", tmp_path / "form.json")
+    assert r.returncode == 0, r.stderr
+    trace, _ = consensuslab.simulate_formation(
+        consensuslab.ring_demo_spec(4e-4),
+        consensuslab.SimConfig(horizon=300, trials=2, seed=5, record_every=7))
+    body = tmp_path / "body.csv"
+    consensuslab.write_trajectory_csv(body, trace)
+    meta = traj.read_bytes().split(b"\n")[:3]
+    assert [ln[:1] for ln in meta] == [b"#"] * 3
+    assert traj.read_bytes() == b"\n".join(meta) + b"\n" + body.read_bytes()
+
+
 def test_formation_family_and_spec_file(tmp_path):
     r = run_cli("formation", "--family", "star", "--n", "7",
                 "--lambda2", "4e-4", "--skip-sim")

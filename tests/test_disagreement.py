@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import random_psd_covariance, random_reversible_chain
 
 from consensuslab.disagreement import (
@@ -23,7 +26,7 @@ from consensuslab.errors import (
     NotReversible,
     NotSymmetric,
 )
-from consensuslab.graphs import ring_graph, star_graph
+from consensuslab.graphs import line_graph, ring_graph, star_graph
 from consensuslab.markov import (
     StochasticMatrix,
     hitting_times,
@@ -31,6 +34,7 @@ from consensuslab.markov import (
     simple_walk_matrix,
     square_chain,
 )
+from consensuslab.simulate import divergence_probe
 
 
 def two_node():
@@ -187,6 +191,45 @@ def test_oracle_reports_iterations_and_residual():
     assert cov.iterations > 0
     assert cov.residual <= 1e-12 * (1 + np.abs(cov.matrix).max())
     assert rep.diagnostics["iterations"] == cov.iterations
+
+
+def test_oracle_matches_solve_discrete_lyapunov():
+    rng = np.random.default_rng(64)
+    for g in (line_graph(64), ring_graph(64)):
+        P = lazy_walk_matrix(g)
+        noise = NoiseCovariance.diagonal(rng.uniform(0.25, 4.0, 64))
+        cov, _ = delta_oracle(P, noise)
+        J = np.outer(np.ones(64), P.stationary())
+        IJ = np.eye(64) - J
+        ref = scipy.linalg.solve_discrete_lyapunov(P.entries - J, IJ @ noise.matrix() @ IJ.T)
+        assert np.abs(cov.matrix - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_oracle_matches_theorem_on_slow_mixing_lines():
+    for n in (64, 128):
+        P = lazy_walk_matrix(line_graph(n))
+        noise = NoiseCovariance.scalar(n, 1.0)
+        cov, rep = delta_oracle(P, noise)
+        exact = delta_ss_theorem(P, noise).delta_ss
+        assert abs(rep.delta_ss - exact) <= 1e-11 * exact
+        assert cov.iterations <= 24  # squarings: 2^24 steps of the recursion
+
+
+def test_oracle_stops_without_overflow_on_periodic_chain():
+    P = simple_walk_matrix(ring_graph(6))
+    noise = NoiseCovariance.scalar(6, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for max_iters in (None, 10_000):
+            with pytest.raises(NoConvergence) as ei:
+                delta_oracle(P, noise, max_iters=max_iters)
+            history = ei.value.trace_history
+            assert np.all(np.diff(history) > 0)
+    # squaring k reaches step 2^k of the recursion the probe steps through
+    steps = divergence_probe(P, noise, 2 ** len(history))
+    np.testing.assert_allclose(history, steps[2 ** np.arange(1, len(history) + 1)], rtol=1e-12)
+    with pytest.raises(InvalidParam):
+        delta_oracle(P, noise, max_iters=0)
 
 
 # ------------------------------------------------------------- bounds

@@ -136,10 +136,36 @@ def test_hitting_defining_equation_on_random_chains():
 
 def test_per_target_and_fundamental_routes_agree():
     rng = np.random.default_rng(3)
-    P = random_reversible_chain(rng, 40)
-    H1 = hitting_times(P, method="per-target")
-    H2 = hitting_times(P, method="fundamental")
-    assert np.abs(H1 - H2).max() < 1e-8 * H1.max()
+    chains = [
+        random_reversible_chain(rng, 40),
+        uniform_edge_matrix(line_graph(200)),
+        lazy_walk_matrix(build_graph("starry-line", 192)),
+        lazy_walk_matrix(build_graph("tree", 127)),
+        uniform_edge_matrix(build_graph("two-star", 200)),
+    ]
+    for P in chains:
+        for Q in (P, square_chain(P)):
+            H1 = hitting_times(Q, method="per-target")
+            H2 = hitting_times(Q, method="fundamental")
+            assert np.abs(H1 - H2).max() <= 1e-10 * H1.max()
+
+
+def test_squared_chain_and_hitting_matrix_are_computed_once():
+    P = lazy_walk_matrix(ring_graph(8))
+    assert square_chain(P) is square_chain(P)
+    H = hitting_times(P)
+    assert hitting_times(P) is H
+    assert hitting_times(P, method="fundamental") is H
+    assert not H.flags.writeable
+    # the referee route is solved afresh on every call
+    assert hitting_times(P, method="per-target") is not hitting_times(P, method="per-target")
+
+
+def test_hitting_residual_tolerance_holds_after_caching():
+    P = lazy_walk_matrix(ring_graph(8))
+    hitting_times(P)
+    with pytest.raises(SingularSystem):
+        hitting_times(P, residual_tol=0.0)
 
 
 def test_lazy_complete3_hitting_and_kemeny_hand_values():
