@@ -37,28 +37,11 @@ from .disagreement import (
     delta_ss_spectral,
     delta_ss_theorem,
 )
-from .errors import (
-    AsymmetricWeights,
-    ConsensusError,
-    DimensionMismatch,
-    DisconnectedGraph,
-    EigSolverFailure,
-    GenerationFailed,
-    InconsistentFormation,
-    InvalidParam,
-    NoConvergence,
-    NotIrreducible,
-    NotReversible,
-    NotSymmetric,
-    RandomTargetViolation,
-    SingularSystem,
-    StepSizeViolation,
-)
+from .errors import ConsensusError, InvalidParam
 from .graphs import Graph, build_graph, builtin_families, load_edge_list
 from .markov import (
     StochasticMatrix,
     effective_resistance,
-    hitting_times,
     kemeny_constant_combinatorial,
     lazy_walk_matrix,
     simple_walk_matrix,
@@ -76,29 +59,6 @@ from .formation import (
 )
 
 __all__ = ["main"]
-
-_CONFIG_ERRORS = (
-    InvalidParam,
-    DimensionMismatch,
-    DisconnectedGraph,
-    StepSizeViolation,
-    AsymmetricWeights,
-    InconsistentFormation,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-    json.JSONDecodeError,
-)
-_NUMERICAL_ERRORS = (
-    NotIrreducible,
-    NotReversible,
-    NotSymmetric,
-    RandomTargetViolation,
-    EigSolverFailure,
-    SingularSystem,
-    NoConvergence,
-    GenerationFailed,
-)
 
 _SWEEP_COLUMNS = (
     "family",
@@ -191,24 +151,35 @@ def _parse_node_overrides(pairs) -> dict[int, float]:
     return out
 
 
-def _build_noise(n: int, args) -> NoiseCovariance:
-    """Resolve the noise grammar: scalar base, optional vector, overrides."""
+def _noise_builder(args):
+    """Parse the noise grammar once (scalar base, optional vector file,
+    overrides); returns a function from the node count to the covariance."""
     overrides = _parse_node_overrides(args.sigma2_node)
+    vec = None
     if args.sigma2_vec:
-        v = np.loadtxt(args.sigma2_vec, dtype=float, ndmin=1)
-        if v.shape != (n,):
-            raise InvalidParam(
-                f"--sigma2-vec {args.sigma2_vec} has {v.size} entries, graph has {n} nodes"
-            )
-    elif overrides:
-        v = np.full(n, float(args.sigma2))
-    else:
-        return NoiseCovariance.scalar(n, float(args.sigma2))
-    for node, value in overrides.items():
-        if not 0 <= node < n:
-            raise InvalidParam(f"--sigma2-node index {node} out of range for n={n}")
-        v[node] = value
-    return NoiseCovariance.diagonal(v)
+        try:
+            vec = np.loadtxt(args.sigma2_vec, dtype=float, ndmin=1)
+        except ValueError as exc:  # also undecodable bytes
+            raise InvalidParam(f"--sigma2-vec {args.sigma2_vec}: {exc}") from exc
+
+    def build(n: int) -> NoiseCovariance:
+        if vec is not None:
+            if vec.shape != (n,):
+                raise InvalidParam(
+                    f"--sigma2-vec {args.sigma2_vec} has {vec.size} entries, graph has {n} nodes"
+                )
+            v = vec.copy()
+        elif overrides:
+            v = np.full(n, float(args.sigma2))
+        else:
+            return NoiseCovariance.scalar(n, float(args.sigma2))
+        for node, value in overrides.items():
+            if not 0 <= node < n:
+                raise InvalidParam(f"--sigma2-node index {node} out of range for n={n}")
+            v[node] = value
+        return NoiseCovariance.diagonal(v)
+
+    return build
 
 
 def _noise_config(args) -> dict:
@@ -257,14 +228,11 @@ def _meta_lines(doc: dict) -> str:
 def cmd_analyze(args) -> int:
     g = _build_graph(args)
     P = _build_chain(g, args)
-    noise = _build_noise(g.n, args)
+    noise = _noise_builder(args)(g.n)
     pi = P.stationary()
 
-    H = hitting_times(P)
-    kemeny_p = kemeny_constant_combinatorial(P, hitting=H)
-    P2 = square_chain(P)
-    H2 = hitting_times(P2)
-    kemeny_p2 = kemeny_constant_combinatorial(P2, hitting=H2)
+    kemeny_p = kemeny_constant_combinatorial(P)
+    kemeny_p2 = kemeny_constant_combinatorial(square_chain(P))
 
     eq = noise.equal_variance()
     selected = ["theorem1"]
@@ -317,22 +285,21 @@ def cmd_analyze(args) -> int:
 # sweep
 # ---------------------------------------------------------------------
 
-def _sweep_row(fam: str, n: int, args) -> dict:
+def _sweep_row(fam: str, n: int, args, build_noise) -> dict:
     row: dict[str, object] = {c: "" for c in _SWEEP_COLUMNS}
     row["family"], row["n"], row["error"] = fam, n, ""
     try:
         g = build_graph(fam, n, seed=args.seed, p=args.p, degree=args.degree, dim=args.grid_dim)
         P = _build_chain(g, args)
-        noise = _build_noise(g.n, args)
-        P2 = square_chain(P)
-        H2 = hitting_times(P2)
+        noise = build_noise(g.n)
         rep = delta_ss_theorem(P, noise)
         row["delta_ss"] = rep.delta_ss
         row["delta_uni_lower"] = rep.delta_uni_lower
         row["delta_uni_upper"] = rep.delta_uni_upper
-        row["kemeny_p2"] = kemeny_constant_combinatorial(P2, hitting=H2)
+        P2 = square_chain(P)
+        row["kemeny_p2"] = kemeny_constant_combinatorial(P2)
         if P2.reversible:
-            row["max_resistance"] = float(effective_resistance(P2, hitting=H2).max())
+            row["max_resistance"] = float(effective_resistance(P2).max())
     except ConsensusError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -348,12 +315,14 @@ def cmd_sweep(args) -> int:
     if not args.family:
         raise InvalidParam("--family is required")
     fam = args.family.lower()
+    # a malformed noise flag or file ends the sweep; a size mismatch is a row error
+    build_noise = _noise_builder(args)
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda n: _sweep_row(fam, n, args), sizes))
+            rows = list(pool.map(lambda n: _sweep_row(fam, n, args, build_noise), sizes))
     else:
-        rows = [_sweep_row(fam, n, args) for n in sizes]
+        rows = [_sweep_row(fam, n, args, build_noise) for n in sizes]
 
     config = {**_graph_config(args), **_noise_config(args), "n_list": sizes, "jobs": args.jobs}
     meta = {"version": __version__, "command": "sweep", "seed": args.seed, "config": config}
@@ -383,7 +352,7 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     g = _build_graph(args)
     P = _build_chain(g, args)
-    noise = _build_noise(g.n, args)
+    noise = _noise_builder(args)(g.n)
     cfg = SimConfig(
         horizon=args.horizon,
         trials=args.trials,
@@ -489,7 +458,7 @@ def cmd_formation(args) -> int:
 
 def cmd_selftest(args) -> int:
     """A handful of fast end-to-end invariants; prints one line each."""
-    from .disagreement import check_j_properties, sigma_hat
+    from .disagreement import check_j_properties, j_matrix, sigma_hat
     from .graphs import ring_graph, star_graph, custom_graph
     from .formation import build_formation_spec, form_via_delta
 
@@ -541,8 +510,7 @@ def cmd_selftest(args) -> int:
         S = sigma_hat(P, noise)
         rep = delta_ss_theorem(P, noise)
         assert abs(np.trace(S) - rep.delta_ss) < 1e-10 * (1 + rep.delta_ss)
-        pi = P.stationary()
-        assert np.abs(np.outer(np.ones(6), pi) @ S).max() < 1e-10
+        assert np.abs(j_matrix(P) @ S).max() < 1e-10
 
     @check("formation: two agents at unit offset give Form = 1")
     def _formation():
@@ -642,12 +610,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except _NUMERICAL_ERRORS as exc:
+    except (ConsensusError, FileNotFoundError, IsADirectoryError, PermissionError,
+            json.JSONDecodeError) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 3
-    except _CONFIG_ERRORS as exc:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 2
+        # each package error carries its code; unreadable input files are config errors
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

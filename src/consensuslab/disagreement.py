@@ -68,12 +68,12 @@ __all__ = [
 # =====================================================================
 
 class NoiseCovariance:
-    """Per-step noise covariance, kind-tagged: scalar, diagonal, or full.
+    """Per-step noise covariance, kind-tagged: diagonal or full.
 
-    Construct through the factories :meth:`scalar`, :meth:`diagonal`,
-    :meth:`full`.  Full matrices must be symmetric and positive
-    semidefinite; PSD is checked by a Cholesky of Sigma + eps*I with
-    eps = PSD_SHIFT_SCALE * trace / n.
+    Construct through the factories :meth:`scalar` (a diagonal with equal
+    entries), :meth:`diagonal` and :meth:`full`.  Full matrices must be
+    symmetric and positive semidefinite; PSD is checked by a Cholesky of
+    Sigma + eps*I with eps = PSD_SHIFT_SCALE * trace / n.
     """
 
     def __init__(self, kind: str, n: int, data: np.ndarray):
@@ -86,9 +86,7 @@ class NoiseCovariance:
     def scalar(cls, n: int, sigma2: float) -> "NoiseCovariance":
         if n < 1:
             raise InvalidParam(f"need n >= 1, got {n}")
-        if sigma2 < 0:
-            raise InvalidParam(f"variance must be >= 0, got {sigma2}")
-        return cls("scalar", n, np.float64(sigma2))
+        return cls.diagonal(np.full(n, float(sigma2)))
 
     @classmethod
     def diagonal(cls, variances) -> "NoiseCovariance":
@@ -141,24 +139,18 @@ class NoiseCovariance:
 
     def matrix(self) -> np.ndarray:
         """Dense (n, n) covariance."""
-        if self._kind == "scalar":
-            return float(self._data) * np.eye(self._n)
         if self._kind == "diagonal":
             return np.diag(self._data)
         return np.array(self._data)
 
     def variances(self) -> np.ndarray:
         """Diagonal of the covariance."""
-        if self._kind == "scalar":
-            return np.full(self._n, float(self._data))
         if self._kind == "diagonal":
             return np.array(self._data)
         return np.diag(self._data).copy()
 
     def equal_variance(self) -> float | None:
         """sigma^2 if the covariance is exactly sigma^2 * I, else None."""
-        if self._kind == "scalar":
-            return float(self._data)
         if self._kind == "diagonal":
             v = self._data
             if np.all(v == v[0]):
@@ -173,7 +165,7 @@ class NoiseCovariance:
 
         Built from the symmetric eigendecomposition so that PSD-singular
         covariances (rank deficient) work too.  Only meaningful for the
-        ``full`` kind; diagonal kinds use sqrt(variances) directly.
+        ``full`` kind; the diagonal kind uses sqrt(variances) directly.
         """
         if self._kind != "full":
             raise InvalidParam("sampling_factor is for full covariances")
@@ -331,14 +323,13 @@ def delta_ss_kemeny(P: StochasticMatrix, sigma2: float) -> float:
 
 
 def delta_ss_spectral(P: StochasticMatrix, sigma2: float) -> float:
-    """Same quantity from the spectrum: (sigma^2/n) sum 1/(1 - lambda^2)."""
+    """Same quantity from the spectrum: (sigma^2/n) sum 1/(1 - lambda^2)
+    over the non-unit eigenvalues cached on ``P``."""
     if sigma2 < 0:
         raise InvalidParam("variance must be >= 0")
     _require_symmetric_aperiodic(P)
-    lam = np.linalg.eigvalsh(P.entries)
-    drop = int(np.argmin(np.abs(lam - 1.0)))
-    rest = np.delete(lam, drop)
-    return sigma2 / P.n * float(np.sum(1.0 / (1.0 - rest ** 2)))
+    lam = P.nonunit_spectrum
+    return sigma2 / P.n * float(np.sum(1.0 / (1.0 - lam ** 2)))
 
 
 def delta_ss_resistance(P: StochasticMatrix, sigma2: float) -> float:
@@ -362,8 +353,8 @@ def delta_ss_bounds(P: StochasticMatrix, variances) -> tuple[float, float]:
     _require_closed_form(P)
     pi = P.stationary()
     P2 = square_chain(P)
+    K = kemeny_constant_combinatorial(P2)
     H = hitting_times(P2)
-    K = kemeny_constant_combinatorial(P2, hitting=H)
     R = H + H.T
     lower = float((v * pi).min()) * K
     upper = float((v * pi).max()) * float(R.max())
@@ -394,12 +385,10 @@ def _recursion_terms(P: StochasticMatrix, noise: NoiseCovariance):
 
     The error covariance then evolves as S(t+1) = M S(t) M' + N.
     """
-    n = P.n
-    pi = P.stationary()
-    J = np.outer(np.ones(n), pi)
-    IJ = np.eye(n) - J
+    J = j_matrix(P)
+    IJ = np.eye(P.n) - J
     N = IJ @ noise.matrix() @ IJ.T
-    return pi, P.entries - J, 0.5 * (N + N.T)
+    return P.stationary(), P.entries - J, 0.5 * (N + N.T)
 
 
 def _compose(head: np.ndarray, A: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -456,7 +445,7 @@ def delta_oracle(
             raise DimensionMismatch(f"sigma0 must be ({n},{n}), got {S0.shape}")
     pi, M, N = _recursion_terms(P, noise)
 
-    rho = float(np.abs(np.linalg.eigvals(M)).max()) if n > 1 else 0.0
+    rho = P.rho
     if rho >= tolerances.NO_CONTRACTION_RHO:
         budget = min(budget, _NO_CONTRACTION_SQUARINGS)
 
@@ -510,8 +499,9 @@ def check_j_properties(P: StochasticMatrix, powers=(1, 2, 3)) -> JPropertyReport
 
     Checks J1 = 1, JP = PJ = J, J^2 = J, (I-J)^2 = I-J, the power identity
     (P^l - J)^k = P^(lk) - J over the sampled exponents, and estimates
-    rho(P - J).  Returns the max violation of each identity; nothing is
-    raised, callers decide what to tolerate.
+    rho(P - J) from the spectrum cached on ``P``.  Returns the max
+    violation of each identity; nothing is raised, callers decide what to
+    tolerate.
     """
     E = P.entries
     n = P.n
@@ -530,8 +520,7 @@ def check_j_properties(P: StochasticMatrix, powers=(1, 2, 3)) -> JPropertyReport
             lhs = np.linalg.matrix_power(Pl - J, k)
             rhs = np.linalg.matrix_power(E, l * k) - J
             v[f"(P^{l}-J)^{k} = P^{l * k}-J"] = float(np.abs(lhs - rhs).max())
-    rho = float(np.abs(np.linalg.eigvals(E - J)).max()) if n > 1 else 0.0
-    return JPropertyReport(violations=v, rho=rho)
+    return JPropertyReport(violations=v, rho=P.rho)
 
 
 def sigma_hat(P: StochasticMatrix, noise: NoiseCovariance) -> np.ndarray:

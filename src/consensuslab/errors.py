@@ -1,26 +1,37 @@
 """Exception types raised by consensuslab.
 
 Everything derives from :class:`ConsensusError` so callers can catch the
-whole family at once.  The split into ValueError-like (bad inputs) and
-RuntimeError-like (the computation itself failed) mirrors how the CLI maps
-failures to exit codes.
+whole family at once.  Each class carries the CLI exit code for it in
+``exit_code``: 2 for a bad configuration (InvalidParam, DimensionMismatch,
+DisconnectedGraph, StepSizeViolation, AsymmetricWeights,
+InconsistentFormation), 3 for everything else.  The ValueError and
+RuntimeError bases do not decide the code: NotIrreducible, NotReversible
+and NotSymmetric are ValueErrors that exit 3.
 """
 
 
 class ConsensusError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 3
+
 
 class InvalidParam(ConsensusError, ValueError):
     """A parameter is outside its documented domain."""
+
+    exit_code = 2
 
 
 class DimensionMismatch(ConsensusError, ValueError):
     """Array shapes are inconsistent with each other."""
 
+    exit_code = 2
+
 
 class DisconnectedGraph(ConsensusError, ValueError):
     """The graph is not connected, but the operation needs it to be."""
+
+    exit_code = 2
 
 
 class GenerationFailed(ConsensusError, RuntimeError):
@@ -74,10 +85,16 @@ class NoConvergence(ConsensusError, RuntimeError):
 class StepSizeViolation(ConsensusError, ValueError):
     """A node's total formation weight is >= 1, so the update is unstable."""
 
+    exit_code = 2
+
 
 class AsymmetricWeights(ConsensusError, ValueError):
     """Formation weights differ between the two orientations of an edge."""
 
+    exit_code = 2
+
 
 class InconsistentFormation(ConsensusError, ValueError):
     """The relative-position offsets admit no set of absolute positions."""
+
+    exit_code = 2

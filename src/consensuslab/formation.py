@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,10 @@ class FormationSpec:
     in-formation positions recovered from the offsets (zero centroid), and
     ``consistency_residual`` is the worst offset-equation residual of that
     least-squares solve — guaranteed <= the consistency tolerance.
+
+    P_form is built from ``weights`` on first use and cached on the spec
+    (see :func:`formation_matrix`), so every route shares its pi, P^2 and
+    hitting times; reassigning ``weights`` afterwards is not supported.
     """
 
     graph: Graph
@@ -88,6 +93,17 @@ class FormationSpec:
     def lambda2_scalar(self) -> float | None:
         v = self.lambda2
         return float(v[0]) if np.all(v == v[0]) else None
+
+    @cached_property
+    def _matrix(self) -> StochasticMatrix:
+        n = self.n
+        p = np.zeros((n, n))
+        for (i, j), x in self.weights.items():
+            p[i, j] = x
+            p[j, i] = x
+        d = p.sum(axis=1)
+        p[np.diag_indices(n)] = 1.0 - d
+        return StochasticMatrix(p)
 
 
 @dataclass
@@ -261,15 +277,12 @@ def build_formation_spec(
 
 
 def formation_matrix(spec: FormationSpec) -> StochasticMatrix:
-    """P_form: off-diagonal f_ij, diagonal 1 - sum_j f_ij (symmetric)."""
-    n = spec.n
-    p = np.zeros((n, n))
-    for (i, j), x in spec.weights.items():
-        p[i, j] = x
-        p[j, i] = x
-    d = p.sum(axis=1)
-    p[np.diag_indices(n)] = 1.0 - d
-    return StochasticMatrix(p)
+    """P_form: off-diagonal f_ij, diagonal 1 - sum_j f_ij (symmetric).
+
+    Built once per spec and cached on it: every call returns the same
+    chain.
+    """
+    return spec._matrix
 
 
 def form_exact(spec: FormationSpec) -> FormationReport:
@@ -461,28 +474,33 @@ def load_formation_spec(path) -> FormationSpec:
           "lambda2": 4e-4                  # or per-node list
         }
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InvalidParam(f"formation spec {path}: not a text file ({exc})") from exc
     try:
         n = int(doc["n"])
         dim = int(doc["dim"])
         raw_edges = doc["edges"]
-        lambda2 = doc.get("lambda2", 0.0)
+        lambda2 = np.asarray(doc.get("lambda2", 0.0), dtype=float)
         weights = doc.get("weights", "default")
-    except (KeyError, TypeError) as exc:
+        offsets = {}
+        edges = []
+        for entry in raw_edges:
+            if isinstance(entry, dict):
+                i, j, r = int(entry["i"]), int(entry["j"]), entry["r"]
+            else:
+                i, j, r = int(entry[0]), int(entry[1]), entry[2]
+            edges.append((i, j))
+            offsets[(i, j)] = np.asarray(r, dtype=float)
+        if not isinstance(weights, str):
+            weights = {(int(i), int(j)): float(w) for i, j, w in weights}
+    except KeyError as exc:
         raise InvalidParam(f"formation spec {path}: missing field {exc}") from exc
-    offsets = {}
-    edges = []
-    for entry in raw_edges:
-        if isinstance(entry, dict):
-            i, j, r = int(entry["i"]), int(entry["j"]), entry["r"]
-        else:
-            i, j, r = int(entry[0]), int(entry[1]), entry[2]
-        edges.append((i, j))
-        offsets[(i, j)] = r
+    except (IndexError, TypeError, ValueError) as exc:
+        raise InvalidParam(f"formation spec {path}: malformed field ({exc})") from exc
     g = custom_graph(n, edges, family=f"custom({path})")
-    if not isinstance(weights, str):
-        weights = {(int(i), int(j)): float(w) for i, j, w in weights}
     return build_formation_spec(g, dim, offsets, weights, lambda2)
 
 
@@ -493,10 +511,13 @@ def write_trajectory_csv(path, trace: FormationTrace) -> None:
 
 
 def _write_trajectory(fh, trace: FormationTrace) -> None:
-    """The trajectory CSV (header and rows) into an open text file."""
+    """The trajectory CSV (header and rows) into an open text file.
+
+    One ``%`` format per (t, node) row; one recorded step is joined and
+    written at a time, so memory stays at one step's rows.
+    """
     d = trace.positions.shape[2]
     fh.write("t,node," + ",".join(f"x{k + 1}" for k in range(d)) + "\n")
-    for k, t in enumerate(trace.times):
-        for node in range(trace.positions.shape[1]):
-            coords = ",".join(f"{c:.16e}" for c in trace.positions[k, node])
-            fh.write(f"{int(t)},{node},{coords}\n")
+    row = "%d,%d," + ",".join(["%.16e"] * d) + "\n"
+    for t, step in zip(trace.times.tolist(), trace.positions):
+        fh.write("".join([row % (t, node, *c) for node, c in enumerate(step.tolist())]))

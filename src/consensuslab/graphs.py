@@ -301,20 +301,27 @@ def load_edge_list(path) -> Graph:
     """
     edges = []
     n = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if n is None:
-                if len(parts) != 1:
-                    raise InvalidParam(f"{path}:{lineno}: expected node count, got {raw!r}")
-                n = int(parts[0])
-                continue
-            if len(parts) != 2:
-                raise InvalidParam(f"{path}:{lineno}: expected 'i j', got {raw!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidParam(f"{path}: not a text file ({exc})") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != (1 if n is None else 2):
+            what = "node count" if n is None else "'i j'"
+            raise InvalidParam(f"{path}:{lineno}: expected {what}, got {raw!r}")
+        try:
+            values = [int(p) for p in parts]
+        except ValueError:
+            raise InvalidParam(f"{path}:{lineno}: expected integers, got {raw!r}") from None
+        if n is None:
+            n = values[0]
+        else:
+            edges.append(tuple(values))
     if n is None:
         raise InvalidParam(f"{path}: empty edge-list file")
     return custom_graph(n, edges, family=f"custom({path})")

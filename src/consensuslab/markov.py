@@ -2,8 +2,10 @@
 constants, and effective resistances.
 
 The central object is :class:`StochasticMatrix`, a validated row-stochastic
-matrix with lazily computed structural flags (irreducible, aperiodic,
-symmetric, reversible).  Chains built from graphs come in three flavors:
+matrix that computes each per-chain quantity at most once: its structural
+flags (irreducible, aperiodic, symmetric, reversible), stationary law,
+non-unit spectrum, squared chain and hitting times.  Chains built from
+graphs come in three flavors:
 
 * ``simple_walk_matrix``: P[i,j] = 1/d(i) on edges.  On a bipartite graph
   this walk is periodic, so quantities that need aperiodicity will refuse it.
@@ -17,7 +19,6 @@ symmetric, reversible).  Chains built from graphs come in three flavors:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,27 +38,26 @@ from .graphs import Graph, is_connected
 
 __all__ = [
     "StochasticMatrix",
-    "ChainAnalysis",
     "simple_walk_matrix",
     "lazy_walk_matrix",
     "uniform_edge_matrix",
     "degree_stationary",
-    "stationary_distribution",
     "hitting_times",
     "square_chain",
     "kemeny_constant_combinatorial",
     "kemeny_constant_spectral",
     "effective_resistance",
-    "analyze_chain",
-    "write_matrix_csv",
 ]
 
 
 class StochasticMatrix:
-    """A validated row-stochastic matrix with cached structural flags.
+    """A validated row-stochastic matrix that owns every per-chain quantity.
 
-    The stationary law, the squared chain and the hitting-time matrix are
-    computed at most once per matrix and cached with it.
+    The structural flags, the stationary law, the non-unit spectrum, the
+    squared chain and the fundamental-route hitting times are each computed
+    at most once per matrix and cached with it.  The stationary law and
+    the hitting times keep their residuals, so every call still checks its
+    own tolerance.
 
     Parameters
     ----------
@@ -166,54 +166,105 @@ class StochasticMatrix:
     # -- stationary law ------------------------------------------------
 
     def stationary(self, *, residual_tol: float = tol.STATIONARY_RESIDUAL_TOL) -> np.ndarray:
-        # the residual is cached with pi so every call checks its own tolerance
-        if self._pi_cache is None:
-            self._pi_cache = _solve_stationary(self)
-        pi, resid = self._pi_cache
+        """Stationary distribution of an irreducible chain.
+
+        Solved once as the linear system (P' - I) pi = 0 with one equation
+        replaced by the normalization, and checked for positivity.  The
+        residual ``||pi' P - pi'||_inf`` is cached with pi, so every call
+        checks it against its own ``residual_tol``.  Read-only.
+        """
+        pi, resid = self._stationary
         if resid > residual_tol:
             raise SingularSystem(f"stationary residual {resid:.3e} exceeds {residual_tol:g}")
         return pi
 
-    # results computed once per chain, each residual kept with its value
-    _pi_cache: tuple[np.ndarray, float] | None = None
-    _hitting_cache: tuple[np.ndarray, float] | None = None
-    _square_cache: StochasticMatrix | None = None
+    @cached_property
+    def _stationary(self) -> tuple[np.ndarray, float]:
+        """pi and its residual ||pi' P - pi'||_inf (before normalization)."""
+        if not self.irreducible:
+            raise NotIrreducible("stationary distribution needs an irreducible chain")
+        n = self.n
+        if n == 1:
+            return np.ones(1), 0.0
+        # (P' - I) pi = 0 with one row traded for the normalization sum(pi) = 1
+        A = self._entries.T - np.eye(n)
+        A[-1, :] = 1.0
+        b = np.zeros(n)
+        b[-1] = 1.0
+        try:
+            pi = scipy.linalg.solve(A, b)
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularSystem(f"stationary solve failed: {exc}") from exc
+        resid = float(np.abs(pi @ self._entries - pi).max())
+        if pi.min() <= 0:
+            raise SingularSystem("stationary solve produced non-positive mass")
+        pi /= pi.sum()
+        pi.setflags(write=False)
+        return pi, resid
 
+    # -- spectrum --------------------------------------------------------
 
-def _solve_stationary(P: StochasticMatrix) -> tuple[np.ndarray, float]:
-    """pi and its residual ||pi' P - pi'||_inf (before normalization)."""
-    if not P.irreducible:
-        raise NotIrreducible("stationary distribution needs an irreducible chain")
-    n = P.n
-    if n == 1:
-        return np.ones(1), 0.0
-    # (P' - I) pi = 0 with one row traded for the normalization sum(pi) = 1
-    A = P.entries.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = scipy.linalg.solve(A, b)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(f"stationary solve failed: {exc}") from exc
-    resid = float(np.abs(pi @ P.entries - pi).max())
-    if pi.min() <= 0:
-        raise SingularSystem("stationary solve produced non-positive mass")
-    pi /= pi.sum()
-    pi.setflags(write=False)
-    return pi, resid
+    @cached_property
+    def nonunit_spectrum(self) -> np.ndarray:
+        """The n - 1 eigenvalues of P other than its unit eigenvalue.
 
+        A symmetric P goes to the symmetric eigensolver as it is, a
+        reversible one as D^{1/2} P D^{-1/2} with D = diag(pi) (the same
+        spectrum, real and stably computed); everything else goes to the
+        general solver and may come back complex.  The eigenvalue nearest
+        1 is dropped once it is checked to lie within UNIT_EIGENVALUE_TOL
+        of 1.  Read-only; empty for a single state.
+        """
+        if not self.irreducible:
+            raise NotIrreducible("the spectrum is taken of irreducible chains only")
+        E = self._entries
+        try:
+            if self.symmetric:
+                lam = np.linalg.eigvalsh(E)
+            elif self.reversible:
+                s = np.sqrt(self.stationary())
+                S = (s[:, None] * E) / s[None, :]
+                lam = np.linalg.eigvalsh(0.5 * (S + S.T))
+            else:
+                lam = np.linalg.eigvals(E)
+        except np.linalg.LinAlgError as exc:
+            raise EigSolverFailure(f"eigenvalue solve failed: {exc}") from exc
+        # exactly one unit eigenvalue for an irreducible chain; drop it
+        drop = int(np.argmin(np.abs(lam - 1.0)))
+        if abs(lam[drop] - 1.0) > tol.UNIT_EIGENVALUE_TOL:
+            raise EigSolverFailure(
+                f"no eigenvalue close to 1 (nearest {lam[drop]!r}); spectrum unusable"
+            )
+        rest = np.delete(lam, drop)
+        rest.setflags(write=False)
+        return rest
 
-def stationary_distribution(
-    P: StochasticMatrix, *, residual_tol: float = tol.STATIONARY_RESIDUAL_TOL
-) -> np.ndarray:
-    """Stationary distribution of an irreducible chain.
+    @property
+    def rho(self) -> float:
+        """Spectral radius of P - 1 pi': the largest |lambda| over the
+        non-unit spectrum, or 0 for a single state."""
+        lam = self.nonunit_spectrum
+        return float(np.abs(lam).max()) if lam.size else 0.0
 
-    Solved as the linear system (P' - I) pi = 0 with one equation replaced
-    by the normalization; the result is checked against
-    ``||pi' P - pi'||_inf <= residual_tol`` and positivity.
-    """
-    return P.stationary(residual_tol=residual_tol)
+    # -- squared chain and hitting times ----------------------------------
+
+    @cached_property
+    def _square(self) -> StochasticMatrix:
+        return StochasticMatrix(self._entries @ self._entries)
+
+    @cached_property
+    def _hitting(self) -> tuple[np.ndarray, float]:
+        """Fundamental-route H with its residual: H[i,j] = (Z[j,j] - Z[i,j]) / pi[j]
+        for Z = (I - P + 1 pi')^-1."""
+        pi = self.stationary()
+        n = self.n
+        try:
+            Z = scipy.linalg.solve(np.eye(n) - self._entries + pi, np.eye(n))
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularSystem(f"fundamental-matrix solve failed: {exc}") from exc
+        H = (np.diag(Z)[None, :] - Z) / pi[None, :]
+        np.fill_diagonal(H, 0.0)
+        return _checked_hitting(self, H)
 
 
 # =====================================================================
@@ -317,9 +368,7 @@ def hitting_times(
     if not P.irreducible:
         raise NotIrreducible("hitting times need an irreducible chain")
     if method in ("auto", "fundamental"):
-        if P._hitting_cache is None:
-            P._hitting_cache = _checked_hitting(P, _hitting_fundamental(P))
-        H, worst = P._hitting_cache
+        H, worst = P._hitting
     elif method == "per-target":
         H, worst = _checked_hitting(P, _hitting_per_target(P.entries))
     else:
@@ -357,24 +406,9 @@ def _hitting_per_target(E: np.ndarray) -> np.ndarray:
     return H
 
 
-def _hitting_fundamental(P: StochasticMatrix) -> np.ndarray:
-    pi = P.stationary()
-    n = P.n
-    B = np.eye(n) - P.entries + np.outer(np.ones(n), pi)
-    try:
-        Z = scipy.linalg.solve(B, np.eye(n))
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(f"fundamental-matrix solve failed: {exc}") from exc
-    H = (np.diag(Z)[None, :] - Z) / pi[None, :]
-    np.fill_diagonal(H, 0.0)
-    return H
-
-
 def square_chain(P: StochasticMatrix) -> StochasticMatrix:
     """The two-step chain P @ P, built once and cached on ``P``."""
-    if P._square_cache is None:
-        P._square_cache = StochasticMatrix(P.entries @ P.entries)
-    return P._square_cache
+    return P._square
 
 
 # =====================================================================
@@ -382,22 +416,15 @@ def square_chain(P: StochasticMatrix) -> StochasticMatrix:
 # =====================================================================
 
 def kemeny_constant_combinatorial(
-    P: StochasticMatrix,
-    *,
-    hitting: np.ndarray | None = None,
-    start_tol: float = tol.RANDOM_TARGET_TOL,
+    P: StochasticMatrix, *, start_tol: float = tol.RANDOM_TARGET_TOL
 ) -> float:
     """K = sum_j pi_j H(i -> j), verified to be the same from every start i.
 
     The start-independence check (max deviation <= start_tol * (1 + K))
     doubles as a health check on the hitting-time solves; a violation
     raises RandomTargetViolation.
-
-    Pass ``hitting`` to reuse a precomputed hitting-time matrix.
     """
-    pi = P.stationary()
-    H = hitting_times(P) if hitting is None else hitting
-    sums = H @ pi
+    sums = hitting_times(P) @ P.stationary()
     K = float(sums[0])
     dev = float(np.abs(sums - K).max())
     if dev > start_tol * (1.0 + abs(K)):
@@ -409,35 +436,14 @@ def kemeny_constant_combinatorial(
 
 
 def kemeny_constant_spectral(P: StochasticMatrix) -> float:
-    """K = sum over non-unit eigenvalues of 1/(1 - lambda).
+    """K = sum over the non-unit eigenvalues of 1/(1 - lambda).
 
-    Reversible chains are symmetrized as D^{1/2} P D^{-1/2} and handed to a
-    symmetric eigensolver (real spectrum, stable); everything else goes to
-    the general solver, and the imaginary residue of the sum must vanish
-    within tolerance.
+    Reads the spectrum cached on ``P`` (see
+    :attr:`StochasticMatrix.nonunit_spectrum`).  A non-reversible chain's
+    spectrum may be complex; the imaginary residue of the sum must then
+    vanish within tolerance.
     """
-    if not P.irreducible:
-        raise NotIrreducible("Kemeny constant needs an irreducible chain")
-    if P.n == 1:
-        return 0.0
-    try:
-        if P.reversible:
-            s = np.sqrt(P.stationary())
-            S = (s[:, None] * P.entries) / s[None, :]
-            S = 0.5 * (S + S.T)
-            lam = np.linalg.eigvalsh(S)
-        else:
-            lam = np.linalg.eigvals(P.entries)
-    except np.linalg.LinAlgError as exc:
-        raise EigSolverFailure(f"eigenvalue solve failed: {exc}") from exc
-    # exactly one unit eigenvalue for an irreducible chain; drop it
-    drop = int(np.argmin(np.abs(lam - 1.0)))
-    if abs(lam[drop] - 1.0) > tol.UNIT_EIGENVALUE_TOL:
-        raise EigSolverFailure(
-            f"no eigenvalue close to 1 (nearest {lam[drop]!r}); spectrum unusable"
-        )
-    rest = np.delete(lam, drop)
-    K = np.sum(1.0 / (1.0 - rest))
+    K = np.sum(1.0 / (1.0 - P.nonunit_spectrum))
     if np.iscomplexobj(K):
         if abs(K.imag) > tol.SPECTRAL_IMAG_TOL * (1.0 + abs(K.real)):
             raise EigSolverFailure(
@@ -447,9 +453,7 @@ def kemeny_constant_spectral(P: StochasticMatrix) -> float:
     return float(K)
 
 
-def effective_resistance(
-    P: StochasticMatrix, *, hitting: np.ndarray | None = None
-) -> np.ndarray:
+def effective_resistance(P: StochasticMatrix) -> np.ndarray:
     """Pairwise effective resistances via the commute-time identity.
 
     For a reversible chain with conductances c(x,y) = pi_x P[x,y],
@@ -458,31 +462,5 @@ def effective_resistance(
     """
     if not P.reversible:
         raise NotReversible("effective resistance needs a reversible chain")
-    H = hitting_times(P) if hitting is None else hitting
-    return H + H.T
-
-
-@dataclass(frozen=True)
-class ChainAnalysis:
-    """Bundle of the standard chain quantities (resistance optional)."""
-
-    matrix: StochasticMatrix
-    pi: np.ndarray
-    hitting: np.ndarray
-    kemeny: float
-    resistance: np.ndarray | None = None
-
-
-def analyze_chain(P: StochasticMatrix, *, with_resistance: bool = True) -> ChainAnalysis:
-    pi = P.stationary()
     H = hitting_times(P)
-    K = kemeny_constant_combinatorial(P, hitting=H)
-    R = None
-    if with_resistance and P.reversible:
-        R = effective_resistance(P, hitting=H)
-    return ChainAnalysis(matrix=P, pi=pi, hitting=H, kemeny=K, resistance=R)
-
-
-def write_matrix_csv(path, M) -> None:
-    """Row-major CSV dump with 17 significant digits."""
-    np.savetxt(path, np.asarray(M, dtype=float), fmt="%.16e", delimiter=",")
+    return H + H.T

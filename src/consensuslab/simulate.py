@@ -204,9 +204,9 @@ def simulate_consensus(
 
 
 def auto_burn_in(P: StochasticMatrix) -> int:
-    """ceil(20 / (1 - rho^2)) with rho = rho(P - 1 pi')."""
-    M = P.entries - np.outer(np.ones(P.n), P.stationary())
-    rho = float(np.abs(np.linalg.eigvals(M)).max()) if P.n > 1 else 0.0
+    """ceil(20 / (1 - rho^2)) with rho = rho(P - 1 pi') from the spectrum
+    cached on ``P``."""
+    rho = P.rho
     if rho >= tolerances.NO_CONTRACTION_RHO:
         raise NoConvergence(
             "no spectral gap (rho(P - J) ~ 1); the recursion has no steady state"

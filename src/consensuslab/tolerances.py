@@ -25,10 +25,6 @@ HITTING_RESIDUAL_TOL = 1e-9
 RANDOM_TARGET_TOL = 1e-9
 """Start-independence of sum_j pi_j H(i -> j), scaled by (1 + K)."""
 
-KEMENY_CROSS_RTOL = 1e-8
-"""Relative disagreement allowed between the combinatorial and spectral
-Kemeny constants."""
-
 UNIT_EIGENVALUE_TOL = 1e-8
 """Distance from 1 allowed for the unit eigenvalue of an irreducible chain
 before its spectrum is declared unusable."""

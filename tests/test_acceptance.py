@@ -137,7 +137,7 @@ def test_04_commute_identity_is_exact():
     worst_delta = 0.0
     for name, P in symmetric_walk_set():
         H = hitting_times(P)
-        R = effective_resistance(P, hitting=H)
+        R = effective_resistance(P)
         assert np.array_equal(R, H + H.T), name  # identical floats, not approx
         # independent cross-check: the two formulas that consume R and K
         a = delta_ss_resistance(P, 1.0)

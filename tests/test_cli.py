@@ -88,6 +88,52 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
                    "--edges", disconnected).returncode == 2
     assert run_cli("analyze", "--family", "ring", "--n", "8",
                    "--sigma2-node", "zero=1").returncode == 2
+    # malformed input files name the file, and the line where there is one
+    words = tmp_path / "words.txt"
+    words.write_text("1\none\n")
+    for cmd in (("analyze", "--n", "2"), ("sweep", "--n-list", "2")):
+        r = run_cli(*cmd, "--family", "complete", "--sigma2-vec", words)
+        assert r.returncode == 2 and "words.txt" in r.stderr, r.stderr
+    token = tmp_path / "token.txt"
+    token.write_text("2\n0 x\n")
+    r = run_cli("analyze", "--family", "custom", "--edges", token)
+    assert r.returncode == 2 and "token.txt:2" in r.stderr, r.stderr
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"2\n0 1\n\xff\xfe\n")
+    r = run_cli("analyze", "--family", "custom", "--edges", binary)
+    assert r.returncode == 2 and "binary.txt" in r.stderr, r.stderr
+    for name, fields in (("no_j", {"edges": [{"i": 0, "r": [1.0]}]}),
+                         ("short_weight", {"edges": [[0, 1, [1.0]]], "weights": [[0, 1]]}),
+                         ("word_offset", {"edges": [[0, 1, "ab"]]}),
+                         ("word_lambda2", {"edges": [[0, 1, [1.0]]], "lambda2": "x"})):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({"n": 2, "dim": 1, "lambda2": 1.0, **fields}))
+        r = run_cli("formation", "--spec", spec, "--skip-sim")
+        assert r.returncode == 2 and f"{name}.json" in r.stderr, r.stderr
+
+
+def test_each_error_class_keeps_its_exit_code(monkeypatch):
+    from consensuslab import cli, errors
+
+    codes = {
+        errors.InvalidParam: 2, errors.DimensionMismatch: 2, errors.DisconnectedGraph: 2,
+        errors.StepSizeViolation: 2, errors.AsymmetricWeights: 2,
+        errors.InconsistentFormation: 2,
+        errors.GenerationFailed: 3, errors.NotIrreducible: 3, errors.NotReversible: 3,
+        errors.NotSymmetric: 3, errors.RandomTargetViolation: 3,
+        errors.EigSolverFailure: 3, errors.SingularSystem: 3, errors.NoConvergence: 3,
+        FileNotFoundError: 2, IsADirectoryError: 2, PermissionError: 2,
+        json.JSONDecodeError: 2,
+    }
+    assert set(errors.ConsensusError.__subclasses__()) <= codes.keys()
+    for cls, code in codes.items():
+        exc = json.JSONDecodeError("bad", "", 0) if cls is json.JSONDecodeError else cls("x")
+
+        def fail(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_selftest", fail)
+        assert cli.main(["selftest"]) == code, cls
 
 
 def test_cli_exit_code_3_on_numerical_failures():

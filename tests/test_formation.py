@@ -46,6 +46,38 @@ def test_default_weights_and_matrix_star4():
     assert P.symmetric and P.aperiodic
 
 
+def test_formation_chain_is_built_once_per_spec(monkeypatch):
+    from consensuslab.markov import StochasticMatrix
+
+    builds = []
+    init = StochasticMatrix.__init__
+    monkeypatch.setattr(StochasticMatrix, "__init__",
+                        lambda self, *a, **kw: builds.append(1) or init(self, *a, **kw))
+    spec = ring_demo_spec()
+    P = formation_matrix(spec)
+    assert formation_matrix(spec) is P
+    form_exact(spec)
+    form_via_delta(spec)
+    simulate_formation(spec, SimConfig(horizon=200, trials=1, seed=0))
+    # P_form and its square, shared by both closed forms and the simulator
+    assert len(builds) == 2
+
+
+def test_formation_chain_rho_and_automatic_burn_in():
+    from consensuslab.simulate import auto_burn_in
+
+    specs = (
+        (spec_from_graph(build_graph("tree", 127), 4e-4), 7052),
+        (spec_from_graph(build_graph("star", 127), 4e-4), 2526),
+        (ring_demo_spec(), 51),
+    )
+    for spec, burn in specs:
+        P = formation_matrix(spec)
+        M = P.entries - np.outer(np.ones(P.n), P.stationary())
+        assert abs(P.rho - np.abs(np.linalg.eigvals(M)).max()) <= 1e-13
+        assert auto_burn_in(P) == burn
+
+
 def test_two_agent_formation_error_is_one():
     spec = line2_spec()
     rep = form_exact(spec)

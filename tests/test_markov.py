@@ -14,7 +14,6 @@ from consensuslab.graphs import (
 )
 from consensuslab.markov import (
     StochasticMatrix,
-    analyze_chain,
     degree_stationary,
     effective_resistance,
     hitting_times,
@@ -23,9 +22,7 @@ from consensuslab.markov import (
     lazy_walk_matrix,
     simple_walk_matrix,
     square_chain,
-    stationary_distribution,
     uniform_edge_matrix,
-    write_matrix_csv,
 )
 
 NONBIPARTITE = ["complete", "ring"]  # odd ring below; complete n>=3
@@ -76,7 +73,7 @@ def test_stationary_residual_tolerance_holds_after_caching():
     P = lazy_walk_matrix(ring_graph(8))
     P.stationary()
     with pytest.raises(SingularSystem):
-        stationary_distribution(P, residual_tol=0.0)
+        P.stationary(residual_tol=0.0)
 
 
 def test_lazy_walk_stationary_is_degree_proportional():
@@ -199,6 +196,56 @@ def test_kemeny_spectral_general_route_on_nonreversible():
     assert abs(Kc - Ks) < 1e-8 * (1 + Kc)
 
 
+def _spectrum_test_chains():
+    rng = np.random.default_rng(2)
+    return [
+        lazy_walk_matrix(ring_graph(8)),          # symmetric
+        lazy_walk_matrix(star_graph(6)),          # reversible, not symmetric
+        random_reversible_chain(rng, 20),
+        StochasticMatrix(np.array([               # not reversible
+            [0.5, 0.5, 0.0],
+            [0.0, 0.5, 0.5],
+            [0.5, 0.0, 0.5],
+        ])),
+        StochasticMatrix([[1.0]]),
+    ]
+
+
+def test_rho_is_the_spectral_radius_of_p_minus_j():
+    for P in _spectrum_test_chains():
+        assert P.nonunit_spectrum.shape == (P.n - 1,)
+        M = P.entries - np.outer(np.ones(P.n), P.stationary())
+        assert abs(P.rho - np.abs(np.linalg.eigvals(M)).max()) <= 1e-13
+    assert kemeny_constant_spectral(StochasticMatrix([[1.0]])) == 0.0
+
+
+def test_spectrum_is_solved_once_per_chain(monkeypatch):
+    from consensuslab.disagreement import (
+        NoiseCovariance,
+        check_j_properties,
+        delta_oracle,
+        delta_ss_spectral,
+    )
+    from consensuslab.simulate import auto_burn_in
+
+    calls = []
+    for name in ("eigvals", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _solver=solver: calls.append(1) or _solver(a))
+    for P in _spectrum_test_chains():
+        calls.clear()
+        kemeny_constant_spectral(P)
+        delta_oracle(P, NoiseCovariance.scalar(P.n, 1.0))
+        auto_burn_in(P)
+        check_j_properties(P)
+        if P.symmetric:
+            delta_ss_spectral(P, 1.0)
+        assert len(calls) == 1
+        assert P.nonunit_spectrum is P.nonunit_spectrum
+        assert not P.nonunit_spectrum.flags.writeable
+
+
 def test_lazy_halves_the_simple_walk_speed():
     # P = (I + W)/2 doubles every hitting time of the simple walk W
     for fam, n in (("complete", 9), ("ring", 9), ("two-star", 9)):
@@ -246,25 +293,7 @@ def test_reducible_chain_rejected_by_hitting():
 
 def test_stationary_distribution_weight_on_hubs():
     g = star_graph(9)
-    pi = stationary_distribution(lazy_walk_matrix(g))
+    pi = lazy_walk_matrix(g).stationary()
     assert pi[0] == pytest.approx(0.5, abs=1e-12)  # hub carries half the mass
     assert pi.sum() == pytest.approx(1.0, abs=1e-14)
 
-
-def test_analyze_chain_bundle():
-    P = lazy_walk_matrix(line_graph(6))
-    a = analyze_chain(P)
-    assert a.hitting.shape == (6, 6)
-    assert a.resistance is not None
-    assert a.kemeny == pytest.approx(kemeny_constant_combinatorial(P), rel=1e-12)
-    b = analyze_chain(P, with_resistance=False)
-    assert b.resistance is None
-
-
-def test_matrix_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    P = random_reversible_chain(rng, 7)
-    path = tmp_path / "m.csv"
-    write_matrix_csv(path, P.entries)
-    back = np.loadtxt(path, delimiter=",")
-    np.testing.assert_array_equal(back, P.entries)  # 17 digits is lossless
