@@ -12,17 +12,20 @@ Exit codes: 0 ok; 2 bad configuration (arguments, files, graph/spec
 validation); 3 numerical failure (non-convergence, singular systems,
 violated chain preconditions).
 
-Every output file embeds the tool version, the fully resolved config, and
-the seed, so reruns are reproducible byte for byte.  CSV floats use 17
-significant digits; metadata rides in ``#`` comment lines above the header.
+Every output opens with one run header (``_header``): the tool version,
+the command, the seed and the resolved config, so reruns are reproducible
+byte for byte.  JSON summaries start with it; CSVs carry it on their
+``# config=`` comment line.  CSV floats use 17 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -105,11 +108,33 @@ def _add_chain_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _variance(text: str) -> float:
+    """argparse type of a noise variance: a finite number >= 0."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan  # rejected below, with the other non-finite values
+    if not (math.isfinite(v) and v >= 0):
+        raise argparse.ArgumentTypeError(f"variance must be a finite number >= 0, got {text!r}")
+    return v
+
+
+def _node_variance(text: str) -> tuple[int, float]:
+    """argparse type of one ``I=V`` node override."""
+    try:
+        node, value = text.split("=", 1)
+        return int(node), _variance(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects I=V, got {text!r}") from None
+
+
 def _add_noise_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--sigma2", type=float, default=1.0, help="shared noise variance (default 1)")
+    sub.add_argument("--sigma2", type=_variance, default=1.0,
+                     help="shared noise variance (default 1)")
     sub.add_argument("--sigma2-vec", help="file of per-node variances, one per line")
     sub.add_argument(
         "--sigma2-node",
+        type=_node_variance,
         action="append",
         default=[],
         metavar="I=V",
@@ -140,27 +165,18 @@ def _build_chain(g: Graph, args) -> StochasticMatrix:
     return lazy_walk_matrix(g)
 
 
-def _parse_node_overrides(pairs) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for pair in pairs:
-        try:
-            node, value = pair.split("=", 1)
-            out[int(node)] = float(value)
-        except ValueError as exc:
-            raise InvalidParam(f"--sigma2-node expects I=V, got {pair!r}") from exc
-    return out
-
-
 def _noise_builder(args):
-    """Parse the noise grammar once (scalar base, optional vector file,
+    """Read the noise grammar once (scalar base, optional vector file,
     overrides); returns a function from the node count to the covariance."""
-    overrides = _parse_node_overrides(args.sigma2_node)
+    overrides = dict(args.sigma2_node)
     vec = None
     if args.sigma2_vec:
         try:
             vec = np.loadtxt(args.sigma2_vec, dtype=float, ndmin=1)
         except ValueError as exc:  # also undecodable bytes
             raise InvalidParam(f"--sigma2-vec {args.sigma2_vec}: {exc}") from exc
+        if not (np.isfinite(vec).all() and (vec >= 0).all()):
+            raise InvalidParam(f"--sigma2-vec {args.sigma2_vec}: variances must be finite and >= 0")
 
     def build(n: int) -> NoiseCovariance:
         if vec is not None:
@@ -170,9 +186,9 @@ def _noise_builder(args):
                 )
             v = vec.copy()
         elif overrides:
-            v = np.full(n, float(args.sigma2))
+            v = np.full(n, args.sigma2)
         else:
-            return NoiseCovariance.scalar(n, float(args.sigma2))
+            return NoiseCovariance.scalar(n, args.sigma2)
         for node, value in overrides.items():
             if not 0 <= node < n:
                 raise InvalidParam(f"--sigma2-node index {node} out of range for n={n}")
@@ -182,43 +198,47 @@ def _noise_builder(args):
     return build
 
 
-def _noise_config(args) -> dict:
-    return {
-        "sigma2": args.sigma2,
-        "sigma2_vec": args.sigma2_vec,
-        "sigma2_node": _parse_node_overrides(args.sigma2_node),
-    }
+def _sim_config(args) -> SimConfig:
+    """The SimConfig of the parsed flags that carry its field names."""
+    names = [f.name for f in dataclasses.fields(SimConfig)]
+    return SimConfig(**{k: getattr(args, k) for k in names if hasattr(args, k)})
 
 
-def _graph_config(args) -> dict:
-    return {
-        "family": args.family,
-        "n": args.n,
-        "edges": args.edges,
-        "p": args.p,
-        "degree": args.degree,
-        "grid_dim": args.grid_dim,
-        "chain": getattr(args, "chain", None),
-        "eps": getattr(args, "eps", None),
-    }
+_NOT_CONFIG = ("command", "fn", "seed", "out", "summary")
 
 
-def _emit_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _header(args, **resolved) -> dict:
+    """The run header that opens every output.
+
+    ``config`` holds every flag the subcommand parsed, in the order it
+    declares them, except ``--seed`` (a header field of its own) and the
+    output paths; ``resolved`` replaces raw values with the ones the run
+    used.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    if "sigma2_node" in config:
+        config["sigma2_node"] = dict(config["sigma2_node"])
+    config.update(resolved)
+    return {"version": __version__, "command": args.command, "seed": args.seed,
+            "config": config}
 
 
-def _meta_lines(doc: dict) -> str:
-    """Metadata comment block for CSV outputs."""
+def _meta_lines(header: dict) -> str:
+    """The ``#`` comment block that opens every CSV output."""
     return (
-        f"# version={__version__}\n"
-        f"# seed={doc.get('seed')}\n"
-        f"# config={json.dumps(doc, sort_keys=True)}\n"
+        f"# version={header['version']}\n"
+        f"# seed={header['seed']}\n"
+        f"# config={json.dumps(header, sort_keys=True)}\n"
     )
+
+
+def _write(text: str, path: str | None) -> None:
+    """Send one output document to its file, or to stdout without a path."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------
@@ -226,9 +246,10 @@ def _meta_lines(doc: dict) -> str:
 # ---------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    build_noise = _noise_builder(args)
     g = _build_graph(args)
     P = _build_chain(g, args)
-    noise = _noise_builder(args)(g.n)
+    noise = build_noise(g.n)
     pi = P.stationary()
 
     kemeny_p = kemeny_constant_combinatorial(P)
@@ -261,10 +282,7 @@ def cmd_analyze(args) -> int:
             methods[name] = {"error": f"{type(exc).__name__}: {exc}"}
 
     doc = {
-        "version": __version__,
-        "command": "analyze",
-        "config": {**_graph_config(args), **_noise_config(args), "oracle_cap": args.oracle_cap},
-        "seed": args.seed,
+        **_header(args),
         "n": g.n,
         "graph_family": g.family,
         "chain_flags": {"symmetric": bool(P.symmetric), "reversible": bool(P.reversible)},
@@ -277,7 +295,7 @@ def cmd_analyze(args) -> int:
         "delta_uni_lower": report.delta_uni_lower,
         "delta_uni_upper": report.delta_uni_upper,
     }
-    _emit_json(doc, args.out)
+    _write(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
@@ -314,6 +332,8 @@ def cmd_sweep(args) -> int:
         raise InvalidParam("--n-list is empty")
     if not args.family:
         raise InvalidParam("--family is required")
+    if args.jobs < 1:
+        raise InvalidParam(f"--jobs must be >= 1, got {args.jobs}")
     fam = args.family.lower()
     # a malformed noise flag or file ends the sweep; a size mismatch is a row error
     build_noise = _noise_builder(args)
@@ -324,24 +344,16 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_row(fam, n, args, build_noise) for n in sizes]
 
-    config = {**_graph_config(args), **_noise_config(args), "n_list": sizes, "jobs": args.jobs}
-    meta = {"version": __version__, "command": "sweep", "seed": args.seed, "config": config}
-
     def fmt(v) -> str:
         return f"{v:.16e}" if isinstance(v, float) else str(v)
 
     buf = io.StringIO()
-    buf.write(_meta_lines(meta))
+    buf.write(_meta_lines(_header(args, n_list=sizes)))
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_SWEEP_COLUMNS)
     for row in rows:
         writer.writerow([fmt(row[c]) for c in _SWEEP_COLUMNS])
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), args.out)
     return 0
 
 
@@ -350,48 +362,28 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    build_noise = _noise_builder(args)
     g = _build_graph(args)
     P = _build_chain(g, args)
-    noise = _noise_builder(args)(g.n)
-    cfg = SimConfig(
-        horizon=args.horizon,
-        trials=args.trials,
-        burn_in=args.burn_in,
-        seed=args.seed,
-        record_every=args.record_every,
-        noise=args.noise,
-    )
-    trace = simulate_consensus(P, noise, np.zeros(g.n), cfg)
+    noise = build_noise(g.n)
+    trace = simulate_consensus(P, noise, np.zeros(g.n), _sim_config(args))
 
     try:
         exact: float | None = delta_ss_theorem(P, noise).delta_ss
     except ConsensusError:
         exact = None
 
-    config = {
-        **_graph_config(args),
-        **_noise_config(args),
-        "horizon": args.horizon,
-        "trials": args.trials,
-        "burn_in": trace.burn_in,
-        "record_every": args.record_every,
-        "noise": args.noise,
-    }
+    header = _header(args, burn_in=trace.burn_in)
+    if args.out:
+        _write(_meta_lines(header) + trace.to_csv(), args.out)
     summary = {
-        "version": __version__,
-        "command": "simulate",
-        "seed": args.seed,
-        "config": config,
+        **header,
         "n": g.n,
         "delta_hat": trace.estimate,
         "stderr": trace.estimate_stderr,
         "delta_ss_exact": exact,
     }
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_meta_lines(summary))
-            fh.write(trace.to_csv())
-    _emit_json(summary, args.summary)
+    _write(json.dumps(summary, indent=2) + "\n", args.summary)
     return 0
 
 
@@ -411,44 +403,19 @@ def cmd_formation(args) -> int:
         spec = spec_from_graph(g, args.lambda2)
 
     report = form_exact(spec)
-    config = {
-        **_graph_config(args),
-        "spec": args.spec,
-        "demo": args.demo,
-        "lambda2": args.lambda2,
-        "horizon": args.horizon,
-        "trials": args.trials,
-        "burn_in": args.burn_in,
-        "record_every": args.record_every,
-        "skip_sim": args.skip_sim,
-    }
-    if not args.skip_sim:
-        cfg = SimConfig(
-            horizon=args.horizon,
-            trials=args.trials,
-            burn_in=args.burn_in,
-            seed=args.seed,
-            record_every=args.record_every,
-        )
-        trace, (est, se) = simulate_formation(spec, cfg)
-        report.form_simulated, report.stderr = est, se
-        config["burn_in"] = trace.burn_in
+    if args.skip_sim:
+        header = _header(args, lambda2=report.lambda2)
+    else:
+        trace, (report.form_simulated, report.stderr) = simulate_formation(
+            spec, _sim_config(args))
+        header = _header(args, lambda2=report.lambda2, burn_in=trace.burn_in)
         if args.out:
+            # the trajectory streams into the open file, one recorded step at a time
             with open(args.out, "w") as fh:
-                fh.write(
-                    _meta_lines({"version": __version__, "command": "formation",
-                                 "seed": args.seed, "config": config})
-                )
+                fh.write(_meta_lines(header))
                 _write_trajectory(fh, trace)
-
-    summary = {
-        "version": __version__,
-        "command": "formation",
-        "seed": args.seed,
-        "config": config,
-        **report.to_json_dict(),
-    }
-    _emit_json(summary, args.summary)
+    summary = {**header, **report.to_json_dict()}
+    _write(json.dumps(summary, indent=2) + "\n", args.summary)
     return 0
 
 
@@ -589,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(f)
     f.add_argument("--spec", help="formation spec JSON")
     f.add_argument("--demo", action="store_true", help="built-in 4-agent square demo")
-    f.add_argument("--lambda2", type=float, default=None, help="per-node noise variance")
+    f.add_argument("--lambda2", type=_variance, default=None, help="per-node noise variance")
     f.add_argument("--horizon", type=int, default=2000)
     f.add_argument("--trials", type=int, default=4)
     f.add_argument("--burn-in", type=int, default=None)

@@ -93,8 +93,8 @@ class NoiseCovariance:
         v = np.array(variances, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise InvalidParam("diagonal noise needs a 1-d variance vector")
-        if np.any(v < 0):
-            raise InvalidParam("variances must be >= 0")
+        if not np.all(np.isfinite(v)) or np.any(v < 0):
+            raise InvalidParam("variances must be finite and >= 0")
         v.setflags(write=False)
         return cls("diagonal", v.size, v)
 
@@ -103,6 +103,8 @@ class NoiseCovariance:
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidParam(f"full covariance must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise InvalidParam("covariance entries must be finite")
         n = m.shape[0]
         scale = max(1.0, float(np.abs(m).max()))
         if float(np.abs(m - m.T).max()) > tolerances.SYMMETRY_RTOL * scale:

@@ -244,8 +244,8 @@ def build_formation_spec(
         lam = np.full(n, float(lam))
     if lam.shape != (n,):
         raise DimensionMismatch(f"lambda2 must be scalar or length {n}, got shape {lam.shape}")
-    if np.any(lam < 0):
-        raise InvalidParam("lambda2 must be >= 0")
+    if not np.all(np.isfinite(lam)) or np.any(lam < 0):
+        raise InvalidParam("lambda2 must be finite and >= 0")
 
     # recover positions: one incidence row per edge plus a centroid anchor
     m = graph.m

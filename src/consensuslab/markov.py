@@ -421,8 +421,9 @@ def kemeny_constant_combinatorial(
     """K = sum_j pi_j H(i -> j), verified to be the same from every start i.
 
     The start-independence check (max deviation <= start_tol * (1 + K))
-    doubles as a health check on the hitting-time solves; a violation
-    raises RandomTargetViolation.
+    is a residual check on the solve, not an independent referee: on the
+    fundamental route sum_j pi_j H_ij = tr Z - (Z 1)_i, so it only tests
+    Z 1 = 1.  A violation raises RandomTargetViolation.
     """
     sums = hitting_times(P) @ P.stationary()
     K = float(sums[0])

@@ -76,17 +76,12 @@ class SimTrace:
     estimate: float
     estimate_stderr: float
 
-    def to_csv(self, path=None) -> str | None:
-        """Write the trace as CSV; with no path, return the text instead."""
+    def to_csv(self) -> str:
+        """The trace as CSV text."""
         rows = ["t,delta_hat,delta_uni_hat,stderr"]
         for t, d, u, s in zip(self.times, self.delta_hat, self.delta_uni_hat, self.stderr):
             rows.append(f"{int(t)},{d:.16e},{u:.16e},{s:.16e}")
-        text = "\n".join(rows) + "\n"
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-        return None
+        return "\n".join(rows) + "\n"
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -110,6 +111,20 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
         spec.write_text(json.dumps({"n": 2, "dim": 1, "lambda2": 1.0, **fields}))
         r = run_cli("formation", "--spec", spec, "--skip-sim")
         assert r.returncode == 2 and f"{name}.json" in r.stderr, r.stderr
+    # non-finite or negative noise values, and a worker count below 1, end
+    # the run before any work
+    nan_vec = tmp_path / "nan.txt"
+    nan_vec.write_text("1\nnan\n")
+    for argv in (("sweep", "--family", "ring", "--n-list", "4,8", "--sigma2", "-1"),
+                 ("sweep", "--family", "ring", "--n-list", "4,8", "--sigma2", "nan"),
+                 ("analyze", "--family", "ring", "--n", "5", "--sigma2", "nan"),
+                 ("analyze", "--family", "ring", "--n", "5", "--sigma2-node", "0=inf"),
+                 ("analyze", "--family", "complete", "--n", "2", "--sigma2-vec", nan_vec),
+                 ("formation", "--demo", "--skip-sim", "--lambda2", "inf"),
+                 ("formation", "--demo", "--skip-sim", "--lambda2", "nan"),
+                 ("sweep", "--family", "ring", "--n-list", "4", "--jobs", "-3")):
+        r = run_cli(*argv)
+        assert r.returncode == 2 and r.stdout == "", (argv, r.stderr)
 
 
 def test_each_error_class_keeps_its_exit_code(monkeypatch):
@@ -259,9 +274,11 @@ def test_formation_family_and_spec_file(tmp_path):
         "edges": [{"i": 0, "j": 1, "r": [1.0, 0.0]}],
         "weights": "default", "lambda2": 1.0,
     }))
-    r2 = run_cli("formation", "--spec", spec, "--skip-sim")
+    # the config echoes the spec's lambda2, which the run used, not the flag
+    r2 = run_cli("formation", "--spec", spec, "--lambda2", "0.5", "--skip-sim")
     doc2 = json.loads(r2.stdout)
     assert doc2["form_exact"] == pytest.approx(1.0, rel=1e-12)
+    assert doc2["config"]["lambda2"] == 1.0
 
     # inconsistent offsets in a file are a config error
     bad = tmp_path / "bad.json"
@@ -272,6 +289,49 @@ def test_formation_family_and_spec_file(tmp_path):
         "weights": "default", "lambda2": 1.0,
     }))
     assert run_cli("formation", "--spec", bad, "--skip-sim").returncode == 2
+
+
+def _usage_flags(command: str) -> set[str]:
+    """The long flags a subcommand's usage line lists, as config keys."""
+    usage = run_cli(command, "--help").stdout.split("\n\n", 1)[0]
+    return {flag.replace("-", "_") for flag in re.findall(r"--([a-z0-9-]+)", usage)}
+
+
+def _csv_header(path) -> dict:
+    line = next(ln for ln in path.read_text().splitlines() if ln.startswith("# config="))
+    return json.loads(line[len("# config="):])
+
+
+def test_every_output_header_holds_the_parsed_flags(tmp_path):
+    runs = {
+        "analyze": ("--family", "ring", "--n", "6", "--sigma2-node", "1=2",
+                    "--out", tmp_path / "analyze.json"),
+        "sweep": ("--family", "ring", "--n-list", "4, 8", "--out", tmp_path / "sweep.csv"),
+        "simulate": ("--family", "ring", "--n", "6", "--horizon", "400", "--trials", "2",
+                     "--burn-in", "100", "--out", tmp_path / "simulate.csv",
+                     "--summary", tmp_path / "simulate.json"),
+        "formation": ("--demo", "--horizon", "300", "--trials", "2", "--record-every", "7",
+                      "--out", tmp_path / "formation.csv",
+                      "--summary", tmp_path / "formation.json"),
+    }
+    for command, argv in runs.items():
+        r = run_cli(command, *argv)
+        assert r.returncode == 0, (command, r.stderr)
+    headers = {"analyze": json.loads((tmp_path / "analyze.json").read_text()),
+               "sweep": _csv_header(tmp_path / "sweep.csv")}
+    # the JSON summary opens with the header that the CSV's config line holds
+    for command in ("simulate", "formation"):
+        summary = json.loads((tmp_path / f"{command}.json").read_text())
+        headers[command] = _csv_header(tmp_path / f"{command}.csv")
+        assert list(summary)[:4] == ["version", "command", "seed", "config"]
+        assert {k: summary[k] for k in headers[command]} == headers[command]
+    for command, doc in headers.items():
+        assert doc["command"] == command and doc["seed"] == 0
+        assert set(doc["config"]) == _usage_flags(command) - {"seed", "out", "summary"}
+    assert headers["analyze"]["config"]["sigma2_node"] == {"1": 2.0}
+    assert headers["sweep"]["config"]["n_list"] == [4, 8]
+    assert headers["formation"]["config"]["lambda2"] == 4e-4
+    assert headers["formation"]["config"]["burn_in"] == 51
 
 
 def test_formation_requires_a_source():
@@ -304,8 +364,19 @@ def test_readme_cli_examples_run(tmp_path):
     pkg_root = os.path.dirname(os.path.dirname(consensuslab.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))}
+    documents = []
     for argv in commands:
         r = run_cli(*argv, cwd=tmp_path, env=env)
         assert r.returncode == 0, (argv, r.stderr)
+        if r.stdout.startswith("{"):
+            documents.append(r.stdout)
+    documents += [p.read_text() for p in sorted(tmp_path.glob("*.json"))]
+    assert len(documents) == 4
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    for text in documents:
+        json.loads(text, parse_constant=reject)
     # the formation example resolves its automatic burn-in in the output
     assert json.loads((tmp_path / "form.json").read_text())["config"]["burn_in"] == 7052

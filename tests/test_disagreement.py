@@ -67,6 +67,11 @@ def test_noise_covariance_rejects_bad_input():
         NoiseCovariance.scalar(3, -1.0)
     with pytest.raises(InvalidParam):
         NoiseCovariance.diagonal([1.0, -0.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParam):
+            NoiseCovariance.diagonal([1.0, bad])
+        with pytest.raises(InvalidParam):
+            NoiseCovariance.full(np.array([[1.0, 0.0], [0.0, bad]]))
     with pytest.raises(InvalidParam):
         NoiseCovariance.full(np.array([[1.0, 2.0], [0.0, 1.0]]))  # asymmetric
     with pytest.raises(InvalidParam):

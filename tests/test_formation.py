@@ -152,6 +152,14 @@ def test_offset_antisymmetry_and_coverage_checks():
         build_formation_spec(g, 2, {(0, 1): [1.0], (1, 2): [1.0]}, "default", 1.0)
 
 
+def test_lambda2_must_be_finite_and_nonnegative():
+    g = build_graph("line", 3)
+    offsets = {(0, 1): [1.0], (1, 2): [1.0]}
+    for bad in (-1.0, np.nan, np.inf, [1.0, np.nan, 1.0]):
+        with pytest.raises(InvalidParam):
+            build_formation_spec(g, 1, offsets, "default", bad)
+
+
 def test_weight_validation():
     g = build_graph("line", 3)
     offsets = {(0, 1): [1.0], (1, 2): [1.0]}
