@@ -437,11 +437,16 @@ def cmd_selftest(args) -> int:
             return fn
         return deco
 
+    def expect(ok, detail) -> None:
+        # raised, not asserted: ``python -O`` strips asserts
+        if not ok:
+            raise AssertionError(detail)
+
     @check("two-node chain: delta_ss = sigma^2 / 2")
     def _two_node():
         P = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         rep = delta_ss_theorem(P, NoiseCovariance.scalar(2, 1.0))
-        assert abs(rep.delta_ss - 0.5) < 1e-12, rep.delta_ss
+        expect(abs(rep.delta_ss - 0.5) < 1e-12, rep.delta_ss)
 
     @check("four formulas agree on lazy ring n=8")
     def _four_way():
@@ -452,7 +457,7 @@ def cmd_selftest(args) -> int:
             delta_ss_spectral(P, 1.0),
             delta_ss_resistance(P, 1.0),
         ]
-        assert max(vals) - min(vals) < 1e-9 * max(vals), vals
+        expect(max(vals) - min(vals) < 1e-9 * max(vals), vals)
 
     @check("oracle matches closed form on lazy star n=6")
     def _oracle():
@@ -462,13 +467,14 @@ def cmd_selftest(args) -> int:
         noise = NoiseCovariance.diagonal(v)
         rep = delta_ss_theorem(P, noise)
         _, orep = delta_oracle(P, noise)
-        assert abs(rep.delta_ss - orep.delta_ss) <= 1e-8 * (1 + orep.delta_ss)
+        expect(abs(rep.delta_ss - orep.delta_ss) <= 1e-8 * (1 + orep.delta_ss),
+               (rep.delta_ss, orep.delta_ss))
 
     @check("projection identities hold on lazy star n=6")
     def _jprops():
         P = lazy_walk_matrix(star_graph(6))
         rep = check_j_properties(P)
-        assert rep.ok(), rep.violations
+        expect(rep.ok(), rep.violations)
 
     @check("steady-state covariance identities hold on lazy ring n=6")
     def _sigma_hat():
@@ -476,16 +482,18 @@ def cmd_selftest(args) -> int:
         noise = NoiseCovariance.scalar(6, 1.0)
         S = sigma_hat(P, noise)
         rep = delta_ss_theorem(P, noise)
-        assert abs(np.trace(S) - rep.delta_ss) < 1e-10 * (1 + rep.delta_ss)
-        assert np.abs(j_matrix(P) @ S).max() < 1e-10
+        expect(abs(np.trace(S) - rep.delta_ss) < 1e-10 * (1 + rep.delta_ss),
+               (np.trace(S), rep.delta_ss))
+        expect(np.abs(j_matrix(P) @ S).max() < 1e-10, "J @ Sigma_hat != 0")
 
     @check("formation: two agents at unit offset give Form = 1")
     def _formation():
         g = custom_graph(2, [(0, 1)], family="line(n=2)")
         spec = build_formation_spec(g, 2, {(0, 1): [1.0, 0.0]}, "default", 1.0)
         rep = form_exact(spec)
-        assert abs(rep.form_exact - 1.0) < 1e-12, rep.form_exact
-        assert abs(form_via_delta(spec) - 1.0) < 1e-10
+        expect(abs(rep.form_exact - 1.0) < 1e-12, rep.form_exact)
+        via = form_via_delta(spec)
+        expect(abs(via - 1.0) < 1e-10, via)
 
     @check("simulation is reproducible per seed")
     def _repro():
@@ -494,7 +502,7 @@ def cmd_selftest(args) -> int:
         cfg = SimConfig(horizon=200, trials=3, burn_in=50, seed=args.seed)
         a = simulate_consensus(P, noise, np.zeros(5), cfg)
         b = simulate_consensus(P, noise, np.zeros(5), cfg)
-        assert np.array_equal(a.delta_hat, b.delta_hat)
+        expect(np.array_equal(a.delta_hat, b.delta_hat), "reruns differ")
 
     failures = 0
     for name, fn in checks:

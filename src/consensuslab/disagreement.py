@@ -93,8 +93,7 @@ class NoiseCovariance:
         v = np.array(variances, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise InvalidParam("diagonal noise needs a 1-d variance vector")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise InvalidParam("variances must be finite and >= 0")
+        _require_variances(v)
         v.setflags(write=False)
         return cls("diagonal", v.size, v)
 
@@ -126,10 +125,6 @@ class NoiseCovariance:
                 ) from None
         m.setflags(write=False)
         return cls("full", n, m)
-
-    @property
-    def kind(self) -> str:
-        return self._kind
 
     @property
     def n(self) -> int:
@@ -181,6 +176,14 @@ class NoiseCovariance:
         return f"NoiseCovariance(kind={self._kind!r}, n={self._n})"
 
 
+def _require_variances(values, what: str = "variances") -> None:
+    """The one rule for every noise variance the package takes: each value
+    finite and >= 0, else InvalidParam."""
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)) or np.any(v < 0):
+        raise InvalidParam(f"{what} must be finite and >= 0")
+
+
 def _check_noise(P: StochasticMatrix, noise: NoiseCovariance) -> None:
     if noise.n != P.n:
         raise DimensionMismatch(
@@ -202,8 +205,6 @@ class DisagreementReport:
     method: str
     delta_uni_exact: float | None = None
     n: int | None = None
-    graph_family: str | None = None
-    seed: int | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -216,8 +217,6 @@ class DisagreementReport:
             out["delta_uni_exact"] = self.delta_uni_exact
         out["method"] = self.method
         out["n"] = self.n
-        out["graph_family"] = self.graph_family
-        out["seed"] = self.seed
         return out
 
 
@@ -240,8 +239,8 @@ class JPropertyReport:
     def max_violation(self) -> float:
         return max(self.violations.values())
 
-    def ok(self, identity_tol: float = tolerances.J_IDENTITY_TOL) -> bool:
-        return self.max_violation() <= identity_tol and self.rho < 1.0
+    def ok(self) -> bool:
+        return self.max_violation() <= tolerances.J_IDENTITY_TOL and self.rho < 1.0
 
 
 def _sandwich(delta: float, pi: np.ndarray) -> tuple[float, float]:
@@ -297,8 +296,7 @@ def delta_ss_diag(P: StochasticMatrix, variances) -> float:
     v = np.asarray(variances, dtype=float)
     if v.shape != (P.n,):
         raise DimensionMismatch(f"need {P.n} variances, got shape {v.shape}")
-    if np.any(v < 0):
-        raise InvalidParam("variances must be >= 0")
+    _require_variances(v)
     _require_closed_form(P)
     pi = P.stationary()
     H = hitting_times(square_chain(P))
@@ -317,8 +315,7 @@ def _require_symmetric_aperiodic(P: StochasticMatrix) -> None:
 
 def delta_ss_kemeny(P: StochasticMatrix, sigma2: float) -> float:
     """Equal-variance noise on a symmetric chain: sigma^2 K(P^2) / n."""
-    if sigma2 < 0:
-        raise InvalidParam("variance must be >= 0")
+    _require_variances(sigma2, "variance")
     _require_symmetric_aperiodic(P)
     K = kemeny_constant_combinatorial(square_chain(P))
     return sigma2 * K / P.n
@@ -327,8 +324,7 @@ def delta_ss_kemeny(P: StochasticMatrix, sigma2: float) -> float:
 def delta_ss_spectral(P: StochasticMatrix, sigma2: float) -> float:
     """Same quantity from the spectrum: (sigma^2/n) sum 1/(1 - lambda^2)
     over the non-unit eigenvalues cached on ``P``."""
-    if sigma2 < 0:
-        raise InvalidParam("variance must be >= 0")
+    _require_variances(sigma2, "variance")
     _require_symmetric_aperiodic(P)
     lam = P.nonunit_spectrum
     return sigma2 / P.n * float(np.sum(1.0 / (1.0 - lam ** 2)))
@@ -336,8 +332,7 @@ def delta_ss_spectral(P: StochasticMatrix, sigma2: float) -> float:
 
 def delta_ss_resistance(P: StochasticMatrix, sigma2: float) -> float:
     """Same quantity from resistances: (sigma^2/n) * sum_{i<j} R_{P^2}(i,j) / n^2."""
-    if sigma2 < 0:
-        raise InvalidParam("variance must be >= 0")
+    _require_variances(sigma2, "variance")
     _require_symmetric_aperiodic(P)
     R = effective_resistance(square_chain(P))
     return sigma2 / P.n * float(R.sum() / 2.0) / P.n ** 2
@@ -352,6 +347,7 @@ def delta_ss_bounds(P: StochasticMatrix, variances) -> tuple[float, float]:
     v = np.asarray(variances, dtype=float)
     if v.shape != (P.n,):
         raise DimensionMismatch(f"need {P.n} variances, got shape {v.shape}")
+    _require_variances(v)
     _require_closed_form(P)
     pi = P.stationary()
     P2 = square_chain(P)
@@ -408,7 +404,6 @@ def delta_oracle(
     P: StochasticMatrix,
     noise: NoiseCovariance,
     *,
-    tol: float = tolerances.ORACLE_TOL,
     max_iters: int | None = None,
     sigma0: np.ndarray | None = None,
 ) -> tuple[SteadyStateCovariance, DisagreementReport]:
@@ -418,7 +413,7 @@ def delta_oracle(
     N = (I - J) Sigma_w (I - J)' is summed by doubling (R. A. Smith, 1968):
     starting from X = N = S(1) and A = M, each squaring sets
     X <- X + A X A' (now S(2^k)) and then A <- A^2 (now M^(2^k)).  It
-    stops once a squaring changes X by at most ``tol * (1 + max|X|)``; the
+    stops once a squaring changes X by at most ORACLE_TOL * (1 + max|X|); the
     terms still left out are that change carried through the new A once
     more, so they are smaller again by about as much.  ``sigma0`` replaces
     the zero start: A S0 A' is added at the end, and the limit must not
@@ -459,7 +454,7 @@ def delta_oracle(
         diff = float(np.abs(X_next - X).max())
         X = X_next
         trace_history.append(float(np.trace(X)))
-        if diff <= tol * (1.0 + float(np.abs(X).max())):
+        if diff <= tolerances.ORACLE_TOL * (1.0 + float(np.abs(X).max())):
             break
     else:
         raise NoConvergence(
@@ -496,11 +491,11 @@ def j_matrix(P: StochasticMatrix) -> np.ndarray:
     return np.outer(np.ones(P.n), P.stationary())
 
 
-def check_j_properties(P: StochasticMatrix, powers=(1, 2, 3)) -> JPropertyReport:
+def check_j_properties(P: StochasticMatrix) -> JPropertyReport:
     """Measure the projector identities instead of assuming them.
 
     Checks J1 = 1, JP = PJ = J, J^2 = J, (I-J)^2 = I-J, the power identity
-    (P^l - J)^k = P^(lk) - J over the sampled exponents, and estimates
+    (P^l - J)^k = P^(lk) - J for l, k in 1..3, and estimates
     rho(P - J) from the spectrum cached on ``P``.  Returns the max
     violation of each identity; nothing is raised, callers decide what to
     tolerate.
@@ -516,6 +511,7 @@ def check_j_properties(P: StochasticMatrix, powers=(1, 2, 3)) -> JPropertyReport
     v["P@J = J"] = float(np.abs(E @ J - J).max())
     v["J@J = J"] = float(np.abs(J @ J - J).max())
     v["(I-J)^2 = I-J"] = float(np.abs((eye - J) @ (eye - J) - (eye - J)).max())
+    powers = (1, 2, 3)
     for l in powers:
         Pl = np.linalg.matrix_power(E, l)
         for k in powers:

@@ -19,13 +19,13 @@ covariance Sigma_form.  Both routes are implemented; they must agree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import tolerances
-from .disagreement import NoiseCovariance, delta_ss_theorem
+from .disagreement import NoiseCovariance, _require_variances, delta_ss_theorem
 from .errors import (
     AsymmetricWeights,
     DimensionMismatch,
@@ -64,7 +64,7 @@ class FormationSpec:
     stored offset is always p_j - p_i.  ``positions`` are the canonical
     in-formation positions recovered from the offsets (zero centroid), and
     ``consistency_residual`` is the worst offset-equation residual of that
-    least-squares solve — guaranteed <= the consistency tolerance.
+    least-squares solve — guaranteed <= ``tolerances.CONSISTENCY_TOL``.
 
     P_form is built from ``weights`` on first use and cached on the spec
     (see :func:`formation_matrix`), so every route shares its pi, P^2 and
@@ -82,13 +82,6 @@ class FormationSpec:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def offset(self, i: int, j: int) -> np.ndarray:
-        """Offset p_j - p_i for an edge in either orientation."""
-        if (min(i, j), max(i, j)) not in self.offsets:
-            raise InvalidParam(f"({i},{j}) is not an edge of the formation graph")
-        r = self.offsets[(min(i, j), max(i, j))]
-        return r if i < j else -r
 
     def lambda2_scalar(self) -> float | None:
         v = self.lambda2
@@ -120,16 +113,7 @@ class FormationReport:
     graph_family: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "form_exact": self.form_exact,
-            "kemeny_p2": self.kemeny_p2,
-            "form_simulated": self.form_simulated,
-            "stderr": self.stderr,
-            "n": self.n,
-            "dim": self.dim,
-            "lambda2": self.lambda2,
-            "graph_family": self.graph_family,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -188,8 +172,6 @@ def build_formation_spec(
     offsets,
     weights="default",
     lambda2=0.0,
-    *,
-    consistency_tol: float = tolerances.CONSISTENCY_TOL,
 ) -> FormationSpec:
     """Validate and assemble a FormationSpec.
 
@@ -198,7 +180,8 @@ def build_formation_spec(
     weight sums must stay strictly below 1.  ``lambda2`` is the per-node
     (or shared scalar) per-coordinate noise variance.  The offsets must be
     realizable by actual positions: the least-squares solve for positions
-    must leave residual <= ``consistency_tol``, else InconsistentFormation.
+    must leave residual <= ``tolerances.CONSISTENCY_TOL``, else
+    InconsistentFormation.
     """
     from .graphs import is_connected
     from .errors import DisconnectedGraph
@@ -244,8 +227,7 @@ def build_formation_spec(
         lam = np.full(n, float(lam))
     if lam.shape != (n,):
         raise DimensionMismatch(f"lambda2 must be scalar or length {n}, got shape {lam.shape}")
-    if not np.all(np.isfinite(lam)) or np.any(lam < 0):
-        raise InvalidParam("lambda2 must be finite and >= 0")
+    _require_variances(lam, "lambda2")
 
     # recover positions: one incidence row per edge plus a centroid anchor
     m = graph.m
@@ -258,10 +240,10 @@ def build_formation_spec(
     A[m, :] = 1.0 / n
     sol, *_ = np.linalg.lstsq(A, B, rcond=None)
     resid = float(np.abs(A[:m] @ sol - B[:m]).max()) if m else 0.0
-    if resid > consistency_tol:
+    if resid > tolerances.CONSISTENCY_TOL:
         raise InconsistentFormation(
             f"offsets are inconsistent: best-fit residual {resid:.3e} "
-            f"exceeds {consistency_tol:g}"
+            f"exceeds {tolerances.CONSISTENCY_TOL:g}"
         )
     positions = sol - sol.mean(axis=0, keepdims=True)
 
@@ -442,20 +424,16 @@ def layout_positions(graph: Graph) -> np.ndarray:
     return pos
 
 
-def spec_from_graph(
-    graph: Graph,
-    lambda2,
-    *,
-    weights="default",
-) -> FormationSpec:
-    """Formation spec for a built-in family, offsets from its planar layout.
+def spec_from_graph(graph: Graph, lambda2) -> FormationSpec:
+    """Formation spec for a built-in family, with default weights and
+    offsets from its planar layout.
 
     The disagreement metrics never read the offsets (any consistent choice
     gives the same Form), so the layout only shapes trajectories.
     """
     pos = layout_positions(graph)
     offsets = {(i, j): pos[j] - pos[i] for i, j in graph.edges}
-    return build_formation_spec(graph, 2, offsets, weights, lambda2)
+    return build_formation_spec(graph, 2, offsets, "default", lambda2)
 
 
 # =====================================================================

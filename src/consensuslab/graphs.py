@@ -349,12 +349,11 @@ _FAMILY_ALIASES = {
     "er": "erdos-renyi",
     "random-regular": "random-regular",
     "regular": "random-regular",
-    "custom": "custom",
 }
 
 
 def builtin_families() -> tuple[str, ...]:
-    """Canonical names of the built-in families (custom excluded)."""
+    """Canonical names of the built-in families."""
     return (
         "complete", "line", "ring", "star", "two-star",
         "starry-line", "grid", "tree", "erdos-renyi", "random-regular",
@@ -369,21 +368,20 @@ def build_graph(
     p: float | None = None,
     degree: int | None = None,
     dim: int = 2,
-    edges=None,
 ) -> Graph:
     """Build a graph by family name; see the module docstring for conventions.
 
     Parameters
     ----------
     family : str
-        One of the built-in family names (a few aliases are accepted) or
-        ``custom``, which requires ``edges``.
+        One of the built-in family names (a few aliases are accepted);
+        explicit edge lists go through :func:`custom_graph`.
     n : int
         Node count.  Families with structural constraints (ring, starry-line,
         grid, tree) raise InvalidParam for unusable n instead of rounding.
     seed
         Only used by the random families.
-    p, degree, dim, edges
+    p, degree, dim
         Family-specific parameters.
     """
     key = _FAMILY_ALIASES.get(str(family).lower())
@@ -409,13 +407,9 @@ def build_graph(
         if p is None:
             raise InvalidParam("erdos-renyi needs p")
         return erdos_renyi_graph(n, p, seed=seed)
-    if key == "random-regular":
-        if degree is None:
-            raise InvalidParam("random-regular needs degree")
-        return random_regular_graph(n, degree, seed=seed)
-    if edges is None:
-        raise InvalidParam("custom graph needs an edge list")
-    return custom_graph(n, edges)
+    if degree is None:
+        raise InvalidParam("random-regular needs degree")
+    return random_regular_graph(n, degree, seed=seed)
 
 
 def nearest_valid_size(family: str, n: int, *, dim: int = 2) -> int:

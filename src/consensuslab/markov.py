@@ -56,17 +56,17 @@ class StochasticMatrix:
     The structural flags, the stationary law, the non-unit spectrum, the
     squared chain and the fundamental-route hitting times are each computed
     at most once per matrix and cached with it.  The stationary law and
-    the hitting times keep their residuals, so every call still checks its
-    own tolerance.
+    the hitting times keep their residuals, so every call still checks them
+    against the constants of ``tolerances``.
 
     Parameters
     ----------
     entries : array_like, shape (n, n)
         Nonnegative entries with each row summing to 1 within
-        ``row_sum_tol``.  The array is copied and frozen.
+        ``tolerances.ROW_SUM_TOL``.  The array is copied and frozen.
     """
 
-    def __init__(self, entries, *, row_sum_tol: float = tol.ROW_SUM_TOL):
+    def __init__(self, entries):
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidParam(f"transition matrix must be square, got shape {arr.shape}")
@@ -76,9 +76,9 @@ class StochasticMatrix:
             raise InvalidParam("transition matrix has negative entries")
         rs = arr.sum(axis=1)
         worst = np.abs(rs - 1.0).max()
-        if worst > row_sum_tol:
+        if worst > tol.ROW_SUM_TOL:
             raise InvalidParam(
-                f"rows must sum to 1 within {row_sum_tol:g} (worst deviation {worst:.3e})"
+                f"rows must sum to 1 within {tol.ROW_SUM_TOL:g} (worst deviation {worst:.3e})"
             )
         arr.setflags(write=False)
         self._entries = arr
@@ -165,17 +165,19 @@ class StochasticMatrix:
 
     # -- stationary law ------------------------------------------------
 
-    def stationary(self, *, residual_tol: float = tol.STATIONARY_RESIDUAL_TOL) -> np.ndarray:
+    def stationary(self) -> np.ndarray:
         """Stationary distribution of an irreducible chain.
 
         Solved once as the linear system (P' - I) pi = 0 with one equation
         replaced by the normalization, and checked for positivity.  The
         residual ``||pi' P - pi'||_inf`` is cached with pi, so every call
-        checks it against its own ``residual_tol``.  Read-only.
+        checks it against ``tolerances.STATIONARY_RESIDUAL_TOL``.  Read-only.
         """
         pi, resid = self._stationary
-        if resid > residual_tol:
-            raise SingularSystem(f"stationary residual {resid:.3e} exceeds {residual_tol:g}")
+        if resid > tol.STATIONARY_RESIDUAL_TOL:
+            raise SingularSystem(
+                f"stationary residual {resid:.3e} exceeds {tol.STATIONARY_RESIDUAL_TOL:g}"
+            )
         return pi
 
     @cached_property
@@ -337,22 +339,17 @@ def degree_stationary(g: Graph) -> np.ndarray:
 # hitting times
 # =====================================================================
 
-def hitting_times(
-    P: StochasticMatrix,
-    *,
-    method: str = "auto",
-    residual_tol: float = tol.HITTING_RESIDUAL_TOL,
-) -> np.ndarray:
+def hitting_times(P: StochasticMatrix, *, method: str = "fundamental") -> np.ndarray:
     """Matrix of expected hitting times H[i, j] = E_i[time to reach j].
 
     Two routes, both verified against the defining equations
     ``H[i,j] = 1 + sum_k P[i,k] H[k,j]`` (i != j, H[j,j] = 0) with residual
-    tolerance ``residual_tol * n``:
+    tolerance ``tolerances.HITTING_RESIDUAL_TOL * n``:
 
-    * ``fundamental`` (what ``auto`` means): invert I - P + 1 pi' once and
-      read off H[i,j] = (Z[j,j] - Z[i,j]) / pi[j] (Kemeny & Snell).  One
+    * ``fundamental`` (the default): invert I - P + 1 pi' once and read
+      off H[i,j] = (Z[j,j] - Z[i,j]) / pi[j] (Kemeny & Snell).  One
       O(n^3) solve; the result and its residual are cached on ``P``, so
-      later calls only check their own ``residual_tol``.
+      later calls only check the residual again.
     * ``per-target``: for each target j solve (I - P) h = 1 with row j
       replaced by h_j = 0.  One LU per target, O(n^4) in all, never
       cached: the independent referee for the fundamental route.
@@ -363,20 +360,19 @@ def hitting_times(
     ----------
     P : StochasticMatrix
         Must be irreducible.
-    method : {"auto", "fundamental", "per-target"}
+    method : {"fundamental", "per-target"}
     """
     if not P.irreducible:
         raise NotIrreducible("hitting times need an irreducible chain")
-    if method in ("auto", "fundamental"):
+    if method == "fundamental":
         H, worst = P._hitting
     elif method == "per-target":
         H, worst = _checked_hitting(P, _hitting_per_target(P.entries))
     else:
         raise InvalidParam(f"unknown hitting-time method {method!r}")
-    if worst > residual_tol * P.n:
-        raise SingularSystem(
-            f"hitting-time residual {worst:.3e} exceeds {residual_tol * P.n:.3e}"
-        )
+    allowed = tol.HITTING_RESIDUAL_TOL * P.n
+    if worst > allowed:
+        raise SingularSystem(f"hitting-time residual {worst:.3e} exceeds {allowed:.3e}")
     return H
 
 
@@ -415,12 +411,10 @@ def square_chain(P: StochasticMatrix) -> StochasticMatrix:
 # Kemeny constant and resistance
 # =====================================================================
 
-def kemeny_constant_combinatorial(
-    P: StochasticMatrix, *, start_tol: float = tol.RANDOM_TARGET_TOL
-) -> float:
+def kemeny_constant_combinatorial(P: StochasticMatrix) -> float:
     """K = sum_j pi_j H(i -> j), verified to be the same from every start i.
 
-    The start-independence check (max deviation <= start_tol * (1 + K))
+    The start-independence check (max deviation <= RANDOM_TARGET_TOL * (1 + K))
     is a residual check on the solve, not an independent referee: on the
     fundamental route sum_j pi_j H_ij = tr Z - (Z 1)_i, so it only tests
     Z 1 = 1.  A violation raises RandomTargetViolation.
@@ -428,10 +422,10 @@ def kemeny_constant_combinatorial(
     sums = hitting_times(P) @ P.stationary()
     K = float(sums[0])
     dev = float(np.abs(sums - K).max())
-    if dev > start_tol * (1.0 + abs(K)):
+    allowed = tol.RANDOM_TARGET_TOL * (1.0 + abs(K))
+    if dev > allowed:
         raise RandomTargetViolation(
-            f"Kemeny sum varies with the start state by {dev:.3e} "
-            f"(allowed {start_tol * (1.0 + abs(K)):.3e})"
+            f"Kemeny sum varies with the start state by {dev:.3e} (allowed {allowed:.3e})"
         )
     return K
 

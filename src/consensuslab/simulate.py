@@ -99,7 +99,7 @@ def _noise_block(rng, noise: NoiseCovariance, shape: tuple, kind: str) -> np.nda
         z = rng.integers(0, 2, size=shape).astype(float)
         z *= 2.0
         z -= 1.0
-    if noise.kind == "full":
+    if not noise.is_diagonal:
         return z @ noise.sampling_factor().T
     # one scale per node (axis 1), applied in place: the formation block is
     # the largest array a run holds

@@ -1,9 +1,11 @@
 """Numerical tolerances, in one place.
 
-Every check in the package reads its default from here; functions that
-enforce a tolerance also take it as a keyword argument, so callers can
-override per call without touching module state.  Scaled tolerances note
-their scale factor in the comment.
+These module constants are the only tolerance policy: every check reads
+its constant from here when it runs, and no function takes a tolerance as
+an argument.  A residual cached with its result (pi, the hitting times)
+is checked against the constant again on every call, so lowering a
+constant (as tests do, with ``monkeypatch.setattr``) takes effect at
+once.  Scaled tolerances note their scale factor in the comment.
 """
 
 ROW_SUM_TOL = 1e-12

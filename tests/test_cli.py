@@ -345,10 +345,33 @@ def test_selftest_passes():
     assert "FAIL" not in r.stdout
 
 
-def _readme_cli_commands() -> list[list[str]]:
+def test_selftest_fails_under_optimized_python():
+    # python -O strips assert statements; a broken formula must still fail
+    code = ("import sys; from consensuslab import cli; "
+            "cli.delta_ss_kemeny = lambda P, sigma2: 0.0; "
+            "sys.exit(cli.main(['selftest']))")
+    r = subprocess.run([sys.executable, "-O", "-c", code],
+                       capture_output=True, text=True, env=_package_env())
+    assert r.returncode == 3, r.stdout + r.stderr
+    assert "6/7 checks passed" in r.stdout
+
+
+def _package_env() -> dict:
+    """The environment with the tested package's root on PYTHONPATH."""
+    pkg_root = os.path.dirname(os.path.dirname(consensuslab.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))}
+
+
+def _readme_block(section: str, lang: str) -> str:
+    """The first ``lang`` code block of a README section."""
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    text = readme.read_text().split("\n## CLI\n", 1)[1]
-    block = text.split("```bash\n", 1)[1].split("```", 1)[0]
+    text = readme.read_text().split(f"\n## {section}\n", 1)[1]
+    return text.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    block = _readme_block("CLI", "bash")
     commands = []
     for line in block.replace("\\\n", " ").splitlines():
         argv = shlex.split(line, comments=True)
@@ -361,9 +384,7 @@ def _readme_cli_commands() -> list[list[str]]:
 def test_readme_cli_examples_run(tmp_path):
     commands = _readme_cli_commands()
     assert len(commands) == 6
-    pkg_root = os.path.dirname(os.path.dirname(consensuslab.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))}
+    env = _package_env()
     documents = []
     for argv in commands:
         r = run_cli(*argv, cwd=tmp_path, env=env)
@@ -380,3 +401,11 @@ def test_readme_cli_examples_run(tmp_path):
         json.loads(text, parse_constant=reject)
     # the formation example resolves its automatic burn-in in the output
     assert json.loads((tmp_path / "form.json").read_text())["config"]["burn_in"] == 7052
+
+
+def test_readme_python_quickstart_runs(tmp_path):
+    block = _readme_block("Library quickstart", "python")
+    r = subprocess.run([sys.executable, "-c", block], cwd=tmp_path,
+                       capture_output=True, text=True, env=_package_env())
+    assert r.returncode == 0, r.stderr
+    assert float(r.stdout) > 0  # the exact formation error it prints

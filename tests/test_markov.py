@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import mc_first_passage, random_reversible_chain
 
+from consensuslab import tolerances
 from consensuslab.errors import InvalidParam, NotIrreducible, NotReversible, SingularSystem
 from consensuslab.graphs import (
     builtin_families,
@@ -69,11 +70,12 @@ def test_stationary_two_state_hand_value():
     np.testing.assert_allclose(P.stationary(), [2 / 3, 1 / 3], rtol=0, atol=1e-14)
 
 
-def test_stationary_residual_tolerance_holds_after_caching():
+def test_stationary_residual_tolerance_holds_after_caching(monkeypatch):
     P = lazy_walk_matrix(ring_graph(8))
     P.stationary()
+    monkeypatch.setattr(tolerances, "STATIONARY_RESIDUAL_TOL", 0.0)
     with pytest.raises(SingularSystem):
-        P.stationary(residual_tol=0.0)
+        P.stationary()
 
 
 def test_lazy_walk_stationary_is_degree_proportional():
@@ -158,11 +160,12 @@ def test_squared_chain_and_hitting_matrix_are_computed_once():
     assert hitting_times(P, method="per-target") is not hitting_times(P, method="per-target")
 
 
-def test_hitting_residual_tolerance_holds_after_caching():
+def test_hitting_residual_tolerance_holds_after_caching(monkeypatch):
     P = lazy_walk_matrix(ring_graph(8))
     hitting_times(P)
+    monkeypatch.setattr(tolerances, "HITTING_RESIDUAL_TOL", 0.0)
     with pytest.raises(SingularSystem):
-        hitting_times(P, residual_tol=0.0)
+        hitting_times(P)
 
 
 def test_lazy_complete3_hitting_and_kemeny_hand_values():
