@@ -53,8 +53,11 @@ from .markov import (
 )
 from .simulate import SimConfig, simulate_consensus
 from .formation import (
+    FormationReport,
     _write_trajectory,
     form_exact,
+    form_via_delta,
+    formation_matrix,
     load_formation_spec,
     ring_demo_spec,
     simulate_formation,
@@ -252,6 +255,10 @@ def cmd_analyze(args) -> int:
     noise = build_noise(g.n)
     pi = P.stationary()
 
+    # the theorem also gives the uniform-disagreement sandwich, so its
+    # errors end the command; it runs first, so a periodic chain is named
+    # as such before the squared chain's hitting times fail on it
+    report = delta_ss_theorem(P, noise)
     kemeny_p = kemeny_constant_combinatorial(P)
     kemeny_p2 = kemeny_constant_combinatorial(square_chain(P))
 
@@ -262,9 +269,6 @@ def cmd_analyze(args) -> int:
     if g.n <= args.oracle_cap:
         selected.append("oracle")
 
-    # the theorem also gives the uniform-disagreement sandwich, so its
-    # errors end the command
-    report = delta_ss_theorem(P, noise)
     methods: dict[str, object] = {"theorem1": report.delta_ss}
     for name in selected[1:]:
         try:
@@ -402,7 +406,19 @@ def cmd_formation(args) -> int:
         g = _build_graph(args)
         spec = spec_from_graph(g, args.lambda2)
 
-    report = form_exact(spec)
+    if spec.lambda2_scalar() is not None:
+        report = form_exact(spec)
+    else:
+        # per-node noise: the general route gives the error; K(P_form^2)
+        # does not depend on the noise, so it is reported all the same
+        report = FormationReport(
+            form_exact=form_via_delta(spec),
+            kemeny_p2=kemeny_constant_combinatorial(square_chain(formation_matrix(spec))),
+            n=spec.n,
+            dim=spec.dim,
+            lambda2=spec.lambda2.tolist(),
+            graph_family=spec.graph.family,
+        )
     if args.skip_sim:
         header = _header(args, lambda2=report.lambda2)
     else:

@@ -152,10 +152,13 @@ def test_each_error_class_keeps_its_exit_code(monkeypatch):
 
 
 def test_cli_exit_code_3_on_numerical_failures():
-    # bipartite simple walk: the squared chain is reducible
+    # bipartite simple walk: the squared chain is reducible, and the error
+    # names the periodic chain rather than the squared chain's hitting times
     r = run_cli("analyze", "--family", "ring", "--n", "8", "--chain", "simple")
     assert r.returncode == 3
     assert "error" in r.stderr
+    assert "chain is periodic" in r.stderr
+    assert "use a lazy walk or the simulator" in r.stderr
     # impossible random graph
     r2 = run_cli("analyze", "--family", "erdos-renyi", "--n", "6", "--p", "0.01")
     assert r2.returncode == 3
@@ -289,6 +292,24 @@ def test_formation_family_and_spec_file(tmp_path):
         "weights": "default", "lambda2": 1.0,
     }))
     assert run_cli("formation", "--spec", bad, "--skip-sim").returncode == 2
+
+
+def test_formation_spec_with_per_node_lambda2(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n": 3, "dim": 2,
+        "edges": [{"i": 0, "j": 1, "r": [1.0, 0.0]}, {"i": 1, "j": 2, "r": [0.0, 1.0]}],
+        "weights": "default", "lambda2": [1e-3, 2e-3, 3e-3],
+    }))
+    r = run_cli("formation", "--spec", spec, "--horizon", "300", "--trials", "2")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["lambda2"] == doc["config"]["lambda2"] == [1e-3, 2e-3, 3e-3]
+    loaded = consensuslab.load_formation_spec(spec)
+    assert doc["form_exact"] == consensuslab.form_via_delta(loaded)
+    P2 = consensuslab.square_chain(consensuslab.formation_matrix(loaded))
+    assert doc["kemeny_p2"] == consensuslab.kemeny_constant_combinatorial(P2)
+    assert doc["form_simulated"] > 0
 
 
 def _usage_flags(command: str) -> set[str]:

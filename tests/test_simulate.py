@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from conftest import random_reversible_chain
 
+from consensuslab import simulate
 from consensuslab.disagreement import NoiseCovariance, delta_ss_theorem
 from consensuslab.errors import InvalidParam, NoConvergence
 from consensuslab.graphs import ring_graph, star_graph
 from consensuslab.markov import StochasticMatrix, lazy_walk_matrix, simple_walk_matrix
 from consensuslab.simulate import (
     SimConfig,
+    _run_trials,
+    _trial_rng,
     auto_burn_in,
     divergence_probe,
     estimate_delta_ss,
@@ -61,11 +64,113 @@ def test_trial_streams_do_not_shift_when_more_trials_are_added():
     # means differ (different trial counts) but are built from shared streams:
     # rebuilding the 3-trial mean from the 6-trial run must match exactly.
     # estimate_delta_ss averages per-trial tails, so check via simulate paths
-    from consensuslab.simulate import _run_trials
-
     _, wsq_few, _, _ = _run_trials(P, noise, np.zeros(5), few)
     _, wsq_many, _, _ = _run_trials(P, noise, np.zeros(5), many)
     np.testing.assert_array_equal(wsq_few, wsq_many[:3])
+
+    # the same holds for one trial against more, for the formation state
+    # shape (n, 2), with record_every > 1, and over a horizon that is not a
+    # multiple of the noise chunk
+    rng = np.random.default_rng(1)
+    horizon = 2 * simulate.NOISE_CHUNK + 45
+    for x0, every in ((np.zeros(5), 1), (rng.normal(size=(5, 2)), 1),
+                      (rng.normal(size=5), 3), (rng.normal(size=(5, 2)), 7)):
+        for kind in ("gaussian", "rademacher"):
+            for few_n, many_n in ((1, 2), (1, 7), (3, 6)):
+                a, b = (
+                    _run_trials(P, noise, x0, SimConfig(horizon=horizon, trials=k, seed=7,
+                                                        record_every=every, noise=kind))
+                    for k in (few_n, many_n)
+                )
+                np.testing.assert_array_equal(a[0], b[0])
+                np.testing.assert_array_equal(a[1], b[1][:few_n])
+                np.testing.assert_array_equal(a[2], b[2][:few_n])
+                np.testing.assert_array_equal(a[3], b[3])
+
+
+def _covariances(n: int, rng) -> list:
+    A = rng.normal(size=(n, n))
+    return [NoiseCovariance.diagonal(rng.uniform(0.2, 2.0, n)), NoiseCovariance.full(A @ A.T / n)]
+
+
+def _one_draw(rng, kind: str, shape: tuple) -> np.ndarray:
+    """A whole block of standard draws, drawn in one call."""
+    if kind == "gaussian":
+        return rng.standard_normal(shape)
+    return 2.0 * rng.integers(0, 2, size=shape) - 1.0
+
+
+def test_noise_drawn_in_chunks_equals_one_draw():
+    # n large enough that a dense product's sums would depend on the chunk
+    n, trials, d, steps = 20, 3, 2, 300
+    for noise in _covariances(n, np.random.default_rng(2)):
+        factor = simulate._noise_factor(noise)
+        for kind in ("gaussian", "rademacher"):
+            whole = np.empty((steps, n, trials, d))
+            simulate._draw_noise([_trial_rng(4, k) for k in range(trials)], factor, kind, whole)
+            rngs = [_trial_rng(4, k) for k in range(trials)]
+            pieces = []
+            for size in (1, 37, 200, steps - 238):
+                pieces.append(np.empty((size, n, trials, d)))
+                simulate._draw_noise(rngs, factor, kind, pieces[-1])
+            np.testing.assert_array_equal(np.concatenate(pieces), whole)
+            if noise.is_diagonal:
+                scale = np.sqrt(noise.variances())[:, None]
+                for k in range(trials):
+                    z = _one_draw(_trial_rng(4, k), kind, (steps, n, d))
+                    np.testing.assert_array_equal(whole[:, :, k], z * scale)
+
+
+def test_kernel_numbers_do_not_depend_on_the_chunk_size(monkeypatch):
+    P = lazy_walk_matrix(ring_graph(20))
+    rng = np.random.default_rng(3)
+    x0 = rng.normal(size=(20, 2))
+    for noise in _covariances(20, rng):
+        cfg = SimConfig(horizon=300, trials=4, seed=2, record_every=2, noise="rademacher")
+        ref = _run_trials(P, noise, x0, cfg)
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr(simulate, "NOISE_CHUNK", chunk)
+            for a, b in zip(ref, _run_trials(P, noise, x0, cfg)):
+                np.testing.assert_array_equal(a, b)
+
+
+def _reference_trials(P, noise, x0, cfg):
+    """One trial at a time, dense products, the whole noise block drawn at once."""
+    pi, E = P.stationary(), P.entries
+    n = P.n
+    x0 = x0.reshape(n, -1)
+    times = np.arange(0, cfg.horizon + 1, cfg.record_every)
+    wsq = np.zeros((cfg.trials, times.size))
+    usq = np.zeros_like(wsq)
+    for k in range(cfg.trials):
+        z = _one_draw(_trial_rng(cfg.seed, k), cfg.noise, (cfg.horizon, n, x0.shape[1]))
+        if noise.is_diagonal:
+            W = z * np.sqrt(noise.variances())[:, None]
+        else:
+            W = np.einsum("ij,tjc->tic", noise.sampling_factor(), z)
+        x = x0.copy()
+        for t in range(cfg.horizon + 1):
+            if t > 0:
+                x = E @ x + W[t - 1]
+            if t % cfg.record_every == 0:
+                e = (x - pi @ x) ** 2
+                wsq[k, t // cfg.record_every] = (pi @ e).sum()
+                usq[k, t // cfg.record_every] = e.mean(axis=0).sum()
+    return times, wsq, usq
+
+
+def test_kernel_matches_a_per_trial_reference_loop():
+    rng = np.random.default_rng(5)
+    P = random_reversible_chain(rng, 7)
+    for noise in _covariances(7, rng):
+        for kind in ("gaussian", "rademacher"):
+            for x0 in (rng.normal(size=7), rng.normal(size=(7, 2))):
+                cfg = SimConfig(horizon=300, trials=3, seed=11, record_every=2, noise=kind)
+                times, wsq, usq, _ = _run_trials(P, noise, x0, cfg)
+                ref_times, ref_wsq, ref_usq = _reference_trials(P, noise, x0, cfg)
+                np.testing.assert_array_equal(times, ref_times)
+                np.testing.assert_allclose(wsq, ref_wsq, rtol=1e-13, atol=0)
+                np.testing.assert_allclose(usq, ref_usq, rtol=1e-13, atol=0)
 
 
 def test_estimate_is_the_tail_of_the_simulated_trace():
@@ -128,6 +233,10 @@ def test_trace_csv_round_trip(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_array_equal(data[:, 0], trace.times)
     np.testing.assert_array_equal(data[:, 1], trace.delta_hat)
+    # each row is formatted as by str.format with 17 significant digits
+    rows = [f"{int(t)},{d:.16e},{u:.16e},{s:.16e}" for t, d, u, s in
+            zip(trace.times, trace.delta_hat, trace.delta_uni_hat, trace.stderr)]
+    assert trace.to_csv() == "\n".join(["t,delta_hat,delta_uni_hat,stderr", *rows]) + "\n"
 
 
 def test_auto_burn_in_grows_with_mixing_time():
