@@ -4,187 +4,27 @@ Exact formulas (hitting times / Kemeny constant / spectrum / effective
 resistance), a Lyapunov-doubling oracle, Monte Carlo simulation, scaling
 sweeps over graph families, and a formation-control layer whose long-run
 error is a Kemeny constant in disguise.
+
+The package exports the ``__all__`` of each library module, and nothing
+else but ``__version__``.
 """
 
-from .errors import (
-    AsymmetricWeights,
-    ConsensusError,
-    DimensionMismatch,
-    DisconnectedGraph,
-    EigSolverFailure,
-    GenerationFailed,
-    InconsistentFormation,
-    InvalidParam,
-    NoConvergence,
-    NotIrreducible,
-    NotReversible,
-    NotSymmetric,
-    RandomTargetViolation,
-    SingularSystem,
-    StepSizeViolation,
-)
-from .graphs import (
-    Graph,
-    binary_tree_graph,
-    build_graph,
-    builtin_families,
-    complete_graph,
-    custom_graph,
-    erdos_renyi_graph,
-    grid_graph,
-    is_bipartite,
-    is_connected,
-    line_graph,
-    load_edge_list,
-    nearest_valid_size,
-    random_regular_graph,
-    ring_graph,
-    star_graph,
-    starry_line_graph,
-    two_star_graph,
-)
-from .markov import (
-    StochasticMatrix,
-    degree_stationary,
-    effective_resistance,
-    hitting_times,
-    kemeny_constant_combinatorial,
-    kemeny_constant_spectral,
-    lazy_walk_matrix,
-    simple_walk_matrix,
-    square_chain,
-    uniform_edge_matrix,
-)
-from .disagreement import (
-    DisagreementReport,
-    JPropertyReport,
-    NoiseCovariance,
-    SteadyStateCovariance,
-    check_j_properties,
-    delta_oracle,
-    delta_ss_bounds,
-    delta_ss_diag,
-    delta_ss_kemeny,
-    delta_ss_resistance,
-    delta_ss_spectral,
-    delta_ss_theorem,
-    delta_uni_bounds,
-    j_matrix,
-    sigma_hat,
-)
-from .simulate import (
-    SimConfig,
-    SimTrace,
-    auto_burn_in,
-    divergence_probe,
-    estimate_delta_ss,
-    simulate_consensus,
-)
-from .formation import (
-    FormationReport,
-    FormationSpec,
-    FormationTrace,
-    build_formation_spec,
-    default_weights,
-    form_exact,
-    form_metric,
-    form_via_delta,
-    formation_matrix,
-    layout_positions,
-    load_formation_spec,
-    ring_demo_spec,
-    simulate_formation,
-    spec_from_graph,
-    write_trajectory_csv,
-)
+from . import disagreement, errors, formation, graphs, markov, simulate
+from .errors import *
+from .graphs import *
+from .markov import *
+from .disagreement import *
+from .simulate import *
+from .formation import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "ConsensusError",
-    "InvalidParam",
-    "DimensionMismatch",
-    "DisconnectedGraph",
-    "GenerationFailed",
-    "EigSolverFailure",
-    "SingularSystem",
-    "NoConvergence",
-    "NotIrreducible",
-    "NotReversible",
-    "NotSymmetric",
-    "RandomTargetViolation",
-    "StepSizeViolation",
-    "AsymmetricWeights",
-    "InconsistentFormation",
-    # graphs
-    "Graph",
-    "build_graph",
-    "builtin_families",
-    "complete_graph",
-    "line_graph",
-    "ring_graph",
-    "star_graph",
-    "two_star_graph",
-    "starry_line_graph",
-    "grid_graph",
-    "binary_tree_graph",
-    "erdos_renyi_graph",
-    "random_regular_graph",
-    "custom_graph",
-    "load_edge_list",
-    "nearest_valid_size",
-    "is_connected",
-    "is_bipartite",
-    # markov
-    "StochasticMatrix",
-    "degree_stationary",
-    "simple_walk_matrix",
-    "lazy_walk_matrix",
-    "uniform_edge_matrix",
-    "square_chain",
-    "hitting_times",
-    "kemeny_constant_combinatorial",
-    "kemeny_constant_spectral",
-    "effective_resistance",
-    # disagreement
-    "NoiseCovariance",
-    "DisagreementReport",
-    "SteadyStateCovariance",
-    "JPropertyReport",
-    "delta_ss_theorem",
-    "delta_ss_diag",
-    "delta_ss_kemeny",
-    "delta_ss_spectral",
-    "delta_ss_resistance",
-    "delta_ss_bounds",
-    "delta_uni_bounds",
-    "delta_oracle",
-    "j_matrix",
-    "check_j_properties",
-    "sigma_hat",
-    # simulate
-    "SimConfig",
-    "SimTrace",
-    "simulate_consensus",
-    "estimate_delta_ss",
-    "auto_burn_in",
-    "divergence_probe",
-    # formation
-    "FormationSpec",
-    "FormationReport",
-    "FormationTrace",
-    "build_formation_spec",
-    "default_weights",
-    "formation_matrix",
-    "form_exact",
-    "form_via_delta",
-    "form_metric",
-    "simulate_formation",
-    "ring_demo_spec",
-    "spec_from_graph",
-    "layout_positions",
-    "load_formation_spec",
-    "write_trajectory_csv",
+    *errors.__all__,
+    *graphs.__all__,
+    *markov.__all__,
+    *disagreement.__all__,
+    *simulate.__all__,
+    *formation.__all__,
 ]

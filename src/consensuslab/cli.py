@@ -41,7 +41,7 @@ from .disagreement import (
     delta_ss_theorem,
 )
 from .errors import ConsensusError, InvalidParam
-from .graphs import Graph, build_graph, builtin_families, load_edge_list
+from .graphs import Graph, _family_key, build_graph, builtin_families, load_edge_list
 from .markov import (
     StochasticMatrix,
     effective_resistance,
@@ -82,14 +82,14 @@ _SWEEP_COLUMNS = (
 # shared argument plumbing
 # ---------------------------------------------------------------------
 
-def _add_graph_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--family",
-        required=False,
-        help=f"graph family: {', '.join(builtin_families())}, or custom",
-    )
-    sub.add_argument("--n", type=int, help="node count")
-    sub.add_argument("--edges", help="edge-list file (family=custom)")
+def _add_graph_args(sub: argparse.ArgumentParser, *, one_graph: bool = True) -> None:
+    """The graph flags; ``one_graph`` adds --n, --edges and the custom family,
+    which a sweep over built-in families by size does not read."""
+    families = ", ".join(builtin_families()) + (", or custom" if one_graph else "")
+    sub.add_argument("--family", help=f"graph family: {families}")
+    if one_graph:
+        sub.add_argument("--n", type=int, help="node count")
+        sub.add_argument("--edges", help="edge-list file (family=custom)")
     sub.add_argument("--p", type=float, help="edge probability (erdos-renyi)")
     sub.add_argument("--degree", type=int, help="degree (random-regular)")
     sub.add_argument("--grid-dim", type=int, default=2, help="grid dimension (default 2)")
@@ -339,6 +339,7 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise InvalidParam(f"--jobs must be >= 1, got {args.jobs}")
     fam = args.family.lower()
+    _family_key(fam)  # an unknown family ends the sweep before any row
     # a malformed noise flag or file ends the sweep; a size mismatch is a row error
     build_noise = _noise_builder(args)
 
@@ -554,8 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", help="write JSON here instead of stdout")
     a.set_defaults(fn=cmd_analyze)
 
-    s = sub.add_parser("sweep", help="scaling table over sizes (CSV)")
-    _add_graph_args(s)
+    # without abbreviations, so --n is not taken for --n-list
+    s = sub.add_parser("sweep", help="scaling table over sizes (CSV)", allow_abbrev=False)
+    _add_graph_args(s, one_graph=False)
     _add_chain_args(s)
     _add_noise_args(s)
     s.add_argument("--n-list", required=True, help="comma-separated sizes")

@@ -248,7 +248,7 @@ def _sandwich(delta: float, pi: np.ndarray) -> tuple[float, float]:
     return delta / (n * float(pi.max())), delta / (n * float(pi.min()))
 
 
-def _require_closed_form(P: StochasticMatrix) -> None:
+def _require_steady_state(P: StochasticMatrix) -> None:
     if not P.irreducible:
         raise NotIrreducible("closed form needs an irreducible chain")
     if not P.aperiodic:
@@ -256,6 +256,10 @@ def _require_closed_form(P: StochasticMatrix) -> None:
             "chain is periodic, so the squared chain is reducible; "
             "use a lazy walk or the simulator"
         )
+
+
+def _require_closed_form(P: StochasticMatrix) -> None:
+    _require_steady_state(P)
     if not P.reversible:
         raise NotReversible("closed form holds for reversible chains only")
 
@@ -307,10 +311,7 @@ def delta_ss_diag(P: StochasticMatrix, variances) -> float:
 def _require_symmetric_aperiodic(P: StochasticMatrix) -> None:
     if not P.symmetric:
         raise NotSymmetric("this specialization needs a symmetric transition matrix")
-    if not P.irreducible:
-        raise NotIrreducible("need an irreducible chain")
-    if not P.aperiodic:
-        raise NotIrreducible("chain is periodic; no steady state exists")
+    _require_steady_state(P)
 
 
 def delta_ss_kemeny(P: StochasticMatrix, sigma2: float) -> float:
@@ -352,8 +353,7 @@ def delta_ss_bounds(P: StochasticMatrix, variances) -> tuple[float, float]:
     pi = P.stationary()
     P2 = square_chain(P)
     K = kemeny_constant_combinatorial(P2)
-    H = hitting_times(P2)
-    R = H + H.T
+    R = effective_resistance(P2)
     lower = float((v * pi).min()) * K
     upper = float((v * pi).max()) * float(R.max())
     return lower, upper

@@ -9,6 +9,24 @@ RuntimeError bases do not decide the code: NotIrreducible, NotReversible
 and NotSymmetric are ValueErrors that exit 3.
 """
 
+__all__ = [
+    "ConsensusError",
+    "InvalidParam",
+    "DimensionMismatch",
+    "DisconnectedGraph",
+    "GenerationFailed",
+    "EigSolverFailure",
+    "SingularSystem",
+    "NoConvergence",
+    "NotIrreducible",
+    "NotReversible",
+    "NotSymmetric",
+    "RandomTargetViolation",
+    "StepSizeViolation",
+    "AsymmetricWeights",
+    "InconsistentFormation",
+]
+
 
 class ConsensusError(Exception):
     """Base class for all errors raised by this package."""

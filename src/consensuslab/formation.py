@@ -29,11 +29,12 @@ from .disagreement import NoiseCovariance, _require_variances, delta_ss_theorem
 from .errors import (
     AsymmetricWeights,
     DimensionMismatch,
+    DisconnectedGraph,
     InconsistentFormation,
     InvalidParam,
     StepSizeViolation,
 )
-from .graphs import Graph, custom_graph
+from .graphs import Graph, custom_graph, is_connected
 from .markov import StochasticMatrix, kemeny_constant_combinatorial, square_chain
 from .simulate import SimConfig, _resolve_burn_in, _run_trials, _summarize
 
@@ -183,9 +184,6 @@ def build_formation_spec(
     must leave residual <= ``tolerances.CONSISTENCY_TOL``, else
     InconsistentFormation.
     """
-    from .graphs import is_connected
-    from .errors import DisconnectedGraph
-
     if not is_connected(graph):
         raise DisconnectedGraph("formation graph must be connected")
     if dim < 1:

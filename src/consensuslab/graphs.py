@@ -22,11 +22,11 @@ the named families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedGraph, GenerationFailed, InvalidParam
+from .errors import GenerationFailed, InvalidParam
 
 __all__ = [
     "Graph",
@@ -45,6 +45,8 @@ __all__ = [
     "custom_graph",
     "load_edge_list",
     "nearest_valid_size",
+    "is_connected",
+    "is_bipartite",
 ]
 
 _RETRY_CAP = 1000
@@ -82,13 +84,6 @@ class Graph:
             a[j, i] = 1.0
         return a
 
-    def neighbor_lists(self) -> list[list[int]]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return nbrs
-
 
 def _make_graph(n: int, edges, family: str) -> Graph:
     if n < 1:
@@ -104,40 +99,42 @@ def _make_graph(n: int, edges, family: str) -> Graph:
     return Graph(n=n, edges=tuple(sorted(canon)), family=family)
 
 
+def _bfs_levels(n: int, arcs) -> list[int]:
+    """Each node's depth in a breadth-first forest over the arcs ``(u, v)``.
+
+    Each tree is rooted at the lowest node that no earlier tree reached, so
+    node 0 reaches every node exactly when only one node has depth 0.
+    """
+    out: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        out[u].append(v)
+    level = [-1] * n
+    for root in range(n):
+        if level[root] < 0:
+            level[root] = 0
+            queue = [root]
+            for u in queue:  # the loop also visits what it appends
+                for v in out[u]:
+                    if level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+    return level
+
+
+def _graph_levels(g: Graph) -> list[int]:
+    return _bfs_levels(g.n, [*g.edges, *((j, i) for i, j in g.edges)])
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    nbrs = g.neighbor_lists()
-    seen = np.zeros(g.n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in nbrs[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return bool(seen.all())
+    return _graph_levels(g).count(0) == 1
 
 
 def is_bipartite(g: Graph) -> bool:
-    """Two-color the graph by BFS; True iff no odd cycle exists."""
-    color = np.full(g.n, -1, dtype=int)
-    nbrs = g.neighbor_lists()
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in nbrs[u]:
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
+    """True iff no odd cycle exists: breadth-first levels of neighbours
+    differ by at most one, so their parity 2-colours the graph unless an
+    edge joins two nodes of one level."""
+    level = _graph_levels(g)
+    return all(level[i] != level[j] for i, j in g.edges)
 
 
 # =====================================================================
@@ -354,10 +351,15 @@ _FAMILY_ALIASES = {
 
 def builtin_families() -> tuple[str, ...]:
     """Canonical names of the built-in families."""
-    return (
-        "complete", "line", "ring", "star", "two-star",
-        "starry-line", "grid", "tree", "erdos-renyi", "random-regular",
-    )
+    return tuple(dict.fromkeys(_FAMILY_ALIASES.values()))
+
+
+def _family_key(family: str) -> str:
+    """The canonical name of a family name or alias; InvalidParam if unknown."""
+    key = _FAMILY_ALIASES.get(str(family).lower())
+    if key is None:
+        raise InvalidParam(f"unknown graph family {family!r}")
+    return key
 
 
 def build_graph(
@@ -384,9 +386,7 @@ def build_graph(
     p, degree, dim
         Family-specific parameters.
     """
-    key = _FAMILY_ALIASES.get(str(family).lower())
-    if key is None:
-        raise InvalidParam(f"unknown graph family {family!r}")
+    key = _family_key(family)
     if key == "complete":
         return complete_graph(n)
     if key == "line":
@@ -417,9 +417,7 @@ def nearest_valid_size(family: str, n: int, *, dim: int = 2) -> int:
 
     Useful for sweeps; the builders themselves never round.
     """
-    key = _FAMILY_ALIASES.get(str(family).lower())
-    if key is None:
-        raise InvalidParam(f"unknown graph family {family!r}")
+    key = _family_key(family)
     if key == "starry-line":
         return max(3, 3 * round(n / 3))
     if key == "grid":

@@ -34,7 +34,7 @@ from .errors import (
     RandomTargetViolation,
     SingularSystem,
 )
-from .graphs import Graph, is_connected
+from .graphs import Graph, _bfs_levels, is_connected
 
 __all__ = [
     "StochasticMatrix",
@@ -106,46 +106,31 @@ class StochasticMatrix:
 
     @cached_property
     def irreducible(self) -> bool:
-        a = self._entries
-        if np.all(a > 0):
-            return True
+        # imported on first use: csgraph loads scipy.sparse.linalg, and
+        # loading it with the package raised a CLI run's peak RSS by 0.9 MB
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
+
         ncomp, _ = connected_components(
-            csr_matrix(a > 0), directed=True, connection="strong"
+            csr_matrix(self._entries > 0), directed=True, connection="strong"
         )
         return ncomp == 1
 
     @cached_property
     def aperiodic(self) -> bool:
-        """True iff irreducible with period 1 (single-state chains count)."""
+        """True iff irreducible with period 1 (single-state chains count).
+
+        A self-loop is a cycle of length 1.  Otherwise the period is the gcd
+        of level[u] + 1 - level[v] over the arcs u -> v, with the levels of
+        one breadth-first search from state 0.
+        """
         if not self.irreducible:
             return False
         if np.any(np.diag(self._entries) > 0):
             return True
-        return self._period() == 1
-
-    def _period(self) -> int:
-        # gcd of (level[u] + 1 - level[v]) over directed edges, with levels
-        # from a BFS; equals the period for an irreducible chain
-        a = self._entries > 0
-        n = self.n
-        nbrs = [np.nonzero(a[u])[0] for u in range(n)]
-        level = np.full(n, -1, dtype=np.int64)
-        level[0] = 0
-        queue = [0]
-        g = 0
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in nbrs[u]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-                else:
-                    g = math.gcd(g, int(level[u] + 1 - level[v]))
-        return g if g > 0 else 1
+        arcs = list(zip(*(ix.tolist() for ix in np.nonzero(self._entries > 0))))
+        level = _bfs_levels(self.n, arcs)
+        return math.gcd(*(level[u] + 1 - level[v] for u, v in arcs)) == 1
 
     @cached_property
     def symmetric(self) -> bool:

@@ -111,7 +111,8 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
         spec.write_text(json.dumps({"n": 2, "dim": 1, "lambda2": 1.0, **fields}))
         r = run_cli("formation", "--spec", spec, "--skip-sim")
         assert r.returncode == 2 and f"{name}.json" in r.stderr, r.stderr
-    # non-finite or negative noise values, and a worker count below 1, end
+    # non-finite or negative noise values, a worker count below 1, and a
+    # sweep given --n, --edges or an unknown family (custom included) end
     # the run before any work
     nan_vec = tmp_path / "nan.txt"
     nan_vec.write_text("1\nnan\n")
@@ -122,7 +123,12 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
                  ("analyze", "--family", "complete", "--n", "2", "--sigma2-vec", nan_vec),
                  ("formation", "--demo", "--skip-sim", "--lambda2", "inf"),
                  ("formation", "--demo", "--skip-sim", "--lambda2", "nan"),
-                 ("sweep", "--family", "ring", "--n-list", "4", "--jobs", "-3")):
+                 ("sweep", "--family", "ring", "--n-list", "4", "--jobs", "-3"),
+                 ("sweep", "--family", "ring", "--n", "5", "--n-list", "8"),
+                 ("sweep", "--family", "ring", "--n-list", "8",
+                  "--edges", tmp_path / "nonexistent"),
+                 ("sweep", "--family", "custom", "--n-list", "8"),
+                 ("sweep", "--family", "nosuch", "--n-list", "8")):
         r = run_cli(*argv)
         assert r.returncode == 2 and r.stdout == "", (argv, r.stderr)
 

@@ -1,0 +1,87 @@
+"""Bad input fails with a typed error: each case below names the exact class
+it raises and the CLI exit code that class carries."""
+
+import numpy as np
+import pytest
+
+from consensuslab.disagreement import (
+    NoiseCovariance,
+    delta_oracle,
+    delta_ss_bounds,
+    delta_ss_diag,
+    delta_ss_kemeny,
+    delta_ss_spectral,
+    delta_ss_theorem,
+)
+from consensuslab.errors import DimensionMismatch, InvalidParam, NotIrreducible
+from consensuslab.formation import build_formation_spec
+from consensuslab.graphs import build_graph, custom_graph, ring_graph
+from consensuslab.markov import (
+    StochasticMatrix,
+    hitting_times,
+    lazy_walk_matrix,
+    simple_walk_matrix,
+)
+from consensuslab.simulate import SimConfig, divergence_probe, simulate_consensus
+
+
+def _lazy5():
+    return lazy_walk_matrix(ring_graph(5))
+
+
+def _noise5():
+    return NoiseCovariance.scalar(5, 1.0)
+
+
+_PERIODIC = "chain is periodic, so the squared chain is reducible"
+
+CASES = [
+    # InvalidParam: a parameter outside its domain
+    pytest.param(lambda: hitting_times(_lazy5(), method="bogus"), InvalidParam, None,
+                 id="hitting_times-unknown-method"),
+    pytest.param(lambda: NoiseCovariance.full(np.ones((2, 3))), InvalidParam, None,
+                 id="full-covariance-not-square"),
+    pytest.param(lambda: NoiseCovariance.full([[1.0, 0.0], [0.0, -1.0]]), InvalidParam, None,
+                 id="full-covariance-indefinite"),
+    pytest.param(lambda: NoiseCovariance.full(-np.eye(2)), InvalidParam, None,
+                 id="full-covariance-negative-trace"),
+    pytest.param(lambda: NoiseCovariance.scalar(0, 1.0), InvalidParam, None,
+                 id="scalar-noise-no-nodes"),
+    pytest.param(lambda: SimConfig(horizon=10, trials=0), InvalidParam, None,
+                 id="simconfig-no-trials"),
+    pytest.param(lambda: build_formation_spec(custom_graph(2, [(0, 1)]), 0, {(0, 1): []}),
+                 InvalidParam, None, id="formation-dimension-0"),
+    pytest.param(lambda: build_graph("grid", 16, dim=0), InvalidParam, None,
+                 id="grid-dimension-0"),
+    pytest.param(lambda: build_graph("random-regular", 6, degree=1), InvalidParam, None,
+                 id="random-regular-degree-1"),
+    pytest.param(lambda: StochasticMatrix(np.zeros((0, 0))), InvalidParam, None,
+                 id="empty-transition-matrix"),
+    pytest.param(lambda: divergence_probe(_lazy5(), _noise5(), 0), InvalidParam, None,
+                 id="divergence-probe-horizon-0"),
+    # DimensionMismatch: shapes that disagree with the chain
+    pytest.param(lambda: delta_ss_diag(_lazy5(), np.ones(4)), DimensionMismatch, None,
+                 id="delta_ss_diag-short-variances"),
+    pytest.param(lambda: delta_ss_bounds(_lazy5(), np.ones(4)), DimensionMismatch, None,
+                 id="delta_ss_bounds-short-variances"),
+    pytest.param(lambda: delta_ss_theorem(_lazy5(), NoiseCovariance.scalar(4, 1.0)),
+                 DimensionMismatch, None, id="theorem-4-node-noise-on-5-states"),
+    pytest.param(lambda: delta_oracle(_lazy5(), _noise5(), sigma0=np.eye(4)),
+                 DimensionMismatch, None, id="oracle-sigma0-shape"),
+    pytest.param(lambda: simulate_consensus(_lazy5(), _noise5(), np.zeros(4),
+                                            SimConfig(horizon=10)),
+                 DimensionMismatch, None, id="simulate-x0-shape"),
+    # NotIrreducible: the simple walk on an even ring has period 2
+    pytest.param(lambda: delta_ss_kemeny(simple_walk_matrix(ring_graph(8)), 1.0),
+                 NotIrreducible, _PERIODIC, id="kemeny-periodic-chain"),
+    pytest.param(lambda: delta_ss_spectral(simple_walk_matrix(ring_graph(8)), 1.0),
+                 NotIrreducible, _PERIODIC, id="spectral-periodic-chain"),
+]
+
+
+@pytest.mark.parametrize("call, cls, message", CASES)
+def test_bad_input_raises_its_typed_error(call, cls, message):
+    with pytest.raises(cls, match=message) as info:
+        call()
+    assert type(info.value) is cls
+    assert info.value.exit_code == (3 if cls is NotIrreducible else 2)

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consensuslab.errors import DisconnectedGraph, GenerationFailed, InvalidParam
 from consensuslab.graphs import (
@@ -88,6 +92,11 @@ def test_bipartite_classification():
     assert is_bipartite(ring_graph(8))
     assert not is_bipartite(ring_graph(9))
     assert not is_bipartite(complete_graph(4))
+    assert is_bipartite(custom_graph(1, [])) and is_bipartite(custom_graph(2, [(0, 1)]))
+    # later components count too: a 4-cycle beside an edge is bipartite,
+    # an edge beside a triangle is not
+    assert is_bipartite(custom_graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)]))
+    assert not is_bipartite(custom_graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]))
 
 
 def test_erdos_renyi_is_connected_and_seeded():
@@ -153,7 +162,29 @@ def test_nearest_valid_size_snaps_structured_families():
 def test_disconnected_detection():
     g = custom_graph(4, [(0, 1), (2, 3)])
     assert not is_connected(g)
+    assert not is_connected(custom_graph(2, []))
+    assert is_connected(custom_graph(1, [])) and is_connected(custom_graph(2, [(0, 1)]))
     from consensuslab.markov import lazy_walk_matrix
 
     with pytest.raises(DisconnectedGraph):
         lazy_walk_matrix(g)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return custom_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(small_graphs())
+def test_search_agrees_with_brute_force_on_small_graphs(g):
+    # connected: every pair joined by a walk of fewer than n steps
+    reach = np.linalg.matrix_power(np.eye(g.n) + g.adjacency(), g.n - 1)
+    assert is_connected(g) == bool(np.all(reach > 0))
+    # bipartite: some 2-colouring leaves no edge inside one colour
+    two_colourable = any(all(c[i] != c[j] for i, j in g.edges)
+                         for c in itertools.product((0, 1), repeat=g.n))
+    assert is_bipartite(g) == two_colourable

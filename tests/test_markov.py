@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import mc_first_passage, random_reversible_chain
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consensuslab import tolerances
 from consensuslab.errors import InvalidParam, NotIrreducible, NotReversible, SingularSystem
@@ -63,6 +67,52 @@ def test_flags_on_small_chains():
 
     R = StochasticMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert not R.irreducible
+
+    # periods without self-loops
+    assert StochasticMatrix([[1.0]]).aperiodic
+    flip = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
+    assert flip.irreducible and not flip.aperiodic
+    assert StochasticMatrix([[0.0, 1.0], [0.5, 0.5]]).aperiodic
+    cycle3 = StochasticMatrix(np.roll(np.eye(3), 1, axis=1))  # 0 -> 1 -> 2 -> 0
+    assert cycle3.irreducible and not cycle3.aperiodic
+    # a 3-cycle and a 4-cycle through state 0: period gcd(3, 4) = 1
+    arcs = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 0)]
+    a = np.zeros((6, 6))
+    a[tuple(zip(*arcs))] = 1.0
+    assert StochasticMatrix(a / a.sum(axis=1, keepdims=True)).aperiodic
+
+
+@st.composite
+def small_chains(draw):
+    # sparse patterns, half of them without self-loops and half around a
+    # cycle through every state, so that periodic chains come up often
+    n = draw(st.integers(1, 8))
+    loops = n == 1 or draw(st.booleans())
+    cycle = draw(st.booleans())
+    a = np.zeros((n, n))
+    if cycle:
+        order = np.array(draw(st.permutations(range(n))))
+        a[order, np.roll(order, -1)] = 1.0
+    for i in range(n):
+        targets = st.sampled_from([j for j in range(n) if loops or j != i])
+        a[i, list(draw(st.sets(targets, min_size=0 if cycle else 1, max_size=2)))] = 1.0
+    return StochasticMatrix(a / a.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(small_chains())
+def test_chain_flags_agree_with_brute_force(P):
+    n = P.n
+    A = (P.entries > 0).astype(float)
+    # irreducible: every state reaches every other in fewer than n steps
+    irreducible = bool(np.all(np.linalg.matrix_power(np.eye(n) + A, n - 1) > 0))
+    assert P.irreducible == irreducible
+    # the period is the gcd of the return times to state 0.  Those up to 3n
+    # suffice: a simple cycle of c <= n steps through a state v, added to a
+    # closed walk 0 -> v -> 0 of w <= 2n - 2 steps, gives the returns w and
+    # w + c, whose gcd divides c
+    returns = [k for k in range(1, 3 * n + 1) if np.linalg.matrix_power(A, k)[0, 0] > 0]
+    assert P.aperiodic == (irreducible and math.gcd(*returns) == 1)
 
 
 def test_stationary_two_state_hand_value():
