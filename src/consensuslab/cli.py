@@ -34,7 +34,9 @@ import numpy as np
 from . import __version__
 from .disagreement import (
     NoiseCovariance,
+    _sandwich,
     delta_oracle,
+    delta_ss_diag,
     delta_ss_kemeny,
     delta_ss_resistance,
     delta_ss_spectral,
@@ -92,7 +94,7 @@ def _add_graph_args(sub: argparse.ArgumentParser, *, one_graph: bool = True) -> 
         sub.add_argument("--edges", help="edge-list file (family=custom)")
     sub.add_argument("--p", type=float, help="edge probability (erdos-renyi)")
     sub.add_argument("--degree", type=int, help="degree (random-regular)")
-    sub.add_argument("--grid-dim", type=int, default=2, help="grid dimension (default 2)")
+    sub.add_argument("--grid-dim", type=int, help="grid dimension (family grid; default 2)")
     sub.add_argument("--seed", type=int, default=0, help="seed (graph sampling and simulation)")
 
 
@@ -145,16 +147,43 @@ def _add_noise_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_graph(args) -> Graph:
+# the graph flags each family reads; any other graph flag given is an error
+_GRAPH_FLAGS = ("n", "edges", "p", "degree", "grid_dim")
+_FAMILY_READS = {"custom": ("edges",), "erdos-renyi": ("n", "p"),
+                 "random-regular": ("n", "degree"), "grid": ("n", "grid_dim")}
+
+
+def _graph_family(args) -> str:
+    """Check the graph flags against the family before any work is done.
+
+    Returns the canonical family name, or ``custom`` for an edge-list file.
+    A flag the family does not read, or one it needs and was not given, is
+    InvalidParam, so no run header records a value the run ignored.
+    ``--grid-dim`` is resolved to its default 2 for the grid family only.
+    ``sweep`` has no --n or --edges; its sizes come from --n-list.
+    """
     if not args.family:
         raise InvalidParam("--family is required")
-    fam = args.family.lower()
+    fam = "custom" if args.family.lower() == "custom" else _family_key(args.family)
+    reads = _FAMILY_READS.get(fam, ("n",))
+    for name in _GRAPH_FLAGS:
+        if not hasattr(args, name):
+            continue
+        flag = "--" + name.replace("_", "-")
+        given = getattr(args, name) is not None
+        if given and name not in reads:
+            raise InvalidParam(f"--family {fam} does not read {flag}")
+        if not given and name in reads and name != "grid_dim":
+            raise InvalidParam(f"--family {fam} needs {flag}")
+    if fam == "grid" and args.grid_dim is None:
+        args.grid_dim = 2
+    return fam
+
+
+def _build_graph(args) -> Graph:
+    fam = _graph_family(args)
     if fam == "custom":
-        if not args.edges:
-            raise InvalidParam("--family custom needs --edges FILE")
         return load_edge_list(args.edges)
-    if args.n is None:
-        raise InvalidParam("--n is required for built-in families")
     return build_graph(
         fam, args.n, seed=args.seed, p=args.p, degree=args.degree, dim=args.grid_dim
     )
@@ -312,19 +341,22 @@ def _sweep_row(fam: str, n: int, args, build_noise) -> dict:
     row["family"], row["n"], row["error"] = fam, n, ""
     try:
         g = build_graph(fam, n, seed=args.seed, p=args.p, degree=args.degree, dim=args.grid_dim)
-        P = _build_chain(g, args)
-        noise = build_noise(g.n)
-        rep = delta_ss_theorem(P, noise)
-        row["delta_ss"] = rep.delta_ss
-        row["delta_uni_lower"] = rep.delta_uni_lower
-        row["delta_uni_upper"] = rep.delta_uni_upper
-        P2 = square_chain(P)
-        row["kemeny_p2"] = kemeny_constant_combinatorial(P2)
-        if P2.reversible:
-            row["max_resistance"] = float(effective_resistance(P2).max())
+        _fill_row(row, _build_chain(g, args), build_noise(g.n))
     except ConsensusError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
+
+
+def _fill_row(row: dict, P: StochasticMatrix, noise: NoiseCovariance) -> None:
+    """The numbers of one sweep row, all read from the fundamental matrix of
+    P^2: sweep noise is diagonal, so delta_ss is ``delta_ss_diag``, and no
+    hitting-time matrix is built."""
+    row["delta_ss"] = delta_ss_diag(P, noise.variances())
+    row["delta_uni_lower"], row["delta_uni_upper"] = _sandwich(row["delta_ss"], P.stationary())
+    P2 = square_chain(P)
+    row["kemeny_p2"] = kemeny_constant_combinatorial(P2)
+    if P2.reversible:
+        row["max_resistance"] = float(effective_resistance(P2).max())
 
 
 def cmd_sweep(args) -> int:
@@ -334,12 +366,11 @@ def cmd_sweep(args) -> int:
         raise InvalidParam(f"--n-list must be integers, got {args.n_list!r}") from exc
     if not sizes:
         raise InvalidParam("--n-list is empty")
-    if not args.family:
-        raise InvalidParam("--family is required")
     if args.jobs < 1:
         raise InvalidParam(f"--jobs must be >= 1, got {args.jobs}")
-    fam = args.family.lower()
-    _family_key(fam)  # an unknown family ends the sweep before any row
+    fam = _graph_family(args)  # a bad family or family flag ends the sweep before any row
+    if fam == "custom":
+        raise InvalidParam("sweep builds built-in families by size; custom has no sizes")
     # a malformed noise flag or file ends the sweep; a size mismatch is a row error
     build_noise = _noise_builder(args)
 
@@ -397,6 +428,13 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------
 
 def cmd_formation(args) -> int:
+    if args.demo or args.spec:
+        if args.demo and args.spec:
+            raise InvalidParam("--demo and --spec are two sources; give one")
+        given = [name for name in _GRAPH_FLAGS + ("family",) if getattr(args, name) is not None]
+        if given:
+            raise InvalidParam(
+                f"--{given[0].replace('_', '-')} is for a graph family, not --demo or --spec")
     if args.demo:
         spec = ring_demo_spec(args.lambda2 if args.lambda2 is not None else 4e-4)
     elif args.spec:

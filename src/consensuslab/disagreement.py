@@ -38,6 +38,7 @@ from .errors import (
 )
 from .markov import (
     StochasticMatrix,
+    _fundamental_matrix,
     effective_resistance,
     hitting_times,
     kemeny_constant_combinatorial,
@@ -272,10 +273,10 @@ def delta_ss_theorem(P: StochasticMatrix, noise: NoiseCovariance) -> Disagreemen
     """Exact weighted steady-state disagreement of a reversible chain.
 
     delta_ss = pi' H D Sigma D 1 - Tr(H D Sigma D) with H the hitting
-    times of P^2 and D = diag(pi); P^2 and H are cached on the chains, so
-    every closed form shares them.  The report's uniform-disagreement
-    fields hold the sandwich bounds delta_ss/(n pi_max) and
-    delta_ss/(n pi_min).
+    times of P^2 and D = diag(pi); P^2, its fundamental matrix and H are
+    cached on the chains, so every closed form shares them.  The report's
+    uniform-disagreement fields hold the sandwich bounds
+    delta_ss/(n pi_max) and delta_ss/(n pi_min).
     """
     _check_noise(P, noise)
     _require_closed_form(P)
@@ -296,16 +297,20 @@ def delta_ss_theorem(P: StochasticMatrix, noise: NoiseCovariance) -> Disagreemen
 
 
 def delta_ss_diag(P: StochasticMatrix, variances) -> float:
-    """Diagonal-noise specialization: sum_ij sigma_i^2 pi_i^2 pi_j H(j -> i)."""
+    """Diagonal-noise specialization: sum_ij sigma_i^2 pi_i^2 pi_j H(j -> i).
+
+    With H read off the fundamental matrix Z of P^2, sum_j pi_j H(j -> i)
+    = (Z_ii - pi_i) / pi_i, so this is sum_i sigma_i^2 pi_i (Z_ii - pi_i):
+    O(n) once Z is known, and no H is built.
+    """
     v = np.asarray(variances, dtype=float)
     if v.shape != (P.n,):
         raise DimensionMismatch(f"need {P.n} variances, got shape {v.shape}")
     _require_variances(v)
     _require_closed_form(P)
     pi = P.stationary()
-    H = hitting_times(square_chain(P))
-    reach = pi @ H  # reach[i] = sum_j pi_j H(j -> i)
-    return float(np.sum(v * pi * pi * reach))
+    Z = _fundamental_matrix(square_chain(P))
+    return float(np.sum(v * pi * (np.diag(Z) - pi)))
 
 
 def _require_symmetric_aperiodic(P: StochasticMatrix) -> None:
@@ -417,7 +422,10 @@ def delta_oracle(
     terms still left out are that change carried through the new A once
     more, so they are smaller again by about as much.  ``sigma0`` replaces
     the zero start: A S0 A' is added at the end, and the limit must not
-    depend on it.  Works for any irreducible chain (no reversibility
+    depend on it.  The result then gets one step of iterative refinement:
+    the same number of squarings sums the residual N + M S M' - S and adds
+    it, which removes the rounding error that repeated squaring leaves in
+    the slow modes of A.  Works for any irreducible chain (no reversibility
     needed) and shares nothing with the hitting-time routes, which is what
     makes it an independent check on the closed forms.
     delta_ss = Tr(S diag(pi)) and delta_uni = Tr(S)/n.
@@ -465,6 +473,15 @@ def delta_oracle(
         )
 
     S = X if sigma0 is None else _compose(X, A, S0)
+    # one step of iterative refinement: the squarings leave M^(2^k) a
+    # relative error of about 2^k eps along its slow modes, which reached
+    # 1e-11 of delta_ss on a lazy 128-node line; the same number of
+    # squarings summing the residual N + M S M' - S takes it out
+    R, A = _compose(N, M, S) - S, M
+    for _ in range(its):
+        R = _compose(R, A, R)
+        A = A @ A
+    S = S + R
     residual = float(np.abs(_compose(N, M, S) - S).max())
     delta = float(np.diag(S) @ pi)
     delta_uni = float(np.trace(S) / n)

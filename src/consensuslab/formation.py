@@ -69,7 +69,7 @@ class FormationSpec:
 
     P_form is built from ``weights`` on first use and cached on the spec
     (see :func:`formation_matrix`), so every route shares its pi, P^2 and
-    hitting times; reassigning ``weights`` afterwards is not supported.
+    fundamental matrix; reassigning ``weights`` afterwards is not supported.
     """
 
     graph: Graph

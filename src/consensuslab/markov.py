@@ -14,6 +14,13 @@ graphs come in three flavors:
 * ``uniform_edge_matrix``: weight eps on every edge (default 1/(2 max
   degree)) and 1 - eps*d(i) on the diagonal.  Symmetric for every graph, and
   identical to the lazy walk on regular graphs.
+
+Every chain built from a graph is reversible, and reversible chains take a
+fast route: pi by detailed balance along a breadth-first tree (O(n^2) with
+its check), P^2 by a sparse product that inherits pi, and the fundamental
+matrix Z = (I - P + 1 pi')^-1 by a Cholesky inversion of its symmetrized
+form.  Other chains take LU solves.  H, K and R are all read off Z, and H
+is only built when asked for.
 """
 
 from __future__ import annotations
@@ -54,20 +61,24 @@ class StochasticMatrix:
     """A validated row-stochastic matrix that owns every per-chain quantity.
 
     The structural flags, the stationary law, the non-unit spectrum, the
-    squared chain and the fundamental-route hitting times are each computed
-    at most once per matrix and cached with it.  The stationary law and
-    the hitting times keep their residuals, so every call still checks them
-    against the constants of ``tolerances``.
+    squared chain, the fundamental matrix and the hitting times are each
+    computed at most once per matrix and cached with it.  The stationary
+    law and the fundamental matrix keep their residuals, so every call
+    still checks them against the constants of ``tolerances``.
 
     Parameters
     ----------
-    entries : array_like, shape (n, n)
+    entries : array_like or scipy sparse matrix, shape (n, n)
         Nonnegative entries with each row summing to 1 within
-        ``tolerances.ROW_SUM_TOL``.  The array is copied and frozen.
+        ``tolerances.ROW_SUM_TOL``.  The array is copied (a sparse matrix
+        is expanded to a dense one) and frozen.
     """
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
+        if hasattr(entries, "toarray"):  # sparse: expanded into a fresh array
+            arr = entries.toarray().astype(float, copy=False)
+        else:
+            arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidParam(f"transition matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
@@ -82,6 +93,10 @@ class StochasticMatrix:
             )
         arr.setflags(write=False)
         self._entries = arr
+        # what a squared chain knows from the chain P it squares: P's pi, and
+        # P's entries as a sparse matrix when they are sparse
+        self._pi_hint: np.ndarray | None = None
+        self._factor = None
 
     # -- basic access -------------------------------------------------
 
@@ -105,16 +120,16 @@ class StochasticMatrix:
     # -- structural flags (lazy, cached) ------------------------------
 
     @cached_property
-    def irreducible(self) -> bool:
-        # imported on first use: csgraph loads scipy.sparse.linalg, and
-        # loading it with the package raised a CLI run's peak RSS by 0.9 MB
+    def _csr(self):
+        """The entries as a CSR matrix: one dense scan serves the graph
+        searches and the squared chain."""
         from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
 
-        ncomp, _ = connected_components(
-            csr_matrix(self._entries > 0), directed=True, connection="strong"
-        )
-        return ncomp == 1
+        return csr_matrix(self._entries)
+
+    @cached_property
+    def irreducible(self) -> bool:
+        return _strongly_connected(self._csr)
 
     @cached_property
     def aperiodic(self) -> bool:
@@ -140,25 +155,29 @@ class StochasticMatrix:
 
     @cached_property
     def reversible(self) -> bool:
-        """Detailed balance pi_i P_ij = pi_j P_ji within tolerance."""
+        """Detailed balance pi_i P_ij = pi_j P_ji on every arc, within
+        REVERSIBILITY_RTOL of max_ij pi_i P_ij; settled with pi."""
         if not self.irreducible:
             return False
-        pi = self.stationary()
-        flux = pi[:, None] * self._entries
-        scale = float(flux.max())
-        return float(np.abs(flux - flux.T).max()) <= tol.REVERSIBILITY_RTOL * scale
+        self.stationary()
+        return self._stationary[2]
 
     # -- stationary law ------------------------------------------------
 
     def stationary(self) -> np.ndarray:
         """Stationary distribution of an irreducible chain.
 
-        Solved once as the linear system (P' - I) pi = 0 with one equation
-        replaced by the normalization, and checked for positivity.  The
-        residual ``||pi' P - pi'||_inf`` is cached with pi, so every call
-        checks it against ``tolerances.STATIONARY_RESIDUAL_TOL``.  Read-only.
+        Solved once, with the reversibility flag.  A reversible chain's pi
+        is exact to rounding: pi_j = pi_i P_ij / P_ji along a breadth-first
+        tree from state 0, accepted once detailed balance holds on every
+        arc.  Otherwise (P' - I) pi = 0 is solved by LU with one equation
+        replaced by the normalization, and checked for positivity.  A
+        squared chain takes the pi of the chain it squares, which P^2
+        leaves invariant, and only checks it.  The residual
+        ``||pi' P - pi'||_inf`` is cached with pi, so every call checks it
+        against ``tolerances.STATIONARY_RESIDUAL_TOL``.  Read-only.
         """
-        pi, resid = self._stationary
+        pi, resid, _ = self._stationary
         if resid > tol.STATIONARY_RESIDUAL_TOL:
             raise SingularSystem(
                 f"stationary residual {resid:.3e} exceeds {tol.STATIONARY_RESIDUAL_TOL:g}"
@@ -166,13 +185,55 @@ class StochasticMatrix:
         return pi
 
     @cached_property
-    def _stationary(self) -> tuple[np.ndarray, float]:
-        """pi and its residual ||pi' P - pi'||_inf (before normalization)."""
+    def _stationary(self) -> tuple[np.ndarray, float, bool]:
+        """pi, its residual ||pi' P - pi'||_inf and the detailed-balance flag."""
         if not self.irreducible:
             raise NotIrreducible("stationary distribution needs an irreducible chain")
+        hint = self._pi_hint
+        pi = hint if hint is not None else self._tree_stationary()
+        balanced = pi is not None and self._detailed_balance(pi)
+        if hint is None and not balanced:
+            return (*self._lu_stationary(), False)
+        return pi, float(np.abs(pi @ self._entries - pi).max()), balanced
+
+    def _tree_stationary(self) -> np.ndarray | None:
+        """pi_j = pi_i P_ij / P_ji along a breadth-first tree from state 0,
+        normalized; None where an arc has no reverse arc or pi degenerates."""
+        from scipy.sparse.csgraph import breadth_first_order
+
+        E = self._entries
+        order, pred = breadth_first_order(self._csr, 0, directed=True, return_predecessors=True)
+        child = order[1:]
+        parent = pred[child]
+        back = E[child, parent]
+        if np.any(back <= 0):
+            return None
+        pi = [0.0] * self.n
+        pi[0] = 1.0
+        for j, i, r in zip(child.tolist(), parent.tolist(), (E[parent, child] / back).tolist()):
+            pi[j] = pi[i] * r  # the tree order puts i before j
+        pi = np.array(pi)
+        total = pi.sum()
+        if not (math.isfinite(total) and pi.min() > 0):
+            return None
+        pi /= total
+        pi.setflags(write=False)
+        return pi
+
+    def _detailed_balance(self, pi: np.ndarray) -> bool:
+        """max |pi_i P_ij - pi_j P_ji| <= REVERSIBILITY_RTOL * max pi_i P_ij,
+        over row blocks of the flux matrix."""
+        E = self._entries
+        worst = top = 0.0
+        for b in _row_blocks(self.n):
+            flux = pi[b, None] * E[b]
+            worst = max(worst, float(np.abs(flux - (E[:, b] * pi[:, None]).T).max()))
+            top = max(top, float(flux.max()))
+        return worst <= tol.REVERSIBILITY_RTOL * top
+
+    def _lu_stationary(self) -> tuple[np.ndarray, float]:
+        """pi by LU and its residual (before normalization)."""
         n = self.n
-        if n == 1:
-            return np.ones(1), 0.0
         # (P' - I) pi = 0 with one row traded for the normalization sum(pi) = 1
         A = self._entries.T - np.eye(n)
         A[-1, :] = 1.0
@@ -233,25 +294,155 @@ class StochasticMatrix:
         lam = self.nonunit_spectrum
         return float(np.abs(lam).max()) if lam.size else 0.0
 
-    # -- squared chain and hitting times ----------------------------------
+    # -- squared chain and fundamental matrix -----------------------------
 
     @cached_property
     def _square(self) -> StochasticMatrix:
-        return StochasticMatrix(self._entries @ self._entries)
+        """P @ P by a sparse product; it inherits pi, since pi' P^2 = pi', and
+        keeps P's sparse entries when they are sparse (see _hitting_residual)."""
+        S = self._csr
+        S2 = S @ S
+        Q = StochasticMatrix(S2)
+        S2.eliminate_zeros()
+        Q.irreducible = _strongly_connected(S2)  # from the sparse pattern, not a dense scan
+        if self.irreducible:
+            Q._pi_hint = self._stationary[0]
+        if S.nnz * 32 <= self.n ** 2:
+            Q._factor = S
+        return Q
 
     @cached_property
-    def _hitting(self) -> tuple[np.ndarray, float]:
-        """Fundamental-route H with its residual: H[i,j] = (Z[j,j] - Z[i,j]) / pi[j]
-        for Z = (I - P + 1 pi')^-1."""
+    def _fundamental(self) -> tuple[np.ndarray, float]:
+        """Z = (I - P + 1 pi')^-1, read-only, with the residual of the
+        hitting-time equations that H[i,j] = (Z[j,j] - Z[i,j]) / pi[j] would
+        leave: Cholesky for a reversible chain, LU otherwise."""
         pi = self.stationary()
-        n = self.n
-        try:
-            Z = scipy.linalg.solve(np.eye(n) - self._entries + pi, np.eye(n))
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSystem(f"fundamental-matrix solve failed: {exc}") from exc
-        H = (np.diag(Z)[None, :] - Z) / pi[None, :]
-        np.fill_diagonal(H, 0.0)
-        return _checked_hitting(self, H)
+        Z = _fundamental_cholesky(self._entries, pi) if self.reversible else None
+        if Z is None:
+            n = self.n
+            try:
+                Z = scipy.linalg.solve(np.eye(n) - self._entries + pi, np.eye(n))
+            except scipy.linalg.LinAlgError as exc:
+                raise SingularSystem(f"fundamental-matrix solve failed: {exc}") from exc
+        Z.setflags(write=False)
+        return Z, _hitting_residual(self._entries, Z, pi, self._factor)
+
+    @cached_property
+    def _hitting(self) -> np.ndarray:
+        """H[i,j] = (Z[j,j] - Z[i,j]) / pi[j], read-only; 0 on the diagonal."""
+        Z = self._fundamental[0]
+        H = (np.diag(Z)[None, :] - Z) / self.stationary()[None, :]
+        H.setflags(write=False)
+        return H
+
+
+def _strongly_connected(support) -> bool:
+    """One strongly connected component in a sparse pattern (stored entry = arc)."""
+    # imported on first use: csgraph loads scipy.sparse.linalg, and loading
+    # it with the package raised a CLI run's peak RSS by 0.9 MB
+    from scipy.sparse.csgraph import connected_components
+
+    ncomp, _ = connected_components(support, directed=True, connection="strong")
+    return ncomp == 1
+
+
+def _row_blocks(n: int):
+    """Slices of consecutive rows, about 2^16 entries of an n-column array
+    each: blocked passes over n x n arrays keep their temporaries small."""
+    step = max(1, (1 << 16) // n)
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
+
+
+def _fundamental_cholesky(E: np.ndarray, pi: np.ndarray) -> np.ndarray | None:
+    """Z of a reversible chain, in one n x n buffer; None if not positive definite.
+
+    B_s = I - D^{1/2} P D^{-1/2} + sqrt(pi) sqrt(pi)' (D = diag(pi)) is
+    symmetric positive definite, and Z = D^{-1/2} B_s^-1 D^{1/2}.  B_s is
+    built by row blocks from the symmetric part of D^{1/2} P D^{-1/2}, with
+    each diagonal entry 1 - P_ii summed from the row's other entries, and
+    LAPACK potrf and potri then factor and invert it in place.
+    """
+    from scipy.linalg import lapack
+
+    n = pi.size
+    s = np.sqrt(pi)
+    B = np.empty((n, n))
+    for b in _row_blocks(n):
+        diag = (np.arange(b.stop - b.start), np.arange(b.start, b.stop))
+        rows = s[b, None] * E[b] / s
+        rows += (s[:, None] * E[:, b] / s[b]).T
+        rows *= -0.5
+        rows += s[b, None] * s
+        # summed from the row's other entries, 1 - P_ii keeps sqrt(pi) the null
+        # vector of B_s - sqrt(pi) sqrt(pi)' to within the entries' own rounding
+        # (adding the identity last instead moved K(P^2) of the uniform
+        # line1200 by 2.5e-11)
+        off = E[b].copy()
+        off[diag] = 0.0
+        rows[diag] = off.sum(axis=1) + pi[b]
+        B[b] = rows
+    # B.T is the Fortran-ordered view of the same symmetric matrix, so LAPACK
+    # factors and inverts it in place, leaving its upper triangle, which is
+    # the lower triangle of Z = c.T
+    c, info = lapack.dpotrf(B.T, lower=False, overwrite_a=True, clean=False)
+    if info == 0:
+        c, info = lapack.dpotri(c, lower=False, overwrite_c=True)
+    if info != 0:
+        return None
+    Z = c.T
+    for b in _row_blocks(n):  # mirror the lower triangle onto the upper one
+        Z[b, b.stop:] = Z[b.stop:, b].T
+        block = Z[b, b]
+        upper = np.triu_indices(block.shape[0], 1)
+        block[upper] = block.T[upper]
+    Z *= s
+    Z /= s[:, None]
+    return Z
+
+
+def _hitting_residual(E: np.ndarray, Z: np.ndarray, pi: np.ndarray, factor=None) -> float:
+    """max over i != j of |H_ij - (P H)_ij - 1| for H_ij = (Z_jj - Z_ij) / pi_j,
+    without building H.
+
+    That residual is ((1 - (P 1)_i) Z_jj + (P Z)_ij - Z_ij) / pi_j - 1, taken
+    over row blocks, so the product P Z is the whole cost.  It is one dense
+    product, or, for a squared chain whose ``factor`` F (F @ F = E) is
+    sparse, two sparse ones F (F Z): on the sweep's graphs at n of about
+    1000 to 1600 that took 3 to 25 ms against 40 to 180 ms.
+    """
+    if factor is None:
+        product, ones = (lambda b: E[b] @ Z), E.sum(axis=1)
+    else:
+        FZ = factor @ Z
+        product, ones = (lambda b: factor[b] @ FZ), factor @ (factor @ np.ones(pi.size))
+    z = np.diag(Z)
+    slack = 1.0 - ones
+    worst = 0.0
+    for b in _row_blocks(pi.size):
+        R = product(b)
+        R -= Z[b]
+        R += slack[b, None] * z
+        R /= pi
+        R -= 1.0
+        R[np.arange(R.shape[0]), np.arange(b.start, b.stop)] = 0.0
+        worst = max(worst, float(np.abs(R).max()))
+    return worst
+
+
+def _fundamental_matrix(P: StochasticMatrix) -> np.ndarray:
+    """Z of an irreducible chain, once its cached hitting-equation residual
+    passes ``tolerances.HITTING_RESIDUAL_TOL * n``."""
+    if not P.irreducible:
+        raise NotIrreducible("hitting times need an irreducible chain")
+    Z, worst = P._fundamental
+    _check_hitting_residual(worst, P.n)
+    return Z
+
+
+def _check_hitting_residual(worst: float, n: int) -> None:
+    allowed = tol.HITTING_RESIDUAL_TOL * n
+    if worst > allowed:
+        raise SingularSystem(f"hitting-time residual {worst:.3e} exceeds {allowed:.3e}")
 
 
 # =====================================================================
@@ -331,10 +522,12 @@ def hitting_times(P: StochasticMatrix, *, method: str = "fundamental") -> np.nda
     ``H[i,j] = 1 + sum_k P[i,k] H[k,j]`` (i != j, H[j,j] = 0) with residual
     tolerance ``tolerances.HITTING_RESIDUAL_TOL * n``:
 
-    * ``fundamental`` (the default): invert I - P + 1 pi' once and read
-      off H[i,j] = (Z[j,j] - Z[i,j]) / pi[j] (Kemeny & Snell).  One
-      O(n^3) solve; the result and its residual are cached on ``P``, so
-      later calls only check the residual again.
+    * ``fundamental`` (the default): H[i,j] = (Z[j,j] - Z[i,j]) / pi[j]
+      (Kemeny & Snell) with the fundamental matrix Z = (I - P + 1 pi')^-1
+      cached on ``P``: a Cholesky inversion for a reversible chain, an LU
+      solve otherwise.  The residual is evaluated from Z through the
+      product P Z and cached with it, so later calls only check it again;
+      H itself is built from Z on the first call and cached too.
     * ``per-target``: for each target j solve (I - P) h = 1 with row j
       replaced by h_j = 0.  One LU per target, O(n^4) in all, never
       cached: the independent referee for the fundamental route.
@@ -350,14 +543,12 @@ def hitting_times(P: StochasticMatrix, *, method: str = "fundamental") -> np.nda
     if not P.irreducible:
         raise NotIrreducible("hitting times need an irreducible chain")
     if method == "fundamental":
-        H, worst = P._hitting
-    elif method == "per-target":
-        H, worst = _checked_hitting(P, _hitting_per_target(P.entries))
-    else:
+        _fundamental_matrix(P)
+        return P._hitting
+    if method != "per-target":
         raise InvalidParam(f"unknown hitting-time method {method!r}")
-    allowed = tol.HITTING_RESIDUAL_TOL * P.n
-    if worst > allowed:
-        raise SingularSystem(f"hitting-time residual {worst:.3e} exceeds {allowed:.3e}")
+    H, worst = _checked_hitting(P, _hitting_per_target(P.entries))
+    _check_hitting_residual(worst, P.n)
     return H
 
 
@@ -397,16 +588,16 @@ def square_chain(P: StochasticMatrix) -> StochasticMatrix:
 # =====================================================================
 
 def kemeny_constant_combinatorial(P: StochasticMatrix) -> float:
-    """K = sum_j pi_j H(i -> j), verified to be the same from every start i.
+    """K = sum_j pi_j H(i -> j) = tr Z - 1, with Z the fundamental matrix.
 
-    The start-independence check (max deviation <= RANDOM_TARGET_TOL * (1 + K))
-    is a residual check on the solve, not an independent referee: on the
-    fundamental route sum_j pi_j H_ij = tr Z - (Z 1)_i, so it only tests
-    Z 1 = 1.  A violation raises RandomTargetViolation.
+    From start i the sum is tr Z - (Z 1)_i, so its start-independence is
+    checked as max_i |(Z 1)_i - 1| <= RANDOM_TARGET_TOL * (1 + K): a
+    residual check on the solve, not an independent referee.  A violation
+    raises RandomTargetViolation.
     """
-    sums = hitting_times(P) @ P.stationary()
-    K = float(sums[0])
-    dev = float(np.abs(sums - K).max())
+    Z = _fundamental_matrix(P)
+    K = float(np.trace(Z)) - 1.0
+    dev = float(np.abs(Z.sum(axis=1) - 1.0).max())
     allowed = tol.RANDOM_TARGET_TOL * (1.0 + abs(K))
     if dev > allowed:
         raise RandomTargetViolation(
@@ -438,9 +629,18 @@ def effective_resistance(P: StochasticMatrix) -> np.ndarray:
 
     For a reversible chain with conductances c(x,y) = pi_x P[x,y],
     R(i <-> j) = H(i -> j) + H(j -> i); that identity is taken as the
-    definition here.  Requires reversibility.
+    definition here, read off the fundamental matrix as
+    R_ij = (Z_jj - Z_ij) / pi_j + (Z_ii - Z_ji) / pi_i by row blocks, so no
+    H is built (the values equal H + H' bit for bit).  Requires
+    reversibility.
     """
     if not P.reversible:
         raise NotReversible("effective resistance needs a reversible chain")
-    H = hitting_times(P)
-    return H + H.T
+    Z = _fundamental_matrix(P)
+    pi = P.stationary()
+    z = np.diag(Z)
+    R = np.empty_like(Z)
+    for b in _row_blocks(P.n):
+        R[b] = (z - Z[b]) / pi
+        R[b] += (z[b, None] - Z[:, b].T) / pi[b, None]
+    return R

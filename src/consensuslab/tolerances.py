@@ -2,8 +2,8 @@
 
 These module constants are the only tolerance policy: every check reads
 its constant from here when it runs, and no function takes a tolerance as
-an argument.  A residual cached with its result (pi, the hitting times)
-is checked against the constant again on every call, so lowering a
+an argument.  A residual cached with its result (pi, the fundamental
+matrix) is checked against the constant again on every call, so lowering a
 constant (as tests do, with ``monkeypatch.setattr``) takes effect at
 once.  Scaled tolerances note their scale factor in the comment.
 """

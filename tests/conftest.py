@@ -20,17 +20,23 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
     return erdos_renyi_graph(n, p, seed=int(rng.integers(2**31)))
 
 
-def random_reversible_chain(rng: np.random.Generator, n: int) -> StochasticMatrix:
+def random_reversible_chain(
+    rng: np.random.Generator, n: int, log10_range: tuple[float, float] | None = None
+) -> StochasticMatrix:
     """Random-conductance lazy walk: reversible, aperiodic, irreducible.
 
     Positive symmetric weights w_ij on the edges of a random connected
     graph; P_ij = w_ij / (2 W_i) off-diagonal with 1/2 staying put, which
-    is reversible for pi_i = W_i / sum(W).
+    is reversible for pi_i = W_i / sum(W).  The weights are uniform on
+    [0.2, 2], or 10^u with u uniform on ``log10_range`` when it is given.
     """
     g = random_connected_graph(rng, n)
     W = np.zeros((n, n))
     for i, j in g.edges:
-        w = rng.uniform(0.2, 2.0)
+        if log10_range is None:
+            w = rng.uniform(0.2, 2.0)
+        else:
+            w = 10.0 ** rng.uniform(*log10_range)
         W[i, j] = W[j, i] = w
     if n == 1:
         return StochasticMatrix(np.array([[1.0]]))

@@ -191,6 +191,40 @@ def test_sweep_csv_schema_and_error_rows(tmp_path):
     assert float(by_n["9"][2]) > 0 and float(by_n["18"][2]) > 0
 
 
+def test_sweep_rows_build_no_hitting_matrix(monkeypatch, capsys):
+    # every sweep number is read off the fundamental matrix of P^2
+    import tracemalloc
+
+    from consensuslab import cli, disagreement, markov
+    from consensuslab.graphs import build_graph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep row built a hitting-time matrix")
+
+    for module in (markov, disagreement, cli):
+        if hasattr(module, "hitting_times"):
+            monkeypatch.setattr(module, "hitting_times", refuse)
+    assert cli.main(["sweep", "--family", "ring", "--n-list", "4,8,16"]) == 0
+    rows = list(csv.reader(ln for ln in capsys.readouterr().out.splitlines()
+                           if not ln.startswith("#")))
+    assert [r[1] for r in rows[1:]] == ["4", "8", "16"]
+    assert all(r[-1] == "" and all(r[2:-1]) for r in rows[1:])
+
+    # and holds few n x n arrays at once: P^2, Z and the resistances
+    n = 900
+    P = markov.uniform_edge_matrix(build_graph("two-star", n))
+    noise = disagreement.NoiseCovariance.scalar(n, 1.0)
+    row: dict = {}
+    tracemalloc.start()
+    try:
+        cli._fill_row(row, P, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row["max_resistance"] > 0
+    assert peak <= 4 * n * n * 8  # 3.4 arrays; the hitting-matrix route peaked at 5.2
+
+
 def test_sweep_parallel_rows_match_serial(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ("sweep", "--family", "ring", "--n-list", "4,8,16", "--sigma2", "2")
@@ -359,6 +393,55 @@ def test_every_output_header_holds_the_parsed_flags(tmp_path):
     assert headers["sweep"]["config"]["n_list"] == [4, 8]
     assert headers["formation"]["config"]["lambda2"] == 4e-4
     assert headers["formation"]["config"]["burn_in"] == 51
+
+
+def test_graph_flags_are_checked_against_the_family(tmp_path, capsys):
+    # in-process: a flag the family does not read, or a parameter it needs
+    # and lacks, exits 2 before any output, so no header records an ignored value
+    from consensuslab import cli
+
+    edges = tmp_path / "triangle.txt"
+    edges.write_text("3\n0 1\n1 2\n0 2\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 2, "dim": 1, "lambda2": 1.0,
+                                "edges": [{"i": 0, "j": 1, "r": [1.0]}]}))
+    sim = ("--horizon", "20", "--trials", "1", "--burn-in", "5")
+    for argv in (
+        ("analyze", "--family", "custom", "--edges", edges, "--n", "99"),
+        ("analyze", "--family", "ring", "--n", "5", "--edges", tmp_path / "nonexistent"),
+        ("analyze", "--family", "ring", "--n", "5", "--p", "0.5"),
+        ("analyze", "--family", "ring", "--n", "9", "--grid-dim", "2"),
+        ("analyze", "--family", "erdos-renyi", "--n", "6"),
+        ("analyze", "--family", "grid", "--n", "9", "--degree", "2"),
+        ("simulate", "--family", "custom", "--edges", edges, "--n", "3", *sim),
+        ("simulate", "--family", "star", "--n", "5", "--degree", "2", *sim),
+        ("simulate", "--family", "random-regular", "--n", "6", *sim),
+        ("formation", "--family", "custom", "--edges", edges, "--n", "3",
+         "--lambda2", "1e-3", "--skip-sim"),
+        ("formation", "--family", "star", "--n", "5", "--edges", edges,
+         "--lambda2", "1e-3", "--skip-sim"),
+        ("formation", "--demo", "--family", "ring", "--skip-sim"),
+        ("formation", "--demo", "--n", "5", "--skip-sim"),
+        ("formation", "--spec", spec, "--edges", edges, "--skip-sim"),
+        ("formation", "--demo", "--spec", spec, "--skip-sim"),
+        ("sweep", "--family", "erdos-renyi", "--n-list", "6,8"),
+        ("sweep", "--family", "random-regular", "--n-list", "6,8"),
+        ("sweep", "--family", "ring", "--n-list", "5,7", "--grid-dim", "3"),
+    ):
+        code = cli.main([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.startswith("error (InvalidParam)"), (argv, err)
+
+    # the values a run reads are the values its header records
+    assert cli.main(["analyze", "--family", "grid", "--n", "9", "--oracle-cap", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["grid_dim"] == 2
+    assert cli.main(["analyze", "--family", "custom", "--edges", str(edges)]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["n"] is config["grid_dim"] is None and config["edges"] == str(edges)
+    assert cli.main(["sweep", "--family", "erdos-renyi", "--n-list", "6,8", "--p", "0.9"]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    assert [r.split(",")[0] for r in rows[1:]] == ["erdos-renyi"] * 2
+    assert all(r.endswith(",") for r in rows[1:])  # no row error
 
 
 def test_formation_requires_a_source():

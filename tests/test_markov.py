@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import mc_first_passage, random_reversible_chain
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from consensuslab import tolerances
+from consensuslab.disagreement import NoiseCovariance, delta_ss_diag, delta_ss_theorem
 from consensuslab.errors import InvalidParam, NotIrreducible, NotReversible, SingularSystem
 from consensuslab.graphs import (
     builtin_families,
@@ -115,14 +117,125 @@ def test_chain_flags_agree_with_brute_force(P):
     assert P.aperiodic == (irreducible and math.gcd(*returns) == 1)
 
 
+def _lu_referees(P: StochasticMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """pi and Z = (I - P + 1 pi')^-1 by plain LU solves, apart from the package."""
+    n = P.n
+    A = P.entries.T - np.eye(n)
+    A[-1] = 1.0
+    pi = np.linalg.solve(A, np.eye(n)[-1])
+    return pi, scipy.linalg.solve(np.eye(n) - P.entries + pi, np.eye(n))
+
+
+def _agrees_with_per_target(P: StochasticMatrix) -> None:
+    """Z, H, K and max R of the fundamental route against LU and per-target."""
+    Z = P._fundamental[0]
+    Z_lu = _lu_referees(P)[1]
+    assert np.abs(Z - Z_lu).max() <= 1e-9 * np.abs(Z_lu).max()
+    H_ref = hitting_times(P, method="per-target")
+    scale = 1.0 + H_ref.max()
+    assert np.abs(hitting_times(P) - H_ref).max() <= 1e-9 * scale
+    K_ref = H_ref @ P.stationary()  # the same from every start
+    assert np.abs(kemeny_constant_combinatorial(P) - K_ref).max() <= 1e-9 * scale
+    if P.reversible:
+        assert abs(effective_resistance(P).max() - (H_ref + H_ref.T).max()) <= 2e-9 * scale
+
+
+def test_hitting_residual_is_read_off_z_exactly():
+    # the residual that the fundamental route caches, taken from Z without
+    # building H, against H - P H - 1 off the diagonal with H built from Z;
+    # Z is perturbed so that the residual is far above rounding
+    from consensuslab.markov import _hitting_residual
+
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 9, 40):
+        P = random_reversible_chain(rng, n)
+        pi = P.stationary()
+        Z = P._fundamental[0] + 1e-6 * rng.standard_normal((n, n))
+        H = (np.diag(Z)[None, :] - Z) / pi[None, :]
+        resid = H - P.entries @ H - 1.0
+        np.fill_diagonal(resid, 0.0)
+        expected = np.abs(resid).max()
+        assert abs(_hitting_residual(P.entries, Z, pi) - expected) <= 1e-9 * (1e-12 + expected)
+        assert n == 1 or expected > 1e-7
+
+
+@st.composite
+def reversible_chains(draw):
+    n = draw(st.integers(1, 10))
+    # half the draws take conductances from 1e-6 to 1: pi_max/pi_min up to ~1e6
+    log10_range = draw(st.sampled_from([None, (-6.0, 0.0)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_reversible_chain(rng, n, log10_range), rng
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(reversible_chains())
+@example((StochasticMatrix([[1.0]]), np.random.default_rng(0)))
+@example((StochasticMatrix([[0.5, 0.5], [1e-6, 1 - 1e-6]]), np.random.default_rng(0)))
+def test_reversible_route_agrees_with_the_general_routes(case):
+    P, rng = case
+    assert P.reversible
+    pi = P.stationary()
+    pi_lu = _lu_referees(P)[0]
+    assert np.abs(pi - pi_lu).max() <= 1e-10 * pi.max()
+    P2 = square_chain(P)
+    assert P2.reversible and P2.stationary() is pi  # inherited, not solved again
+    for Q in (P, P2):
+        _agrees_with_per_target(Q)
+    v = rng.uniform(0.25, 4.0, P.n)
+    exact = delta_ss_theorem(P, NoiseCovariance.diagonal(v)).delta_ss
+    assert abs(delta_ss_diag(P, v) - exact) <= 1e-12 * (1.0 + exact)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(3, 10), st.integers(0, 2**32 - 1))
+def test_nonreversible_chain_takes_the_lu_route(n, seed):
+    # dense random rows: irreducible and aperiodic, and almost surely not reversible
+    a = np.random.default_rng(seed).uniform(0.1, 1.0, (n, n))
+    P = StochasticMatrix(a / a.sum(axis=1, keepdims=True))
+    assert P.irreducible and not P.reversible
+    assert np.abs(P.stationary() - _lu_referees(P)[0]).max() <= 1e-12
+    _agrees_with_per_target(P)
+
+
+def _kemeny_p2_analytic(n: int, theta_step: float) -> tuple[float, float]:
+    """sum_k 1/(1 - lambda_k^2) over lambda_k = (1 + cos(k theta_step)) / 2,
+    k = 1..n-1, and the smallest 1 - lambda_k^2; each 1 - lambda_k is taken
+    as sin^2(k theta_step / 2), without cancellation."""
+    gaps = [math.sin(k * theta_step / 2) ** 2 for k in range(1, n)]
+    gaps2 = [g * (2.0 - g) for g in gaps]
+    return math.fsum(1.0 / g for g in gaps2), min(gaps2)
+
+
+def test_reversible_route_accuracy_against_exact_values():
+    g = build_graph("starry-line", 1152)
+    pi = lazy_walk_matrix(g).stationary()
+    assert np.abs(pi - degree_stationary(g)).max() <= 1e-14  # LU pi was 5.1e-10 off
+    # K(P^2) against the spectra of the lazy ring and the uniform path (both
+    # lambda = (1 + cos theta) / 2).  Any dense solve sits at the rounding
+    # floor u / (1 - lambda_2^2): 5.8e-12 and 3.2e-11 here.  Measured errors
+    # move with the BLAS blocking (1 thread: 2.8e-13 and 1.1e-12, 2 threads:
+    # 1.1e-12 and 9.6e-12; the LU route: 4.4e-13 and 9.2e-12, 5.8e-13 and 4.7e-12)
+    u = np.finfo(float).eps / 2
+    for P, (exact, gap) in (
+        (lazy_walk_matrix(ring_graph(1024)), _kemeny_p2_analytic(1024, 2 * math.pi / 1024)),
+        (uniform_edge_matrix(line_graph(1200)), _kemeny_p2_analytic(1200, math.pi / 1200)),
+    ):
+        K = kemeny_constant_combinatorial(square_chain(P))
+        assert abs(K - exact) <= u / gap * exact
+
+
 def test_stationary_two_state_hand_value():
     P = StochasticMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]))
     np.testing.assert_allclose(P.stationary(), [2 / 3, 1 / 3], rtol=0, atol=1e-14)
 
 
 def test_stationary_residual_tolerance_holds_after_caching(monkeypatch):
-    P = lazy_walk_matrix(ring_graph(8))
+    # the lazy star's pi = d/2m leaves a rounding residual; the lazy ring's
+    # pi = 1/8 is exact, and a zero residual passes even a zero tolerance
+    P = lazy_walk_matrix(star_graph(6))
     P.stationary()
+    assert P._stationary[1] > 0.0
     monkeypatch.setattr(tolerances, "STATIONARY_RESIDUAL_TOL", 0.0)
     with pytest.raises(SingularSystem):
         P.stationary()
