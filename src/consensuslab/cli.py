@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -158,10 +159,13 @@ def _graph_family(args) -> str:
 
     Returns the canonical family name, or ``custom`` for an edge-list file.
     A flag the family does not read, or one it needs and was not given, is
-    InvalidParam, so no run header records a value the run ignored.
+    InvalidParam, so no run header records a value the run ignored; so is
+    ``--eps`` with a chain other than ``uniform``, the only one it weights.
     ``--grid-dim`` is resolved to its default 2 for the grid family only.
     ``sweep`` has no --n or --edges; its sizes come from --n-list.
     """
+    if getattr(args, "eps", None) is not None and args.chain != "uniform":
+        raise InvalidParam(f"--chain {args.chain} does not read --eps; only --chain uniform does")
     if not args.family:
         raise InvalidParam("--family is required")
     fam = "custom" if args.family.lower() == "custom" else _family_key(args.family)
@@ -236,7 +240,7 @@ def _sim_config(args) -> SimConfig:
     return SimConfig(**{k: getattr(args, k) for k in names if hasattr(args, k)})
 
 
-_NOT_CONFIG = ("command", "fn", "seed", "out", "summary")
+_NOT_CONFIG = ("command", "seed", "out", "summary")
 
 
 def _header(args, **resolved) -> dict:
@@ -577,6 +581,7 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the five subcommands; ``main`` reuses one per process."""
     ap = argparse.ArgumentParser(
         prog="consensuslab",
         description="Steady-state disagreement of noisy consensus on graphs.",
@@ -591,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--oracle-cap", type=int, default=64,
                    help="run the doubling oracle when n <= cap (default 64)")
     a.add_argument("--out", help="write JSON here instead of stdout")
-    a.set_defaults(fn=cmd_analyze)
 
     # without abbreviations, so --n is not taken for --n-list
     s = sub.add_parser("sweep", help="scaling table over sizes (CSV)", allow_abbrev=False)
@@ -601,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-list", required=True, help="comma-separated sizes")
     s.add_argument("--jobs", type=int, default=1, help="parallel rows (default 1)")
     s.add_argument("--out", help="write CSV here instead of stdout")
-    s.set_defaults(fn=cmd_sweep)
 
     m = sub.add_parser("simulate", help="Monte Carlo consensus run")
     _add_graph_args(m)
@@ -614,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--noise", choices=("gaussian", "rademacher"), default="gaussian")
     m.add_argument("--out", help="trace CSV path")
     m.add_argument("--summary", help="summary JSON path (default stdout)")
-    m.set_defaults(fn=cmd_simulate)
 
     f = sub.add_parser("formation", help="formation-control run")
     _add_graph_args(f)
@@ -628,19 +630,26 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--skip-sim", action="store_true", help="closed form only")
     f.add_argument("--out", help="trajectory CSV path")
     f.add_argument("--summary", help="summary JSON path (default stdout)")
-    f.set_defaults(fn=cmd_formation)
 
     t = sub.add_parser("selftest", help="fast invariant checks")
     t.add_argument("--seed", type=int, default=0)
-    t.set_defaults(fn=cmd_selftest)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # each parse_args call fills a new namespace and copies list defaults
+    # before appending, so one parser serves every call in the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one subcommand and return its exit code; callable repeatedly."""
+    args = _parser().parse_args(argv)
+    # looked up by name at call time, so a rebound ``cmd_<name>`` is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except (ConsensusError, FileNotFoundError, IsADirectoryError, PermissionError,
             json.JSONDecodeError) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

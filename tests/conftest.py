@@ -1,11 +1,15 @@
-"""Shared builders for randomized tests.
+"""Shared builders for randomized tests, and the in-process CLI runner.
 
 Everything takes an explicit ``numpy.random.Generator`` so each test
 controls its own seed; nothing here touches global RNG state.
 """
 
+import contextlib
+import io
+
 import numpy as np
 
+from consensuslab import cli
 from consensuslab.graphs import Graph, custom_graph, erdos_renyi_graph
 from consensuslab.markov import StochasticMatrix
 
@@ -83,3 +87,19 @@ def mc_first_passage(
                 raise RuntimeError("first-passage sample exceeded the step cap")
         total += steps
     return total / trials
+
+
+def run_main(*argv) -> tuple[int, str, str]:
+    """Run ``consensuslab.cli.main`` on ``argv`` in this process.
+
+    Returns (exit code, stdout, stderr).  Arguments are passed as strings,
+    as a shell would; argparse's ``SystemExit`` (a bad flag, ``--help``)
+    becomes its exit code.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()

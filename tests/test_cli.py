@@ -1,4 +1,19 @@
-"""End-to-end CLI checks through real subprocesses."""
+"""End-to-end CLI checks.
+
+Most tests run ``cli.main`` in this process through ``conftest.run_main``,
+which returns the exit code, stdout and stderr: ``main`` reuses one parser
+per process, so a run costs its work and not an interpreter start.  These
+run ``python -m consensuslab`` (or ``python -O``) as real subprocesses, so
+the module entry point stays covered:
+
+- ``test_analyze_emits_full_json`` (exit 0);
+- ``test_formation_requires_a_source`` (exit 2);
+- ``test_cli_exit_code_3_on_numerical_failures`` (exit 3);
+- ``test_selftest_fails_under_optimized_python``;
+- ``test_parser_reuse_leaks_no_state_between_calls``, whose fresh-process
+  runs are the reference for its in-process sequence;
+- ``test_readme_cli_examples_run`` and ``test_readme_python_quickstart_runs``.
+"""
 
 import csv
 import json
@@ -11,8 +26,10 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import run_main
 
 import consensuslab
+from consensuslab import cli
 
 
 def run_cli(*args, **kw):
@@ -47,73 +64,70 @@ def test_analyze_emits_full_json(tmp_path):
 
 
 def test_analyze_single_node_has_zero_disagreement():
-    r = run_cli("analyze", "--family", "complete", "--n", "1")
-    assert r.returncode == 0, r.stderr
-    doc = json.loads(r.stdout)
+    code, out, err = run_main("analyze", "--family", "complete", "--n", "1")
+    assert code == 0, err
+    doc = json.loads(out)
     assert doc["delta_ss"] == pytest.approx(0.0, abs=1e-15)
     assert doc["pi"] == [1.0]
 
 
 def test_analyze_irregular_graph_limits_method_selection():
-    r = run_cli("analyze", "--family", "star", "--n", "6")
-    doc = json.loads(r.stdout)
+    doc = json.loads(run_main("analyze", "--family", "star", "--n", "6")[1])
     assert doc["chain_flags"]["symmetric"] is False
     assert doc["chain_flags"]["reversible"] is True
     assert "spectral" not in doc["method_selection"]
     assert "theorem1" in doc["method_selection"] and "oracle" in doc["method_selection"]
     # uniform-weight chain restores symmetry on the same graph
-    r2 = run_cli("analyze", "--family", "star", "--n", "6", "--chain", "uniform")
-    doc2 = json.loads(r2.stdout)
+    doc2 = json.loads(run_main("analyze", "--family", "star", "--n", "6", "--chain", "uniform")[1])
     assert doc2["chain_flags"]["symmetric"] is True
     assert "spectral" in doc2["method_selection"]
 
 
 def test_analyze_noise_overrides():
-    r = run_cli("analyze", "--family", "star", "--n", "6", "--sigma2", "0",
-                "--sigma2-node", "0=1")
-    doc = json.loads(r.stdout)
+    doc = json.loads(run_main("analyze", "--family", "star", "--n", "6", "--sigma2", "0",
+                              "--sigma2-node", "0=1")[1])
     assert doc["methods"]["theorem1"] > 0
     assert doc["config"]["sigma2_node"] == {"0": 1.0}
 
 
 def test_cli_exit_code_2_on_config_errors(tmp_path):
-    assert run_cli("analyze", "--family", "nosuch", "--n", "4").returncode == 2
-    assert run_cli("analyze", "--family", "ring", "--n", "2").returncode == 2
-    assert run_cli("analyze", "--family", "ring", "--n", "8",
-                   "--sigma2=-1").returncode == 2
-    assert run_cli("analyze", "--family", "custom",
-                   "--edges", tmp_path / "missing.txt").returncode == 2
+    assert run_main("analyze", "--family", "nosuch", "--n", "4")[0] == 2
+    assert run_main("analyze", "--family", "ring", "--n", "2")[0] == 2
+    assert run_main("analyze", "--family", "ring", "--n", "8",
+                    "--sigma2=-1")[0] == 2
+    assert run_main("analyze", "--family", "custom",
+                    "--edges", tmp_path / "missing.txt")[0] == 2
     disconnected = tmp_path / "disc.txt"
     disconnected.write_text("4\n0 1\n2 3\n")
-    assert run_cli("analyze", "--family", "custom",
-                   "--edges", disconnected).returncode == 2
-    assert run_cli("analyze", "--family", "ring", "--n", "8",
-                   "--sigma2-node", "zero=1").returncode == 2
+    assert run_main("analyze", "--family", "custom",
+                    "--edges", disconnected)[0] == 2
+    assert run_main("analyze", "--family", "ring", "--n", "8",
+                    "--sigma2-node", "zero=1")[0] == 2
     # malformed input files name the file, and the line where there is one
     words = tmp_path / "words.txt"
     words.write_text("1\none\n")
     for cmd in (("analyze", "--n", "2"), ("sweep", "--n-list", "2")):
-        r = run_cli(*cmd, "--family", "complete", "--sigma2-vec", words)
-        assert r.returncode == 2 and "words.txt" in r.stderr, r.stderr
+        code, _, err = run_main(*cmd, "--family", "complete", "--sigma2-vec", words)
+        assert code == 2 and "words.txt" in err, err
     token = tmp_path / "token.txt"
     token.write_text("2\n0 x\n")
-    r = run_cli("analyze", "--family", "custom", "--edges", token)
-    assert r.returncode == 2 and "token.txt:2" in r.stderr, r.stderr
+    code, _, err = run_main("analyze", "--family", "custom", "--edges", token)
+    assert code == 2 and "token.txt:2" in err, err
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"2\n0 1\n\xff\xfe\n")
-    r = run_cli("analyze", "--family", "custom", "--edges", binary)
-    assert r.returncode == 2 and "binary.txt" in r.stderr, r.stderr
+    code, _, err = run_main("analyze", "--family", "custom", "--edges", binary)
+    assert code == 2 and "binary.txt" in err, err
     for name, fields in (("no_j", {"edges": [{"i": 0, "r": [1.0]}]}),
                          ("short_weight", {"edges": [[0, 1, [1.0]]], "weights": [[0, 1]]}),
                          ("word_offset", {"edges": [[0, 1, "ab"]]}),
                          ("word_lambda2", {"edges": [[0, 1, [1.0]]], "lambda2": "x"})):
         spec = tmp_path / f"{name}.json"
         spec.write_text(json.dumps({"n": 2, "dim": 1, "lambda2": 1.0, **fields}))
-        r = run_cli("formation", "--spec", spec, "--skip-sim")
-        assert r.returncode == 2 and f"{name}.json" in r.stderr, r.stderr
-    # non-finite or negative noise values, a worker count below 1, and a
-    # sweep given --n, --edges or an unknown family (custom included) end
-    # the run before any work
+        code, _, err = run_main("formation", "--spec", spec, "--skip-sim")
+        assert code == 2 and f"{name}.json" in err, err
+    # non-finite or negative noise values, a worker count below 1, a sweep
+    # given --n, --edges or an unknown family (custom included), and --eps
+    # with a chain other than uniform end the run before any work
     nan_vec = tmp_path / "nan.txt"
     nan_vec.write_text("1\nnan\n")
     for argv in (("sweep", "--family", "ring", "--n-list", "4,8", "--sigma2", "-1"),
@@ -128,9 +142,14 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
                  ("sweep", "--family", "ring", "--n-list", "8",
                   "--edges", tmp_path / "nonexistent"),
                  ("sweep", "--family", "custom", "--n-list", "8"),
-                 ("sweep", "--family", "nosuch", "--n-list", "8")):
-        r = run_cli(*argv)
-        assert r.returncode == 2 and r.stdout == "", (argv, r.stderr)
+                 ("sweep", "--family", "nosuch", "--n-list", "8"),
+                 ("analyze", "--family", "ring", "--n", "5", "--chain", "lazy", "--eps", "0.1"),
+                 ("sweep", "--family", "ring", "--n-list", "4", "--chain", "simple",
+                  "--eps", "0.1"),
+                 ("simulate", "--family", "ring", "--n", "5", "--eps", "0.1",
+                  "--horizon", "20", "--trials", "1", "--burn-in", "5")):
+        code, out, err = run_main(*argv)
+        assert code == 2 and out == "", (argv, err)
 
 
 def test_each_error_class_keeps_its_exit_code(monkeypatch):
@@ -172,9 +191,9 @@ def test_cli_exit_code_3_on_numerical_failures():
 
 def test_sweep_csv_schema_and_error_rows(tmp_path):
     out = tmp_path / "sweep.csv"
-    r = run_cli("sweep", "--family", "starry-line", "--n-list", "9,10,18",
-                "--sigma2", "1", "--out", out)
-    assert r.returncode == 0, r.stderr
+    code, _, err = run_main("sweep", "--family", "starry-line", "--n-list", "9,10,18",
+                            "--sigma2", "1", "--out", out)
+    assert code == 0, err
     lines = out.read_text().strip().split("\n")
     meta = [ln for ln in lines if ln.startswith("#")]
     assert any("version=" in ln for ln in meta)
@@ -191,11 +210,11 @@ def test_sweep_csv_schema_and_error_rows(tmp_path):
     assert float(by_n["9"][2]) > 0 and float(by_n["18"][2]) > 0
 
 
-def test_sweep_rows_build_no_hitting_matrix(monkeypatch, capsys):
+def test_sweep_rows_build_no_hitting_matrix(monkeypatch):
     # every sweep number is read off the fundamental matrix of P^2
     import tracemalloc
 
-    from consensuslab import cli, disagreement, markov
+    from consensuslab import disagreement, markov
     from consensuslab.graphs import build_graph
 
     def refuse(*args, **kwargs):
@@ -204,9 +223,9 @@ def test_sweep_rows_build_no_hitting_matrix(monkeypatch, capsys):
     for module in (markov, disagreement, cli):
         if hasattr(module, "hitting_times"):
             monkeypatch.setattr(module, "hitting_times", refuse)
-    assert cli.main(["sweep", "--family", "ring", "--n-list", "4,8,16"]) == 0
-    rows = list(csv.reader(ln for ln in capsys.readouterr().out.splitlines()
-                           if not ln.startswith("#")))
+    code, out, err = run_main("sweep", "--family", "ring", "--n-list", "4,8,16")
+    assert code == 0, err
+    rows = list(csv.reader(ln for ln in out.splitlines() if not ln.startswith("#")))
     assert [r[1] for r in rows[1:]] == ["4", "8", "16"]
     assert all(r[-1] == "" and all(r[2:-1]) for r in rows[1:])
 
@@ -228,18 +247,18 @@ def test_sweep_rows_build_no_hitting_matrix(monkeypatch, capsys):
 def test_sweep_parallel_rows_match_serial(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ("sweep", "--family", "ring", "--n-list", "4,8,16", "--sigma2", "2")
-    assert run_cli(*base, "--out", a).returncode == 0
-    assert run_cli(*base, "--jobs", "3", "--out", b).returncode == 0
+    assert run_main(*base, "--out", a)[0] == 0
+    assert run_main(*base, "--jobs", "3", "--out", b)[0] == 0
     assert a.read_text().replace('"jobs": 1', '"jobs": 3') == b.read_text()
 
 
 def test_simulate_writes_trace_and_summary(tmp_path):
     trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
-    r = run_cli("simulate", "--family", "ring", "--n", "6", "--sigma2", "1",
-                "--horizon", "400", "--trials", "3", "--burn-in", "100",
-                "--record-every", "4", "--seed", "5",
-                "--out", trace, "--summary", summary)
-    assert r.returncode == 0, r.stderr
+    code, _, err = run_main("simulate", "--family", "ring", "--n", "6", "--sigma2", "1",
+                            "--horizon", "400", "--trials", "3", "--burn-in", "100",
+                            "--record-every", "4", "--seed", "5",
+                            "--out", trace, "--summary", summary)
+    assert code == 0, err
     doc = json.loads(summary.read_text())
     assert doc["delta_hat"] > 0 and doc["stderr"] > 0
     assert doc["delta_ss_exact"] > 0
@@ -256,10 +275,10 @@ def test_simulate_records_the_automatic_burn_in():
     from consensuslab.markov import lazy_walk_matrix
     from consensuslab.simulate import auto_burn_in
 
-    r = run_cli("simulate", "--family", "ring", "--n", "6", "--horizon", "400",
-                "--trials", "2", "--seed", "5")
-    assert r.returncode == 0, r.stderr
-    burn = json.loads(r.stdout)["config"]["burn_in"]
+    code, out, err = run_main("simulate", "--family", "ring", "--n", "6", "--horizon", "400",
+                              "--trials", "2", "--seed", "5")
+    assert code == 0, err
+    burn = json.loads(out)["config"]["burn_in"]
     assert burn == auto_burn_in(lazy_walk_matrix(ring_graph(6)))
 
 
@@ -267,17 +286,17 @@ def test_simulate_reruns_are_identical(tmp_path):
     t1, t2 = tmp_path / "1.csv", tmp_path / "2.csv"
     base = ("simulate", "--family", "star", "--n", "5", "--horizon", "200",
             "--trials", "2", "--burn-in", "50", "--seed", "3")
-    run_cli(*base, "--out", t1)
-    run_cli(*base, "--out", t2)
+    run_main(*base, "--out", t1)
+    run_main(*base, "--out", t2)
     assert t1.read_text() == t2.read_text()
 
 
 def test_formation_demo_run(tmp_path):
     traj, summary = tmp_path / "traj.csv", tmp_path / "form.json"
-    r = run_cli("formation", "--demo", "--horizon", "400", "--trials", "2",
-                "--record-every", "10", "--burn-in", "100", "--seed", "2",
-                "--out", traj, "--summary", summary)
-    assert r.returncode == 0, r.stderr
+    code, _, err = run_main("formation", "--demo", "--horizon", "400", "--trials", "2",
+                            "--record-every", "10", "--burn-in", "100", "--seed", "2",
+                            "--out", traj, "--summary", summary)
+    assert code == 0, err
     doc = json.loads(summary.read_text())
     assert doc["n"] == 4 and doc["dim"] == 2
     assert doc["form_exact"] > 0 and doc["form_simulated"] > 0
@@ -289,10 +308,10 @@ def test_formation_demo_run(tmp_path):
 
 def test_formation_csv_is_the_metadata_then_the_trajectory(tmp_path):
     traj = tmp_path / "traj.csv"
-    r = run_cli("formation", "--demo", "--horizon", "300", "--trials", "2",
-                "--record-every", "7", "--seed", "5", "--out", traj,
-                "--summary", tmp_path / "form.json")
-    assert r.returncode == 0, r.stderr
+    code, _, err = run_main("formation", "--demo", "--horizon", "300", "--trials", "2",
+                            "--record-every", "7", "--seed", "5", "--out", traj,
+                            "--summary", tmp_path / "form.json")
+    assert code == 0, err
     trace, _ = consensuslab.simulate_formation(
         consensuslab.ring_demo_spec(4e-4),
         consensuslab.SimConfig(horizon=300, trials=2, seed=5, record_every=7))
@@ -304,10 +323,10 @@ def test_formation_csv_is_the_metadata_then_the_trajectory(tmp_path):
 
 
 def test_formation_family_and_spec_file(tmp_path):
-    r = run_cli("formation", "--family", "star", "--n", "7",
-                "--lambda2", "4e-4", "--skip-sim")
-    assert r.returncode == 0, r.stderr
-    doc = json.loads(r.stdout)
+    code, out, err = run_main("formation", "--family", "star", "--n", "7",
+                              "--lambda2", "4e-4", "--skip-sim")
+    assert code == 0, err
+    doc = json.loads(out)
     assert doc["form_simulated"] is None
     assert doc["form_exact"] > 0
 
@@ -318,8 +337,7 @@ def test_formation_family_and_spec_file(tmp_path):
         "weights": "default", "lambda2": 1.0,
     }))
     # the config echoes the spec's lambda2, which the run used, not the flag
-    r2 = run_cli("formation", "--spec", spec, "--lambda2", "0.5", "--skip-sim")
-    doc2 = json.loads(r2.stdout)
+    doc2 = json.loads(run_main("formation", "--spec", spec, "--lambda2", "0.5", "--skip-sim")[1])
     assert doc2["form_exact"] == pytest.approx(1.0, rel=1e-12)
     assert doc2["config"]["lambda2"] == 1.0
 
@@ -331,7 +349,7 @@ def test_formation_family_and_spec_file(tmp_path):
                   {"i": 0, "j": 2, "r": [1.0]}],
         "weights": "default", "lambda2": 1.0,
     }))
-    assert run_cli("formation", "--spec", bad, "--skip-sim").returncode == 2
+    assert run_main("formation", "--spec", bad, "--skip-sim")[0] == 2
 
 
 def test_formation_spec_with_per_node_lambda2(tmp_path):
@@ -341,9 +359,9 @@ def test_formation_spec_with_per_node_lambda2(tmp_path):
         "edges": [{"i": 0, "j": 1, "r": [1.0, 0.0]}, {"i": 1, "j": 2, "r": [0.0, 1.0]}],
         "weights": "default", "lambda2": [1e-3, 2e-3, 3e-3],
     }))
-    r = run_cli("formation", "--spec", spec, "--horizon", "300", "--trials", "2")
-    assert r.returncode == 0, r.stderr
-    doc = json.loads(r.stdout)
+    code, out, err = run_main("formation", "--spec", spec, "--horizon", "300", "--trials", "2")
+    assert code == 0, err
+    doc = json.loads(out)
     assert doc["lambda2"] == doc["config"]["lambda2"] == [1e-3, 2e-3, 3e-3]
     loaded = consensuslab.load_formation_spec(spec)
     assert doc["form_exact"] == consensuslab.form_via_delta(loaded)
@@ -354,7 +372,7 @@ def test_formation_spec_with_per_node_lambda2(tmp_path):
 
 def _usage_flags(command: str) -> set[str]:
     """The long flags a subcommand's usage line lists, as config keys."""
-    usage = run_cli(command, "--help").stdout.split("\n\n", 1)[0]
+    usage = run_main(command, "--help")[1].split("\n\n", 1)[0]
     return {flag.replace("-", "_") for flag in re.findall(r"--([a-z0-9-]+)", usage)}
 
 
@@ -376,8 +394,8 @@ def test_every_output_header_holds_the_parsed_flags(tmp_path):
                       "--summary", tmp_path / "formation.json"),
     }
     for command, argv in runs.items():
-        r = run_cli(command, *argv)
-        assert r.returncode == 0, (command, r.stderr)
+        code, _, err = run_main(command, *argv)
+        assert code == 0, (command, err)
     headers = {"analyze": json.loads((tmp_path / "analyze.json").read_text()),
                "sweep": _csv_header(tmp_path / "sweep.csv")}
     # the JSON summary opens with the header that the CSV's config line holds
@@ -395,11 +413,9 @@ def test_every_output_header_holds_the_parsed_flags(tmp_path):
     assert headers["formation"]["config"]["burn_in"] == 51
 
 
-def test_graph_flags_are_checked_against_the_family(tmp_path, capsys):
-    # in-process: a flag the family does not read, or a parameter it needs
-    # and lacks, exits 2 before any output, so no header records an ignored value
-    from consensuslab import cli
-
+def test_graph_flags_are_checked_against_the_family(tmp_path):
+    # a flag the family does not read, or a parameter it needs and lacks,
+    # exits 2 before any output, so no header records an ignored value
     edges = tmp_path / "triangle.txt"
     edges.write_text("3\n0 1\n1 2\n0 2\n")
     spec = tmp_path / "spec.json"
@@ -428,20 +444,70 @@ def test_graph_flags_are_checked_against_the_family(tmp_path, capsys):
         ("sweep", "--family", "random-regular", "--n-list", "6,8"),
         ("sweep", "--family", "ring", "--n-list", "5,7", "--grid-dim", "3"),
     ):
-        code = cli.main([str(a) for a in argv])
-        out, err = capsys.readouterr()
+        code, out, err = run_main(*argv)
         assert code == 2 and out == "" and err.startswith("error (InvalidParam)"), (argv, err)
 
     # the values a run reads are the values its header records
-    assert cli.main(["analyze", "--family", "grid", "--n", "9", "--oracle-cap", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["grid_dim"] == 2
-    assert cli.main(["analyze", "--family", "custom", "--edges", str(edges)]) == 0
-    config = json.loads(capsys.readouterr().out)["config"]
+    code, out, _ = run_main("analyze", "--family", "grid", "--n", "9", "--oracle-cap", "0")
+    assert code == 0 and json.loads(out)["config"]["grid_dim"] == 2
+    code, out, _ = run_main("analyze", "--family", "custom", "--edges", edges)
+    config = json.loads(out)["config"]
+    assert code == 0
     assert config["n"] is config["grid_dim"] is None and config["edges"] == str(edges)
-    assert cli.main(["sweep", "--family", "erdos-renyi", "--n-list", "6,8", "--p", "0.9"]) == 0
-    rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    code, out, _ = run_main("analyze", "--family", "ring", "--n", "5", "--chain", "uniform",
+                            "--eps", "0.1")
+    assert code == 0 and json.loads(out)["config"]["eps"] == 0.1
+    code, out, _ = run_main("sweep", "--family", "erdos-renyi", "--n-list", "6,8", "--p", "0.9")
+    assert code == 0
+    rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
     assert [r.split(",")[0] for r in rows[1:]] == ["erdos-renyi"] * 2
     assert all(r.endswith(",") for r in rows[1:])  # no row error
+
+
+def test_parser_reuse_leaks_no_state_between_calls(monkeypatch):
+    # one process runs these in order on one parser; each output equals the
+    # same argv run alone in a fresh interpreter
+    sequence = (
+        ("analyze", "--family", "ring", "--n", "5", "--sigma2-node", "0=2"),
+        ("analyze", "--family", "grid", "--n", "9"),
+        ("analyze", "--family", "ring", "--n", "5"),
+        ("sweep", "--family", "ring", "--n-list", "4,8"),
+        ("analyze", "--family", "ring", "--n", "5"),
+    )
+    fresh = {argv: subprocess.Popen([sys.executable, "-m", "consensuslab", *argv],
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for argv in sequence}
+    outputs = []
+    for argv in sequence:
+        code, out, err = run_main(*argv)
+        assert code == 0, (argv, err)
+        outputs.append(out)
+    alone = {}
+    for argv, proc in fresh.items():
+        alone[argv], stderr = proc.communicate()
+        assert proc.returncode == 0, (argv, stderr)
+    for argv, out in zip(sequence, outputs):
+        assert out == alone[argv], argv
+    analyses = [json.loads(out)["config"] for argv, out in zip(sequence, outputs)
+                if argv[0] == "analyze"]
+    assert [c["sigma2_node"] for c in analyses] == [{"0": 2.0}, {}, {}, {}]
+    assert [c["grid_dim"] for c in analyses] == [None, 2, None, None]
+
+    # N calls build the parser at most once; build_parser() is new each call
+    build_parser = cli.build_parser
+    builds = []
+
+    def counting_build_parser():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert run_main("analyze", "--family", "ring", "--n", "4")[0] == 0
+    assert run_main("selftest", "--bogus")[0] == 2
+    assert len(builds) == 1
+    assert build_parser() is not build_parser()
 
 
 def test_formation_requires_a_source():
@@ -449,10 +515,10 @@ def test_formation_requires_a_source():
 
 
 def test_selftest_passes():
-    r = run_cli("selftest")
-    assert r.returncode == 0, r.stdout + r.stderr
-    assert "checks passed" in r.stdout
-    assert "FAIL" not in r.stdout
+    code, out, err = run_main("selftest")
+    assert code == 0, out + err
+    assert "checks passed" in out
+    assert "FAIL" not in out
 
 
 def test_selftest_fails_under_optimized_python():

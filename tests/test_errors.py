@@ -4,6 +4,7 @@ it raises and the CLI exit code that class carries."""
 import numpy as np
 import pytest
 
+from consensuslab import cli
 from consensuslab.disagreement import (
     NoiseCovariance,
     delta_oracle,
@@ -59,6 +60,9 @@ CASES = [
                  id="empty-transition-matrix"),
     pytest.param(lambda: divergence_probe(_lazy5(), _noise5(), 0), InvalidParam, None,
                  id="divergence-probe-horizon-0"),
+    pytest.param(lambda: cli.cmd_analyze(cli.build_parser().parse_args(
+                     ["analyze", "--family", "ring", "--n", "5", "--chain", "lazy", "--eps", "0.1"])),
+                 InvalidParam, "does not read --eps", id="cli-eps-without-uniform-chain"),
     # DimensionMismatch: shapes that disagree with the chain
     pytest.param(lambda: delta_ss_diag(_lazy5(), np.ones(4)), DimensionMismatch, None,
                  id="delta_ss_diag-short-variances"),
