@@ -96,7 +96,7 @@ def _add_graph_args(sub: argparse.ArgumentParser, *, one_graph: bool = True) -> 
     sub.add_argument("--p", type=float, help="edge probability (erdos-renyi)")
     sub.add_argument("--degree", type=int, help="degree (random-regular)")
     sub.add_argument("--grid-dim", type=int, help="grid dimension (family grid; default 2)")
-    sub.add_argument("--seed", type=int, default=0, help="seed (graph sampling and simulation)")
+    sub.add_argument("--seed", type=_seed, default=0, help="seed (graph sampling and simulation)")
 
 
 def _add_chain_args(sub: argparse.ArgumentParser) -> None:
@@ -122,6 +122,17 @@ def _variance(text: str) -> float:
         v = math.nan  # rejected below, with the other non-finite values
     if not (math.isfinite(v) and v >= 0):
         raise argparse.ArgumentTypeError(f"variance must be a finite number >= 0, got {text!r}")
+    return v
+
+
+def _seed(text: str) -> int:
+    """argparse type of a seed: an integer >= 0."""
+    try:
+        v = int(text)
+    except ValueError:
+        v = -1  # rejected below, with the negative values
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
     return v
 
 
@@ -632,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--summary", help="summary JSON path (default stdout)")
 
     t = sub.add_parser("selftest", help="fast invariant checks")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_seed, default=0)
     return ap
 
 

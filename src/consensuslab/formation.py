@@ -489,11 +489,15 @@ def write_trajectory_csv(path, trace: FormationTrace) -> None:
 def _write_trajectory(fh, trace: FormationTrace) -> None:
     """The trajectory CSV (header and rows) into an open text file.
 
-    One ``%`` format per (t, node) row; one recorded step is joined and
-    written at a time, so memory stays at one step's rows.
+    One ``%`` format per recorded step, over all n rows: the node numbers
+    sit in the template and the step's ``t`` is joined in before the
+    floats are formatted.  One step is written at a time, so memory stays
+    at one step's rows.  The bytes equal those of the row format
+    ``"%d,%d," + ",".join(["%.16e"] * d) + "\\n"`` per (t, node).
     """
-    d = trace.positions.shape[2]
+    _, n, d = trace.positions.shape
     fh.write("t,node," + ",".join(f"x{k + 1}" for k in range(d)) + "\n")
-    row = "%d,%d," + ",".join(["%.16e"] * d) + "\n"
+    floats = ",".join(["%.16e"] * d) + "\n"
+    rows = ["", *(f"{node}," + floats for node in range(n))]
     for t, step in zip(trace.times.tolist(), trace.positions):
-        fh.write("".join([row % (t, node, *c) for node, c in enumerate(step.tolist())]))
+        fh.write(f"{t},".join(rows) % tuple(step.ravel().tolist()))

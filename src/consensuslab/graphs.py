@@ -233,6 +233,8 @@ def binary_tree_graph(n: int) -> Graph:
 # =====================================================================
 
 def _rng(seed) -> np.random.Generator:
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidParam(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
 
 

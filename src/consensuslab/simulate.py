@@ -3,14 +3,18 @@
 One kernel, :func:`_run_trials`, steps every trial at once by a CSR
 product; the formation simulator runs it too, on a state of shape (n, d).
 Trial k draws its noise from its own stream, seeded by (seed, k) through
-numpy's SeedSequence spawning, NOISE_CHUNK steps at a time.
+numpy's SeedSequence spawning, NOISE_CHUNK steps at a time.  The states
+recorded within a chunk are reduced together at its end, by the same CSR
+products a per-step reduction would use; each column is summed on its own,
+so the numbers are those of one reduction per recorded step.
 
 What is bit-identical:
 
 - a rerun with identical inputs;
 - trial k's per-step numbers (its squared errors, and trial 0's states),
   whatever the trial count: adding trials leaves the earlier ones unchanged;
-- trial k's noise, and so every output, whatever the chunk size.
+- trial k's noise, and so every output, whatever the chunk size, that is
+  the number of steps drawn, and of records reduced, together.
 
 Against the earlier kernel, which stepped one trial at a time by dense
 products and drew each trial's noise in one block, outputs moved at
@@ -64,6 +68,8 @@ class SimConfig:
             raise InvalidParam(f"horizon must be >= 1, got {self.horizon}")
         if self.trials < 1:
             raise InvalidParam(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise InvalidParam(f"seed must be >= 0, got {self.seed}")
         if self.record_every < 1:
             raise InvalidParam(f"record_every must be >= 1, got {self.record_every}")
         if self.burn_in is not None and not (0 <= self.burn_in < self.horizon):
@@ -99,8 +105,13 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
-NOISE_CHUNK = 256
-"""Steps of noise each trial draws at a time; any value gives the same numbers."""
+NOISE_CHUNK = 128
+"""Steps of noise each trial draws, and records reduced together, at a time.
+
+Any value gives the same numbers.  128 steps amortize the per-call cost of
+the draws and reductions while the noise and snapshot buffers stay a few
+MB; 256 doubled the noise buffers without a measurable gain.
+"""
 
 
 def _noise_factor(noise: NoiseCovariance):
@@ -113,13 +124,16 @@ def _noise_factor(noise: NoiseCovariance):
 
 
 def _draw_noise(rngs, factor, kind: str, out: np.ndarray) -> None:
-    """Fill ``out``, shape (steps, n, trials, d), with the next ``steps``
-    noise vectors of each trial, trial k from ``rngs[k]``.
+    """Fill ``out``, C-contiguous of shape (steps, n, trials, d), with the
+    next ``steps`` noise vectors of each trial, trial k from ``rngs[k]``.
 
     Trial k draws one (steps, n, d) block, so consecutive calls continue its
-    stream exactly as one long draw would.  The factor acts elementwise or
-    by a CSR product, which sums each column on its own in a fixed order:
-    a trial's noise depends neither on the other trials nor on ``steps``.
+    stream exactly as one long draw would.  The trial-major draws reach
+    ``out`` by one transposing copy of ``np.void`` items of 8 * d bytes, so
+    each node's d floats move as one item and every bit is kept.  The factor
+    acts elementwise or by a CSR product, which sums each column on its own
+    in a fixed order: a trial's noise depends neither on the other trials
+    nor on ``steps``.
     """
     steps, n, trials, d = out.shape
     z = np.empty((trials, steps, n, d))
@@ -128,9 +142,8 @@ def _draw_noise(rngs, factor, kind: str, out: np.ndarray) -> None:
             rng.standard_normal(out=z[k])
         else:  # rademacher
             z[k] = rng.integers(0, 2, size=(steps, n, d))
-    # one transposing copy; a copy per trial into ``out`` would move only
-    # d contiguous floats at a time
-    out[...] = z.transpose(1, 2, 0, 3)
+    item = np.dtype((np.void, 8 * d))
+    out.view(item)[..., 0] = z.view(item)[..., 0].transpose(1, 2, 0)
     if kind != "gaussian":
         out *= 2.0
         out -= 1.0
@@ -147,9 +160,13 @@ def _run_trials(P: StochasticMatrix, noise: NoiseCovariance, x0: np.ndarray, cfg
     Every trial steps at once: the state is X of shape (n, trials * d),
     trial k in columns k*d .. k*d + d - 1, and one step is one CSR product
     ``E @ X`` plus that step's noise, drawn NOISE_CHUNK steps at a time.
-    The recorded reductions pi'X, pi'e^2 and sum_i e_i^2 are CSR products
-    with the rows [pi; 1].  A CSR product sums each column on its own, so
-    trial k's numbers do not depend on the trial count.
+    A recorded step only copies X into a snapshot buffer of shape
+    (n, chunk // record_every + 1, trials * d).  Once per chunk, CSR
+    products with the rows [pi; 1] reduce all its snapshots side by side:
+    one takes pi'X, one more takes pi'e^2 and sum_i e_i^2.  A CSR product
+    sums each column on its own, in nnz order, so these numbers equal
+    those of one product per recorded step, and trial k's numbers do not
+    depend on the trial count or the chunk.
 
     Returns the recorded times, the weighted and uniform squared errors,
     each summed over the d coordinates and of shape (trials, n_rec), and
@@ -164,28 +181,38 @@ def _run_trials(P: StochasticMatrix, noise: NoiseCovariance, x0: np.ndarray, cfg
     times = np.arange(0, cfg.horizon + 1, cfg.record_every)
     wsq = np.empty((trials, times.size, d))
     usq = np.empty_like(wsq)
-    states = np.empty((times.size, *x0.shape))
+    states = np.empty((times.size, n, d))
 
-    def record(k: int, X: np.ndarray) -> None:
-        e = X - (R @ X)[0]
+    def record(k: int, S: np.ndarray) -> None:
+        # S holds the snapshots of records k, k + 1, ..., shape (n, j, trials * d)
+        j = S.shape[1]
+        e = S - (R @ S.reshape(n, -1))[0].reshape(j, -1)
         e *= e
-        sq = R @ e
-        wsq[:, k] = sq[0].reshape(trials, d)
-        usq[:, k] = (sq[1] / n).reshape(trials, d)
-        states[k] = X[:, :d].reshape(x0.shape)
+        sq = R @ e.reshape(n, -1)
+        wsq[:, k : k + j] = sq[0].reshape(j, trials, d).transpose(1, 0, 2)
+        usq[:, k : k + j] = (sq[1] / n).reshape(j, trials, d).transpose(1, 0, 2)
+        states[k : k + j] = S[:, :, :d].transpose(1, 0, 2)
 
     X = np.tile(x0.reshape(n, d), trials)
-    record(0, X)
-    buf = np.empty((min(NOISE_CHUNK, cfg.horizon), n, trials, d))
-    for start in range(0, cfg.horizon, buf.shape[0]):
-        W = buf[: min(buf.shape[0], cfg.horizon - start)]
+    chunk = min(NOISE_CHUNK, cfg.horizon)
+    buf = np.empty((chunk, n, trials, d))
+    # room for t = 0 with the first chunk's records, or for any later chunk's
+    snaps = np.empty((n, chunk // cfg.record_every + 1, trials * d))
+    snaps[:, 0] = X
+    k, j = 0, 1  # the first record the buffer holds, and how many it holds
+    for start in range(0, cfg.horizon, chunk):
+        W = buf[: min(chunk, cfg.horizon - start)]
         _draw_noise(rngs, factor, cfg.noise, W)
         for t, w in enumerate(W.reshape(len(W), n, trials * d), start + 1):
             X = E @ X
             X += w
             if t % cfg.record_every == 0:
-                record(t // cfg.record_every, X)
-    return times, wsq.sum(axis=2), usq.sum(axis=2), states
+                snaps[:, j] = X
+                j += 1
+        if j:
+            record(k, snaps[:, :j])
+        k, j = k + j, 0
+    return times, wsq.sum(axis=2), usq.sum(axis=2), states.reshape(times.size, *x0.shape)
 
 
 def _resolve_burn_in(P: StochasticMatrix, cfg: SimConfig) -> int:

@@ -147,7 +147,15 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
                  ("sweep", "--family", "ring", "--n-list", "4", "--chain", "simple",
                   "--eps", "0.1"),
                  ("simulate", "--family", "ring", "--n", "5", "--eps", "0.1",
-                  "--horizon", "20", "--trials", "1", "--burn-in", "5")):
+                  "--horizon", "20", "--trials", "1", "--burn-in", "5"),
+                 ("simulate", "--family", "ring", "--n", "5", "--horizon", "100",
+                  "--burn-in", "10", "--seed", "-1"),
+                 ("formation", "--demo", "--seed", "-3"),
+                 ("analyze", "--family", "erdos-renyi", "--n", "10", "--p", "0.5",
+                  "--seed", "-2"),
+                 ("sweep", "--family", "ring", "--n-list", "4", "--seed", "-1"),
+                 ("selftest", "--seed", "-1"),
+                 ("analyze", "--family", "ring", "--n", "5", "--seed", "1.5")):
         code, out, err = run_main(*argv)
         assert code == 2 and out == "", (argv, err)
 

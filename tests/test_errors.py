@@ -16,7 +16,13 @@ from consensuslab.disagreement import (
 )
 from consensuslab.errors import DimensionMismatch, InvalidParam, NotIrreducible
 from consensuslab.formation import build_formation_spec
-from consensuslab.graphs import build_graph, custom_graph, ring_graph
+from consensuslab.graphs import (
+    build_graph,
+    custom_graph,
+    erdos_renyi_graph,
+    random_regular_graph,
+    ring_graph,
+)
 from consensuslab.markov import (
     StochasticMatrix,
     hitting_times,
@@ -50,6 +56,14 @@ CASES = [
                  id="scalar-noise-no-nodes"),
     pytest.param(lambda: SimConfig(horizon=10, trials=0), InvalidParam, None,
                  id="simconfig-no-trials"),
+    pytest.param(lambda: SimConfig(horizon=10, seed=-1), InvalidParam, "seed",
+                 id="simconfig-negative-seed"),
+    pytest.param(lambda: erdos_renyi_graph(10, 0.5, seed=-2), InvalidParam, "seed",
+                 id="erdos-renyi-negative-seed"),
+    pytest.param(lambda: random_regular_graph(10, 3, seed=-1), InvalidParam, "seed",
+                 id="random-regular-negative-seed"),
+    pytest.param(lambda: build_graph("erdos-renyi", 10, p=0.5, seed=np.int64(-5)),
+                 InvalidParam, "seed", id="build-graph-negative-numpy-seed"),
     pytest.param(lambda: build_formation_spec(custom_graph(2, [(0, 1)]), 0, {(0, 1): []}),
                  InvalidParam, None, id="formation-dimension-0"),
     pytest.param(lambda: build_graph("grid", 16, dim=0), InvalidParam, None,

@@ -1,7 +1,12 @@
+import importlib
+import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
+
+from consensuslab import formation
 
 from consensuslab.errors import (
     AsymmetricWeights,
@@ -13,6 +18,8 @@ from consensuslab.errors import (
 )
 from consensuslab.graphs import build_graph, custom_graph, nearest_valid_size, star_graph
 from consensuslab.formation import (
+    FormationTrace,
+    _write_trajectory,
     build_formation_spec,
     default_weights,
     form_exact,
@@ -265,6 +272,46 @@ def test_trajectory_csv_format(tmp_path):
     np.testing.assert_allclose(
         [float(first[2]), float(first[3])], spec.positions[0], atol=1e-15
     )
+
+
+def _hand_trace(n: int, d: int) -> FormationTrace:
+    """Recorded steps of n nodes in R^d that hold every awkward float."""
+    values = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, np.inf, -np.inf, np.nan,
+              1.0 / 3.0, -123456.789]
+    steps = len(values)
+    pos = np.resize(np.array(values), steps * n * d).reshape(steps, n, d)
+    return FormationTrace(times=np.arange(steps) * 99991, positions=pos,
+                          form_mean=np.zeros(steps), form_stderr=np.zeros(steps), burn_in=0)
+
+
+def _per_row_csv(trace: FormationTrace) -> str:
+    d = trace.positions.shape[2]
+    row = "%d,%d," + ",".join(["%.16e"] * d) + "\n"
+    lines = ["t,node," + ",".join(f"x{k + 1}" for k in range(d)) + "\n"]
+    for t, step in zip(trace.times.tolist(), trace.positions):
+        lines += [row % (t, node, *c) for node, c in enumerate(step.tolist())]
+    return "".join(lines)
+
+
+def test_trajectory_writer_bytes_equal_the_per_row_format(tmp_path, monkeypatch):
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    tracer = importlib.import_module("tracer").Tracer()
+    for n, d in ((1, 1), (1, 2), (1, 3), (4, 1), (5, 2), (3, 3)):
+        trace = _hand_trace(n, d)
+        expected = _per_row_csv(trace)
+        assert "inf" in expected and "nan" in expected and "-0.0000000000000000e+00" in expected
+        fh = io.StringIO()
+        _write_trajectory(fh, trace)
+        assert fh.getvalue() == expected
+        path = tmp_path / f"traj_{n}_{d}.csv"
+        tracer.install()
+        try:
+            formation.write_trajectory_csv(path, trace)
+        finally:
+            tracer.uninstall()
+        assert tracer.spans[-1].name == "formation.write_trajectory_csv"
+        assert path.read_bytes() == expected.encode()
 
 
 def test_layouts_have_unit_scale_edges():

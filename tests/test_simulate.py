@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import random_reversible_chain
@@ -101,11 +103,12 @@ def _one_draw(rng, kind: str, shape: tuple) -> np.ndarray:
 
 
 def test_noise_drawn_in_chunks_equals_one_draw():
-    # n large enough that a dense product's sums would depend on the chunk
-    n, trials, d, steps = 20, 3, 2, 300
+    # n large enough that a dense product's sums would depend on the chunk;
+    # d = 1, 2 and 3 cover the copy of one node's d floats as one item
+    n, trials, steps = 20, 3, 300
     for noise in _covariances(n, np.random.default_rng(2)):
         factor = simulate._noise_factor(noise)
-        for kind in ("gaussian", "rademacher"):
+        for kind, d in itertools.product(("gaussian", "rademacher"), (1, 2, 3)):
             whole = np.empty((steps, n, trials, d))
             simulate._draw_noise([_trial_rng(4, k) for k in range(trials)], factor, kind, whole)
             rngs = [_trial_rng(4, k) for k in range(trials)]
@@ -133,6 +136,24 @@ def test_kernel_numbers_do_not_depend_on_the_chunk_size(monkeypatch):
             for a, b in zip(ref, _run_trials(P, noise, x0, cfg)):
                 np.testing.assert_array_equal(a, b)
 
+    # with NOISE_CHUNK = 1 every record is reduced on its own step; any
+    # other chunk reduces several snapshots side by side in one product.
+    # n large enough that a dense product's sums would depend on the chunk
+    n, horizon = 20, 101  # a multiple of no record_every and no chunk below
+    P = random_reversible_chain(rng, n)
+    starts = [rng.normal(size=n), rng.normal(size=(n, 2)), rng.normal(size=(n, 3))]
+    for noise, kind, x0, every in itertools.product(
+            _covariances(n, rng), ("gaussian", "rademacher"), starts, (1, 3, 7)):
+        cfg = SimConfig(horizon=horizon, trials=3, seed=5, record_every=every, noise=kind)
+        monkeypatch.setattr(simulate, "NOISE_CHUNK", 1)
+        ref = _run_trials(P, noise, x0, cfg)
+        assert ref[1].shape == ref[2].shape == (3, horizon // every + 1)
+        assert ref[3].shape == (horizon // every + 1, *x0.shape)
+        for chunk in (5, 7, 1000):
+            monkeypatch.setattr(simulate, "NOISE_CHUNK", chunk)
+            for a, b in zip(ref, _run_trials(P, noise, x0, cfg)):
+                np.testing.assert_array_equal(a, b)
+
 
 def _reference_trials(P, noise, x0, cfg):
     """One trial at a time, dense products, the whole noise block drawn at once."""
@@ -142,6 +163,7 @@ def _reference_trials(P, noise, x0, cfg):
     times = np.arange(0, cfg.horizon + 1, cfg.record_every)
     wsq = np.zeros((cfg.trials, times.size))
     usq = np.zeros_like(wsq)
+    states = np.zeros((times.size, *x0.shape))
     for k in range(cfg.trials):
         z = _one_draw(_trial_rng(cfg.seed, k), cfg.noise, (cfg.horizon, n, x0.shape[1]))
         if noise.is_diagonal:
@@ -156,7 +178,9 @@ def _reference_trials(P, noise, x0, cfg):
                 e = (x - pi @ x) ** 2
                 wsq[k, t // cfg.record_every] = (pi @ e).sum()
                 usq[k, t // cfg.record_every] = e.mean(axis=0).sum()
-    return times, wsq, usq
+                if k == 0:
+                    states[t // cfg.record_every] = x
+    return times, wsq, usq, states
 
 
 def test_kernel_matches_a_per_trial_reference_loop():
@@ -164,13 +188,16 @@ def test_kernel_matches_a_per_trial_reference_loop():
     P = random_reversible_chain(rng, 7)
     for noise in _covariances(7, rng):
         for kind in ("gaussian", "rademacher"):
-            for x0 in (rng.normal(size=7), rng.normal(size=(7, 2))):
-                cfg = SimConfig(horizon=300, trials=3, seed=11, record_every=2, noise=kind)
-                times, wsq, usq, _ = _run_trials(P, noise, x0, cfg)
-                ref_times, ref_wsq, ref_usq = _reference_trials(P, noise, x0, cfg)
+            for x0, every in itertools.product(
+                    (rng.normal(size=7), rng.normal(size=(7, 2))), (2, 3)):
+                cfg = SimConfig(horizon=300, trials=3, seed=11, record_every=every, noise=kind)
+                times, wsq, usq, states = _run_trials(P, noise, x0, cfg)
+                ref_times, ref_wsq, ref_usq, ref_states = _reference_trials(P, noise, x0, cfg)
                 np.testing.assert_array_equal(times, ref_times)
                 np.testing.assert_allclose(wsq, ref_wsq, rtol=1e-13, atol=0)
                 np.testing.assert_allclose(usq, ref_usq, rtol=1e-13, atol=0)
+                np.testing.assert_allclose(states, ref_states.reshape(states.shape),
+                                           rtol=0, atol=1e-13 * np.abs(ref_states).max())
 
 
 def test_estimate_is_the_tail_of_the_simulated_trace():
