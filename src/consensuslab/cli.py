@@ -35,9 +35,7 @@ import numpy as np
 from . import __version__
 from .disagreement import (
     NoiseCovariance,
-    _sandwich,
     delta_oracle,
-    delta_ss_diag,
     delta_ss_kemeny,
     delta_ss_resistance,
     delta_ss_spectral,
@@ -146,8 +144,8 @@ def _node_variance(text: str) -> tuple[int, float]:
 
 
 def _add_noise_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--sigma2", type=_variance, default=1.0,
-                     help="shared noise variance (default 1)")
+    sub.add_argument("--sigma2", type=_variance,
+                     help="shared noise variance (default 1); not with --sigma2-vec")
     sub.add_argument("--sigma2-vec", help="file of per-node variances, one per line")
     sub.add_argument(
         "--sigma2-node",
@@ -214,16 +212,24 @@ def _build_chain(g: Graph, args) -> StochasticMatrix:
 
 def _noise_builder(args):
     """Read the noise grammar once (scalar base, optional vector file,
-    overrides); returns a function from the node count to the covariance."""
+    overrides); returns a function from the node count to the covariance.
+
+    ``--sigma2`` with ``--sigma2-vec`` is InvalidParam, since the file sets
+    every variance; without the file it is resolved to its default 1.
+    """
     overrides = dict(args.sigma2_node)
     vec = None
     if args.sigma2_vec:
+        if args.sigma2 is not None:
+            raise InvalidParam("--sigma2 is not read with --sigma2-vec; give one of them")
         try:
             vec = np.loadtxt(args.sigma2_vec, dtype=float, ndmin=1)
         except ValueError as exc:  # also undecodable bytes
             raise InvalidParam(f"--sigma2-vec {args.sigma2_vec}: {exc}") from exc
         if not (np.isfinite(vec).all() and (vec >= 0).all()):
             raise InvalidParam(f"--sigma2-vec {args.sigma2_vec}: variances must be finite and >= 0")
+    elif args.sigma2 is None:
+        args.sigma2 = 1.0
 
     def build(n: int) -> NoiseCovariance:
         if vec is not None:
@@ -364,10 +370,11 @@ def _sweep_row(fam: str, n: int, args, build_noise) -> dict:
 
 def _fill_row(row: dict, P: StochasticMatrix, noise: NoiseCovariance) -> None:
     """The numbers of one sweep row, all read from the fundamental matrix of
-    P^2: sweep noise is diagonal, so delta_ss is ``delta_ss_diag``, and no
-    hitting-time matrix is built."""
-    row["delta_ss"] = delta_ss_diag(P, noise.variances())
-    row["delta_uni_lower"], row["delta_uni_upper"] = _sandwich(row["delta_ss"], P.stationary())
+    P^2: sweep noise is diagonal, so ``delta_ss_theorem`` reads only diag Z
+    for delta_ss and its sandwich, and no hitting-time matrix is built."""
+    rep = delta_ss_theorem(P, noise)
+    row["delta_ss"] = rep.delta_ss
+    row["delta_uni_lower"], row["delta_uni_upper"] = rep.delta_uni_lower, rep.delta_uni_upper
     P2 = square_chain(P)
     row["kemeny_p2"] = kemeny_constant_combinatorial(P2)
     if P2.reversible:

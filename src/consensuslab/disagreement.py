@@ -12,13 +12,18 @@ has a closed form for reversible chains in terms of hitting times of the
     delta_ss = pi' H D Sigma_w D 1  -  Tr(H D Sigma_w D),
     H = hitting_times(P^2),  D = diag(pi).
 
-This module implements that closed form, its specializations (diagonal
-noise, equal-variance noise on symmetric chains via the Kemeny constant /
-spectrum / effective resistances), two-sided bounds, and an independent
-oracle that sums the error-covariance recursion directly by doubling.  The
-uniform disagreement delta_uni (plain average instead of pi-weighted) is
-bracketed by the sandwich delta_ss/(n pi_max) <= delta_uni <=
-delta_ss/(n pi_min).
+With H_ij = (Z_jj - Z_ij) / pi_j (Kemeny & Snell), Z the fundamental
+matrix of P^2, and pi' Z = pi', it reads delta_ss = Tr((Z - 1 pi') Sigma_w D),
+and that is how it is evaluated: O(n) for diagonal noise once Z is known,
+O(n^2) for a full covariance, with no hitting-time matrix built.  The
+tests referee it with the hitting-time form above, H from per-target solves.
+
+This module implements that closed form, its covariance companion, its
+specializations for equal-variance noise on symmetric chains (Kemeny
+constant, spectrum, effective resistances), two-sided bounds, and an
+independent oracle that sums the error-covariance recursion by doubling.
+The uniform disagreement delta_uni (plain average instead of pi-weighted)
+is bracketed by delta_ss/(n pi_max) <= delta_uni <= delta_ss/(n pi_min).
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .markov import (
     StochasticMatrix,
     _fundamental_matrix,
     effective_resistance,
-    hitting_times,
     kemeny_constant_combinatorial,
     square_chain,
 )
@@ -51,7 +55,6 @@ __all__ = [
     "SteadyStateCovariance",
     "JPropertyReport",
     "delta_ss_theorem",
-    "delta_ss_diag",
     "delta_ss_kemeny",
     "delta_ss_spectral",
     "delta_ss_resistance",
@@ -269,23 +272,32 @@ def _require_closed_form(P: StochasticMatrix) -> None:
 # closed forms
 # =====================================================================
 
+def _z_form(P: StochasticMatrix, noise: NoiseCovariance) -> tuple[np.ndarray, np.ndarray]:
+    """pi and the fundamental matrix Z of P^2, after the checks every
+    Z-form closed form makes: matching noise dimension, an irreducible,
+    aperiodic and reversible chain, and Z's hitting-equation residual."""
+    _check_noise(P, noise)
+    _require_closed_form(P)
+    return P.stationary(), _fundamental_matrix(square_chain(P))
+
+
 def delta_ss_theorem(P: StochasticMatrix, noise: NoiseCovariance) -> DisagreementReport:
     """Exact weighted steady-state disagreement of a reversible chain.
 
-    delta_ss = pi' H D Sigma D 1 - Tr(H D Sigma D) with H the hitting
-    times of P^2 and D = diag(pi); P^2, its fundamental matrix and H are
-    cached on the chains, so every closed form shares them.  The report's
-    uniform-disagreement fields hold the sandwich bounds
+    The theorem's pi' H D Sigma D 1 - Tr(H D Sigma D), with H the hitting
+    times of P^2 and D = diag(pi), evaluated as Tr((Z - 1 pi') Sigma D) from
+    the fundamental matrix Z of P^2 cached on the chains.  Diagonal noise
+    reads only diag Z: sum_i sigma_i^2 pi_i (Z_ii - pi_i), O(n); a full
+    covariance gives sum_ij Z_ij Sigma_ij pi_i - pi' Sigma pi, O(n^2).  The
+    report's uniform-disagreement fields hold the sandwich bounds
     delta_ss/(n pi_max) and delta_ss/(n pi_min).
     """
-    _check_noise(P, noise)
-    _require_closed_form(P)
-    pi = P.stationary()
-    H = hitting_times(square_chain(P))
-    A = (pi[:, None] * noise.matrix()) * pi[None, :]
-    term1 = float(pi @ (H @ A.sum(axis=1)))
-    term2 = float(np.sum(H * A.T))
-    delta = term1 - term2
+    pi, Z = _z_form(P, noise)
+    if noise.is_diagonal:
+        delta = float(np.sum(noise.variances() * pi * (np.diag(Z) - pi)))
+    else:
+        S = noise.matrix()
+        delta = float(pi @ np.sum(Z * S, axis=1)) - float(pi @ S @ pi)
     lo, hi = _sandwich(delta, pi)
     return DisagreementReport(
         delta_ss=delta,
@@ -294,23 +306,6 @@ def delta_ss_theorem(P: StochasticMatrix, noise: NoiseCovariance) -> Disagreemen
         method="theorem1",
         n=P.n,
     )
-
-
-def delta_ss_diag(P: StochasticMatrix, variances) -> float:
-    """Diagonal-noise specialization: sum_ij sigma_i^2 pi_i^2 pi_j H(j -> i).
-
-    With H read off the fundamental matrix Z of P^2, sum_j pi_j H(j -> i)
-    = (Z_ii - pi_i) / pi_i, so this is sum_i sigma_i^2 pi_i (Z_ii - pi_i):
-    O(n) once Z is known, and no H is built.
-    """
-    v = np.asarray(variances, dtype=float)
-    if v.shape != (P.n,):
-        raise DimensionMismatch(f"need {P.n} variances, got shape {v.shape}")
-    _require_variances(v)
-    _require_closed_form(P)
-    pi = P.stationary()
-    Z = _fundamental_matrix(square_chain(P))
-    return float(np.sum(v * pi * (np.diag(Z) - pi)))
 
 
 def _require_symmetric_aperiodic(P: StochasticMatrix) -> None:
@@ -541,15 +536,11 @@ def check_j_properties(P: StochasticMatrix) -> JPropertyReport:
 def sigma_hat(P: StochasticMatrix, noise: NoiseCovariance) -> np.ndarray:
     """Closed-form steady-state covariance companion matrix.
 
-    Sigma_hat = -H D Sigma D + 1 pi' H D Sigma D, with H the hitting times
-    of P^2 and D = diag(pi).  Satisfies Tr(Sigma_hat) = delta_ss,
+    Sigma_hat = 1 pi' H D Sigma D - H D Sigma D, with H the hitting times of
+    P^2 and D = diag(pi), evaluated as (Z - 1 pi') Sigma D from the
+    fundamental matrix Z of P^2.  Satisfies Tr(Sigma_hat) = delta_ss,
     J Sigma_hat = 0, and the fixed point
     Sigma_hat = P^2 Sigma_hat + (I - J) Sigma_w D.
     """
-    _check_noise(P, noise)
-    _require_closed_form(P)
-    pi = P.stationary()
-    H = hitting_times(square_chain(P))
-    A = (pi[:, None] * noise.matrix()) * pi[None, :]
-    M = H @ A
-    return np.outer(np.ones(P.n), pi @ M) - M
+    pi, Z = _z_form(P, noise)
+    return ((Z - pi) @ noise.matrix()) * pi

@@ -291,15 +291,14 @@ def form_via_delta(spec: FormationSpec) -> float:
     """Formation error through the general disagreement closed form.
 
     The per-coordinate noise that drives the *centered* dynamics has
-    covariance Sigma_form = (1/n) (n Diag(lambda^2) - Q + (sum lambda^2 / n) 11')
-    with Q_ij = lambda_i^2 + lambda_j^2; the formation error is
-    d * delta_ss(P_form, Sigma_form).  Supports per-node lambda^2.
+    covariance Sigma_form = (I - J) Diag(lambda^2) (I - J)' with J = 11'/n,
+    and the formation error is d * delta_ss(P_form, Sigma_form).  P_form is
+    symmetric, so J = 1 pi'; delta_ss = Tr((Z - 1 pi') Sigma D) reads Sigma
+    only through Z - 1 pi', which absorbs both I - J factors (Z 1 = 1,
+    pi' Z = pi').  So Diag(lambda^2) itself is passed, and no n x n
+    covariance is built.  Supports per-node lambda^2.
     """
-    lam = spec.lambda2
-    n = spec.n
-    Q = lam[:, None] + lam[None, :]
-    S = (n * np.diag(lam) - Q + (lam.sum() / n) * np.ones((n, n))) / n
-    rep = delta_ss_theorem(formation_matrix(spec), NoiseCovariance.full(S))
+    rep = delta_ss_theorem(formation_matrix(spec), NoiseCovariance.diagonal(spec.lambda2))
     return spec.dim * rep.delta_ss
 
 

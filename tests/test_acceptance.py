@@ -19,7 +19,6 @@ from consensuslab import (
     build_graph,
     check_j_properties,
     delta_oracle,
-    delta_ss_diag,
     delta_ss_kemeny,
     delta_ss_resistance,
     delta_ss_spectral,
@@ -163,7 +162,7 @@ def test_05_scaling_laws_across_families():
         for n in sizes:
             P = lazy_walk_matrix(build_graph(fam, n))
             v = np.ones(n) if variances is None else variances(n)
-            out.append(delta_ss_diag(P, v))
+            out.append(delta_ss_theorem(P, NoiseCovariance.diagonal(v)).delta_ss)
         return np.array(out, dtype=float)
 
     # quadratic growth: the star-capped line concentrates stationary mass

@@ -125,16 +125,25 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
         spec.write_text(json.dumps({"n": 2, "dim": 1, "lambda2": 1.0, **fields}))
         code, _, err = run_main("formation", "--spec", spec, "--skip-sim")
         assert code == 2 and f"{name}.json" in err, err
-    # non-finite or negative noise values, a worker count below 1, a sweep
+    # non-finite or negative noise values, --sigma2 next to the --sigma2-vec
+    # file that replaces it, a worker count below 1, a sweep
     # given --n, --edges or an unknown family (custom included), and --eps
     # with a chain other than uniform end the run before any work
     nan_vec = tmp_path / "nan.txt"
     nan_vec.write_text("1\nnan\n")
+    six_vec = tmp_path / "six.txt"
+    six_vec.write_text("1\n2\n3\n1\n2\n3\n")
     for argv in (("sweep", "--family", "ring", "--n-list", "4,8", "--sigma2", "-1"),
                  ("sweep", "--family", "ring", "--n-list", "4,8", "--sigma2", "nan"),
                  ("analyze", "--family", "ring", "--n", "5", "--sigma2", "nan"),
                  ("analyze", "--family", "ring", "--n", "5", "--sigma2-node", "0=inf"),
                  ("analyze", "--family", "complete", "--n", "2", "--sigma2-vec", nan_vec),
+                 ("analyze", "--family", "ring", "--n", "6", "--sigma2", "9",
+                  "--sigma2-vec", six_vec),
+                 ("sweep", "--family", "ring", "--n-list", "6", "--sigma2", "1",
+                  "--sigma2-vec", six_vec),
+                 ("simulate", "--family", "ring", "--n", "6", "--sigma2-vec", six_vec,
+                  "--sigma2", "2", "--horizon", "20", "--trials", "1", "--burn-in", "5"),
                  ("formation", "--demo", "--skip-sim", "--lambda2", "inf"),
                  ("formation", "--demo", "--skip-sim", "--lambda2", "nan"),
                  ("sweep", "--family", "ring", "--n-list", "4", "--jobs", "-3"),
@@ -250,6 +259,21 @@ def test_sweep_rows_build_no_hitting_matrix(monkeypatch):
         tracemalloc.stop()
     assert row["max_resistance"] > 0
     assert peak <= 4 * n * n * 8  # 3.4 arrays; the hitting-matrix route peaked at 5.2
+
+
+def test_analyze_and_sweep_agree_bit_for_bit():
+    # one closed form serves both commands, so the same chain and noise give
+    # the same floats; the sweep's %.16e fields parse back to them exactly
+    for n, sigma2 in (("64", "1"), ("65", "1"), ("65", "1.7"), ("200", "0.3")):
+        code, out, err = run_main("analyze", "--family", "ring", "--n", n, "--sigma2", sigma2)
+        assert code == 0, err
+        doc = json.loads(out)
+        code, out, err = run_main("sweep", "--family", "ring", "--n-list", n,
+                                  "--sigma2", sigma2)
+        assert code == 0, err
+        row = next(csv.DictReader(ln for ln in out.splitlines() if not ln.startswith("#")))
+        for key in ("delta_ss", "delta_uni_lower", "delta_uni_upper"):
+            assert float(row[key]) == doc[key], (n, sigma2, key)
 
 
 def test_sweep_parallel_rows_match_serial(tmp_path):
@@ -416,6 +440,7 @@ def test_every_output_header_holds_the_parsed_flags(tmp_path):
         assert doc["command"] == command and doc["seed"] == 0
         assert set(doc["config"]) == _usage_flags(command) - {"seed", "out", "summary"}
     assert headers["analyze"]["config"]["sigma2_node"] == {"1": 2.0}
+    assert all(doc["config"]["sigma2"] == 1.0 for c, doc in headers.items() if c != "formation")
     assert headers["sweep"]["config"]["n_list"] == [4, 8]
     assert headers["formation"]["config"]["lambda2"] == 4e-4
     assert headers["formation"]["config"]["burn_in"] == 51

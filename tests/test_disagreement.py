@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import random_psd_covariance, random_reversible_chain
+from referees import exact_lazy_delta, hitting_time_delta, hitting_time_sigma_hat
 
 from consensuslab.disagreement import (
     NoiseCovariance,
     check_j_properties,
     delta_oracle,
     delta_ss_bounds,
-    delta_ss_diag,
     delta_ss_kemeny,
     delta_ss_resistance,
     delta_ss_spectral,
@@ -26,6 +26,7 @@ from consensuslab.errors import (
     NotReversible,
     NotSymmetric,
 )
+from consensuslab.formation import form_via_delta, formation_matrix, spec_from_graph
 from consensuslab.graphs import line_graph, ring_graph, star_graph
 from consensuslab.markov import (
     StochasticMatrix,
@@ -39,6 +40,10 @@ from consensuslab.simulate import divergence_probe
 
 def two_node():
     return StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+
+
+def delta_ss_theorem_diagonal(P, variances) -> float:
+    return delta_ss_theorem(P, NoiseCovariance.diagonal(variances)).delta_ss
 
 
 # ---------------------------------------------------------------- noise
@@ -82,12 +87,12 @@ def test_noise_covariance_rejects_bad_input():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
-@pytest.mark.parametrize("fn", [delta_ss_diag, delta_ss_bounds, delta_ss_kemeny,
+@pytest.mark.parametrize("fn", [delta_ss_theorem_diagonal, delta_ss_bounds, delta_ss_kemeny,
                                 delta_ss_spectral, delta_ss_resistance],
                          ids=lambda fn: fn.__name__)
 def test_closed_forms_reject_bad_variances(fn, bad):
     P = lazy_walk_matrix(ring_graph(5))
-    per_node = fn in (delta_ss_diag, delta_ss_bounds)
+    per_node = fn in (delta_ss_theorem_diagonal, delta_ss_bounds)
     with pytest.raises(InvalidParam):
         fn(P, [1.0, bad, 1.0, 1.0, 1.0] if per_node else bad)
 
@@ -120,21 +125,91 @@ def test_star_center_only_noise_hand_value():
     P = lazy_walk_matrix(g)
     pi = P.stationary()
     np.testing.assert_allclose(pi, [0.5, 1 / 6, 1 / 6, 1 / 6], atol=1e-12)
-    H2 = hitting_times(square_chain(P))
+    H2 = hitting_times(square_chain(P), method="per-target")
     expected = 0.25 * float(pi @ H2[:, 0])
-    got = delta_ss_diag(P, [1.0, 0.0, 0.0, 0.0])
+    got = delta_ss_theorem_diagonal(P, [1.0, 0.0, 0.0, 0.0])
     assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_diagonal_route_matches_general_theorem():
+    # the O(n) diag-Z branch against the O(n^2) full-covariance branch
     rng = np.random.default_rng(7)
     for _ in range(10):
         n = int(rng.integers(2, 20))
         P = random_reversible_chain(rng, n)
         v = rng.uniform(0.0, 3.0, n)
-        a = delta_ss_diag(P, v)
-        b = delta_ss_theorem(P, NoiseCovariance.diagonal(v)).delta_ss
+        a = delta_ss_theorem_diagonal(P, v)
+        b = delta_ss_theorem(P, NoiseCovariance.full(np.diag(v))).delta_ss
         assert abs(a - b) < 1e-12 * (1 + abs(a))
+
+
+def _noises(rng, n):
+    """Diagonal, full and singular PSD (rank 1) noise for an n-state chain."""
+    u = rng.normal(size=n)
+    return (NoiseCovariance.diagonal(rng.uniform(0.0, 3.0, n)),
+            NoiseCovariance.full(random_psd_covariance(rng, n)),
+            NoiseCovariance.full(np.outer(u, u)))
+
+
+def test_theorem_and_sigma_hat_match_the_hitting_time_form():
+    # the paper's pi' H D Sigma D 1 - Tr(H D Sigma D), with H(P^2) from the
+    # per-target solves, referees the Z-form the package evaluates
+    rng = np.random.default_rng(2024)
+    chains = [StochasticMatrix([[1.0]]), two_node(),
+              StochasticMatrix([[0.9, 0.1], [0.3, 0.7]])]
+    chains += [random_reversible_chain(rng, int(rng.integers(3, 16)), log10_range)
+               for log10_range in (None, None, (-3.0, 0.0), (-3.0, 0.0))]
+    for P in chains:
+        for noise in _noises(rng, P.n):
+            ref = hitting_time_delta(P, noise)
+            scale = 1.0 + abs(ref)
+            assert abs(delta_ss_theorem(P, noise).delta_ss - ref) <= 1e-11 * scale
+            S_ref = hitting_time_sigma_hat(P, noise)
+            scale = 1.0 + np.abs(S_ref).max()
+            assert np.abs(sigma_hat(P, noise) - S_ref).max() <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("graph", [star_graph(16), line_graph(24)], ids=["star16", "line24"])
+def test_theorem_matches_exact_rational_arithmetic(graph):
+    # exact delta_ss of the lazy walk from a Fraction Gauss-Jordan on
+    # I - P^2 + 1 pi'; the measured relative errors were at most 2.0e-15
+    # (star16: 1.8e-16 and 1.5e-16; line24: 1.9e-15 and 2.0e-15)
+    P = lazy_walk_matrix(graph)
+    for v in (np.ones(graph.n), np.arange(1, graph.n + 1) / 4):
+        exact = exact_lazy_delta(graph, v)
+        got = delta_ss_theorem_diagonal(P, v)
+        assert abs(got - float(exact)) <= 1e-13 * float(exact)
+
+
+def test_closed_forms_build_no_hitting_matrix():
+    # delta_ss, Sigma_hat and the formation error are all read off Z(P^2)
+    P = lazy_walk_matrix(star_graph(9))
+    for noise in _noises(np.random.default_rng(5), 9):
+        delta_ss_theorem(P, noise)
+        sigma_hat(P, noise)
+    spec = spec_from_graph(ring_graph(12), 1e-3)
+    form_via_delta(spec)
+    for Q in (P, formation_matrix(spec)):
+        assert "_hitting" not in vars(square_chain(Q))
+
+
+def test_diagonal_noise_builds_no_n_by_n_array():
+    # with Z(P^2) cached, diagonal noise costs O(n) memory, not an n x n array
+    import tracemalloc
+
+    n = 400
+    P = lazy_walk_matrix(ring_graph(n))
+    noise = NoiseCovariance.scalar(n, 2.0)
+    spec = spec_from_graph(ring_graph(n), 1e-3)
+    for call in (lambda: delta_ss_theorem(P, noise), lambda: form_via_delta(spec)):
+        call()  # builds and caches the squared chain and its Z
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4, peak
 
 
 def test_common_noise_produces_no_disagreement():
@@ -275,7 +350,7 @@ def test_kemeny_resistance_bounds_bracket_delta():
         P = random_reversible_chain(rng, n)
         v = rng.uniform(0.5, 1.5, n)
         lo, hi = delta_ss_bounds(P, v)
-        d = delta_ss_diag(P, v)
+        d = delta_ss_theorem_diagonal(P, v)
         assert lo <= d * (1 + 1e-12) and d <= hi * (1 + 1e-12)
 
 

@@ -9,7 +9,6 @@ from consensuslab.disagreement import (
     NoiseCovariance,
     delta_oracle,
     delta_ss_bounds,
-    delta_ss_diag,
     delta_ss_kemeny,
     delta_ss_spectral,
     delta_ss_theorem,
@@ -78,8 +77,8 @@ CASES = [
                      ["analyze", "--family", "ring", "--n", "5", "--chain", "lazy", "--eps", "0.1"])),
                  InvalidParam, "does not read --eps", id="cli-eps-without-uniform-chain"),
     # DimensionMismatch: shapes that disagree with the chain
-    pytest.param(lambda: delta_ss_diag(_lazy5(), np.ones(4)), DimensionMismatch, None,
-                 id="delta_ss_diag-short-variances"),
+    pytest.param(lambda: delta_ss_theorem(_lazy5(), NoiseCovariance.diagonal(np.ones(4))),
+                 DimensionMismatch, None, id="theorem-short-diagonal-variances"),
     pytest.param(lambda: delta_ss_bounds(_lazy5(), np.ones(4)), DimensionMismatch, None,
                  id="delta_ss_bounds-short-variances"),
     pytest.param(lambda: delta_ss_theorem(_lazy5(), NoiseCovariance.scalar(4, 1.0)),
