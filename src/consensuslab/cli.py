@@ -28,7 +28,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -388,19 +387,13 @@ def cmd_sweep(args) -> int:
         raise InvalidParam(f"--n-list must be integers, got {args.n_list!r}") from exc
     if not sizes:
         raise InvalidParam("--n-list is empty")
-    if args.jobs < 1:
-        raise InvalidParam(f"--jobs must be >= 1, got {args.jobs}")
     fam = _graph_family(args)  # a bad family or family flag ends the sweep before any row
     if fam == "custom":
         raise InvalidParam("sweep builds built-in families by size; custom has no sizes")
     # a malformed noise flag or file ends the sweep; a size mismatch is a row error
     build_noise = _noise_builder(args)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda n: _sweep_row(fam, n, args, build_noise), sizes))
-    else:
-        rows = [_sweep_row(fam, n, args, build_noise) for n in sizes]
+    rows = [_sweep_row(fam, n, args, build_noise) for n in sizes]
 
     def fmt(v) -> str:
         return f"{v:.16e}" if isinstance(v, float) else str(v)
@@ -450,6 +443,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------
 
 def cmd_formation(args) -> int:
+    if args.skip_sim and args.out:
+        raise InvalidParam("--out writes the simulated trajectory; --skip-sim runs no simulation")
     if args.demo or args.spec:
         if args.demo and args.spec:
             raise InvalidParam("--demo and --spec are two sources; give one")
@@ -621,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chain_args(s)
     _add_noise_args(s)
     s.add_argument("--n-list", required=True, help="comma-separated sizes")
-    s.add_argument("--jobs", type=int, default=1, help="parallel rows (default 1)")
     s.add_argument("--out", help="write CSV here instead of stdout")
 
     m = sub.add_parser("simulate", help="Monte Carlo consensus run")

@@ -21,7 +21,8 @@ tests referee it with the hitting-time form above, H from per-target solves.
 This module implements that closed form, its covariance companion, its
 specializations for equal-variance noise on symmetric chains (Kemeny
 constant, spectrum, effective resistances), two-sided bounds, and an
-independent oracle that sums the error-covariance recursion by doubling.
+independent oracle that sums the error-covariance recursion by doubling,
+with a probe that steps the same recursion one step at a time.
 The uniform disagreement delta_uni (plain average instead of pi-weighted)
 is bracketed by delta_ss/(n pi_max) <= delta_uni <= delta_ss/(n pi_min).
 """
@@ -61,6 +62,7 @@ __all__ = [
     "delta_ss_bounds",
     "delta_uni_bounds",
     "delta_oracle",
+    "divergence_probe",
     "sigma_hat",
     "j_matrix",
     "check_j_properties",
@@ -211,18 +213,6 @@ class DisagreementReport:
     n: int | None = None
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "delta_ss": self.delta_ss,
-            "delta_uni_lower": self.delta_uni_lower,
-            "delta_uni_upper": self.delta_uni_upper,
-        }
-        if self.delta_uni_exact is not None:
-            out["delta_uni_exact"] = self.delta_uni_exact
-        out["method"] = self.method
-        out["n"] = self.n
-        return out
-
 
 @dataclass(frozen=True)
 class SteadyStateCovariance:
@@ -370,7 +360,7 @@ def delta_uni_bounds(P: StochasticMatrix, noise: NoiseCovariance) -> tuple[float
 # =====================================================================
 
 _MAX_SQUARINGS = 64
-"""Default squaring budget: 2^64 steps of the recursion, enough for every
+"""Squaring budget: 2^64 steps of the recursion, enough for every
 rho(P - J) below tolerances.NO_CONTRACTION_RHO."""
 
 _NO_CONTRACTION_SQUARINGS = 9
@@ -401,64 +391,51 @@ def _compose(head: np.ndarray, A: np.ndarray, tail: np.ndarray) -> np.ndarray:
 
 
 def delta_oracle(
-    P: StochasticMatrix,
-    noise: NoiseCovariance,
-    *,
-    max_iters: int | None = None,
-    sigma0: np.ndarray | None = None,
+    P: StochasticMatrix, noise: NoiseCovariance
 ) -> tuple[SteadyStateCovariance, DisagreementReport]:
     """Steady state of the error-covariance recursion, by Smith's doubling.
 
     The recursion S(t+1) = M S(t) M' + N with M = P - J and
     N = (I - J) Sigma_w (I - J)' is summed by doubling (R. A. Smith, 1968):
     starting from X = N = S(1) and A = M, each squaring sets
-    X <- X + A X A' (now S(2^k)) and then A <- A^2 (now M^(2^k)).  It
-    stops once a squaring changes X by at most ORACLE_TOL * (1 + max|X|); the
-    terms still left out are that change carried through the new A once
-    more, so they are smaller again by about as much.  ``sigma0`` replaces
-    the zero start: A S0 A' is added at the end, and the limit must not
-    depend on it.  The result then gets one step of iterative refinement:
-    the same number of squarings sums the residual N + M S M' - S and adds
-    it, which removes the rounding error that repeated squaring leaves in
-    the slow modes of A.  Works for any irreducible chain (no reversibility
-    needed) and shares nothing with the hitting-time routes, which is what
-    makes it an independent check on the closed forms.
-    delta_ss = Tr(S diag(pi)) and delta_uni = Tr(S)/n.
+    X <- X + A X A' (now S(2^k)) and keeps A^2 = M^(2^k) for the next one.
+    It stops once a squaring changes X by at most ORACLE_TOL * (1 + max|X|);
+    the terms still left out are that change carried through the next power
+    of M, so they are smaller again by about as much.  The result then gets
+    one step of iterative refinement: the residual N + M S M' - S is summed
+    through the same powers of M and added, which removes the rounding error
+    that repeated squaring leaves in the slow modes of those powers.  Works
+    for any irreducible chain (no reversibility needed) and shares nothing
+    with the hitting-time routes, which is what makes it an independent
+    check on the closed forms.  delta_ss = Tr(S diag(pi)) and
+    delta_uni = Tr(S)/n.
 
     ``iterations`` counts squarings (k squarings cover 2^k steps of the
-    recursion); ``max_iters`` caps them (default 64).  ``residual`` is
-    max |M S M' + N - S| of the result.  When rho = rho(P - J) >= 1 - 1e-12
-    (no contraction, e.g. a noisy bipartite walk) A = M^(2^k) does not
-    shrink, so at most 9 squarings run and NoConvergence carries their
-    trace history, which about doubles at each one.
+    recursion), at most 64.  ``residual`` is max |M S M' + N - S| of the
+    result.  When rho = rho(P - J) >= 1 - 1e-12 (no contraction, e.g. a
+    noisy bipartite walk) the powers of M do not shrink, so at most 9
+    squarings run and NoConvergence carries their trace history, which
+    about doubles at each one.  :func:`divergence_probe` steps the same
+    recursion one step at a time and referees it.
     """
     _check_noise(P, noise)
     if not P.irreducible:
         raise NotIrreducible("the covariance recursion needs an irreducible chain")
-    budget = _MAX_SQUARINGS if max_iters is None else max_iters
-    if budget < 1:
-        raise InvalidParam(f"max_iters must be >= 1, got {max_iters}")
-    n = P.n
-    if sigma0 is not None:
-        S0 = np.array(sigma0, dtype=float)
-        if S0.shape != (n, n):
-            raise DimensionMismatch(f"sigma0 must be ({n},{n}), got {S0.shape}")
     pi, M, N = _recursion_terms(P, noise)
-
     rho = P.rho
-    if rho >= tolerances.NO_CONTRACTION_RHO:
-        budget = min(budget, _NO_CONTRACTION_SQUARINGS)
+    no_contraction = rho >= tolerances.NO_CONTRACTION_RHO
+    budget = _NO_CONTRACTION_SQUARINGS if no_contraction else _MAX_SQUARINGS
 
-    X, A = N, M
+    X, powers = N, [M]  # powers[k] = M^(2^k)
     trace_history = []
     for its in range(1, budget + 1):
-        X_next = _compose(X, A, X)
-        A = A @ A
+        X_next = _compose(X, powers[-1], X)
         diff = float(np.abs(X_next - X).max())
         X = X_next
         trace_history.append(float(np.trace(X)))
         if diff <= tolerances.ORACLE_TOL * (1.0 + float(np.abs(X).max())):
             break
+        powers.append(powers[-1] @ powers[-1])
     else:
         raise NoConvergence(
             f"covariance doubling did not converge in {its} squarings "
@@ -467,19 +444,17 @@ def delta_oracle(
             trace_history=np.asarray(trace_history),
         )
 
-    S = X if sigma0 is None else _compose(X, A, S0)
     # one step of iterative refinement: the squarings leave M^(2^k) a
     # relative error of about 2^k eps along its slow modes, which reached
-    # 1e-11 of delta_ss on a lazy 128-node line; the same number of
-    # squarings summing the residual N + M S M' - S takes it out
-    R, A = _compose(N, M, S) - S, M
-    for _ in range(its):
+    # 1e-11 of delta_ss on a lazy 128-node line; summing the residual
+    # N + M S M' - S through the same powers takes it out
+    R = _compose(N, M, X) - X
+    for A in powers:
         R = _compose(R, A, R)
-        A = A @ A
-    S = S + R
+    S = X + R
     residual = float(np.abs(_compose(N, M, S) - S).max())
     delta = float(np.diag(S) @ pi)
-    delta_uni = float(np.trace(S) / n)
+    delta_uni = float(np.trace(S) / P.n)
     lo, hi = _sandwich(delta, pi)
     cov = SteadyStateCovariance(matrix=S, iterations=its, residual=residual)
     rep = DisagreementReport(
@@ -488,10 +463,32 @@ def delta_oracle(
         delta_uni_upper=hi,
         method="oracle",
         delta_uni_exact=delta_uni,
-        n=n,
+        n=P.n,
         diagnostics={"iterations": its, "residual": residual, "rho": rho},
     )
     return cov, rep
+
+
+def divergence_probe(P: StochasticMatrix, noise: NoiseCovariance, horizon: int) -> np.ndarray:
+    """Trace of the exact error covariance after each of ``horizon`` steps.
+
+    Steps, one at a time and without sampling, the covariance recursion
+    that :func:`delta_oracle` sums by doubling, so it referees the oracle
+    step by step and shows cleanly whether the disagreement settles or
+    keeps growing — e.g. the linear growth of a noisy consensus on a
+    bipartite graph, where the simple walk's -1 eigenvalue never mixes.
+    Returns traces[t] for t = 0..horizon.
+    """
+    _check_noise(P, noise)
+    if horizon < 1:
+        raise InvalidParam(f"horizon must be >= 1, got {horizon}")
+    _, M, N = _recursion_terms(P, noise)
+    traces = np.zeros(horizon + 1)
+    S = np.zeros((P.n, P.n))
+    for t in range(1, horizon + 1):
+        S = _compose(N, M, S)
+        traces[t] = np.trace(S)
+    return traces
 
 
 # =====================================================================

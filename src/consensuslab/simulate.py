@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from . import tolerances
-from .disagreement import NoiseCovariance, _check_noise, _compose, _recursion_terms
+from .disagreement import NoiseCovariance, _check_noise
 from .errors import DimensionMismatch, InvalidParam, NoConvergence
 from .markov import StochasticMatrix
 
@@ -40,7 +40,6 @@ __all__ = [
     "SimTrace",
     "simulate_consensus",
     "estimate_delta_ss",
-    "divergence_probe",
     "auto_burn_in",
 ]
 
@@ -158,13 +157,13 @@ def _run_trials(P: StochasticMatrix, noise: NoiseCovariance, x0: np.ndarray, cfg
     """The trial loop: x(t+1) = P x(t) + w(t) from x0 of shape (n,) or (n, d).
 
     Every trial steps at once: the state is X of shape (n, trials * d),
-    trial k in columns k*d .. k*d + d - 1, and one step is one CSR product
-    ``E @ X`` plus that step's noise, drawn NOISE_CHUNK steps at a time.
-    A recorded step only copies X into a snapshot buffer of shape
-    (n, chunk // record_every + 1, trials * d).  Once per chunk, CSR
-    products with the rows [pi; 1] reduce all its snapshots side by side:
-    one takes pi'X, one more takes pi'e^2 and sum_i e_i^2.  A CSR product
-    sums each column on its own, in nnz order, so these numbers equal
+    trial k in columns k*d .. k*d + d - 1, and one step is one product
+    ``E @ X`` with the CSR matrix the chain caches, plus that step's
+    noise, drawn NOISE_CHUNK steps at a time.  A recorded step only copies
+    X into a snapshot buffer of shape (n, chunk // record_every + 1,
+    trials * d).  Once per chunk, CSR products with the rows [pi; 1]
+    reduce all its snapshots side by side: one takes pi'X, one more takes
+    pi'e^2 and sum_i e_i^2.  A CSR product sums each column on its own, in nnz order, so these numbers equal
     those of one product per recorded step, and trial k's numbers do not
     depend on the trial count or the chunk.
 
@@ -174,7 +173,7 @@ def _run_trials(P: StochasticMatrix, noise: NoiseCovariance, x0: np.ndarray, cfg
     """
     n, trials = P.n, cfg.trials
     d = x0.size // n
-    E = sparse.csr_array(P.entries)
+    E = P._csr
     R = sparse.csr_array(np.vstack([P.stationary(), np.ones(n)]))
     factor = _noise_factor(noise)
     rngs = [_trial_rng(cfg.seed, k) for k in range(trials)]
@@ -299,23 +298,3 @@ def estimate_delta_ss(
     trace = simulate_consensus(P, noise, np.zeros(P.n), cfg)
     return trace.estimate, trace.estimate_stderr
 
-
-def divergence_probe(P: StochasticMatrix, noise: NoiseCovariance, horizon: int) -> np.ndarray:
-    """Trace of the exact error covariance after each of ``horizon`` steps.
-
-    Steps, one at a time and without sampling, the covariance recursion
-    that ``delta_oracle`` sums by doubling, so it shows cleanly whether the
-    disagreement settles or keeps growing — e.g. the linear growth of a
-    noisy consensus on a bipartite graph, where the simple walk's -1
-    eigenvalue never mixes.  Returns traces[t] for t = 0..horizon.
-    """
-    _check_noise(P, noise)
-    if horizon < 1:
-        raise InvalidParam(f"horizon must be >= 1, got {horizon}")
-    _, M, N = _recursion_terms(P, noise)
-    traces = np.zeros(horizon + 1)
-    S = np.zeros((P.n, P.n))
-    for t in range(1, horizon + 1):
-        S = _compose(N, M, S)
-        traces[t] = np.trace(S)
-    return traces

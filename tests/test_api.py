@@ -62,3 +62,12 @@ def test_every_exported_name_is_defined_in_its_module():
     foreign = [f"{m.__name__}.{name}" for m in _library_modules() for name in m.__all__
                if getattr(m, name).__module__ != m.__name__]
     assert foreign == []
+
+
+def test_covariance_recursion_lives_in_one_module():
+    # the oracle and the probe read the recursion through disagreement's
+    # private helpers; no other module binds them
+    modules = [*_library_modules(), importlib.import_module("consensuslab.cli")]
+    binders = [f"{m.__name__}.{name}" for m in modules for name in ("_compose", "_recursion_terms")
+               if m.__name__ != "consensuslab.disagreement" and hasattr(m, name)]
+    assert binders == []

@@ -126,7 +126,7 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
         code, _, err = run_main("formation", "--spec", spec, "--skip-sim")
         assert code == 2 and f"{name}.json" in err, err
     # non-finite or negative noise values, --sigma2 next to the --sigma2-vec
-    # file that replaces it, a worker count below 1, a sweep
+    # file that replaces it, --out with formation --skip-sim, a sweep
     # given --n, --edges or an unknown family (custom included), and --eps
     # with a chain other than uniform end the run before any work
     nan_vec = tmp_path / "nan.txt"
@@ -146,7 +146,7 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
                   "--sigma2", "2", "--horizon", "20", "--trials", "1", "--burn-in", "5"),
                  ("formation", "--demo", "--skip-sim", "--lambda2", "inf"),
                  ("formation", "--demo", "--skip-sim", "--lambda2", "nan"),
-                 ("sweep", "--family", "ring", "--n-list", "4", "--jobs", "-3"),
+                 ("formation", "--demo", "--skip-sim", "--out", tmp_path / "x.csv"),
                  ("sweep", "--family", "ring", "--n", "5", "--n-list", "8"),
                  ("sweep", "--family", "ring", "--n-list", "8",
                   "--edges", tmp_path / "nonexistent"),
@@ -274,14 +274,6 @@ def test_analyze_and_sweep_agree_bit_for_bit():
         row = next(csv.DictReader(ln for ln in out.splitlines() if not ln.startswith("#")))
         for key in ("delta_ss", "delta_uni_lower", "delta_uni_upper"):
             assert float(row[key]) == doc[key], (n, sigma2, key)
-
-
-def test_sweep_parallel_rows_match_serial(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = ("sweep", "--family", "ring", "--n-list", "4,8,16", "--sigma2", "2")
-    assert run_main(*base, "--out", a)[0] == 0
-    assert run_main(*base, "--jobs", "3", "--out", b)[0] == 0
-    assert a.read_text().replace('"jobs": 1', '"jobs": 3') == b.read_text()
 
 
 def test_simulate_writes_trace_and_summary(tmp_path):

@@ -12,6 +12,7 @@ from consensuslab.disagreement import (
     delta_ss_kemeny,
     delta_ss_spectral,
     delta_ss_theorem,
+    divergence_probe,
 )
 from consensuslab.errors import DimensionMismatch, InvalidParam, NotIrreducible
 from consensuslab.formation import build_formation_spec
@@ -28,7 +29,7 @@ from consensuslab.markov import (
     lazy_walk_matrix,
     simple_walk_matrix,
 )
-from consensuslab.simulate import SimConfig, divergence_probe, simulate_consensus
+from consensuslab.simulate import SimConfig, simulate_consensus
 
 
 def _lazy5():
@@ -83,8 +84,6 @@ CASES = [
                  id="delta_ss_bounds-short-variances"),
     pytest.param(lambda: delta_ss_theorem(_lazy5(), NoiseCovariance.scalar(4, 1.0)),
                  DimensionMismatch, None, id="theorem-4-node-noise-on-5-states"),
-    pytest.param(lambda: delta_oracle(_lazy5(), _noise5(), sigma0=np.eye(4)),
-                 DimensionMismatch, None, id="oracle-sigma0-shape"),
     pytest.param(lambda: simulate_consensus(_lazy5(), _noise5(), np.zeros(4),
                                             SimConfig(horizon=10)),
                  DimensionMismatch, None, id="simulate-x0-shape"),

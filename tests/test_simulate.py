@@ -5,7 +5,7 @@ import pytest
 from conftest import random_reversible_chain
 
 from consensuslab import simulate
-from consensuslab.disagreement import NoiseCovariance, delta_ss_theorem
+from consensuslab.disagreement import NoiseCovariance, delta_ss_theorem, divergence_probe
 from consensuslab.errors import InvalidParam, NoConvergence
 from consensuslab.graphs import ring_graph, star_graph
 from consensuslab.markov import StochasticMatrix, lazy_walk_matrix, simple_walk_matrix
@@ -14,7 +14,6 @@ from consensuslab.simulate import (
     _run_trials,
     _trial_rng,
     auto_burn_in,
-    divergence_probe,
     estimate_delta_ss,
     simulate_consensus,
 )
