@@ -44,7 +44,7 @@ from .errors import ConsensusError, InvalidParam
 from .graphs import Graph, _family_key, build_graph, builtin_families, load_edge_list
 from .markov import (
     StochasticMatrix,
-    effective_resistance,
+    _max_resistance,
     kemeny_constant_combinatorial,
     lazy_walk_matrix,
     simple_walk_matrix,
@@ -377,7 +377,7 @@ def _fill_row(row: dict, P: StochasticMatrix, noise: NoiseCovariance) -> None:
     P2 = square_chain(P)
     row["kemeny_p2"] = kemeny_constant_combinatorial(P2)
     if P2.reversible:
-        row["max_resistance"] = float(effective_resistance(P2).max())
+        row["max_resistance"] = _max_resistance(P2)
 
 
 def cmd_sweep(args) -> int:
@@ -442,9 +442,25 @@ def cmd_simulate(args) -> int:
 # formation
 # ---------------------------------------------------------------------
 
+# formation's simulation flags, parsed with None defaults and resolved to
+# these values once --skip-sim is known not to be given with them
+_FORMATION_SIM = {"horizon": 2000, "trials": 4, "burn_in": None, "record_every": 1, "seed": 0}
+
+
 def cmd_formation(args) -> int:
     if args.skip_sim and args.out:
         raise InvalidParam("--out writes the simulated trajectory; --skip-sim runs no simulation")
+    if args.skip_sim:
+        # --seed also samples a random graph family, which --skip-sim does read
+        sampled = (args.family is not None and args.family.lower() != "custom"
+                   and _family_key(args.family) in ("erdos-renyi", "random-regular"))
+        for name in _FORMATION_SIM:
+            if getattr(args, name) is not None and not (name == "seed" and sampled):
+                raise InvalidParam(
+                    f"--skip-sim runs no simulation, so it does not read --{name.replace('_', '-')}")
+    for name, value in _FORMATION_SIM.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     if args.demo or args.spec:
         if args.demo and args.spec:
             raise InvalidParam("--demo and --spec are two sources; give one")
@@ -632,13 +648,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("formation", help="formation-control run")
     _add_graph_args(f)
+    f.set_defaults(seed=None)  # resolved by cmd_formation, as the flags below
     f.add_argument("--spec", help="formation spec JSON")
     f.add_argument("--demo", action="store_true", help="built-in 4-agent square demo")
     f.add_argument("--lambda2", type=_variance, default=None, help="per-node noise variance")
-    f.add_argument("--horizon", type=int, default=2000)
-    f.add_argument("--trials", type=int, default=4)
-    f.add_argument("--burn-in", type=int, default=None)
-    f.add_argument("--record-every", type=int, default=1)
+    f.add_argument("--horizon", type=int, help="default 2000")
+    f.add_argument("--trials", type=int, help="default 4")
+    f.add_argument("--burn-in", type=int, help="default automatic")
+    f.add_argument("--record-every", type=int, help="default 1")
     f.add_argument("--skip-sim", action="store_true", help="closed form only")
     f.add_argument("--out", help="trajectory CSV path")
     f.add_argument("--summary", help="summary JSON path (default stdout)")

@@ -45,6 +45,7 @@ from .errors import (
 from .markov import (
     StochasticMatrix,
     _fundamental_matrix,
+    _max_resistance,
     effective_resistance,
     kemeny_constant_combinatorial,
     square_chain,
@@ -343,9 +344,8 @@ def delta_ss_bounds(P: StochasticMatrix, variances) -> tuple[float, float]:
     pi = P.stationary()
     P2 = square_chain(P)
     K = kemeny_constant_combinatorial(P2)
-    R = effective_resistance(P2)
     lower = float((v * pi).min()) * K
-    upper = float((v * pi).max()) * float(R.max())
+    upper = float((v * pi).max()) * _max_resistance(P2)
     return lower, upper
 
 
@@ -537,7 +537,11 @@ def sigma_hat(P: StochasticMatrix, noise: NoiseCovariance) -> np.ndarray:
     P^2 and D = diag(pi), evaluated as (Z - 1 pi') Sigma D from the
     fundamental matrix Z of P^2.  Satisfies Tr(Sigma_hat) = delta_ss,
     J Sigma_hat = 0, and the fixed point
-    Sigma_hat = P^2 Sigma_hat + (I - J) Sigma_w D.
+    Sigma_hat = P^2 Sigma_hat + (I - J) Sigma_w D.  Diagonal noise scales
+    the columns of Z - 1 pi' by the variances, O(n^2), with the bits of the
+    product by diag(Sigma_w), which rounds once per entry too.
     """
     pi, Z = _z_form(P, noise)
+    if noise.is_diagonal:
+        return ((Z - pi) * noise.variances()) * pi
     return ((Z - pi) @ noise.matrix()) * pi

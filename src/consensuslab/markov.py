@@ -15,6 +15,7 @@ graphs come in three flavors:
   degree)) and 1 - eps*d(i) on the diagonal.  Symmetric for every graph, and
   identical to the lazy walk on regular graphs.
 
+Every chain stores its entries as CSR, and its square stays CSR too.
 Every chain built from a graph is reversible, and reversible chains take a
 fast route: pi by detailed balance along a breadth-first tree (O(n^2) with
 its check), P^2 by a sparse product that inherits pi, and the fundamental
@@ -60,6 +61,13 @@ __all__ = [
 class StochasticMatrix:
     """A validated row-stochastic matrix that owns every per-chain quantity.
 
+    The entries are stored once, as a CSR matrix with sorted indices and no
+    stored zeros.  The dense array ``entries`` is built on first request
+    and cached; the O(n^2) passes (validation, the structural flags, the
+    detailed-balance check, the Cholesky route of Z) read dense blocks of
+    rows cut from the CSR arrays instead, so a chain and its square never
+    need an n x n copy of their entries.
+
     The structural flags, the stationary law, the non-unit spectrum, the
     squared chain, the fundamental matrix and the hitting times are each
     computed at most once per matrix and cached with it.  The stationary
@@ -70,29 +78,37 @@ class StochasticMatrix:
     ----------
     entries : array_like or scipy sparse matrix, shape (n, n)
         Nonnegative entries with each row summing to 1 within
-        ``tolerances.ROW_SUM_TOL``.  The array is copied (a sparse matrix
-        is expanded to a dense one) and frozen.
+        ``tolerances.ROW_SUM_TOL``.  The input is copied: a dense array is
+        frozen and kept as the ``entries`` cache, and a sparse matrix is
+        converted to CSR.
     """
 
     def __init__(self, entries):
-        if hasattr(entries, "toarray"):  # sparse: expanded into a fresh array
-            arr = entries.toarray().astype(float, copy=False)
+        from scipy.sparse import csr_matrix
+
+        if hasattr(entries, "tocsr"):
+            S, dense = entries.tocsr(copy=True).astype(float, copy=False), None
         else:
-            arr = np.array(entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidParam(f"transition matrix must be square, got shape {arr.shape}")
-        if arr.shape[0] < 1:
+            S = dense = np.array(entries, dtype=float)
+        if S.ndim != 2 or S.shape[0] != S.shape[1]:
+            raise InvalidParam(f"transition matrix must be square, got shape {S.shape}")
+        if S.shape[0] < 1:
             raise InvalidParam("transition matrix must be at least 1x1")
-        if np.any(arr < 0):
+        if dense is not None:
+            dense.setflags(write=False)
+            S = csr_matrix(dense)  # sorted, with no zeros stored
+        elif not (S.has_canonical_format and S.data.all()):
+            S.sum_duplicates()  # sorts the indices too
+            S.eliminate_zeros()
+        if np.any(S.data < 0):
             raise InvalidParam("transition matrix has negative entries")
-        rs = arr.sum(axis=1)
-        worst = np.abs(rs - 1.0).max()
+        worst = max(float(np.abs(rows.sum(axis=1) - 1.0).max()) for _, rows in _dense_blocks(S))
         if worst > tol.ROW_SUM_TOL:
             raise InvalidParam(
                 f"rows must sum to 1 within {tol.ROW_SUM_TOL:g} (worst deviation {worst:.3e})"
             )
-        arr.setflags(write=False)
-        self._entries = arr
+        self._csr = S
+        self._dense = dense
         # what a squared chain knows from the chain P it squares: P's pi, and
         # P's entries as a sparse matrix when they are sparse
         self._pi_hint: np.ndarray | None = None
@@ -102,30 +118,25 @@ class StochasticMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """Read-only view of the underlying array."""
-        return self._entries
+        """Read-only dense array of the entries, built on first request."""
+        if self._dense is None:
+            self._dense = self._csr.toarray()
+            self._dense.setflags(write=False)
+        return self._dense
 
     @property
     def n(self) -> int:
-        return self._entries.shape[0]
+        return self._csr.shape[0]
 
     def __array__(self, dtype=None, copy=None):
         if dtype is not None:
-            return self._entries.astype(dtype)
-        return self._entries
+            return self.entries.astype(dtype)
+        return self.entries
 
     def __repr__(self) -> str:
         return f"StochasticMatrix(n={self.n})"
 
     # -- structural flags (lazy, cached) ------------------------------
-
-    @cached_property
-    def _csr(self):
-        """The entries as a CSR matrix: one dense scan serves the graph
-        searches and the squared chain."""
-        from scipy.sparse import csr_matrix
-
-        return csr_matrix(self._entries)
 
     @cached_property
     def irreducible(self) -> bool:
@@ -141,17 +152,20 @@ class StochasticMatrix:
         """
         if not self.irreducible:
             return False
-        if np.any(np.diag(self._entries) > 0):
+        S = self._csr
+        if np.any(S.diagonal() > 0):
             return True
-        arcs = list(zip(*(ix.tolist() for ix in np.nonzero(self._entries > 0))))
+        tails = np.repeat(np.arange(self.n), np.diff(S.indptr))
+        arcs = list(zip(tails.tolist(), S.indices.tolist()))
         level = _bfs_levels(self.n, arcs)
         return math.gcd(*(level[u] + 1 - level[v] for u, v in arcs)) == 1
 
     @cached_property
     def symmetric(self) -> bool:
-        a = self._entries
-        scale = max(1.0, float(np.abs(a).max()))
-        return float(np.abs(a - a.T).max()) <= tol.SYMMETRY_RTOL * scale
+        scale = max(1.0, float(self._csr.data.max()))
+        worst = max(float(np.abs(rows - cols).max())
+                    for _, rows, cols in _dense_blocks(self._csr, columns=True))
+        return worst <= tol.SYMMETRY_RTOL * scale
 
     @cached_property
     def reversible(self) -> bool:
@@ -194,23 +208,28 @@ class StochasticMatrix:
         balanced = pi is not None and self._detailed_balance(pi)
         if hint is None and not balanced:
             return (*self._lu_stationary(), False)
-        return pi, float(np.abs(pi @ self._entries - pi).max()), balanced
+        S = self._csr
+        piP = np.bincount(S.indices, S.data * np.repeat(pi, np.diff(S.indptr)), self.n)
+        return pi, float(np.abs(piP - pi).max()), balanced
 
     def _tree_stationary(self) -> np.ndarray | None:
         """pi_j = pi_i P_ij / P_ji along a breadth-first tree from state 0,
         normalized; None where an arc has no reverse arc or pi degenerates."""
         from scipy.sparse.csgraph import breadth_first_order
 
-        E = self._entries
         order, pred = breadth_first_order(self._csr, 0, directed=True, return_predecessors=True)
         child = order[1:]
         parent = pred[child]
-        back = E[child, parent]
+        forth, back = np.empty(child.size), np.empty(child.size)
+        for b, rows in _dense_blocks(self._csr):  # P[parent, child] and P[child, parent]
+            for out, i, j in ((forth, parent, child), (back, child, parent)):
+                at = (i >= b.start) & (i < b.stop)
+                out[at] = rows[i[at] - b.start, j[at]]
         if np.any(back <= 0):
             return None
         pi = [0.0] * self.n
         pi[0] = 1.0
-        for j, i, r in zip(child.tolist(), parent.tolist(), (E[parent, child] / back).tolist()):
+        for j, i, r in zip(child.tolist(), parent.tolist(), (forth / back).tolist()):
             pi[j] = pi[i] * r  # the tree order puts i before j
         pi = np.array(pi)
         total = pi.sum()
@@ -223,11 +242,10 @@ class StochasticMatrix:
     def _detailed_balance(self, pi: np.ndarray) -> bool:
         """max |pi_i P_ij - pi_j P_ji| <= REVERSIBILITY_RTOL * max pi_i P_ij,
         over row blocks of the flux matrix."""
-        E = self._entries
         worst = top = 0.0
-        for b in _row_blocks(self.n):
-            flux = pi[b, None] * E[b]
-            worst = max(worst, float(np.abs(flux - (E[:, b] * pi[:, None]).T).max()))
+        for b, rows, cols in _dense_blocks(self._csr, columns=True):
+            flux = pi[b, None] * rows
+            worst = max(worst, float(np.abs(flux - cols * pi).max()))
             top = max(top, float(flux.max()))
         return worst <= tol.REVERSIBILITY_RTOL * top
 
@@ -235,7 +253,7 @@ class StochasticMatrix:
         """pi by LU and its residual (before normalization)."""
         n = self.n
         # (P' - I) pi = 0 with one row traded for the normalization sum(pi) = 1
-        A = self._entries.T - np.eye(n)
+        A = self.entries.T - np.eye(n)
         A[-1, :] = 1.0
         b = np.zeros(n)
         b[-1] = 1.0
@@ -243,7 +261,7 @@ class StochasticMatrix:
             pi = scipy.linalg.solve(A, b)
         except scipy.linalg.LinAlgError as exc:
             raise SingularSystem(f"stationary solve failed: {exc}") from exc
-        resid = float(np.abs(pi @ self._entries - pi).max())
+        resid = float(np.abs(pi @ self.entries - pi).max())
         if pi.min() <= 0:
             raise SingularSystem("stationary solve produced non-positive mass")
         pi /= pi.sum()
@@ -265,7 +283,7 @@ class StochasticMatrix:
         """
         if not self.irreducible:
             raise NotIrreducible("the spectrum is taken of irreducible chains only")
-        E = self._entries
+        E = self.entries
         try:
             if self.symmetric:
                 lam = np.linalg.eigvalsh(E)
@@ -298,13 +316,11 @@ class StochasticMatrix:
 
     @cached_property
     def _square(self) -> StochasticMatrix:
-        """P @ P by a sparse product; it inherits pi, since pi' P^2 = pi', and
-        keeps P's sparse entries when they are sparse (see _hitting_residual)."""
+        """P @ P by a sparse product, kept sparse; it inherits pi, since
+        pi' P^2 = pi', and keeps P's sparse entries when they are sparse
+        (see _hitting_residual)."""
         S = self._csr
-        S2 = S @ S
-        Q = StochasticMatrix(S2)
-        S2.eliminate_zeros()
-        Q.irreducible = _strongly_connected(S2)  # from the sparse pattern, not a dense scan
+        Q = StochasticMatrix(S @ S)
         if self.irreducible:
             Q._pi_hint = self._stationary[0]
         if S.nnz * 32 <= self.n ** 2:
@@ -317,15 +333,15 @@ class StochasticMatrix:
         hitting-time equations that H[i,j] = (Z[j,j] - Z[i,j]) / pi[j] would
         leave: Cholesky for a reversible chain, LU otherwise."""
         pi = self.stationary()
-        Z = _fundamental_cholesky(self._entries, pi) if self.reversible else None
+        Z = _fundamental_cholesky(self._csr, pi) if self.reversible else None
         if Z is None:
             n = self.n
             try:
-                Z = scipy.linalg.solve(np.eye(n) - self._entries + pi, np.eye(n))
+                Z = scipy.linalg.solve(np.eye(n) - self.entries + pi, np.eye(n))
             except scipy.linalg.LinAlgError as exc:
                 raise SingularSystem(f"fundamental-matrix solve failed: {exc}") from exc
         Z.setflags(write=False)
-        return Z, _hitting_residual(self._entries, Z, pi, self._factor)
+        return Z, _hitting_residual(self, Z, pi)
 
     @cached_property
     def _hitting(self) -> np.ndarray:
@@ -353,37 +369,100 @@ def _row_blocks(n: int):
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
-def _fundamental_cholesky(E: np.ndarray, pi: np.ndarray) -> np.ndarray | None:
+def _dense_blocks(S, columns: bool = False):
+    """For each slice b of ``_row_blocks(n)``, the dense rows S[b] of the
+    CSR matrix S; with ``columns``, also the dense transposed columns
+    S[:, b].T, both of shape (len(b), n).
+
+    Each block holds exactly the values of that slice of the dense array,
+    so a pass over the blocks gives the numbers of the same pass over the
+    dense matrix, and no block is kept once the pass moves on.
+    """
+    blocks = list(_row_blocks(S.shape[0]))
+    if columns and len(blocks) > 1:
+        cuts = _column_cuts(S, blocks)
+    for k, b in enumerate(blocks):
+        rows = _dense_rows(S, b)
+        if not columns:
+            yield b, rows
+        elif len(blocks) == 1:  # one block: its columns are its rows
+            yield b, rows, rows.T
+        else:
+            yield b, rows, _dense_columns(S, b, cuts[k], cuts[k + 1])
+
+
+def _dense_rows(S, b: slice) -> np.ndarray:
+    """S[b] as a dense array, scattered from the CSR arrays of S."""
+    n = S.shape[1]
+    ptr = S.indptr[b.start:b.stop + 1]
+    lo, hi = ptr[0], ptr[-1]
+    rows = np.zeros((b.stop - b.start, n))
+    rows.ravel()[np.repeat(np.arange(0, rows.size, n), ptr[1:] - ptr[:-1]) + S.indices[lo:hi]] = \
+        S.data[lo:hi]
+    return rows
+
+
+def _column_cuts(S, blocks: list) -> np.ndarray:
+    """cuts[k, i]: where in S's arrays row i's entries in the columns of
+    the k-th slice start (cuts[-1, i] is where row i ends).  S's indices
+    are sorted, so one search of each row block's (row, column) keys finds
+    them, and the columns are read without a transposed copy of S."""
+    n, ptr = S.shape[0], S.indptr
+    edges = np.array([b.start for b in blocks] + [n])
+    cuts = np.empty((edges.size, n), dtype=np.int64)
+    for b in blocks:
+        lo, hi, ids = ptr[b.start], ptr[b.stop], np.arange(b.start, b.stop)
+        keys = np.repeat(ids * n, np.diff(ptr[b.start:b.stop + 1])) + S.indices[lo:hi]
+        cuts[:, b] = lo + np.searchsorted(keys, ids * n + edges[:, None])
+    return cuts
+
+
+def _dense_columns(S, b: slice, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """S[:, b].T as a dense array, gathered from each row's entries
+    start[i]:stop[i] (see _column_cuts)."""
+    n = S.shape[0]
+    counts = stop - start
+    at = np.repeat(stop - np.cumsum(counts), counts) + np.arange(counts.sum())
+    flat = (S.indices[at] - b.start) * n + np.repeat(np.arange(n), counts)
+    return np.bincount(flat, S.data[at], (b.stop - b.start) * n).reshape(-1, n)
+
+
+def _fundamental_cholesky(S, pi: np.ndarray) -> np.ndarray | None:
     """Z of a reversible chain, in one n x n buffer; None if not positive definite.
 
     B_s = I - D^{1/2} P D^{-1/2} + sqrt(pi) sqrt(pi)' (D = diag(pi)) is
-    symmetric positive definite, and Z = D^{-1/2} B_s^-1 D^{1/2}.  B_s is
-    built by row blocks from the symmetric part of D^{1/2} P D^{-1/2}, with
-    each diagonal entry 1 - P_ii summed from the row's other entries, and
-    LAPACK potrf and potri then factor and invert it in place.
+    symmetric positive definite, and Z = D^{-1/2} B_s^-1 D^{1/2}.  With
+    A = D^{1/2} P D^{-1/2} written into the buffer by the dense row blocks
+    of P's CSR matrix S, each row block's lower strip becomes
+    -(A + A')/2 + sqrt(pi) sqrt(pi)', its transpose part read from the
+    buffer's upper triangle, which the strips to come do not overwrite.
+    The diagonal entries 1 - P_ii are summed from each row's other
+    entries, and LAPACK potrf and potri then factor and invert the lower
+    triangle in place.
     """
     from scipy.linalg import lapack
 
     n = pi.size
     s = np.sqrt(pi)
     B = np.empty((n, n))
-    for b in _row_blocks(n):
-        diag = (np.arange(b.stop - b.start), np.arange(b.start, b.stop))
-        rows = s[b, None] * E[b] / s
-        rows += (s[:, None] * E[:, b] / s[b]).T
-        rows *= -0.5
-        rows += s[b, None] * s
+    diag = np.empty(n)
+    for b, rows in _dense_blocks(S):
+        np.divide(s[b, None] * rows, s, out=B[b])
         # summed from the row's other entries, 1 - P_ii keeps sqrt(pi) the null
         # vector of B_s - sqrt(pi) sqrt(pi)' to within the entries' own rounding
         # (adding the identity last instead moved K(P^2) of the uniform
         # line1200 by 2.5e-11)
-        off = E[b].copy()
-        off[diag] = 0.0
-        rows[diag] = off.sum(axis=1) + pi[b]
-        B[b] = rows
-    # B.T is the Fortran-ordered view of the same symmetric matrix, so LAPACK
-    # factors and inverts it in place, leaving its upper triangle, which is
-    # the lower triangle of Z = c.T
+        rows[np.arange(b.stop - b.start), np.arange(b.start, b.stop)] = 0.0
+        diag[b] = rows.sum(axis=1) + pi[b]
+    for b in _row_blocks(n):
+        lower = B[b, :b.stop]
+        lower += B[:b.stop, b].T
+        lower *= -0.5
+        lower += s[b, None] * s[:b.stop]
+    B[np.diag_indices(n)] = diag
+    # B.T is the Fortran-ordered view of B, and its upper triangle is B's
+    # lower one, so LAPACK factors and inverts that triangle in place,
+    # leaving the lower triangle of Z = c.T
     c, info = lapack.dpotrf(B.T, lower=False, overwrite_a=True, clean=False)
     if info == 0:
         c, info = lapack.dpotri(c, lower=False, overwrite_c=True)
@@ -391,41 +470,48 @@ def _fundamental_cholesky(E: np.ndarray, pi: np.ndarray) -> np.ndarray | None:
         return None
     Z = c.T
     for b in _row_blocks(n):  # mirror the lower triangle onto the upper one
-        Z[b, b.stop:] = Z[b.stop:, b].T
-        block = Z[b, b]
-        upper = np.triu_indices(block.shape[0], 1)
-        block[upper] = block.T[upper]
+        upper = np.triu(np.ones((b.stop - b.start, n - b.start), dtype=bool), 1)
+        np.copyto(Z[b, b.start:], Z[b.start:, b].T, where=upper)
     Z *= s
     Z /= s[:, None]
     return Z
 
 
-def _hitting_residual(E: np.ndarray, Z: np.ndarray, pi: np.ndarray, factor=None) -> float:
+def _hitting_residual(P: StochasticMatrix, Z: np.ndarray, pi: np.ndarray) -> float:
     """max over i != j of |H_ij - (P H)_ij - 1| for H_ij = (Z_jj - Z_ij) / pi_j,
     without building H.
 
-    That residual is ((1 - (P 1)_i) Z_jj + (P Z)_ij - Z_ij) / pi_j - 1, taken
-    over row blocks, so the product P Z is the whole cost.  It is one dense
-    product, or, for a squared chain whose ``factor`` F (F @ F = E) is
-    sparse, two sparse ones F (F Z): on the sweep's graphs at n of about
-    1000 to 1600 that took 3 to 25 ms against 40 to 180 ms.
+    That residual is ((1 - (P 1)_i) Z_jj + (P Z)_ij - Z_ij) / pi_j - 1, so
+    the product P Z is the whole cost.  It is taken by dense row blocks
+    P[b] Z, or, for a squared chain whose factor F (F @ F = P) is sparse,
+    by column blocks F (F Z[:, c]): on the sweep's graphs at n of about
+    1000 to 1600 the sparse route took 3 to 25 ms against 40 to 180 ms.
+    A CSR product sums each column on its own, in nnz order, so the column
+    blocks give the numbers of the full product F (F Z).
     """
-    if factor is None:
-        product, ones = (lambda b: E[b] @ Z), E.sum(axis=1)
-    else:
-        FZ = factor @ Z
-        product, ones = (lambda b: factor[b] @ FZ), factor @ (factor @ np.ones(pi.size))
     z = np.diag(Z)
-    slack = 1.0 - ones
-    worst = 0.0
-    for b in _row_blocks(pi.size):
-        R = product(b)
-        R -= Z[b]
-        R += slack[b, None] * z
-        R /= pi
+
+    def worst_of(R, Z_part, slack, z_part, pi_part, diag) -> float:
+        R -= Z_part
+        R += slack * z_part
+        R /= pi_part
         R -= 1.0
-        R[np.arange(R.shape[0]), np.arange(b.start, b.stop)] = 0.0
-        worst = max(worst, float(np.abs(R).max()))
+        R[diag] = 0.0
+        return float(np.abs(R).max())
+
+    worst = 0.0
+    F = P._factor
+    if F is None:
+        for b, rows in _dense_blocks(P._csr):
+            slack = 1.0 - rows.sum(axis=1)
+            diag = (np.arange(b.stop - b.start), np.arange(b.start, b.stop))
+            worst = max(worst, worst_of(rows @ Z, Z[b], slack[:, None], z, pi, diag))
+        return worst
+    slack = 1.0 - F @ (F @ np.ones(pi.size))
+    for c in _row_blocks(pi.size):
+        diag = (np.arange(c.start, c.stop), np.arange(c.stop - c.start))
+        R = F @ (F @ Z[:, c])
+        worst = max(worst, worst_of(R, Z[:, c], slack[:, None], z[c], pi[c], diag))
     return worst
 
 
@@ -454,6 +540,22 @@ def _require_connected(g: Graph) -> None:
         raise DisconnectedGraph(f"graph {g.family} is not connected")
 
 
+def _graph_chain(g: Graph, off: np.ndarray, diag: np.ndarray) -> StochasticMatrix:
+    """The chain with P[i,j] = off[i] on every edge {i, j} of g (both arcs)
+    and P[i,i] = diag[i], built as CSR straight from the edge list."""
+    from scipy.sparse import csr_matrix
+
+    e = np.array(g.edges, dtype=np.int32).reshape(-1, 2)
+    loops = np.arange(g.n, dtype=np.int32)
+    tails = np.concatenate([e[:, 0], e[:, 1], loops])
+    heads = np.concatenate([e[:, 1], e[:, 0], loops])
+    values = np.concatenate([off[e[:, 0]], off[e[:, 1]], diag])
+    order = np.lexsort((heads, tails))
+    indptr = np.zeros(g.n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(tails, minlength=g.n), out=indptr[1:])
+    return StochasticMatrix(csr_matrix((values[order], heads[order], indptr), shape=(g.n, g.n)))
+
+
 def simple_walk_matrix(g: Graph) -> StochasticMatrix:
     """P[i,j] = 1/d(i) on edges of a connected graph with n >= 2.
 
@@ -463,8 +565,7 @@ def simple_walk_matrix(g: Graph) -> StochasticMatrix:
     if g.n < 2:
         raise InvalidParam("simple random walk needs n >= 2")
     _require_connected(g)
-    a = g.adjacency()
-    return StochasticMatrix(a / a.sum(axis=1, keepdims=True))
+    return _graph_chain(g, 1.0 / g.degrees(), np.zeros(g.n))
 
 
 def lazy_walk_matrix(g: Graph) -> StochasticMatrix:
@@ -475,10 +576,8 @@ def lazy_walk_matrix(g: Graph) -> StochasticMatrix:
     if g.n == 1:
         return StochasticMatrix([[1.0]])
     _require_connected(g)
-    a = g.adjacency()
-    p = 0.5 * a / a.sum(axis=1, keepdims=True)
-    p[np.diag_indices(g.n)] += 0.5
-    return StochasticMatrix(p)
+    return _graph_chain(g, 0.5 / g.degrees(), np.full(g.n, 0.5))
+
 
 def uniform_edge_matrix(g: Graph, eps: float | None = None) -> StochasticMatrix:
     """Symmetric walk: weight eps on every edge, 1 - eps*d(i) on the diagonal.
@@ -498,9 +597,7 @@ def uniform_edge_matrix(g: Graph, eps: float | None = None) -> StochasticMatrix:
         raise InvalidParam(
             f"edge weight must satisfy 0 < eps < 1/max_degree = {1.0 / dmax:g}, got {eps}"
         )
-    p = eps * g.adjacency()
-    p[np.diag_indices(g.n)] = 1.0 - eps * d
-    return StochasticMatrix(p)
+    return _graph_chain(g, np.full(g.n, eps, dtype=float), 1.0 - eps * d)
 
 
 def degree_stationary(g: Graph) -> np.ndarray:
@@ -634,13 +731,25 @@ def effective_resistance(P: StochasticMatrix) -> np.ndarray:
     H is built (the values equal H + H' bit for bit).  Requires
     reversibility.
     """
+    blocks = _resistance_blocks(P)
+    R = np.empty((P.n, P.n))
+    for b, rows in blocks:
+        R[b] = rows
+    return R
+
+
+def _max_resistance(P: StochasticMatrix) -> float:
+    """max_ij R_ij of :func:`effective_resistance`, without an n x n R."""
+    return max(float(rows.max()) for _, rows in _resistance_blocks(P))
+
+
+def _resistance_blocks(P: StochasticMatrix):
+    """(b, R[b]) for each slice b of ``_row_blocks(n)``: the one reader of
+    the resistance matrix; raises NotReversible on a non-reversible P."""
     if not P.reversible:
         raise NotReversible("effective resistance needs a reversible chain")
     Z = _fundamental_matrix(P)
     pi = P.stationary()
     z = np.diag(Z)
-    R = np.empty_like(Z)
-    for b in _row_blocks(P.n):
-        R[b] = (z - Z[b]) / pi
-        R[b] += (z[b, None] - Z[:, b].T) / pi[b, None]
-    return R
+    return ((b, (z - Z[b]) / pi + (z[b, None] - Z[:, b].T) / pi[b, None])
+            for b in _row_blocks(P.n))

@@ -6,6 +6,7 @@ controls its own seed; nothing here touches global RNG state.
 
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 
@@ -103,3 +104,19 @@ def run_main(*argv) -> tuple[int, str, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory traced by ``tracemalloc`` while ``fn()`` runs,
+    in bytes above what was allocated before it.
+
+    numpy and scipy report their array buffers to ``tracemalloc``, so this
+    counts the arrays a call holds at once; memory that BLAS or LAPACK
+    allocate for themselves is not seen.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

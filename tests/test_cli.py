@@ -376,6 +376,22 @@ def test_formation_family_and_spec_file(tmp_path):
     assert run_main("formation", "--spec", bad, "--skip-sim")[0] == 2
 
 
+def test_formation_skip_sim_rejects_the_simulation_flags():
+    # --skip-sim runs no simulation, so a simulation flag with it is exit 2
+    # before any work; --seed is still read when it samples the graph
+    for flag, value in (("--horizon", "7"), ("--trials", "99"), ("--burn-in", "5"),
+                        ("--record-every", "2"), ("--seed", "3")):
+        code, out, err = run_main("formation", "--demo", "--skip-sim", flag, value)
+        assert code == 2 and out == "" and flag in err, (flag, err)
+    code, out, err = run_main("formation", "--family", "erdos-renyi", "--n", "8", "--p", "0.6",
+                              "--lambda2", "1e-3", "--skip-sim", "--seed", "3")
+    assert code == 0, err
+    assert json.loads(out)["seed"] == 3
+    # without the flags, the header records the defaults a simulated run uses
+    config = json.loads(run_main("formation", "--demo", "--skip-sim")[1])["config"]
+    assert [config[k] for k in ("horizon", "trials", "burn_in", "record_every")] == [2000, 4, None, 1]
+
+
 def test_formation_spec_with_per_node_lambda2(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

@@ -366,6 +366,20 @@ def test_j_matrix_properties_hold_on_random_chains():
         np.testing.assert_allclose(J @ J, J, atol=1e-12)
 
 
+def test_sigma_hat_of_diagonal_noise_is_the_dense_product_bit_for_bit():
+    # diagonal noise scales the columns of Z - 1 pi' instead of multiplying
+    # by diag(variances); the product rounds once per entry too, so the two
+    # agree exactly
+    from consensuslab.markov import _fundamental_matrix
+
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 9, 60, 300):
+        P = random_reversible_chain(rng, n)
+        noise = NoiseCovariance.diagonal(rng.uniform(0.1, 5.0, n))
+        pi, Z = P.stationary(), _fundamental_matrix(square_chain(P))
+        assert np.array_equal(sigma_hat(P, noise), ((Z - pi) @ noise.matrix()) * pi)
+
+
 def test_sigma_hat_identities():
     rng = np.random.default_rng(14)
     for _ in range(10):

@@ -156,8 +156,127 @@ def test_hitting_residual_is_read_off_z_exactly():
         resid = H - P.entries @ H - 1.0
         np.fill_diagonal(resid, 0.0)
         expected = np.abs(resid).max()
-        assert abs(_hitting_residual(P.entries, Z, pi) - expected) <= 1e-9 * (1e-12 + expected)
+        assert abs(_hitting_residual(P, Z, pi) - expected) <= 1e-9 * (1e-12 + expected)
         assert n == 1 or expected > 1e-7
+
+
+def _dense_walk(g, chain: str) -> np.ndarray:
+    """The lazy or uniform walk as the dense array the adjacency formulas give."""
+    a = g.adjacency()
+    if chain == "lazy":
+        p = 0.5 * a / a.sum(axis=1, keepdims=True)
+        p[np.diag_indices(g.n)] += 0.5
+        return p
+    d = g.degrees()
+    eps = 1.0 / (2.0 * d.max())
+    p = eps * a
+    p[np.diag_indices(g.n)] = 1.0 - eps * d
+    return p
+
+
+def _whole_array_cholesky_z(E: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Z of a reversible chain with B_s built from the whole dense array at
+    once, then factored and inverted by the LAPACK calls the package makes."""
+    from scipy.linalg import lapack
+
+    s = np.sqrt(pi)
+    A = s[:, None] * E / s
+    B = -0.5 * (A + A.T) + np.outer(s, s)
+    off = E.copy()
+    np.fill_diagonal(off, 0.0)
+    B[np.diag_indices(pi.size)] = off.sum(axis=1) + pi
+    c, _ = lapack.dpotrf(B.T, lower=False, overwrite_a=True, clean=False)
+    c, _ = lapack.dpotri(c, lower=False, overwrite_c=True)
+    Z = np.tril(c.T) + np.tril(c.T, -1).T
+    return Z * s / s[:, None]
+
+
+# n above 256 takes more than one row block (see markov._row_blocks)
+@pytest.mark.parametrize("family, n", [
+    ("ring", 9), ("ring", 300), ("line", 2), ("line", 300), ("grid", 16), ("grid", 289),
+    ("tree", 15), ("tree", 511), ("starry-line", 12), ("starry-line", 288),
+    ("two-star", 10), ("two-star", 300),
+])
+@pytest.mark.parametrize("chain", ["lazy", "uniform"])
+def test_csr_built_chains_equal_the_dense_build(family, n, chain):
+    # the builders make CSR straight from the edge list, and every O(n^2)
+    # pass reads dense blocks of it; entries, pi and Z must be the bits of
+    # the dense build, and Z, of P and of P^2, the bits of B_s built from
+    # the whole dense array
+    g = build_graph(family, n)
+    P = (lazy_walk_matrix if chain == "lazy" else uniform_edge_matrix)(g)
+    D = StochasticMatrix(_dense_walk(g, chain))
+    assert np.array_equal(P.entries, D.entries)
+    assert np.array_equal(P.stationary(), D.stationary())
+    assert np.array_equal(P._fundamental[0], D._fundamental[0])
+    assert P.symmetric == D.symmetric and P.reversible and P.aperiodic
+    for Q in (P, square_chain(P)):
+        Z = Q._fundamental[0]
+        assert np.array_equal(Z, _whole_array_cholesky_z(Q.entries, Q.stationary()))
+
+
+def test_column_blocked_hitting_residual_equals_the_full_product():
+    # a squared chain with a sparse factor F takes the residual column block
+    # by column block, F (F Z[:, c]); it must equal the residual of the full
+    # product F (F Z).  Z is perturbed so that the residual is far above
+    # rounding
+    from consensuslab.markov import _hitting_residual
+
+    rng = np.random.default_rng(5)
+    for P in (lazy_walk_matrix(ring_graph(300)),
+              uniform_edge_matrix(build_graph("two-star", 400))):
+        Q = square_chain(P)
+        F = Q._factor
+        assert F is not None
+        pi = Q.stationary()
+        Z = Q._fundamental[0] + 1e-6 * rng.standard_normal((P.n, P.n))
+        R = F @ (F @ Z)
+        R -= Z
+        R += (1.0 - F @ (F @ np.ones(P.n)))[:, None] * np.diag(Z)
+        R /= pi
+        R -= 1.0
+        np.fill_diagonal(R, 0.0)
+        assert _hitting_residual(Q, Z, pi) == np.abs(R).max() > 1e-6
+
+
+def test_sweep_row_keeps_the_chain_and_its_square_sparse():
+    from consensuslab.cli import _fill_row
+
+    P = uniform_edge_matrix(build_graph("two-star", 300))
+    row = {}
+    _fill_row(row, P, NoiseCovariance.scalar(300, 1.0))
+    assert row["max_resistance"] > 0
+    # no dense entries were built, neither of P nor of P^2
+    assert P._dense is None and square_chain(P)._dense is None
+
+
+def test_one_and_two_state_chains_from_sparse_and_dense_input():
+    from scipy.sparse import coo_matrix, csr_matrix
+
+    one = [StochasticMatrix(csr_matrix([[1.0]])), StochasticMatrix([[1.0]]),
+           lazy_walk_matrix(line_graph(1)), uniform_edge_matrix(line_graph(1))]
+    for P in one + [square_chain(P) for P in one]:
+        assert P.irreducible and P.aperiodic and P.symmetric and P.reversible
+        assert P.entries.tolist() == [[1.0]] and P.stationary().tolist() == [1.0]
+        assert hitting_times(P).tolist() == [[0.0]]
+        assert kemeny_constant_combinatorial(P) == 0.0
+
+    half = np.full((2, 2), 0.5)
+    # unsorted, with a duplicate and a stored zero: summed as the dense array
+    messy = coo_matrix(([0.5, 0.25, 0.0, 0.5, 0.25, 0.5], ([1, 0, 1, 1, 0, 0], [1, 0, 0, 0, 0, 1])))
+    unsorted = csr_matrix(([0.5, 0.5, 0.5, 0.0, 0.5], [1, 0, 1, 0, 0], [0, 2, 5]), shape=(2, 2))
+    two = [StochasticMatrix(half), StochasticMatrix(csr_matrix(half)), StochasticMatrix(messy),
+           StochasticMatrix(unsorted),
+           lazy_walk_matrix(line_graph(2)), uniform_edge_matrix(line_graph(2))]
+    for P in two:
+        assert np.array_equal(P.entries, half)
+        assert np.array_equal(P.stationary(), [0.5, 0.5])
+        assert np.array_equal(P._fundamental[0], two[0]._fundamental[0])
+        assert np.array_equal(square_chain(P).entries, half)
+
+    for bad in (csr_matrix((1, 1)), csr_matrix([[1.5, -0.5], [0.5, 0.5]]), csr_matrix((2, 3))):
+        with pytest.raises(InvalidParam):
+            StochasticMatrix(bad)
 
 
 @st.composite

@@ -1,0 +1,28 @@
+"""Memory pins: the peak that one call holds, traced with ``tracemalloc``."""
+
+import pytest
+from conftest import traced_peak
+
+from consensuslab.cli import _fill_row
+from consensuslab.disagreement import NoiseCovariance
+from consensuslab.graphs import build_graph
+from consensuslab.markov import lazy_walk_matrix, uniform_edge_matrix
+
+
+@pytest.mark.parametrize("family, n, chain", [
+    ("two-star", 900, uniform_edge_matrix),
+    ("line", 700, uniform_edge_matrix),
+    ("grid", 576, uniform_edge_matrix),
+    ("ring", 640, lazy_walk_matrix),
+])
+def test_sweep_row_holds_one_n_by_n_array(family, n, chain):
+    # a sweep row needs one n x n array, Z of P^2; the chain and its square
+    # stay sparse, and the residual and resistance passes read row blocks.
+    # Three arrays' worth leaves room for the sparse P^2 (0.75 of one on
+    # the two-star) and the blocks; a dense P, P^2 or R on top of Z breaks it
+    P = chain(build_graph(family, n))
+    noise = NoiseCovariance.scalar(n, 1.0)
+    row = {}
+    peak = traced_peak(lambda: _fill_row(row, P, noise))
+    assert row["max_resistance"] > 0
+    assert peak < 3 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n x n arrays"
