@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .disagreement import (
     NoiseCovariance,
+    _require_variances,
     delta_oracle,
     delta_ss_kemeny,
     delta_ss_resistance,
@@ -225,8 +226,7 @@ def _noise_builder(args):
             vec = np.loadtxt(args.sigma2_vec, dtype=float, ndmin=1)
         except ValueError as exc:  # also undecodable bytes
             raise InvalidParam(f"--sigma2-vec {args.sigma2_vec}: {exc}") from exc
-        if not (np.isfinite(vec).all() and (vec >= 0).all()):
-            raise InvalidParam(f"--sigma2-vec {args.sigma2_vec}: variances must be finite and >= 0")
+        _require_variances(vec, f"--sigma2-vec {args.sigma2_vec}: variances")
     elif args.sigma2 is None:
         args.sigma2 = 1.0
 

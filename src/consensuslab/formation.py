@@ -197,6 +197,8 @@ def build_formation_spec(
             raise DimensionMismatch(
                 f"offset for edge {tuple(key)} has shape {r.shape}, expected ({dim},)"
             )
+        if not np.isfinite(r).all():
+            raise InvalidParam(f"offset for edge {tuple(key)} must be finite")
         off_arrays[tuple(key)] = r
     off = _canonical_edge_map(graph, off_arrays, "offset", negate_flip=True)
 
@@ -207,8 +209,8 @@ def build_formation_spec(
     else:
         w = _canonical_edge_map(graph, dict(weights), "weight", negate_flip=False)
         w = {e: float(x) for e, x in w.items()}
-    if any(x <= 0 for x in w.values()):
-        raise InvalidParam("formation weights must be positive")
+    if not all(np.isfinite(x) and x > 0 for x in w.values()):
+        raise InvalidParam("formation weights must be finite and positive")
 
     row_sum = np.zeros(n)
     for (i, j), x in w.items():

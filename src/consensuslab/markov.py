@@ -66,7 +66,10 @@ class StochasticMatrix:
     and cached; the O(n^2) passes (validation, the structural flags, the
     detailed-balance check, the Cholesky route of Z) read dense blocks of
     rows cut from the CSR arrays instead, so a chain and its square never
-    need an n x n copy of their entries.
+    need an n x n copy of their entries.  A sparse chain (at most n^2 / 32
+    stored entries) keeps its CSR matrix as the factor of its hitting
+    residual, and its square keeps the chain's factors twice; a dense one
+    takes that residual by row blocks (see _hitting_residual).
 
     The structural flags, the stationary law, the non-unit spectrum, the
     squared chain, the fundamental matrix and the hitting times are each
@@ -77,7 +80,7 @@ class StochasticMatrix:
     Parameters
     ----------
     entries : array_like or scipy sparse matrix, shape (n, n)
-        Nonnegative entries with each row summing to 1 within
+        Finite, nonnegative entries with each row summing to 1 within
         ``tolerances.ROW_SUM_TOL``.  The input is copied: a dense array is
         frozen and kept as the ``entries`` cache, and a sparse matrix is
         converted to CSR.
@@ -100,6 +103,8 @@ class StochasticMatrix:
         elif not (S.has_canonical_format and S.data.all()):
             S.sum_duplicates()  # sorts the indices too
             S.eliminate_zeros()
+        if not np.isfinite(S.data).all():
+            raise InvalidParam("transition matrix has non-finite entries")
         if np.any(S.data < 0):
             raise InvalidParam("transition matrix has negative entries")
         worst = max(float(np.abs(rows.sum(axis=1) - 1.0).max()) for _, rows in _dense_blocks(S))
@@ -109,10 +114,11 @@ class StochasticMatrix:
             )
         self._csr = S
         self._dense = dense
-        # what a squared chain knows from the chain P it squares: P's pi, and
-        # P's entries as a sparse matrix when they are sparse
+        # sparse matrices whose product is P, for the hitting residual; None
+        # for a dense P
+        self._factors = (S,) if S.nnz * 32 <= S.shape[0] ** 2 else None
+        # what a squared chain knows from the chain P it squares: P's pi
         self._pi_hint: np.ndarray | None = None
-        self._factor = None
 
     # -- basic access -------------------------------------------------
 
@@ -127,11 +133,6 @@ class StochasticMatrix:
     @property
     def n(self) -> int:
         return self._csr.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.entries.astype(dtype)
-        return self.entries
 
     def __repr__(self) -> str:
         return f"StochasticMatrix(n={self.n})"
@@ -185,7 +186,9 @@ class StochasticMatrix:
         is exact to rounding: pi_j = pi_i P_ij / P_ji along a breadth-first
         tree from state 0, accepted once detailed balance holds on every
         arc.  Otherwise (P' - I) pi = 0 is solved by LU with one equation
-        replaced by the normalization, and checked for positivity.  A
+        replaced by the normalization, and checked for positivity, and
+        detailed balance is checked on that pi (an arc with no reverse arc
+        can still balance within tolerance).  A
         squared chain takes the pi of the chain it squares, which P^2
         leaves invariant, and only checks it.  The residual
         ``||pi' P - pi'||_inf`` is cached with pi, so every call checks it
@@ -207,7 +210,8 @@ class StochasticMatrix:
         pi = hint if hint is not None else self._tree_stationary()
         balanced = pi is not None and self._detailed_balance(pi)
         if hint is None and not balanced:
-            return (*self._lu_stationary(), False)
+            pi, resid = self._lu_stationary()
+            return pi, resid, self._detailed_balance(pi)
         S = self._csr
         piP = np.bincount(S.indices, S.data * np.repeat(pi, np.diff(S.indptr)), self.n)
         return pi, float(np.abs(piP - pi).max()), balanced
@@ -317,14 +321,14 @@ class StochasticMatrix:
     @cached_property
     def _square(self) -> StochasticMatrix:
         """P @ P by a sparse product, kept sparse; it inherits pi, since
-        pi' P^2 = pi', and keeps P's sparse entries when they are sparse
-        (see _hitting_residual)."""
+        pi' P^2 = pi', and a sparse P's factors twice, so that its hitting
+        residual never multiplies by the denser P^2 (see _hitting_residual)."""
         S = self._csr
         Q = StochasticMatrix(S @ S)
         if self.irreducible:
             Q._pi_hint = self._stationary[0]
-        if S.nnz * 32 <= self.n ** 2:
-            Q._factor = S
+        if self._factors is not None:
+            Q._factors = self._factors * 2
         return Q
 
     @cached_property
@@ -374,21 +378,20 @@ def _dense_blocks(S, columns: bool = False):
     CSR matrix S; with ``columns``, also the dense transposed columns
     S[:, b].T, both of shape (len(b), n).
 
-    Each block holds exactly the values of that slice of the dense array,
-    so a pass over the blocks gives the numbers of the same pass over the
-    dense matrix, and no block is kept once the pass moves on.
+    The columns are the rows of one transposed copy of S, made for the pass
+    and dropped with it; a single block reads them as ``rows.T`` and copies
+    nothing.  Each block holds exactly the values of that slice of the
+    dense array, so a pass over the blocks gives the numbers of the same
+    pass over the dense matrix, and no block is kept once the pass moves on.
     """
     blocks = list(_row_blocks(S.shape[0]))
-    if columns and len(blocks) > 1:
-        cuts = _column_cuts(S, blocks)
-    for k, b in enumerate(blocks):
+    T = S.T.tocsr() if columns and len(blocks) > 1 else None
+    for b in blocks:
         rows = _dense_rows(S, b)
         if not columns:
             yield b, rows
-        elif len(blocks) == 1:  # one block: its columns are its rows
-            yield b, rows, rows.T
         else:
-            yield b, rows, _dense_columns(S, b, cuts[k], cuts[k + 1])
+            yield b, rows, rows.T if T is None else _dense_rows(T, b)
 
 
 def _dense_rows(S, b: slice) -> np.ndarray:
@@ -400,31 +403,6 @@ def _dense_rows(S, b: slice) -> np.ndarray:
     rows.ravel()[np.repeat(np.arange(0, rows.size, n), ptr[1:] - ptr[:-1]) + S.indices[lo:hi]] = \
         S.data[lo:hi]
     return rows
-
-
-def _column_cuts(S, blocks: list) -> np.ndarray:
-    """cuts[k, i]: where in S's arrays row i's entries in the columns of
-    the k-th slice start (cuts[-1, i] is where row i ends).  S's indices
-    are sorted, so one search of each row block's (row, column) keys finds
-    them, and the columns are read without a transposed copy of S."""
-    n, ptr = S.shape[0], S.indptr
-    edges = np.array([b.start for b in blocks] + [n])
-    cuts = np.empty((edges.size, n), dtype=np.int64)
-    for b in blocks:
-        lo, hi, ids = ptr[b.start], ptr[b.stop], np.arange(b.start, b.stop)
-        keys = np.repeat(ids * n, np.diff(ptr[b.start:b.stop + 1])) + S.indices[lo:hi]
-        cuts[:, b] = lo + np.searchsorted(keys, ids * n + edges[:, None])
-    return cuts
-
-
-def _dense_columns(S, b: slice, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """S[:, b].T as a dense array, gathered from each row's entries
-    start[i]:stop[i] (see _column_cuts)."""
-    n = S.shape[0]
-    counts = stop - start
-    at = np.repeat(stop - np.cumsum(counts), counts) + np.arange(counts.sum())
-    flat = (S.indices[at] - b.start) * n + np.repeat(np.arange(n), counts)
-    return np.bincount(flat, S.data[at], (b.stop - b.start) * n).reshape(-1, n)
 
 
 def _fundamental_cholesky(S, pi: np.ndarray) -> np.ndarray | None:
@@ -482,12 +460,11 @@ def _hitting_residual(P: StochasticMatrix, Z: np.ndarray, pi: np.ndarray) -> flo
     without building H.
 
     That residual is ((1 - (P 1)_i) Z_jj + (P Z)_ij - Z_ij) / pi_j - 1, so
-    the product P Z is the whole cost.  It is taken by dense row blocks
-    P[b] Z, or, for a squared chain whose factor F (F @ F = P) is sparse,
-    by column blocks F (F Z[:, c]): on the sweep's graphs at n of about
-    1000 to 1600 the sparse route took 3 to 25 ms against 40 to 180 ms.
-    A CSR product sums each column on its own, in nnz order, so the column
-    blocks give the numbers of the full product F (F Z).
+    the product P Z is the whole cost.  A sparse chain applies its sparse
+    factors (P's own CSR, or P's CSR F twice for P = F F) to column blocks
+    of Z, F (F Z[:, c]); a dense chain takes dense row blocks P[b] Z, an
+    n^3 product.  A CSR product sums each column on its own, in nnz order,
+    so the column blocks give the numbers of the full product F (F Z).
     """
     z = np.diag(Z)
 
@@ -499,18 +476,22 @@ def _hitting_residual(P: StochasticMatrix, Z: np.ndarray, pi: np.ndarray) -> flo
         R[diag] = 0.0
         return float(np.abs(R).max())
 
+    def times_p(X):
+        for F in reversed(P._factors):
+            X = F @ X
+        return X
+
     worst = 0.0
-    F = P._factor
-    if F is None:
+    if P._factors is None:
         for b, rows in _dense_blocks(P._csr):
             slack = 1.0 - rows.sum(axis=1)
             diag = (np.arange(b.stop - b.start), np.arange(b.start, b.stop))
             worst = max(worst, worst_of(rows @ Z, Z[b], slack[:, None], z, pi, diag))
         return worst
-    slack = 1.0 - F @ (F @ np.ones(pi.size))
+    slack = 1.0 - times_p(np.ones(pi.size))
     for c in _row_blocks(pi.size):
         diag = (np.arange(c.start, c.stop), np.arange(c.stop - c.start))
-        R = F @ (F @ Z[:, c])
+        R = times_p(Z[:, c])
         worst = max(worst, worst_of(R, Z[:, c], slack[:, None], z[c], pi[c], diag))
     return worst
 

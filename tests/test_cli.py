@@ -125,12 +125,18 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
         spec.write_text(json.dumps({"n": 2, "dim": 1, "lambda2": 1.0, **fields}))
         code, _, err = run_main("formation", "--spec", spec, "--skip-sim")
         assert code == 2 and f"{name}.json" in err, err
-    # non-finite or negative noise values, --sigma2 next to the --sigma2-vec
-    # file that replaces it, --out with formation --skip-sim, a sweep
-    # given --n, --edges or an unknown family (custom included), and --eps
-    # with a chain other than uniform end the run before any work
+    # non-finite or negative noise values, a NaN formation weight or offset,
+    # --sigma2 next to the --sigma2-vec file that replaces it, --out with
+    # formation --skip-sim, a sweep given --n, --edges or an unknown family
+    # (custom included), and --eps with a chain other than uniform end the
+    # run before any work
     nan_vec = tmp_path / "nan.txt"
     nan_vec.write_text("1\nnan\n")
+    nan_specs = []
+    for name, fields in (("nan_weight", {"edges": [[0, 1, [1.0]]], "weights": [[0, 1, np.nan]]}),
+                         ("nan_offset", {"edges": [[0, 1, [np.nan]]]})):
+        nan_specs.append(tmp_path / f"{name}.json")
+        nan_specs[-1].write_text(json.dumps({"n": 2, "dim": 1, "lambda2": 1.0, **fields}))
     six_vec = tmp_path / "six.txt"
     six_vec.write_text("1\n2\n3\n1\n2\n3\n")
     for argv in (("sweep", "--family", "ring", "--n-list", "4,8", "--sigma2", "-1"),
@@ -147,6 +153,8 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
                  ("formation", "--demo", "--skip-sim", "--lambda2", "inf"),
                  ("formation", "--demo", "--skip-sim", "--lambda2", "nan"),
                  ("formation", "--demo", "--skip-sim", "--out", tmp_path / "x.csv"),
+                 *(("formation", "--spec", spec, "--horizon", "20", "--trials", "1",
+                    "--burn-in", "5") for spec in nan_specs),
                  ("sweep", "--family", "ring", "--n", "5", "--n-list", "8"),
                  ("sweep", "--family", "ring", "--n-list", "8",
                   "--edges", tmp_path / "nonexistent"),

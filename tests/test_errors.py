@@ -3,6 +3,7 @@ it raises and the CLI exit code that class carries."""
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from consensuslab import cli
 from consensuslab.disagreement import (
@@ -72,6 +73,10 @@ CASES = [
                  id="random-regular-degree-1"),
     pytest.param(lambda: StochasticMatrix(np.zeros((0, 0))), InvalidParam, None,
                  id="empty-transition-matrix"),
+    pytest.param(lambda: StochasticMatrix([[np.nan, 1.0], [0.5, 0.5]]), InvalidParam,
+                 "non-finite", id="nan-transition-matrix-dense"),
+    pytest.param(lambda: StochasticMatrix(csr_matrix([[np.nan, 1.0], [0.5, 0.5]])), InvalidParam,
+                 "non-finite", id="nan-transition-matrix-csr"),
     pytest.param(lambda: divergence_probe(_lazy5(), _noise5(), 0), InvalidParam, None,
                  id="divergence-probe-horizon-0"),
     pytest.param(lambda: cli.cmd_analyze(cli.build_parser().parse_args(

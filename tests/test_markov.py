@@ -216,27 +216,60 @@ def test_csr_built_chains_equal_the_dense_build(family, n, chain):
 
 
 def test_column_blocked_hitting_residual_equals_the_full_product():
-    # a squared chain with a sparse factor F takes the residual column block
-    # by column block, F (F Z[:, c]); it must equal the residual of the full
-    # product F (F Z).  Z is perturbed so that the residual is far above
-    # rounding
+    # a sparse chain takes the residual column block by column block through
+    # its sparse factors: its own CSR S, S Z[:, c], or for a squared chain
+    # P's CSR F twice, F (F Z[:, c]); it must equal the residual of the full
+    # product.  Z is perturbed so that the residual is far above rounding
     from consensuslab.markov import _hitting_residual
 
     rng = np.random.default_rng(5)
-    for P in (lazy_walk_matrix(ring_graph(300)),
-              uniform_edge_matrix(build_graph("two-star", 400))):
-        Q = square_chain(P)
-        F = Q._factor
-        assert F is not None
+    ring = lazy_walk_matrix(ring_graph(300))
+    two_star = uniform_edge_matrix(build_graph("two-star", 400))
+    for Q, factors in ((ring, [ring._csr]),
+                       (square_chain(ring), [ring._csr] * 2),
+                       (square_chain(two_star), [two_star._csr] * 2)):
+        assert len(Q._factors) == len(factors)
+        assert all(F is G for F, G in zip(Q._factors, factors))
         pi = Q.stationary()
-        Z = Q._fundamental[0] + 1e-6 * rng.standard_normal((P.n, P.n))
-        R = F @ (F @ Z)
+        Z = Q._fundamental[0] + 1e-6 * rng.standard_normal((Q.n, Q.n))
+        R, slack = Z, np.ones(Q.n)
+        for F in factors:
+            R, slack = F @ R, F @ slack
         R -= Z
-        R += (1.0 - F @ (F @ np.ones(P.n)))[:, None] * np.diag(Z)
+        R += (1.0 - slack)[:, None] * np.diag(Z)
         R /= pi
         R -= 1.0
         np.fill_diagonal(R, 0.0)
         assert _hitting_residual(Q, Z, pi) == np.abs(R).max() > 1e-6
+
+
+@pytest.mark.parametrize("n", [300, 600])
+@pytest.mark.parametrize("arc, flags", [
+    pytest.param(None, False, id="lazy-directed-cycle"),
+    pytest.param(1e-15, True, id="one-way-arc-1e-15"),  # inside both tolerances
+    pytest.param(1e-9, False, id="one-way-arc-1e-9"),
+])
+@pytest.mark.parametrize("sparse_input", [False, True])
+def test_flags_of_asymmetric_patterns_equal_the_brute_force_checks(n, arc, flags, sparse_input):
+    # above 256 states the flags pass reads the columns of the CSR matrix
+    # blockwise; symmetric and reversible must equal |E - E'| and the flux
+    # check on the dense array, with pi from a plain LU solve.  The tree route
+    # misses on all three chains, so reversible comes from the LU pi
+    from scipy.sparse import csr_matrix
+
+    if arc is None:  # the lazy directed cycle
+        E = 0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1)
+    else:  # the uniform ring, with weight arc moved from P[0,0] onto the
+        # arc 0 -> n/2, which has no reverse arc
+        E = uniform_edge_matrix(ring_graph(n)).entries.copy()
+        E[0, n // 2] += arc
+        E[0, 0] -= arc
+    P = StochasticMatrix(csr_matrix(E) if sparse_input else E)
+    flux = _lu_referees(P)[0][:, None] * E
+    symmetric = np.abs(E - E.T).max() <= tolerances.SYMMETRY_RTOL * max(1.0, E.max())
+    balanced = np.abs(flux - flux.T).max() <= tolerances.REVERSIBILITY_RTOL * flux.max()
+    assert P.symmetric == symmetric == flags
+    assert P.reversible == balanced == flags
 
 
 def test_sweep_row_keeps_the_chain_and_its_square_sparse():

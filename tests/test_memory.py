@@ -11,6 +11,7 @@ from consensuslab.markov import lazy_walk_matrix, uniform_edge_matrix
 
 @pytest.mark.parametrize("family, n, chain", [
     ("two-star", 900, uniform_edge_matrix),
+    ("two-star", 1600, uniform_edge_matrix),  # the largest sweep row
     ("line", 700, uniform_edge_matrix),
     ("grid", 576, uniform_edge_matrix),
     ("ring", 640, lazy_walk_matrix),
