@@ -6,7 +6,10 @@ sweeps over graph families, and a formation-control layer whose long-run
 error is a Kemeny constant in disguise.
 
 The package exports the ``__all__`` of each library module, and nothing
-else but ``__version__``.
+else but ``__version__``.  Every exported name has a caller: the CLI
+reaches it, or the README documents it, or the benchmark tracer wraps it.
+A name only the tests use lives in the tests (``tests/conftest.py`` and
+``tests/referees.py``); ``tests/test_api.py`` checks the rule.
 """
 
 from . import disagreement, errors, formation, graphs, markov, simulate

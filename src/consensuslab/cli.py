@@ -54,11 +54,8 @@ from .markov import (
 )
 from .simulate import SimConfig, simulate_consensus
 from .formation import (
-    FormationReport,
     _write_trajectory,
     form_exact,
-    form_via_delta,
-    formation_matrix,
     load_formation_spec,
     ring_demo_spec,
     simulate_formation,
@@ -298,6 +295,8 @@ def _write(text: str, path: str | None) -> None:
 # ---------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    if args.oracle_cap < 0:
+        raise InvalidParam(f"--oracle-cap must be >= 0, got {args.oracle_cap}")
     build_noise = _noise_builder(args)
     g = _build_graph(args)
     P = _build_chain(g, args)
@@ -478,19 +477,7 @@ def cmd_formation(args) -> int:
         g = _build_graph(args)
         spec = spec_from_graph(g, args.lambda2)
 
-    if spec.lambda2_scalar() is not None:
-        report = form_exact(spec)
-    else:
-        # per-node noise: the general route gives the error; K(P_form^2)
-        # does not depend on the noise, so it is reported all the same
-        report = FormationReport(
-            form_exact=form_via_delta(spec),
-            kemeny_p2=kemeny_constant_combinatorial(square_chain(formation_matrix(spec))),
-            n=spec.n,
-            dim=spec.dim,
-            lambda2=spec.lambda2.tolist(),
-            graph_family=spec.graph.family,
-        )
+    report = form_exact(spec)
     if args.skip_sim:
         header = _header(args, lambda2=report.lambda2)
     else:
@@ -502,7 +489,7 @@ def cmd_formation(args) -> int:
             with open(args.out, "w") as fh:
                 fh.write(_meta_lines(header))
                 _write_trajectory(fh, trace)
-    summary = {**header, **report.to_json_dict()}
+    summary = {**header, **dataclasses.asdict(report)}
     _write(json.dumps(summary, indent=2) + "\n", args.summary)
     return 0
 

@@ -20,9 +20,10 @@ tests referee it with the hitting-time form above, H from per-target solves.
 
 This module implements that closed form, its covariance companion, its
 specializations for equal-variance noise on symmetric chains (Kemeny
-constant, spectrum, effective resistances), two-sided bounds, and an
-independent oracle that sums the error-covariance recursion by doubling,
-with a probe that steps the same recursion one step at a time.
+constant, spectrum, effective resistances), the uniform-disagreement
+sandwich, and an independent oracle that sums the error-covariance
+recursion by doubling, with a probe that steps the same recursion one step
+at a time.
 The uniform disagreement delta_uni (plain average instead of pi-weighted)
 is bracketed by delta_ss/(n pi_max) <= delta_uni <= delta_ss/(n pi_min).
 """
@@ -45,7 +46,6 @@ from .errors import (
 from .markov import (
     StochasticMatrix,
     _fundamental_matrix,
-    _max_resistance,
     effective_resistance,
     kemeny_constant_combinatorial,
     square_chain,
@@ -60,7 +60,6 @@ __all__ = [
     "delta_ss_kemeny",
     "delta_ss_spectral",
     "delta_ss_resistance",
-    "delta_ss_bounds",
     "delta_uni_bounds",
     "delta_oracle",
     "divergence_probe",
@@ -160,9 +159,6 @@ class NoiseCovariance:
             if np.all(v == v[0]):
                 return float(v[0])
         return None
-
-    def trace(self) -> float:
-        return float(self.variances().sum())
 
     def sampling_factor(self) -> np.ndarray:
         """A factor L with L L' = Sigma, for drawing correlated noise.
@@ -328,25 +324,6 @@ def delta_ss_resistance(P: StochasticMatrix, sigma2: float) -> float:
     _require_symmetric_aperiodic(P)
     R = effective_resistance(square_chain(P))
     return sigma2 / P.n * float(R.sum() / 2.0) / P.n ** 2
-
-
-def delta_ss_bounds(P: StochasticMatrix, variances) -> tuple[float, float]:
-    """Two-sided bounds for diagonal noise on a reversible chain.
-
-    lower = (min_i sigma_i^2 pi_i) * K(P^2)
-    upper = (max_i sigma_i^2 pi_i) * max_ij R_{P^2}(i, j)
-    """
-    v = np.asarray(variances, dtype=float)
-    if v.shape != (P.n,):
-        raise DimensionMismatch(f"need {P.n} variances, got shape {v.shape}")
-    _require_variances(v)
-    _require_closed_form(P)
-    pi = P.stationary()
-    P2 = square_chain(P)
-    K = kemeny_constant_combinatorial(P2)
-    lower = float((v * pi).min()) * K
-    upper = float((v * pi).max()) * _max_resistance(P2)
-    return lower, upper
 
 
 def delta_uni_bounds(P: StochasticMatrix, noise: NoiseCovariance) -> tuple[float, float]:

@@ -19,7 +19,7 @@ covariance Sigma_form.  Both routes are implemented; they must agree.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "formation_matrix",
     "form_exact",
     "form_via_delta",
-    "form_metric",
     "simulate_formation",
     "ring_demo_spec",
     "spec_from_graph",
@@ -112,9 +111,6 @@ class FormationReport:
     dim: int | None = None
     lambda2: float | list | None = None
     graph_family: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -270,15 +266,16 @@ def formation_matrix(spec: FormationSpec) -> StochasticMatrix:
 def form_exact(spec: FormationSpec) -> FormationReport:
     """Closed-form formation error d * lambda^2 * K(P_form^2) / n.
 
-    Needs a shared scalar lambda^2; use :func:`form_via_delta` for
-    per-node noise.
+    Per-node lambda^2 takes the error from :func:`form_via_delta` and is
+    reported as the list; K(P_form^2) does not depend on the noise, so it
+    is reported all the same.
     """
+    K = kemeny_constant_combinatorial(square_chain(formation_matrix(spec)))
     lam2 = spec.lambda2_scalar()
     if lam2 is None:
-        raise InvalidParam("form_exact needs a shared scalar lambda2; see form_via_delta")
-    P = formation_matrix(spec)
-    K = kemeny_constant_combinatorial(square_chain(P))
-    val = spec.dim * lam2 * K / spec.n
+        val, lam2 = form_via_delta(spec), spec.lambda2.tolist()
+    else:
+        val = spec.dim * lam2 * K / spec.n
     return FormationReport(
         form_exact=val,
         kemeny_p2=K,
@@ -304,18 +301,6 @@ def form_via_delta(spec: FormationSpec) -> float:
     return spec.dim * rep.delta_ss
 
 
-def form_metric(positions, spec: FormationSpec) -> float:
-    """Mean squared distance to the formation, after matching centroids."""
-    p = np.asarray(positions, dtype=float)
-    if p.shape != (spec.n, spec.dim):
-        raise DimensionMismatch(
-            f"positions must have shape ({spec.n},{spec.dim}), got {p.shape}"
-        )
-    target = spec.positions + (p.mean(axis=0) - spec.positions.mean(axis=0))
-    diff = p - target
-    return float(np.mean(np.sum(diff * diff, axis=1)))
-
-
 def simulate_formation(
     spec: FormationSpec,
     cfg: SimConfig,
@@ -331,8 +316,9 @@ def simulate_formation(
 
     The in-formation positions phat satisfy P_form phat - C = phat, where
     C_i = sum_j f_ij r_ij is the offsets' drift, so q = p - phat runs the
-    plain noisy consensus q(t+1) = P_form q(t) + n(t), and form_metric(p)
-    is the uniform disagreement of q summed over the d coordinates.
+    plain noisy consensus q(t+1) = P_form q(t) + n(t), and the formation
+    error of p is the uniform disagreement of q summed over the d
+    coordinates.
     """
     n, d = spec.n, spec.dim
     P = formation_matrix(spec)

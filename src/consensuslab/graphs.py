@@ -44,9 +44,7 @@ __all__ = [
     "random_regular_graph",
     "custom_graph",
     "load_edge_list",
-    "nearest_valid_size",
     "is_connected",
-    "is_bipartite",
 ]
 
 _RETRY_CAP = 1000
@@ -75,14 +73,6 @@ class Graph:
             d[i] += 1
             d[j] += 1
         return d
-
-    def adjacency(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix."""
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-        return a
 
 
 def _make_graph(n: int, edges, family: str) -> Graph:
@@ -121,20 +111,8 @@ def _bfs_levels(n: int, arcs) -> list[int]:
     return level
 
 
-def _graph_levels(g: Graph) -> list[int]:
-    return _bfs_levels(g.n, [*g.edges, *((j, i) for i, j in g.edges)])
-
-
 def is_connected(g: Graph) -> bool:
-    return _graph_levels(g).count(0) == 1
-
-
-def is_bipartite(g: Graph) -> bool:
-    """True iff no odd cycle exists: breadth-first levels of neighbours
-    differ by at most one, so their parity 2-colours the graph unless an
-    edge joins two nodes of one level."""
-    level = _graph_levels(g)
-    return all(level[i] != level[j] for i, j in g.edges)
+    return _bfs_levels(g.n, [*g.edges, *((j, i) for i, j in g.edges)]).count(0) == 1
 
 
 # =====================================================================
@@ -413,21 +391,3 @@ def build_graph(
         raise InvalidParam("random-regular needs degree")
     return random_regular_graph(n, degree, seed=seed)
 
-
-def nearest_valid_size(family: str, n: int, *, dim: int = 2) -> int:
-    """Snap a target size to the family's nearest structurally valid n.
-
-    Useful for sweeps; the builders themselves never round.
-    """
-    key = _family_key(family)
-    if key == "starry-line":
-        return max(3, 3 * round(n / 3))
-    if key == "grid":
-        side = max(1, round(n ** (1.0 / dim)))
-        return side ** dim
-    if key == "tree":
-        h = max(1, round(np.log2(n + 1)))
-        return 2 ** h - 1
-    if key == "ring":
-        return max(3, n)
-    return n

@@ -49,7 +49,6 @@ __all__ = [
     "simple_walk_matrix",
     "lazy_walk_matrix",
     "uniform_edge_matrix",
-    "degree_stationary",
     "hitting_times",
     "square_chain",
     "kemeny_constant_combinatorial",
@@ -579,14 +578,6 @@ def uniform_edge_matrix(g: Graph, eps: float | None = None) -> StochasticMatrix:
             f"edge weight must satisfy 0 < eps < 1/max_degree = {1.0 / dmax:g}, got {eps}"
         )
     return _graph_chain(g, np.full(g.n, eps, dtype=float), 1.0 - eps * d)
-
-
-def degree_stationary(g: Graph) -> np.ndarray:
-    """Closed-form stationary law d(i)/(2m) of the simple and lazy walks."""
-    d = g.degrees().astype(float)
-    if g.m == 0:
-        raise InvalidParam("degree stationary law needs at least one edge")
-    return d / (2.0 * g.m)
 
 
 # =====================================================================

@@ -11,8 +11,36 @@ import tracemalloc
 import numpy as np
 
 from consensuslab import cli
-from consensuslab.graphs import Graph, custom_graph, erdos_renyi_graph
+from consensuslab.graphs import Graph, _family_key, custom_graph, erdos_renyi_graph
 from consensuslab.markov import StochasticMatrix
+
+
+def nearest_valid_size(family: str, n: int, *, dim: int = 2) -> int:
+    """Snap a target size to the family's nearest structurally valid n.
+
+    Useful for sweeps; the builders themselves never round.
+    """
+    key = _family_key(family)
+    if key == "starry-line":
+        return max(3, 3 * round(n / 3))
+    if key == "grid":
+        side = max(1, round(n ** (1.0 / dim)))
+        return side ** dim
+    if key == "tree":
+        h = max(1, round(np.log2(n + 1)))
+        return 2 ** h - 1
+    if key == "ring":
+        return max(3, n)
+    return n
+
+
+def adjacency(g: Graph) -> np.ndarray:
+    """Dense 0/1 adjacency matrix."""
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        a[i, j] = 1.0
+        a[j, i] = 1.0
+    return a
 
 
 def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:

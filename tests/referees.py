@@ -8,14 +8,59 @@ of P^2.  The referees here reach the same numbers another way:
   per-target hitting-time solves, which never read Z;
 * ``exact_lazy_delta`` runs a ``fractions.Fraction`` Gauss-Jordan on
   I - P^2 + 1 pi' for a lazy walk, whose entries are rational, and returns
-  delta_ss with no rounding at all.
+  delta_ss with no rounding at all;
+* ``delta_ss_bounds`` brackets delta_ss for diagonal noise between the
+  Kemeny constant and the largest effective resistance of P^2.
+
+Two more give closed forms the package reaches by other routes:
+``degree_stationary`` is the stationary law d/2m of the simple and lazy
+walks, and ``form_metric`` the formation error of one set of positions,
+which the simulator reaches as a uniform disagreement.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from consensuslab.markov import hitting_times, square_chain
+from consensuslab.disagreement import NoiseCovariance
+from consensuslab.errors import DimensionMismatch
+from consensuslab.markov import (
+    effective_resistance,
+    hitting_times,
+    kemeny_constant_combinatorial,
+    square_chain,
+)
+
+
+def degree_stationary(g) -> np.ndarray:
+    """Closed-form stationary law d(i)/(2m) of the simple and lazy walks."""
+    return g.degrees() / (2.0 * g.m)
+
+
+def delta_ss_bounds(P, variances) -> tuple[float, float]:
+    """Two-sided bounds for diagonal noise on a reversible chain.
+
+    lower = (min_i sigma_i^2 pi_i) * K(P^2)
+    upper = (max_i sigma_i^2 pi_i) * max_ij R_{P^2}(i, j)
+
+    The variances pass the package's own check (``NoiseCovariance.diagonal``)
+    and must number one per state.
+    """
+    v = NoiseCovariance.diagonal(variances).variances()
+    if v.shape != (P.n,):
+        raise DimensionMismatch(f"need {P.n} variances, got shape {v.shape}")
+    w = v * P.stationary()
+    P2 = square_chain(P)
+    return (float(w.min()) * kemeny_constant_combinatorial(P2),
+            float(w.max()) * float(effective_resistance(P2).max()))
+
+
+def form_metric(positions, spec) -> float:
+    """Mean squared distance to the formation, after matching centroids."""
+    p = np.asarray(positions, dtype=float)
+    target = spec.positions + (p.mean(axis=0) - spec.positions.mean(axis=0))
+    diff = p - target
+    return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
 def _hitting_sandwich(P, noise):

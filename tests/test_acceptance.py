@@ -11,7 +11,12 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import random_connected_graph, random_psd_covariance, random_reversible_chain
+from conftest import (
+    nearest_valid_size,
+    random_connected_graph,
+    random_psd_covariance,
+    random_reversible_chain,
+)
 
 from consensuslab import (
     NoiseCovariance,
@@ -33,7 +38,6 @@ from consensuslab import (
     j_matrix,
     kemeny_constant_combinatorial,
     lazy_walk_matrix,
-    nearest_valid_size,
     ring_graph,
     sigma_hat,
     simple_walk_matrix,

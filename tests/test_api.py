@@ -1,10 +1,14 @@
-"""The shape of the public API: what the package exports, and its tolerance
-policy (every tolerance is a constant of ``consensuslab.tolerances``, read
-where it is checked, so no public callable takes one as an argument)."""
+"""The shape of the public API: what the package exports, that every export
+has a caller, and its tolerance policy (every tolerance is a constant of
+``consensuslab.tolerances``, read where it is checked, so no public callable
+takes one as an argument)."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import consensuslab
 
@@ -71,3 +75,39 @@ def test_covariance_recursion_lives_in_one_module():
     binders = [f"{m.__name__}.{name}" for m in modules for name in ("_compose", "_recursion_terms")
                if m.__name__ != "consensuslab.disagreement" and hasattr(m, name)]
     assert binders == []
+
+
+def _references(node) -> set[str]:
+    """The identifiers a piece of code reads: its ``Name`` ids and
+    ``Attribute`` attrs.  Docstrings are string constants, so they add none."""
+    return ({sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+            | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)})
+
+
+def test_every_exported_name_has_a_caller(monkeypatch):
+    # a public name is reached from the code of cli.py, named in README.md,
+    # or wrapped by the benchmark tracer; names are followed through the
+    # package's top-level functions, classes and assignments
+    src = pathlib.Path(consensuslab.__file__).parent
+    defined: dict[str, set[str]] = {}
+    for path in src.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(stmt.name, set()).update(_references(stmt))
+            elif isinstance(stmt, ast.Assign):
+                for target in stmt.targets:
+                    if isinstance(target, ast.Name):
+                        defined.setdefault(target.id, set()).update(_references(stmt.value))
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    todo = _references(ast.parse((src / "cli.py").read_text()))
+    todo |= set(re.findall(r"\w+", (root / "README.md").read_text()))
+    todo |= {part for _, path, _ in tracer.WRAPPED for part in path.split(".")}
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= defined.get(name, set()) - reached
+    assert [name for name in consensuslab.__all__ if name not in reached] == []

@@ -128,8 +128,8 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     # non-finite or negative noise values, a NaN formation weight or offset,
     # --sigma2 next to the --sigma2-vec file that replaces it, --out with
     # formation --skip-sim, a sweep given --n, --edges or an unknown family
-    # (custom included), and --eps with a chain other than uniform end the
-    # run before any work
+    # (custom included), --eps with a chain other than uniform, and a
+    # negative --oracle-cap end the run before any work
     nan_vec = tmp_path / "nan.txt"
     nan_vec.write_text("1\nnan\n")
     nan_specs = []
@@ -172,7 +172,8 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
                   "--seed", "-2"),
                  ("sweep", "--family", "ring", "--n-list", "4", "--seed", "-1"),
                  ("selftest", "--seed", "-1"),
-                 ("analyze", "--family", "ring", "--n", "5", "--seed", "1.5")):
+                 ("analyze", "--family", "ring", "--n", "5", "--seed", "1.5"),
+                 ("analyze", "--family", "ring", "--n", "5", "--oracle-cap", "-1")):
         code, out, err = run_main(*argv)
         assert code == 2 and out == "", (argv, err)
 

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import random_psd_covariance, random_reversible_chain
-from referees import exact_lazy_delta, hitting_time_delta, hitting_time_sigma_hat
+from referees import (
+    delta_ss_bounds,
+    exact_lazy_delta,
+    hitting_time_delta,
+    hitting_time_sigma_hat,
+)
 
 from consensuslab.disagreement import (
     NoiseCovariance,
     check_j_properties,
     delta_oracle,
-    delta_ss_bounds,
     delta_ss_kemeny,
     delta_ss_resistance,
     delta_ss_spectral,
@@ -56,7 +60,7 @@ def test_noise_covariance_kinds():
 
     d = NoiseCovariance.diagonal([1.0, 2.0, 3.0])
     assert d.is_diagonal and d.equal_variance() is None
-    assert d.trace() == 6.0
+    assert d.variances().sum() == 6.0
 
     d_eq = NoiseCovariance.diagonal([2.0, 2.0])
     assert d_eq.equal_variance() == 2.0
@@ -83,7 +87,7 @@ def test_noise_covariance_rejects_bad_input():
         NoiseCovariance.full(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
     # zero covariance is legal (noiseless runs)
     z = NoiseCovariance.full(np.zeros((2, 2)))
-    assert z.trace() == 0.0
+    assert z.variances().sum() == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])

@@ -4,12 +4,12 @@ it raises and the CLI exit code that class carries."""
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
+from referees import delta_ss_bounds
 
 from consensuslab import cli
 from consensuslab.disagreement import (
     NoiseCovariance,
     delta_oracle,
-    delta_ss_bounds,
     delta_ss_kemeny,
     delta_ss_spectral,
     delta_ss_theorem,

@@ -5,6 +5,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from conftest import nearest_valid_size
+from referees import form_metric
 
 from consensuslab import formation
 
@@ -16,14 +18,13 @@ from consensuslab.errors import (
     InvalidParam,
     StepSizeViolation,
 )
-from consensuslab.graphs import build_graph, custom_graph, nearest_valid_size, star_graph
+from consensuslab.graphs import build_graph, custom_graph, star_graph
 from consensuslab.formation import (
     FormationTrace,
     _write_trajectory,
     build_formation_spec,
     default_weights,
     form_exact,
-    form_metric,
     form_via_delta,
     formation_matrix,
     layout_positions,
@@ -121,11 +122,10 @@ def test_theorem_and_general_route_agree_on_families():
         a = form_exact(spec).form_exact
         b = form_via_delta(spec)
         assert abs(a - b) < 1e-10 * (1 + abs(a)), fam
-        # per-node noise goes through the general route only
+        # per-node noise: form_exact takes the general route
         spec.lambda2 = rng.uniform(0.1, 1.0, n)
         assert form_via_delta(spec) > 0
-        with pytest.raises(InvalidParam):
-            form_exact(spec)
+        assert form_exact(spec).form_exact == form_via_delta(spec)
 
 
 def test_offset_independence_of_the_exact_error():

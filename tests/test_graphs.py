@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import adjacency, nearest_valid_size
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,17 +15,16 @@ from consensuslab.graphs import (
     custom_graph,
     erdos_renyi_graph,
     grid_graph,
-    is_bipartite,
     is_connected,
     line_graph,
     load_edge_list,
-    nearest_valid_size,
     random_regular_graph,
     ring_graph,
     star_graph,
     starry_line_graph,
     two_star_graph,
 )
+from consensuslab.markov import simple_walk_matrix
 
 
 def test_edge_counts_match_family_formulas():
@@ -86,17 +86,13 @@ def test_binary_tree_sizes():
 
 
 def test_bipartite_classification():
-    assert is_bipartite(line_graph(8))
-    assert is_bipartite(star_graph(8))
-    assert is_bipartite(binary_tree_graph(7))
-    assert is_bipartite(ring_graph(8))
-    assert not is_bipartite(ring_graph(9))
-    assert not is_bipartite(complete_graph(4))
-    assert is_bipartite(custom_graph(1, [])) and is_bipartite(custom_graph(2, [(0, 1)]))
-    # later components count too: a 4-cycle beside an edge is bipartite,
-    # an edge beside a triangle is not
-    assert is_bipartite(custom_graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)]))
-    assert not is_bipartite(custom_graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]))
+    # the simple walk on a connected graph is periodic exactly when the
+    # graph is bipartite
+    for g in (line_graph(8), star_graph(8), binary_tree_graph(7), ring_graph(8),
+              custom_graph(2, [(0, 1)])):
+        assert not simple_walk_matrix(g).aperiodic, g.family
+    assert simple_walk_matrix(ring_graph(9)).aperiodic
+    assert simple_walk_matrix(complete_graph(4)).aperiodic
 
 
 def test_erdos_renyi_is_connected_and_seeded():
@@ -182,9 +178,11 @@ def small_graphs(draw):
 @given(small_graphs())
 def test_search_agrees_with_brute_force_on_small_graphs(g):
     # connected: every pair joined by a walk of fewer than n steps
-    reach = np.linalg.matrix_power(np.eye(g.n) + g.adjacency(), g.n - 1)
-    assert is_connected(g) == bool(np.all(reach > 0))
-    # bipartite: some 2-colouring leaves no edge inside one colour
-    two_colourable = any(all(c[i] != c[j] for i, j in g.edges)
-                         for c in itertools.product((0, 1), repeat=g.n))
-    assert is_bipartite(g) == two_colourable
+    reach = np.linalg.matrix_power(np.eye(g.n) + adjacency(g), g.n - 1)
+    connected = bool(np.all(reach > 0))
+    assert is_connected(g) == connected
+    if connected and g.n >= 2:
+        # periodic simple walk: some 2-colouring leaves no edge inside one colour
+        two_colourable = any(all(c[i] != c[j] for i, j in g.edges)
+                             for c in itertools.product((0, 1), repeat=g.n))
+        assert simple_walk_matrix(g).aperiodic == (not two_colourable)

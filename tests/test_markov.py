@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import mc_first_passage, random_reversible_chain
+from conftest import adjacency, mc_first_passage, nearest_valid_size, random_reversible_chain
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from referees import hitting_time_delta
+from referees import degree_stationary, hitting_time_delta
 
 from consensuslab import tolerances
 from consensuslab.disagreement import NoiseCovariance, delta_ss_theorem
@@ -16,13 +16,11 @@ from consensuslab.graphs import (
     build_graph,
     complete_graph,
     line_graph,
-    nearest_valid_size,
     ring_graph,
     star_graph,
 )
 from consensuslab.markov import (
     StochasticMatrix,
-    degree_stationary,
     effective_resistance,
     hitting_times,
     kemeny_constant_combinatorial,
@@ -162,7 +160,7 @@ def test_hitting_residual_is_read_off_z_exactly():
 
 def _dense_walk(g, chain: str) -> np.ndarray:
     """The lazy or uniform walk as the dense array the adjacency formulas give."""
-    a = g.adjacency()
+    a = adjacency(g)
     if chain == "lazy":
         p = 0.5 * a / a.sum(axis=1, keepdims=True)
         p[np.diag_indices(g.n)] += 0.5
