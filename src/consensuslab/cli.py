@@ -42,7 +42,7 @@ from .disagreement import (
     delta_ss_theorem,
 )
 from .errors import ConsensusError, InvalidParam
-from .graphs import Graph, _family_key, build_graph, builtin_families, load_edge_list
+from .graphs import Graph, _family_key, _family_reads, build_graph, builtin_families, load_edge_list
 from .markov import (
     StochasticMatrix,
     _max_resistance,
@@ -154,10 +154,23 @@ def _add_noise_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-# the graph flags each family reads; any other graph flag given is an error
 _GRAPH_FLAGS = ("n", "edges", "p", "degree", "grid_dim")
-_FAMILY_READS = {"custom": ("edges",), "erdos-renyi": ("n", "p"),
-                 "random-regular": ("n", "degree"), "grid": ("n", "grid_dim")}
+
+
+def _reject(args, by: str, names) -> None:
+    """InvalidParam for the first flag in ``names`` that was given: ``by``,
+    the mode or source of the run, does not read it, so no run header
+    records a value the run ignored."""
+    for name in names:
+        if getattr(args, name, None) is not None:
+            raise InvalidParam(f"{by} does not read --{name.replace('_', '-')}")
+
+
+def _flags_read(family: str) -> tuple[str, ...]:
+    """The graph flags, and ``seed`` if it samples, that a family reads."""
+    if family.lower() == "custom":
+        return ("edges",)
+    return ("n", *("grid_dim" if name == "dim" else name for name in _family_reads(family)))
 
 
 def _graph_family(args) -> str:
@@ -165,38 +178,32 @@ def _graph_family(args) -> str:
 
     Returns the canonical family name, or ``custom`` for an edge-list file.
     A flag the family does not read, or one it needs and was not given, is
-    InvalidParam, so no run header records a value the run ignored; so is
-    ``--eps`` with a chain other than ``uniform``, the only one it weights.
-    ``--grid-dim`` is resolved to its default 2 for the grid family only.
-    ``sweep`` has no --n or --edges; its sizes come from --n-list.
+    InvalidParam; so is ``--eps`` with a chain other than ``uniform``, the
+    only one it weights.  ``--grid-dim`` is resolved to its default 2 for
+    the families that read it.  ``sweep`` has no --n or --edges; its sizes
+    come from --n-list.
     """
-    if getattr(args, "eps", None) is not None and args.chain != "uniform":
-        raise InvalidParam(f"--chain {args.chain} does not read --eps; only --chain uniform does")
+    if "eps" in args and args.chain != "uniform":
+        _reject(args, f"--chain {args.chain}", ("eps",))
     if not args.family:
         raise InvalidParam("--family is required")
     fam = "custom" if args.family.lower() == "custom" else _family_key(args.family)
-    reads = _FAMILY_READS.get(fam, ("n",))
-    for name in _GRAPH_FLAGS:
-        if not hasattr(args, name):
-            continue
-        flag = "--" + name.replace("_", "-")
-        given = getattr(args, name) is not None
-        if given and name not in reads:
-            raise InvalidParam(f"--family {fam} does not read {flag}")
-        if not given and name in reads and name != "grid_dim":
-            raise InvalidParam(f"--family {fam} needs {flag}")
-    if fam == "grid" and args.grid_dim is None:
+    reads = _flags_read(fam)
+    _reject(args, f"--family {fam}", [name for name in _GRAPH_FLAGS if name not in reads])
+    if "grid_dim" in reads and args.grid_dim is None:
         args.grid_dim = 2
+    for name in _GRAPH_FLAGS:
+        if name in reads and name in args and getattr(args, name) is None:
+            raise InvalidParam(f"--family {fam} needs --{name.replace('_', '-')}")
     return fam
 
 
-def _build_graph(args) -> Graph:
+def _build_graph(args, n: int | None) -> Graph:
+    """The graph of the checked graph flags; ``n`` is --n or a sweep size."""
     fam = _graph_family(args)
     if fam == "custom":
         return load_edge_list(args.edges)
-    return build_graph(
-        fam, args.n, seed=args.seed, p=args.p, degree=args.degree, dim=args.grid_dim
-    )
+    return build_graph(fam, n, seed=args.seed, p=args.p, degree=args.degree, dim=args.grid_dim)
 
 
 def _build_chain(g: Graph, args) -> StochasticMatrix:
@@ -217,8 +224,7 @@ def _noise_builder(args):
     overrides = dict(args.sigma2_node)
     vec = None
     if args.sigma2_vec:
-        if args.sigma2 is not None:
-            raise InvalidParam("--sigma2 is not read with --sigma2-vec; give one of them")
+        _reject(args, "--sigma2-vec", ("sigma2",))
         try:
             vec = np.loadtxt(args.sigma2_vec, dtype=float, ndmin=1)
         except ValueError as exc:  # also undecodable bytes
@@ -298,7 +304,7 @@ def cmd_analyze(args) -> int:
     if args.oracle_cap < 0:
         raise InvalidParam(f"--oracle-cap must be >= 0, got {args.oracle_cap}")
     build_noise = _noise_builder(args)
-    g = _build_graph(args)
+    g = _build_graph(args, args.n)
     P = _build_chain(g, args)
     noise = build_noise(g.n)
     pi = P.stationary()
@@ -359,7 +365,7 @@ def _sweep_row(fam: str, n: int, args, build_noise) -> dict:
     row: dict[str, object] = {c: "" for c in _SWEEP_COLUMNS}
     row["family"], row["n"], row["error"] = fam, n, ""
     try:
-        g = build_graph(fam, n, seed=args.seed, p=args.p, degree=args.degree, dim=args.grid_dim)
+        g = _build_graph(args, n)
         _fill_row(row, _build_chain(g, args), build_noise(g.n))
     except ConsensusError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -413,7 +419,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     build_noise = _noise_builder(args)
-    g = _build_graph(args)
+    g = _build_graph(args, args.n)
     P = _build_chain(g, args)
     noise = build_noise(g.n)
     trace = simulate_consensus(P, noise, np.zeros(g.n), _sim_config(args))
@@ -447,34 +453,25 @@ _FORMATION_SIM = {"horizon": 2000, "trials": 4, "burn_in": None, "record_every":
 
 
 def cmd_formation(args) -> int:
-    if args.skip_sim and args.out:
-        raise InvalidParam("--out writes the simulated trajectory; --skip-sim runs no simulation")
     if args.skip_sim:
         # --seed also samples a random graph family, which --skip-sim does read
-        sampled = (args.family is not None and args.family.lower() != "custom"
-                   and _family_key(args.family) in ("erdos-renyi", "random-regular"))
-        for name in _FORMATION_SIM:
-            if getattr(args, name) is not None and not (name == "seed" and sampled):
-                raise InvalidParam(
-                    f"--skip-sim runs no simulation, so it does not read --{name.replace('_', '-')}")
+        sampled = args.family is not None and "seed" in _flags_read(args.family)
+        _reject(args, "--skip-sim",
+                [name for name in ("out", *_FORMATION_SIM) if not (name == "seed" and sampled)])
     for name, value in _FORMATION_SIM.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
-    if args.demo or args.spec:
-        if args.demo and args.spec:
-            raise InvalidParam("--demo and --spec are two sources; give one")
-        given = [name for name in _GRAPH_FLAGS + ("family",) if getattr(args, name) is not None]
-        if given:
-            raise InvalidParam(
-                f"--{given[0].replace('_', '-')} is for a graph family, not --demo or --spec")
     if args.demo:
+        _reject(args, "--demo", ("spec", "family", *_GRAPH_FLAGS))
         spec = ring_demo_spec(args.lambda2 if args.lambda2 is not None else 4e-4)
     elif args.spec:
+        # the spec file sets lambda2 itself
+        _reject(args, "--spec", ("family", *_GRAPH_FLAGS, "lambda2"))
         spec = load_formation_spec(args.spec)
     else:
         if args.lambda2 is None:
             raise InvalidParam("--lambda2 is required without --spec/--demo")
-        g = _build_graph(args)
+        g = _build_graph(args, args.n)
         spec = spec_from_graph(g, args.lambda2)
 
     report = form_exact(spec)

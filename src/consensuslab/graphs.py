@@ -308,38 +308,41 @@ def load_edge_list(path) -> Graph:
 # dispatch
 # =====================================================================
 
-_FAMILY_ALIASES = {
-    "complete": "complete",
-    "line": "line",
-    "path": "line",
-    "ring": "ring",
-    "cycle": "ring",
-    "star": "star",
-    "two-star": "two-star",
-    "twostar": "two-star",
-    "starry-line": "starry-line",
-    "starryline": "starry-line",
-    "grid": "grid",
-    "tree": "tree",
-    "binary-tree": "tree",
-    "erdos-renyi": "erdos-renyi",
-    "er": "erdos-renyi",
-    "random-regular": "random-regular",
-    "regular": "random-regular",
+# each canonical family: its builder, and the build_graph parameters it
+# reads after n, in the order the builder takes them
+_FAMILIES = {
+    "complete": (complete_graph, ()),
+    "line": (line_graph, ()),
+    "ring": (ring_graph, ()),
+    "star": (star_graph, ()),
+    "two-star": (two_star_graph, ()),
+    "starry-line": (starry_line_graph, ()),
+    "grid": (grid_graph, ("dim",)),
+    "tree": (binary_tree_graph, ()),
+    "erdos-renyi": (erdos_renyi_graph, ("p", "seed")),
+    "random-regular": (random_regular_graph, ("degree", "seed")),
 }
+_ALIASES = {"path": "line", "cycle": "ring", "twostar": "two-star", "starryline": "starry-line",
+            "binary-tree": "tree", "er": "erdos-renyi", "regular": "random-regular"}
 
 
 def builtin_families() -> tuple[str, ...]:
     """Canonical names of the built-in families."""
-    return tuple(dict.fromkeys(_FAMILY_ALIASES.values()))
+    return tuple(_FAMILIES)
 
 
 def _family_key(family: str) -> str:
     """The canonical name of a family name or alias; InvalidParam if unknown."""
-    key = _FAMILY_ALIASES.get(str(family).lower())
-    if key is None:
+    key = str(family).lower()
+    key = _ALIASES.get(key, key)
+    if key not in _FAMILIES:
         raise InvalidParam(f"unknown graph family {family!r}")
     return key
+
+
+def _family_reads(family: str) -> tuple[str, ...]:
+    """The :func:`build_graph` parameters a family or alias reads after n."""
+    return _FAMILIES[_family_key(family)][1]
 
 
 def build_graph(
@@ -362,32 +365,15 @@ def build_graph(
         Node count.  Families with structural constraints (ring, starry-line,
         grid, tree) raise InvalidParam for unusable n instead of rounding.
     seed
-        Only used by the random families.
+        Only used by the random families; None draws fresh entropy.
     p, degree, dim
-        Family-specific parameters.
+        Family-specific parameters; a family ignores those it does not
+        read, and one it reads given as None is InvalidParam.
     """
     key = _family_key(family)
-    if key == "complete":
-        return complete_graph(n)
-    if key == "line":
-        return line_graph(n)
-    if key == "ring":
-        return ring_graph(n)
-    if key == "star":
-        return star_graph(n)
-    if key == "two-star":
-        return two_star_graph(n)
-    if key == "starry-line":
-        return starry_line_graph(n)
-    if key == "grid":
-        return grid_graph(n, dim=dim)
-    if key == "tree":
-        return binary_tree_graph(n)
-    if key == "erdos-renyi":
-        if p is None:
-            raise InvalidParam("erdos-renyi needs p")
-        return erdos_renyi_graph(n, p, seed=seed)
-    if degree is None:
-        raise InvalidParam("random-regular needs degree")
-    return random_regular_graph(n, degree, seed=seed)
-
+    builder, reads = _FAMILIES[key]
+    given = {"seed": seed, "p": p, "degree": degree, "dim": dim}
+    for name in reads:
+        if given[name] is None and name != "seed":
+            raise InvalidParam(f"{key} needs {name}")
+    return builder(n, *(given[name] for name in reads))

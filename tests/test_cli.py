@@ -30,6 +30,7 @@ from conftest import run_main
 
 import consensuslab
 from consensuslab import cli
+from consensuslab.graphs import builtin_families
 
 
 def run_cli(*args, **kw):
@@ -128,8 +129,11 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     # non-finite or negative noise values, a NaN formation weight or offset,
     # --sigma2 next to the --sigma2-vec file that replaces it, --out with
     # formation --skip-sim, a sweep given --n, --edges or an unknown family
-    # (custom included), --eps with a chain other than uniform, and a
-    # negative --oracle-cap end the run before any work
+    # (custom included), --eps with a chain other than uniform, a negative
+    # --oracle-cap, a malformed or empty --n-list, a missing --family and a
+    # formation family run without --lambda2 end the run before any work; a
+    # --sigma2-vec or --sigma2-node that does not fit the graph ends it
+    # before any output
     nan_vec = tmp_path / "nan.txt"
     nan_vec.write_text("1\nnan\n")
     nan_specs = []
@@ -173,7 +177,13 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
                  ("sweep", "--family", "ring", "--n-list", "4", "--seed", "-1"),
                  ("selftest", "--seed", "-1"),
                  ("analyze", "--family", "ring", "--n", "5", "--seed", "1.5"),
-                 ("analyze", "--family", "ring", "--n", "5", "--oracle-cap", "-1")):
+                 ("analyze", "--family", "ring", "--n", "5", "--oracle-cap", "-1"),
+                 ("sweep", "--family", "ring", "--n-list", "4,x"),
+                 ("sweep", "--family", "ring", "--n-list", ","),
+                 ("analyze", "--family", "ring", "--n", "5", "--sigma2-vec", six_vec),
+                 ("analyze", "--family", "ring", "--n", "5", "--sigma2-node", "9=1"),
+                 ("analyze", "--n", "5"),
+                 ("formation", "--family", "star", "--n", "7", "--skip-sim")):
         code, out, err = run_main(*argv)
         assert code == 2 and out == "", (argv, err)
 
@@ -301,6 +311,12 @@ def test_simulate_writes_trace_and_summary(tmp_path):
     data = np.array([[float(x) for x in ln.split(",")] for ln in body[1:]])
     assert data.shape == (101, 4)
     np.testing.assert_array_equal(data[:, 0], np.arange(0, 401, 4))
+    # the simple walk on an even ring is periodic: the run still simulates,
+    # and the summary writes that no closed form exists
+    code, out, err = run_main("simulate", "--family", "ring", "--n", "6", "--chain", "simple",
+                              "--burn-in", "10", "--horizon", "100", "--trials", "1")
+    assert code == 0, err
+    assert '"delta_ss_exact": null' in out
 
 
 def test_simulate_records_the_automatic_burn_in():
@@ -369,10 +385,13 @@ def test_formation_family_and_spec_file(tmp_path):
         "edges": [{"i": 0, "j": 1, "r": [1.0, 0.0]}],
         "weights": "default", "lambda2": 1.0,
     }))
-    # the config echoes the spec's lambda2, which the run used, not the flag
-    doc2 = json.loads(run_main("formation", "--spec", spec, "--lambda2", "0.5", "--skip-sim")[1])
+    # the config echoes the spec's lambda2, which the run used; the spec
+    # file sets it, so --spec does not read a --lambda2 flag
+    doc2 = json.loads(run_main("formation", "--spec", spec, "--skip-sim")[1])
     assert doc2["form_exact"] == pytest.approx(1.0, rel=1e-12)
     assert doc2["config"]["lambda2"] == 1.0
+    code, out, err = run_main("formation", "--spec", spec, "--lambda2", "0.5", "--skip-sim")
+    assert code == 2 and out == "" and "--spec does not read --lambda2" in err, err
 
     # inconsistent offsets in a file are a config error
     bad = tmp_path / "bad.json"
@@ -496,6 +515,19 @@ def test_graph_flags_are_checked_against_the_family(tmp_path):
     ):
         code, out, err = run_main(*argv)
         assert code == 2 and out == "" and err.startswith("error (InvalidParam)"), (argv, err)
+
+    # each built-in family against each family flag, by a map written here
+    reads = {"erdos-renyi": {"--p"}, "random-regular": {"--degree"}, "grid": {"--grid-dim"}}
+    sizes = {"starry-line": 15, "tree": 15}
+    for fam in builtin_families():
+        for flag, value in (("--p", "0.5"), ("--degree", "3"), ("--grid-dim", "2")):
+            code, out, err = run_main("analyze", "--family", fam, "--n", sizes.get(fam, 16),
+                                      flag, value, "--oracle-cap", "0")
+            if flag in reads.get(fam, ()):
+                assert code == 0, (fam, flag, err)
+            else:
+                assert code == 2 and out == "", (fam, flag, err)
+                assert err.strip().endswith(f"--family {fam} does not read {flag}"), err
 
     # the values a run reads are the values its header records
     code, out, _ = run_main("analyze", "--family", "grid", "--n", "9", "--oracle-cap", "0")

@@ -138,7 +138,18 @@ def test_edge_list_round_trip(tmp_path):
 
 def test_build_graph_dispatch_and_aliases():
     assert build_graph("cycle", 6).family == ring_graph(6).family
-    assert build_graph("path", 6).edges == line_graph(6).edges
+    # each alias builds its canonical family, which ignores the keywords it
+    # does not read
+    every = {"seed": 1, "p": 0.7, "degree": 3, "dim": 3}
+    for alias, g in (("path", line_graph(6)), ("cycle", ring_graph(6)),
+                     ("twostar", two_star_graph(6)), ("starryline", starry_line_graph(6)),
+                     ("binary-tree", binary_tree_graph(7)),
+                     ("er", erdos_renyi_graph(6, 0.7, seed=1)),
+                     ("regular", random_regular_graph(6, 3, seed=1))):
+        assert build_graph(alias, g.n, **every).edges == g.edges, alias
+    assert build_graph("grid", 9, seed=1, p=0.7, degree=3).edges == grid_graph(9).edges
+    with pytest.raises(InvalidParam, match="grid needs dim"):
+        build_graph("grid", 9, dim=None)
     with pytest.raises(InvalidParam):
         build_graph("moebius", 6)
     with pytest.raises(InvalidParam):
