@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .errors import (
     StepSizeViolation,
 )
 from .graphs import Graph, custom_graph, is_connected
-from .markov import StochasticMatrix, kemeny_constant_combinatorial, square_chain
+from .markov import StochasticMatrix, _default_eps, kemeny_constant_combinatorial, square_chain
 from .simulate import SimConfig, _resolve_burn_in, _run_trials, _summarize
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "FormationReport",
     "FormationTrace",
     "build_formation_spec",
-    "default_weights",
-    "formation_matrix",
     "form_exact",
     "form_via_delta",
     "simulate_formation",
@@ -56,47 +53,31 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FormationSpec:
-    """A validated formation problem.
+    """A validated formation problem: the noisy consensus each coordinate runs.
 
-    ``offsets`` and ``weights`` are keyed by canonical edges (i < j); the
-    stored offset is always p_j - p_i.  ``positions`` are the canonical
-    in-formation positions recovered from the offsets (zero centroid), and
-    ``consistency_residual`` is the worst offset-equation residual of that
-    least-squares solve — guaranteed <= ``tolerances.CONSISTENCY_TOL``.
-
-    P_form is built from ``weights`` on first use and cached on the spec
-    (see :func:`formation_matrix`), so every route shares its pi, P^2 and
-    fundamental matrix; reassigning ``weights`` afterwards is not supported.
+    ``chain`` is P_form (off-diagonal f_ij, diagonal 1 - sum_j f_ij) and
+    ``noise`` is Diag(lambda^2); every route reads these two, so all share
+    P_form's pi, P^2 and Z.  ``offsets`` and ``weights`` are keyed by
+    canonical edges (i < j); the stored offset is always p_j - p_i.
+    ``positions`` are the in-formation positions recovered from the offsets
+    (zero centroid), and ``consistency_residual`` is the worst residual of
+    that least-squares solve — guaranteed <= ``tolerances.CONSISTENCY_TOL``.
     """
 
     graph: Graph
     dim: int
     offsets: dict
     weights: dict
-    lambda2: np.ndarray
+    chain: StochasticMatrix
+    noise: NoiseCovariance
     positions: np.ndarray
     consistency_residual: float
 
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def lambda2_scalar(self) -> float | None:
-        v = self.lambda2
-        return float(v[0]) if np.all(v == v[0]) else None
-
-    @cached_property
-    def _matrix(self) -> StochasticMatrix:
-        n = self.n
-        p = np.zeros((n, n))
-        for (i, j), x in self.weights.items():
-            p[i, j] = x
-            p[j, i] = x
-        d = p.sum(axis=1)
-        p[np.diag_indices(n)] = 1.0 - d
-        return StochasticMatrix(p)
 
 
 @dataclass
@@ -122,14 +103,6 @@ class FormationTrace:
     form_mean: np.ndarray      # across trials
     form_stderr: np.ndarray
     burn_in: int
-
-
-def default_weights(graph: Graph) -> dict:
-    """Equal weight 1/(2 max degree) on every edge."""
-    if graph.m == 0:
-        raise InvalidParam("formation weights need at least one edge")
-    eps = 1.0 / (2.0 * int(graph.degrees().max()))
-    return {e: eps for e in graph.edges}
 
 
 def _canonical_edge_map(graph: Graph, mapping, what: str, *, negate_flip: bool):
@@ -170,15 +143,15 @@ def build_formation_spec(
     weights="default",
     lambda2=0.0,
 ) -> FormationSpec:
-    """Validate and assemble a FormationSpec.
+    """Validate a formation problem; build its P_form and Diag(lambda^2) once.
 
     ``offsets`` maps edges (either orientation) to the desired p_j - p_i.
-    ``weights`` is "default" or a mapping to positive weights; per-node
-    weight sums must stay strictly below 1.  ``lambda2`` is the per-node
-    (or shared scalar) per-coordinate noise variance.  The offsets must be
-    realizable by actual positions: the least-squares solve for positions
-    must leave residual <= ``tolerances.CONSISTENCY_TOL``, else
-    InconsistentFormation.
+    ``weights`` is "default" (:func:`uniform_edge_matrix`'s default weight)
+    or a mapping to positive weights; per-node weight sums must stay
+    strictly below 1.  ``lambda2`` is the per-node (or shared scalar)
+    per-coordinate noise variance.  The offsets must be realizable by
+    actual positions: the least-squares solve for positions must leave
+    residual <= ``tolerances.CONSISTENCY_TOL``, else InconsistentFormation.
     """
     if not is_connected(graph):
         raise DisconnectedGraph("formation graph must be connected")
@@ -201,17 +174,19 @@ def build_formation_spec(
     if isinstance(weights, str):
         if weights != "default":
             raise InvalidParam(f"weights must be a mapping or 'default', got {weights!r}")
-        w = default_weights(graph)
+        if graph.m == 0:
+            raise InvalidParam("formation weights need at least one edge")
+        w = dict.fromkeys(graph.edges, _default_eps(graph))
     else:
         w = _canonical_edge_map(graph, dict(weights), "weight", negate_flip=False)
         w = {e: float(x) for e, x in w.items()}
     if not all(np.isfinite(x) and x > 0 for x in w.values()):
         raise InvalidParam("formation weights must be finite and positive")
 
-    row_sum = np.zeros(n)
+    p = np.zeros((n, n))
     for (i, j), x in w.items():
-        row_sum[i] += x
-        row_sum[j] += x
+        p[i, j] = p[j, i] = x
+    row_sum = p.sum(axis=1)
     if row_sum.max() >= 1.0:
         worst = int(row_sum.argmax())
         raise StepSizeViolation(
@@ -224,6 +199,7 @@ def build_formation_spec(
     if lam.shape != (n,):
         raise DimensionMismatch(f"lambda2 must be scalar or length {n}, got shape {lam.shape}")
     _require_variances(lam, "lambda2")
+    noise = NoiseCovariance.diagonal(lam)
 
     # recover positions: one incidence row per edge plus a centroid anchor
     m = graph.m
@@ -243,24 +219,9 @@ def build_formation_spec(
         )
     positions = sol - sol.mean(axis=0, keepdims=True)
 
-    return FormationSpec(
-        graph=graph,
-        dim=dim,
-        offsets=off,
-        weights=w,
-        lambda2=lam,
-        positions=positions,
-        consistency_residual=resid,
-    )
-
-
-def formation_matrix(spec: FormationSpec) -> StochasticMatrix:
-    """P_form: off-diagonal f_ij, diagonal 1 - sum_j f_ij (symmetric).
-
-    Built once per spec and cached on it: every call returns the same
-    chain.
-    """
-    return spec._matrix
+    p[np.diag_indices(n)] = 1.0 - row_sum
+    return FormationSpec(graph=graph, dim=dim, offsets=off, weights=w, chain=StochasticMatrix(p),
+                         noise=noise, positions=positions, consistency_residual=resid)
 
 
 def form_exact(spec: FormationSpec) -> FormationReport:
@@ -270,10 +231,10 @@ def form_exact(spec: FormationSpec) -> FormationReport:
     reported as the list; K(P_form^2) does not depend on the noise, so it
     is reported all the same.
     """
-    K = kemeny_constant_combinatorial(square_chain(formation_matrix(spec)))
-    lam2 = spec.lambda2_scalar()
+    K = kemeny_constant_combinatorial(square_chain(spec.chain))
+    lam2 = spec.noise.equal_variance()
     if lam2 is None:
-        val, lam2 = form_via_delta(spec), spec.lambda2.tolist()
+        val, lam2 = form_via_delta(spec), spec.noise.variances().tolist()
     else:
         val = spec.dim * lam2 * K / spec.n
     return FormationReport(
@@ -297,7 +258,7 @@ def form_via_delta(spec: FormationSpec) -> float:
     pi' Z = pi').  So Diag(lambda^2) itself is passed, and no n x n
     covariance is built.  Supports per-node lambda^2.
     """
-    rep = delta_ss_theorem(formation_matrix(spec), NoiseCovariance.diagonal(spec.lambda2))
+    rep = delta_ss_theorem(spec.chain, spec.noise)
     return spec.dim * rep.delta_ss
 
 
@@ -321,16 +282,14 @@ def simulate_formation(
     coordinates.
     """
     n, d = spec.n, spec.dim
-    P = formation_matrix(spec)
-    burn = _resolve_burn_in(P, cfg)
+    burn = _resolve_burn_in(spec.chain, cfg)
     if p0 is None:
         p0 = spec.positions
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (n, d):
         raise DimensionMismatch(f"p0 must have shape ({n},{d}), got {p0.shape}")
 
-    noise = NoiseCovariance.diagonal(spec.lambda2)
-    times, _, form, positions = _run_trials(P, noise, p0 - spec.positions, cfg)
+    times, _, form, positions = _run_trials(spec.chain, spec.noise, p0 - spec.positions, cfg)
     positions += spec.positions
     form_mean, form_se, est, se = _summarize(times, form, burn)
     trace = FormationTrace(
@@ -425,6 +384,20 @@ def spec_from_graph(graph: Graph, lambda2) -> FormationSpec:
 # i/o
 # =====================================================================
 
+def _json_number(x, what: str, kind=(int, float)):
+    """``x`` if JSON gave a number (an integer where ``kind`` is int); a boolean is neither."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise TypeError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {x!r}")
+    return x
+
+
+def _json_floats(x, what: str) -> np.ndarray:
+    """A JSON number, or a list of them, as floats."""
+    for v in x if isinstance(x, list) else [x]:
+        _json_number(v, what)
+    return np.asarray(x, dtype=float)
+
+
 def load_formation_spec(path) -> FormationSpec:
     """Read a formation spec from JSON.
 
@@ -436,6 +409,9 @@ def load_formation_spec(path) -> FormationSpec:
           "weights": "default",            # or [[i, j, w], ...]
           "lambda2": 4e-4                  # or per-node list
         }
+
+    ``n``, ``dim``, ``i`` and ``j`` are JSON integers, every other number a
+    JSON number; a boolean is neither.
     """
     try:
         with open(path) as fh:
@@ -443,22 +419,24 @@ def load_formation_spec(path) -> FormationSpec:
     except UnicodeDecodeError as exc:
         raise InvalidParam(f"formation spec {path}: not a text file ({exc})") from exc
     try:
-        n = int(doc["n"])
-        dim = int(doc["dim"])
+        n = _json_number(doc["n"], "n", int)
+        dim = _json_number(doc["dim"], "dim", int)
         raw_edges = doc["edges"]
-        lambda2 = np.asarray(doc.get("lambda2", 0.0), dtype=float)
+        lambda2 = _json_floats(doc.get("lambda2", 0.0), "lambda2")
         weights = doc.get("weights", "default")
         offsets = {}
         edges = []
         for entry in raw_edges:
             if isinstance(entry, dict):
-                i, j, r = int(entry["i"]), int(entry["j"]), entry["r"]
+                i, j, r = entry["i"], entry["j"], entry["r"]
             else:
-                i, j, r = int(entry[0]), int(entry[1]), entry[2]
+                i, j, r = entry[0], entry[1], entry[2]
+            i, j = _json_number(i, "i", int), _json_number(j, "j", int)
             edges.append((i, j))
-            offsets[(i, j)] = np.asarray(r, dtype=float)
+            offsets[(i, j)] = _json_floats(r, "r")
         if not isinstance(weights, str):
-            weights = {(int(i), int(j)): float(w) for i, j, w in weights}
+            weights = {(_json_number(i, "i", int), _json_number(j, "j", int)):
+                       float(_json_number(w, "weight")) for i, j, w in weights}
     except KeyError as exc:
         raise InvalidParam(f"formation spec {path}: missing field {exc}") from exc
     except (IndexError, TypeError, ValueError) as exc:

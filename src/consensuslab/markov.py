@@ -559,12 +559,18 @@ def lazy_walk_matrix(g: Graph) -> StochasticMatrix:
     return _graph_chain(g, 0.5 / g.degrees(), np.full(g.n, 0.5))
 
 
+def _default_eps(g: Graph) -> float:
+    """The default edge weight 1/(2 * max degree) of a graph with an edge."""
+    return 1.0 / (2.0 * int(g.degrees().max()))
+
+
 def uniform_edge_matrix(g: Graph, eps: float | None = None) -> StochasticMatrix:
     """Symmetric walk: weight eps on every edge, 1 - eps*d(i) on the diagonal.
 
     Defaults to eps = 1/(2 * max degree), which keeps every diagonal entry
-    >= 1/2; any eps < 1/max_degree is accepted.  Coincides with the lazy
-    walk when the graph is regular.
+    >= 1/2; any eps < 1/max_degree is accepted.  That default is also the
+    default formation weight.  Coincides with the lazy walk when the graph
+    is regular.
     """
     if g.n == 1:
         return StochasticMatrix([[1.0]])
@@ -572,7 +578,7 @@ def uniform_edge_matrix(g: Graph, eps: float | None = None) -> StochasticMatrix:
     d = g.degrees()
     dmax = int(d.max())
     if eps is None:
-        eps = 1.0 / (2.0 * dmax)
+        eps = _default_eps(g)
     if not (0.0 < eps < 1.0 / dmax):
         raise InvalidParam(
             f"edge weight must satisfy 0 < eps < 1/max_degree = {1.0 / dmax:g}, got {eps}"

@@ -126,6 +126,29 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
         spec.write_text(json.dumps({"n": 2, "dim": 1, "lambda2": 1.0, **fields}))
         code, _, err = run_main("formation", "--spec", spec, "--skip-sim")
         assert code == 2 and f"{name}.json" in err, err
+    # n, dim, i and j are JSON integers, every other spec number a JSON
+    # number, and no field a boolean: nothing is coerced
+    square = {"n": 4, "dim": 2, "lambda2": 1e-3,
+              "edges": [{"i": i, "j": (i + 1) % 4, "r": r}
+                        for i, r in enumerate(([1, 1], [-1, 1], [-1, -1], [1, -1]))],
+              "weights": [[i, (i + 1) % 4, 0.1] for i in range(4)]}
+    edges, weights = square["edges"], square["weights"]
+    for name, fields in (("n_float", {"n": 4.5}), ("n_bool", {"n": True}),
+                         ("dim_float", {"dim": 2.5}),
+                         ("j_float", {"edges": [{**edges[0], "j": 1.5}, *edges[1:]]}),
+                         ("i_bool", {"edges": [edges[0], {**edges[1], "i": True}, *edges[2:]]}),
+                         ("r_bool", {"edges": [{**edges[0], "r": [True, 1.0]}, *edges[1:]]}),
+                         ("lambda2_bool", {"lambda2": True}),
+                         ("lambda2_list_bool", {"lambda2": [True, 1e-3, 1e-3, 1e-3]}),
+                         ("weight_bool", {"weights": [*weights[:3], [3, False, 0.1]]}),
+                         ("weight_float_node", {"weights": [*weights[:3], [3, 0.0, 0.1]]})):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({**square, **fields}))
+        code, out, err = run_main("formation", "--spec", spec, "--skip-sim")
+        assert code == 2 and out == "" and "InvalidParam" in err and f"{name}.json" in err, err
+    spec = tmp_path / "square.json"
+    spec.write_text(json.dumps(square))
+    assert run_main("formation", "--spec", spec, "--skip-sim")[0] == 0
     # non-finite or negative noise values, a NaN formation weight or offset,
     # --sigma2 next to the --sigma2-vec file that replaces it, --out with
     # formation --skip-sim, a sweep given --n, --edges or an unknown family
@@ -433,7 +456,7 @@ def test_formation_spec_with_per_node_lambda2(tmp_path):
     assert doc["lambda2"] == doc["config"]["lambda2"] == [1e-3, 2e-3, 3e-3]
     loaded = consensuslab.load_formation_spec(spec)
     assert doc["form_exact"] == consensuslab.form_via_delta(loaded)
-    P2 = consensuslab.square_chain(consensuslab.formation_matrix(loaded))
+    P2 = consensuslab.square_chain(loaded.chain)
     assert doc["kemeny_p2"] == consensuslab.kemeny_constant_combinatorial(P2)
     assert doc["form_simulated"] > 0
 

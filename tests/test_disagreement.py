@@ -31,7 +31,7 @@ from consensuslab.errors import (
     NotReversible,
     NotSymmetric,
 )
-from consensuslab.formation import form_via_delta, formation_matrix, spec_from_graph
+from consensuslab.formation import form_via_delta, spec_from_graph
 from consensuslab.graphs import line_graph, ring_graph, star_graph
 from consensuslab.markov import (
     StochasticMatrix,
@@ -193,7 +193,7 @@ def test_closed_forms_build_no_hitting_matrix():
         sigma_hat(P, noise)
     spec = spec_from_graph(ring_graph(12), 1e-3)
     form_via_delta(spec)
-    for Q in (P, formation_matrix(spec)):
+    for Q in (P, spec.chain):
         assert "_hitting" not in vars(square_chain(Q))
 
 

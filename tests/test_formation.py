@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import io
 import json
@@ -19,14 +20,13 @@ from consensuslab.errors import (
     StepSizeViolation,
 )
 from consensuslab.graphs import build_graph, custom_graph, star_graph
+from consensuslab.markov import uniform_edge_matrix
 from consensuslab.formation import (
     FormationTrace,
     _write_trajectory,
     build_formation_spec,
-    default_weights,
     form_exact,
     form_via_delta,
-    formation_matrix,
     layout_positions,
     load_formation_spec,
     ring_demo_spec,
@@ -44,31 +44,48 @@ def line2_spec(lambda2=1.0):
 
 def test_default_weights_and_matrix_star4():
     g = star_graph(4)
-    w = default_weights(g)
-    assert all(v == pytest.approx(1 / 6) for v in w.values())
     spec = build_formation_spec(
         g, 2, {(0, j): [float(j), 0.0] for j in (1, 2, 3)}, "default", 1.0
     )
-    P = formation_matrix(spec)
+    assert all(v == pytest.approx(1 / 6) for v in spec.weights.values())
+    P = spec.chain
     np.testing.assert_allclose(np.diag(P.entries), [1 / 2, 5 / 6, 5 / 6, 5 / 6], atol=1e-15)
     assert P.symmetric and P.aperiodic
+    # with default weights, P_form is the uniform chain; on hubs its
+    # diagonal sums the weights in another order, within 1 ulp
+    for fam, n in (("ring", 64), ("line", 50), ("tree", 127), ("grid", 256),
+                   ("starry-line", 192), ("complete", 64), ("star", 127), ("two-star", 200)):
+        g = build_graph(fam, n)
+        form, uniform = spec_from_graph(g, 1e-3).chain.entries, uniform_edge_matrix(g).entries
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(form[off], uniform[off]), fam
+        if fam in ("star", "two-star"):
+            np.testing.assert_array_max_ulp(np.diag(form), np.diag(uniform), maxulp=1)
+        else:
+            assert np.array_equal(form, uniform), fam
 
 
 def test_formation_chain_is_built_once_per_spec(monkeypatch):
+    from consensuslab.disagreement import NoiseCovariance
     from consensuslab.markov import StochasticMatrix
 
-    builds = []
+    builds, noises = [], []
     init = StochasticMatrix.__init__
     monkeypatch.setattr(StochasticMatrix, "__init__",
                         lambda self, *a, **kw: builds.append(1) or init(self, *a, **kw))
+    diagonal = NoiseCovariance.diagonal
+    monkeypatch.setattr(NoiseCovariance, "diagonal",
+                        classmethod(lambda cls, v: noises.append(1) or diagonal(v)))
     spec = ring_demo_spec()
-    P = formation_matrix(spec)
-    assert formation_matrix(spec) is P
     form_exact(spec)
     form_via_delta(spec)
     simulate_formation(spec, SimConfig(horizon=200, trials=1, seed=0))
-    # P_form and its square, shared by both closed forms and the simulator
+    # P_form and its square, and Diag(lambda^2), shared by both closed forms
+    # and the simulator
     assert len(builds) == 2
+    assert len(noises) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.noise = NoiseCovariance.diagonal(np.ones(4))
 
 
 def test_formation_chain_rho_and_automatic_burn_in():
@@ -80,7 +97,7 @@ def test_formation_chain_rho_and_automatic_burn_in():
         (ring_demo_spec(), 51),
     )
     for spec, burn in specs:
-        P = formation_matrix(spec)
+        P = spec.chain
         M = P.entries - np.outer(np.ones(P.n), P.stationary())
         assert abs(P.rho - np.abs(np.linalg.eigvals(M)).max()) <= 1e-13
         assert auto_burn_in(P) == burn
@@ -123,7 +140,7 @@ def test_theorem_and_general_route_agree_on_families():
         b = form_via_delta(spec)
         assert abs(a - b) < 1e-10 * (1 + abs(a)), fam
         # per-node noise: form_exact takes the general route
-        spec.lambda2 = rng.uniform(0.1, 1.0, n)
+        spec = spec_from_graph(build_graph(fam, n), lambda2=rng.uniform(0.1, 1.0, n))
         assert form_via_delta(spec) > 0
         assert form_exact(spec).form_exact == form_via_delta(spec)
 
