@@ -17,11 +17,12 @@ graphs come in three flavors:
 
 Every chain stores its entries as CSR, and its square stays CSR too.
 Every chain built from a graph is reversible, and reversible chains take a
-fast route: pi by detailed balance along a breadth-first tree (O(n^2) with
+fast route: pi by detailed balance along a breadth-first tree (O(nnz) with
 its check), P^2 by a sparse product that inherits pi, and the fundamental
 matrix Z = (I - P + 1 pi')^-1 by a Cholesky inversion of its symmetrized
 form.  Other chains take LU solves.  H, K and R are all read off Z, and H
-is only built when asked for.
+is only built when asked for; the O(n^2) passes over Z read it by
+contiguous row blocks and column strips.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ class StochasticMatrix:
 
     The entries are stored once, as a CSR matrix with sorted indices and no
     stored zeros.  The dense array ``entries`` is built on first request
-    and cached; the O(n^2) passes (validation, the structural flags, the
-    detailed-balance check, the Cholesky route of Z) read dense blocks of
-    rows cut from the CSR arrays instead, so a chain and its square never
-    need an n x n copy of their entries.  A sparse chain (at most n^2 / 32
-    stored entries) keeps its CSR matrix as the factor of its hitting
-    residual, and its square keeps the chain's factors twice; a dense one
-    takes that residual by row blocks (see _hitting_residual).
+    and cached.  Validation, the structural flags and the detailed-balance
+    check read the stored entries, in O(nnz): each entry P_ij is paired
+    with P_ji (see _paired), so a chain and its square never need an n x n
+    copy of their entries.  A sparse chain (at most n^2 / 32 stored
+    entries) keeps its CSR matrix as the factor of its hitting residual,
+    and its square keeps the chain's factors twice; a dense one takes that
+    residual by row blocks (see _hitting_residual).
 
     The structural flags, the stationary law, the non-unit spectrum, the
     squared chain, the fundamental matrix and the hitting times are each
@@ -85,10 +86,15 @@ class StochasticMatrix:
         converted to CSR.
     """
 
-    def __init__(self, entries):
+    def __init__(self, entries, *, _owned: bool = False):
+        # _owned: entries is a CSR matrix built for this chain alone, with
+        # sorted indices, no duplicates and no stored zeros; it is validated
+        # but neither copied nor re-sorted (see _graph_chain and _square)
         from scipy.sparse import csr_matrix
 
-        if hasattr(entries, "tocsr"):
+        if _owned:
+            S, dense = entries, None
+        elif hasattr(entries, "tocsr"):
             S, dense = entries.tocsr(copy=True).astype(float, copy=False), None
         else:
             S = dense = np.array(entries, dtype=float)
@@ -99,14 +105,14 @@ class StochasticMatrix:
         if dense is not None:
             dense.setflags(write=False)
             S = csr_matrix(dense)  # sorted, with no zeros stored
-        elif not (S.has_canonical_format and S.data.all()):
+        elif not (_owned or S.has_canonical_format and S.data.all()):
             S.sum_duplicates()  # sorts the indices too
             S.eliminate_zeros()
         if not np.isfinite(S.data).all():
             raise InvalidParam("transition matrix has non-finite entries")
         if np.any(S.data < 0):
             raise InvalidParam("transition matrix has negative entries")
-        worst = max(float(np.abs(rows.sum(axis=1) - 1.0).max()) for _, rows in _dense_blocks(S))
+        worst = float(np.abs(S @ np.ones(S.shape[0]) - 1.0).max())
         if worst > tol.ROW_SUM_TOL:
             raise InvalidParam(
                 f"rows must sum to 1 within {tol.ROW_SUM_TOL:g} (worst deviation {worst:.3e})"
@@ -163,8 +169,7 @@ class StochasticMatrix:
     @cached_property
     def symmetric(self) -> bool:
         scale = max(1.0, float(self._csr.data.max()))
-        worst = max(float(np.abs(rows - cols).max())
-                    for _, rows, cols in _dense_blocks(self._csr, columns=True))
+        worst = max(float(np.abs(p - q).max()) for _, _, p, q in self._pairs())
         return worst <= tol.SYMMETRY_RTOL * scale
 
     @cached_property
@@ -211,8 +216,7 @@ class StochasticMatrix:
         if hint is None and not balanced:
             pi, resid = self._lu_stationary()
             return pi, resid, self._detailed_balance(pi)
-        S = self._csr
-        piP = np.bincount(S.indices, S.data * np.repeat(pi, np.diff(S.indptr)), self.n)
+        piP = self._csr.T @ pi  # summed over the stored entries in order, with no copy of them
         return pi, float(np.abs(piP - pi).max()), balanced
 
     def _tree_stationary(self) -> np.ndarray | None:
@@ -221,18 +225,18 @@ class StochasticMatrix:
         from scipy.sparse.csgraph import breadth_first_order
 
         order, pred = breadth_first_order(self._csr, 0, directed=True, return_predecessors=True)
+        forth, back = np.zeros(self.n), np.zeros(self.n)  # P[pred[j], j] and P[j, pred[j]]
+        for i, j, p, q in self._pairs():
+            arc = pred[j] == i
+            forth[j[arc]] = p[arc]
+            back[j[arc]] = q[arc]
         child = order[1:]
-        parent = pred[child]
-        forth, back = np.empty(child.size), np.empty(child.size)
-        for b, rows in _dense_blocks(self._csr):  # P[parent, child] and P[child, parent]
-            for out, i, j in ((forth, parent, child), (back, child, parent)):
-                at = (i >= b.start) & (i < b.stop)
-                out[at] = rows[i[at] - b.start, j[at]]
-        if np.any(back <= 0):
+        if np.any(back[child] <= 0):
             return None
         pi = [0.0] * self.n
         pi[0] = 1.0
-        for j, i, r in zip(child.tolist(), parent.tolist(), (forth / back).tolist()):
+        for j, i, r in zip(child.tolist(), pred[child].tolist(),
+                           (forth[child] / back[child]).tolist()):
             pi[j] = pi[i] * r  # the tree order puts i before j
         pi = np.array(pi)
         total = pi.sum()
@@ -244,13 +248,47 @@ class StochasticMatrix:
 
     def _detailed_balance(self, pi: np.ndarray) -> bool:
         """max |pi_i P_ij - pi_j P_ji| <= REVERSIBILITY_RTOL * max pi_i P_ij,
-        over row blocks of the flux matrix."""
+        over the stored entries of the flux matrix."""
         worst = top = 0.0
-        for b, rows, cols in _dense_blocks(self._csr, columns=True):
-            flux = pi[b, None] * rows
-            worst = max(worst, float(np.abs(flux - cols * pi).max()))
+        for i, j, p, q in self._pairs():
+            flux = pi[i] * p
+            worst = max(worst, float(np.abs(flux - q * pi[j]).max()))
             top = max(top, float(flux.max()))
         return worst <= tol.REVERSIBILITY_RTOL * top
+
+    @cached_property
+    def _paired(self):
+        """(U, V): the entries on the union of the pattern and its transpose,
+        as a CSR matrix U, and for each stored entry (i, j) of U the entry
+        U[j, i] at the same position of the array V.
+
+        U is the chain's own CSR matrix when its pattern is symmetric, as the
+        pattern of every graph chain and of its square is; any other pattern
+        gets explicit zeros on the transposed pattern.  So P_ij and P_ji are
+        read for every pair where either is nonzero, and their products and
+        differences are those of the dense arrays P and P'.
+        """
+        from scipy.sparse import coo_matrix
+
+        S = self._csr
+        V = _transposed_data(S)
+        if V is None:
+            rows = np.repeat(np.arange(self.n), np.diff(S.indptr))
+            S = coo_matrix((np.concatenate([S.data, np.zeros(S.nnz)]),
+                            (np.concatenate([rows, S.indices]), np.concatenate([S.indices, rows]))),
+                           shape=S.shape).tocsr()  # duplicates summed, the zeros kept
+            V = _transposed_data(S)
+        return S, V
+
+    def _pairs(self):
+        """(i, j, P_ij, P_ji) for the stored entries (i, j) of U (see
+        _paired), one block of rows of about 2^14 entries at a time."""
+        U, V = self._paired
+        ptr = U.indptr
+        for b in _entry_blocks(ptr):
+            k = slice(ptr[b.start], ptr[b.stop])
+            i = np.repeat(np.arange(b.start, b.stop), np.diff(ptr[b.start:b.stop + 1]))
+            yield i, U.indices[k], U.data[k], V[k]
 
     def _lu_stationary(self) -> tuple[np.ndarray, float]:
         """pi by LU and its residual (before normalization)."""
@@ -323,7 +361,9 @@ class StochasticMatrix:
         pi' P^2 = pi', and a sparse P's factors twice, so that its hitting
         residual never multiplies by the denser P^2 (see _hitting_residual)."""
         S = self._csr
-        Q = StochasticMatrix(S @ S)
+        C = S @ S  # no duplicates and no stored zeros, but unsorted
+        C.sort_indices()
+        Q = StochasticMatrix(C, _owned=True)
         if self.irreducible:
             Q._pi_hint = self._stationary[0]
         if self._factors is not None:
@@ -336,7 +376,7 @@ class StochasticMatrix:
         hitting-time equations that H[i,j] = (Z[j,j] - Z[i,j]) / pi[j] would
         leave: Cholesky for a reversible chain, LU otherwise."""
         pi = self.stationary()
-        Z = _fundamental_cholesky(self._csr, pi) if self.reversible else None
+        Z = _fundamental_cholesky(self, pi) if self.reversible else None
         if Z is None:
             n = self.n
             try:
@@ -372,70 +412,81 @@ def _row_blocks(n: int):
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
-def _dense_blocks(S, columns: bool = False):
+def _entry_blocks(indptr: np.ndarray):
+    """Slices of consecutive rows of a CSR matrix, each holding about 2^14
+    stored entries and at least one row: a pass over the entries keeps its
+    several temporaries small."""
+    n = indptr.size - 1
+    if indptr[-1] <= 1 << 14:
+        return (slice(0, n),)
+    cuts = np.searchsorted(indptr, np.arange(1 << 14, indptr[-1], 1 << 14)).tolist()
+    bounds = sorted({0, *cuts, n})
+    return (slice(a, b) for a, b in zip(bounds, bounds[1:]))
+
+
+def _transposed_data(S) -> np.ndarray | None:
+    """The entries S[j, i] in the order of the stored entries (i, j) of the
+    canonical CSR matrix S; None if some (j, i) is not stored."""
+    T = S.tocsc()  # the arrays of S' in CSR
+    if np.array_equal(T.indptr, S.indptr) and np.array_equal(T.indices, S.indices):
+        return T.data
+    return None
+
+
+def _dense_blocks(S):
     """For each slice b of ``_row_blocks(n)``, the dense rows S[b] of the
-    CSR matrix S; with ``columns``, also the dense transposed columns
-    S[:, b].T, both of shape (len(b), n).
-
-    The columns are the rows of one transposed copy of S, made for the pass
-    and dropped with it; a single block reads them as ``rows.T`` and copies
-    nothing.  Each block holds exactly the values of that slice of the
-    dense array, so a pass over the blocks gives the numbers of the same
-    pass over the dense matrix, and no block is kept once the pass moves on.
+    CSR matrix S, scattered into one zeroed buffer and cleared from it entry
+    by entry once the caller asks for the next block.  Each block holds
+    exactly the values of that slice of the dense array, so a pass over the
+    blocks gives the numbers of the same pass over the dense matrix.
     """
-    blocks = list(_row_blocks(S.shape[0]))
-    T = S.T.tocsr() if columns and len(blocks) > 1 else None
-    for b in blocks:
-        rows = _dense_rows(S, b)
-        if not columns:
-            yield b, rows
-        else:
-            yield b, rows, rows.T if T is None else _dense_rows(T, b)
-
-
-def _dense_rows(S, b: slice) -> np.ndarray:
-    """S[b] as a dense array, scattered from the CSR arrays of S."""
     n = S.shape[1]
-    ptr = S.indptr[b.start:b.stop + 1]
-    lo, hi = ptr[0], ptr[-1]
-    rows = np.zeros((b.stop - b.start, n))
-    rows.ravel()[np.repeat(np.arange(0, rows.size, n), ptr[1:] - ptr[:-1]) + S.indices[lo:hi]] = \
-        S.data[lo:hi]
-    return rows
+    ptr = S.indptr
+    blocks = list(_row_blocks(S.shape[0]))
+    buf = np.zeros((blocks[0].stop - blocks[0].start) * n)  # the first block is the largest
+    for b in blocks:
+        k = slice(ptr[b.start], ptr[b.stop])
+        at = np.repeat(np.arange(0, (b.stop - b.start) * n, n), np.diff(ptr[b.start:b.stop + 1]))
+        at += S.indices[k]
+        buf[at] = S.data[k]
+        yield b, buf[:(b.stop - b.start) * n].reshape(-1, n)
+        buf[at] = 0.0
 
 
-def _fundamental_cholesky(S, pi: np.ndarray) -> np.ndarray | None:
+def _fundamental_cholesky(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray | None:
     """Z of a reversible chain, in one n x n buffer; None if not positive definite.
 
     B_s = I - D^{1/2} P D^{-1/2} + sqrt(pi) sqrt(pi)' (D = diag(pi)) is
-    symmetric positive definite, and Z = D^{-1/2} B_s^-1 D^{1/2}.  With
-    A = D^{1/2} P D^{-1/2} written into the buffer by the dense row blocks
-    of P's CSR matrix S, each row block's lower strip becomes
-    -(A + A')/2 + sqrt(pi) sqrt(pi)', its transpose part read from the
-    buffer's upper triangle, which the strips to come do not overwrite.
-    The diagonal entries 1 - P_ii are summed from each row's other
-    entries, and LAPACK potrf and potri then factor and invert the lower
-    triangle in place.
+    symmetric positive definite, and Z = D^{-1/2} B_s^-1 D^{1/2}.  The lower
+    triangle of the buffer takes sqrt(pi) sqrt(pi)' by row strips, and then
+    -(A_ij + A_ji)/2 + sqrt(pi_i) sqrt(pi_j), with A = D^{1/2} P D^{-1/2},
+    on the stored pairs i > j (see StochasticMatrix._paired): the numbers
+    of the same formula on the dense arrays.  The diagonal entries 1 - P_ii
+    are summed from each dense row's other entries.  LAPACK potrf and potri
+    then factor and invert the lower triangle in place, and one pass of row
+    blocks mirrors it onto the upper triangle and scales it.
     """
     from scipy.linalg import lapack
 
     n = pi.size
     s = np.sqrt(pi)
     B = np.empty((n, n))
+    for b in _row_blocks(n):
+        np.multiply(s[b, None], s[:b.stop], out=B[b, :b.stop])
+    flat = B.ravel()
+    for i, j, p, q in P._pairs():
+        low = j < i
+        i, j, p, q = i[low], j[low], p[low], q[low]
+        si, sj = s[i], s[j]
+        flat[i * n + j] = (si * p / sj + sj * q / si) * -0.5 + si * sj
     diag = np.empty(n)
-    for b, rows in _dense_blocks(S):
-        np.divide(s[b, None] * rows, s, out=B[b])
+    for b, rows in _dense_blocks(P._csr):
         # summed from the row's other entries, 1 - P_ii keeps sqrt(pi) the null
         # vector of B_s - sqrt(pi) sqrt(pi)' to within the entries' own rounding
         # (adding the identity last instead moved K(P^2) of the uniform
         # line1200 by 2.5e-11)
         rows[np.arange(b.stop - b.start), np.arange(b.start, b.stop)] = 0.0
         diag[b] = rows.sum(axis=1) + pi[b]
-    for b in _row_blocks(n):
-        lower = B[b, :b.stop]
-        lower += B[:b.stop, b].T
-        lower *= -0.5
-        lower += s[b, None] * s[:b.stop]
     B[np.diag_indices(n)] = diag
     # B.T is the Fortran-ordered view of B, and its upper triangle is B's
     # lower one, so LAPACK factors and inverts that triangle in place,
@@ -446,11 +497,12 @@ def _fundamental_cholesky(S, pi: np.ndarray) -> np.ndarray | None:
     if info != 0:
         return None
     Z = c.T
-    for b in _row_blocks(n):  # mirror the lower triangle onto the upper one
-        upper = np.triu(np.ones((b.stop - b.start, n - b.start), dtype=bool), 1)
-        np.copyto(Z[b, b.start:], Z[b.start:, b].T, where=upper)
-    Z *= s
-    Z /= s[:, None]
+    for b in _row_blocks(n):  # rows b: mirrored, then Z_ij = c_ij s_j / s_i
+        corner = Z[b, b]
+        np.copyto(corner, corner.T, where=np.tri(*corner.shape, -1, dtype=bool).T)
+        Z[b, b.stop:] = np.ascontiguousarray(Z[b.stop:, b]).T
+        Z[b] *= s
+        Z[b] /= s[b, None]
     return Z
 
 
@@ -458,22 +510,25 @@ def _hitting_residual(P: StochasticMatrix, Z: np.ndarray, pi: np.ndarray) -> flo
     """max over i != j of |H_ij - (P H)_ij - 1| for H_ij = (Z_jj - Z_ij) / pi_j,
     without building H.
 
-    That residual is ((1 - (P 1)_i) Z_jj + (P Z)_ij - Z_ij) / pi_j - 1, so
-    the product P Z is the whole cost.  A sparse chain applies its sparse
-    factors (P's own CSR, or P's CSR F twice for P = F F) to column blocks
-    of Z, F (F Z[:, c]); a dense chain takes dense row blocks P[b] Z, an
-    n^3 product.  A CSR product sums each column on its own, in nnz order,
-    so the column blocks give the numbers of the full product F (F Z).
+    That residual is |X_ij - 1| for X_ij = ((1 - (P 1)_i) Z_jj + (P Z)_ij
+    - Z_ij) / pi_j, so the product P Z is the whole cost; a block of X is
+    read by its largest and smallest entries, with X_ii set to 1, and only
+    rows with (P 1)_i != 1 take the first term.  A sparse
+    chain applies its sparse factors (P's own CSR, or P's CSR F twice for
+    P = F F) to contiguous copies of column blocks of Z, F (F Z[:, c]); a
+    dense chain takes dense row blocks P[b] Z, an n^3 product.  A CSR
+    product sums each column on its own, in nnz order, so the column blocks
+    give the numbers of the full product F (F Z).
     """
     z = np.diag(Z)
 
-    def worst_of(R, Z_part, slack, z_part, pi_part, diag) -> float:
-        R -= Z_part
-        R += slack * z_part
-        R /= pi_part
-        R -= 1.0
-        R[diag] = 0.0
-        return float(np.abs(R).max())
+    def worst_of(X, Z_part, slack, z_part, pi_part, diag) -> float:
+        X -= Z_part
+        tilted = np.flatnonzero(slack)  # a row summing to exactly 1 adds 0
+        X[tilted] += slack[tilted, None] * z_part
+        X /= pi_part
+        X[diag] = 1.0
+        return max(float(X.max()) - 1.0, 1.0 - float(X.min()))
 
     def times_p(X):
         for F in reversed(P._factors):
@@ -485,13 +540,13 @@ def _hitting_residual(P: StochasticMatrix, Z: np.ndarray, pi: np.ndarray) -> flo
         for b, rows in _dense_blocks(P._csr):
             slack = 1.0 - rows.sum(axis=1)
             diag = (np.arange(b.stop - b.start), np.arange(b.start, b.stop))
-            worst = max(worst, worst_of(rows @ Z, Z[b], slack[:, None], z, pi, diag))
+            worst = max(worst, worst_of(rows @ Z, Z[b], slack, z, pi, diag))
         return worst
     slack = 1.0 - times_p(np.ones(pi.size))
     for c in _row_blocks(pi.size):
         diag = (np.arange(c.start, c.stop), np.arange(c.stop - c.start))
-        R = times_p(Z[:, c])
-        worst = max(worst, worst_of(R, Z[:, c], slack[:, None], z[c], pi[c], diag))
+        Zc = np.ascontiguousarray(Z[:, c])
+        worst = max(worst, worst_of(times_p(Zc), Zc, slack, z[c], pi[c], diag))
     return worst
 
 
@@ -522,18 +577,24 @@ def _require_connected(g: Graph) -> None:
 
 def _graph_chain(g: Graph, off: np.ndarray, diag: np.ndarray) -> StochasticMatrix:
     """The chain with P[i,j] = off[i] on every edge {i, j} of g (both arcs)
-    and P[i,i] = diag[i], built as CSR straight from the edge list."""
+    and P[i,i] = diag[i], built as CSR straight from the edge list; the
+    entry of each arc's reverse arc is known here too, so the chain's
+    pairs (see StochasticMatrix._paired) come with it."""
     from scipy.sparse import csr_matrix
 
     e = np.array(g.edges, dtype=np.int32).reshape(-1, 2)
-    loops = np.arange(g.n, dtype=np.int32)
+    loops = np.flatnonzero(diag).astype(np.int32)  # no stored zeros
     tails = np.concatenate([e[:, 0], e[:, 1], loops])
     heads = np.concatenate([e[:, 1], e[:, 0], loops])
-    values = np.concatenate([off[e[:, 0]], off[e[:, 1]], diag])
+    values = np.concatenate([off[e[:, 0]], off[e[:, 1]], diag[loops]])
+    reverse = np.concatenate([off[e[:, 1]], off[e[:, 0]], diag[loops]])
     order = np.lexsort((heads, tails))
     indptr = np.zeros(g.n + 1, dtype=np.int32)
     np.cumsum(np.bincount(tails, minlength=g.n), out=indptr[1:])
-    return StochasticMatrix(csr_matrix((values[order], heads[order], indptr), shape=(g.n, g.n)))
+    S = csr_matrix((values[order], heads[order], indptr), shape=(g.n, g.n))
+    P = StochasticMatrix(S, _owned=True)
+    P._paired = S, reverse[order]
+    return P
 
 
 def simple_walk_matrix(g: Graph) -> StochasticMatrix:
@@ -709,25 +770,37 @@ def effective_resistance(P: StochasticMatrix) -> np.ndarray:
     H is built (the values equal H + H' bit for bit).  Requires
     reversibility.
     """
-    blocks = _resistance_blocks(P)
+    Z, pi = _reversible_z(P)
+    z = np.diag(Z)
     R = np.empty((P.n, P.n))
-    for b, rows in blocks:
-        R[b] = rows
+    for b in _row_blocks(P.n):
+        R[b] = (z - Z[b]) / pi + (z[b, None] - Z[:, b].T) / pi[b, None]
     return R
 
 
 def _max_resistance(P: StochasticMatrix) -> float:
-    """max_ij R_ij of :func:`effective_resistance`, without an n x n R."""
-    return max(float(rows.max()) for _, rows in _resistance_blocks(P))
+    """max_ij R_ij of :func:`effective_resistance`, without an n x n R.
+
+    R = H + H' is symmetric bit for bit, since its two terms are added in
+    either order, so the i >= j triangle holds the maximum: row block b
+    takes R[b, :stop] = H[b, :stop] + H[:stop, b]' from the rows Z[b] and
+    one contiguous copy of the column strip Z[:stop, b].
+    """
+    Z, pi = _reversible_z(P)
+    z = np.diag(Z)
+    worst = -math.inf
+    for b in _row_blocks(P.n):
+        H_col = z[b] - Z[:b.stop, b]
+        H_col /= pi[b]
+        R = z[:b.stop] - Z[b, :b.stop]
+        R /= pi[:b.stop]
+        R += H_col.T
+        worst = max(worst, float(R.max()))
+    return worst
 
 
-def _resistance_blocks(P: StochasticMatrix):
-    """(b, R[b]) for each slice b of ``_row_blocks(n)``: the one reader of
-    the resistance matrix; raises NotReversible on a non-reversible P."""
+def _reversible_z(P: StochasticMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Z and pi of a reversible chain; raises NotReversible on any other."""
     if not P.reversible:
         raise NotReversible("effective resistance needs a reversible chain")
-    Z = _fundamental_matrix(P)
-    pi = P.stationary()
-    z = np.diag(Z)
-    return ((b, (z - Z[b]) / pi + (z[b, None] - Z[:, b].T) / pi[b, None])
-            for b in _row_blocks(P.n))
+    return _fundamental_matrix(P), P.stationary()

@@ -21,6 +21,7 @@ from consensuslab.graphs import (
 )
 from consensuslab.markov import (
     StochasticMatrix,
+    _max_resistance,
     effective_resistance,
     hitting_times,
     kemeny_constant_combinatorial,
@@ -268,6 +269,125 @@ def test_flags_of_asymmetric_patterns_equal_the_brute_force_checks(n, arc, flags
     balanced = np.abs(flux - flux.T).max() <= tolerances.REVERSIBILITY_RTOL * flux.max()
     assert P.symmetric == symmetric == flags
     assert P.reversible == balanced == flags
+
+
+@st.composite
+def sparse_chain_inputs(draw):
+    """Triplets (rows, cols, values) of a chain, as a caller might pass them:
+    unsorted, with duplicates and stored zeros, and a dense array E whose
+    entries are exactly their sums.
+
+    Most chains are reversible lazy walks on random symmetric weights around
+    a ring; "one-way" moves weight a from P[u, u] onto an arc u -> v with no
+    reverse arc, inside (1e-15) or outside (1e-6) REVERSIBILITY_RTOL, and
+    "asymmetric" draws a general chain on a random pattern around a
+    directed cycle.  Above 256 states a pass takes several row blocks, and
+    a dense pattern several blocks of stored entries; a chain with a bad
+    row has a row sum off by far more than ROW_SUM_TOL.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 7, 255, 257, 600]))
+    kind = draw(st.sampled_from(["reversible", "one-way", "asymmetric"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    per_row = draw(st.sampled_from([1, 4, 120]))
+    ring = np.arange(n), np.roll(np.arange(n), -1)
+    extra = rng.integers(0, n, size=(2, n * per_row))
+    A = np.zeros((n, n), dtype=bool)
+    A[ring] = A[tuple(extra)] = True
+    if kind != "asymmetric":
+        W = np.where(A | A.T, rng.uniform(0.1, 2.0, (n, n)), 0.0)
+        W = np.triu(W, 1) + np.triu(W, 1).T
+        E = np.eye(n) if n == 1 else 0.5 * W / W.sum(axis=1, keepdims=True) + 0.5 * np.eye(n)
+    else:
+        W = np.where(A, rng.uniform(0.1, 2.0, (n, n)), 0.0)
+        E = W / W.sum(axis=1, keepdims=True)
+    if kind == "one-way" and n > 2:
+        u, v = 0, n // 2 + 1
+        a = draw(st.sampled_from([1e-15, 1e-6]))
+        if E[v, u] == 0.0:
+            E[u, v] += a
+            E[u, u] -= a
+    if draw(st.booleans()):
+        E[n - 1, n - 1] += 1e-9  # a row sum off by 1e-9
+    rows, cols = np.nonzero(E)
+    values = E[rows, cols]
+    # split some entries in two and store some zeros; the sums are exact
+    split = rng.random(rows.size) < 0.3
+    part = values[split] * 0.5
+    values = values.copy()
+    values[split] -= part
+    zeros = rng.integers(0, n, size=(2, n))
+    rows = np.concatenate([rows, rows[split], zeros[0]])
+    cols = np.concatenate([cols, cols[split], zeros[1]])
+    values = np.concatenate([values, part, np.zeros(n)])
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows, cols), values)
+    order = rng.permutation(rows.size)
+    return rows[order], cols[order], values[order], dense
+
+
+def _dense_tree_stationary(E: np.ndarray) -> np.ndarray | None:
+    """pi_j = pi_i E_ij / E_ji along the breadth-first tree of the dense array
+    E, normalized; None where an arc has no reverse arc or pi degenerates."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    order, pred = breadth_first_order(csr_matrix(E), 0, directed=True, return_predecessors=True)
+    child, parent = order[1:], pred[order[1:]]
+    forth, back = E[parent, child], E[child, parent]
+    if np.any(back <= 0):
+        return None
+    pi = [0.0] * E.shape[0]
+    pi[0] = 1.0
+    for j, i, r in zip(child.tolist(), parent.tolist(), (forth / back).tolist()):
+        pi[j] = pi[i] * r
+    pi = np.array(pi)
+    if not (math.isfinite(pi.sum()) and pi.min() > 0):
+        return None
+    return pi / pi.sum()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sparse_chain_inputs(), st.sampled_from(["csr", "coo", "dense"]))
+def test_stored_entry_checks_equal_the_dense_formulas(case, form):
+    # validation, symmetric, reversible and pi read the stored entries in
+    # O(nnz), each paired with its transposed entry; they must give exactly
+    # the verdicts, flags and pi of the same formulas on the dense array
+    from scipy.sparse import coo_matrix, csr_matrix
+
+    rows, cols, values, E = case
+    n = E.shape[0]
+    if form == "dense":
+        given_input = E
+    elif form == "coo":
+        given_input = coo_matrix((values, (rows, cols)), shape=(n, n))
+    else:  # rows in order, each row's entries unsorted
+        by_row = np.argsort(rows, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        given_input = csr_matrix((values[by_row], cols[by_row], indptr), shape=(n, n))
+    valid = np.abs(E.sum(axis=1) - 1.0).max() <= tolerances.ROW_SUM_TOL
+    if not valid:
+        with pytest.raises(InvalidParam, match="rows must sum to 1"):
+            StochasticMatrix(given_input)
+        return
+    P = StochasticMatrix(given_input)
+    assert np.array_equal(P.entries, E)
+    assert P.symmetric == (np.abs(E - E.T).max() <= tolerances.SYMMETRY_RTOL * max(1.0, E.max()))
+    assert P.irreducible
+
+    def balanced(pi):
+        flux = pi[:, None] * E
+        return np.abs(flux - flux.T).max() <= tolerances.REVERSIBILITY_RTOL * flux.max()
+
+    pi = _dense_tree_stationary(E)
+    reversible = pi is not None and balanced(pi)
+    if not reversible:  # the LU route, as the package solves it
+        A = E.T - np.eye(n)
+        A[-1] = 1.0
+        pi = scipy.linalg.solve(A, np.eye(n)[-1])
+        pi /= pi.sum()
+        reversible = balanced(pi)
+    assert P.reversible == reversible
+    assert np.array_equal(P.stationary(), pi)
 
 
 def test_sweep_row_keeps_the_chain_and_its_square_sparse():
@@ -594,6 +714,17 @@ def test_effective_resistance_properties():
     ]))
     with pytest.raises(NotReversible):
         effective_resistance(nonrev)
+
+
+@pytest.mark.parametrize("family, n", [("line", 300), ("two-star", 400)])
+def test_resistance_is_exact_above_one_row_block(family, n):
+    # above 256 states both resistance readers take several row blocks, and
+    # the maximum reads only the i >= j triangle; R is H + H' bit for bit
+    P = square_chain(uniform_edge_matrix(build_graph(family, n)))
+    R = effective_resistance(P)
+    H = hitting_times(P)
+    assert np.array_equal(R, H + H.T)
+    assert _max_resistance(P) == R.max() > 0
 
 
 def test_square_chain_and_periodicity_guard():

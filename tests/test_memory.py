@@ -6,7 +6,7 @@ from conftest import traced_peak
 from consensuslab.cli import _fill_row
 from consensuslab.disagreement import NoiseCovariance
 from consensuslab.graphs import build_graph
-from consensuslab.markov import lazy_walk_matrix, uniform_edge_matrix
+from consensuslab.markov import lazy_walk_matrix, square_chain, uniform_edge_matrix
 
 
 @pytest.mark.parametrize("family, n, chain", [
@@ -27,3 +27,15 @@ def test_sweep_row_holds_one_n_by_n_array(family, n, chain):
     peak = traced_peak(lambda: _fill_row(row, P, noise))
     assert row["max_resistance"] > 0
     assert peak < 3 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n x n arrays"
+
+
+def test_squared_chain_checks_hold_no_dense_copy():
+    # building P^2 of the largest sweep row and checking its detailed balance
+    # reads the stored entries: P^2 itself (0.75 of an n x n array on the
+    # two-star) and one transposed copy of it while its pairs are read.  A
+    # pass over dense row blocks with a transposed copy needed 1.76 arrays
+    n = 1600
+    P = uniform_edge_matrix(build_graph("two-star", n))
+    P.stationary()
+    peak = traced_peak(lambda: square_chain(P).reversible)
+    assert peak < 1.7 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n x n arrays"
