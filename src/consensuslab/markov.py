@@ -65,8 +65,9 @@ class StochasticMatrix:
     stored zeros.  The dense array ``entries`` is built on first request
     and cached.  Validation, the structural flags and the detailed-balance
     check read the stored entries, in O(nnz): each entry P_ij is paired
-    with P_ji (see _paired), so a chain and its square never need an n x n
-    copy of their entries.  A sparse chain (at most n^2 / 32 stored
+    with P_ji from a transposed copy made for that check and dropped after
+    it (see _paired), so a chain and its square never need an n x n copy
+    of their entries.  A sparse chain (at most n^2 / 32 stored
     entries) keeps its CSR matrix as the factor of its hitting residual,
     and its square keeps the chain's factors twice; a dense one takes that
     residual by row blocks (see _hitting_residual).
@@ -169,7 +170,7 @@ class StochasticMatrix:
     @cached_property
     def symmetric(self) -> bool:
         scale = max(1.0, float(self._csr.data.max()))
-        worst = max(float(np.abs(p - q).max()) for _, _, p, q in self._pairs())
+        worst = max(float(np.abs(p - q).max()) for _, _, p, q in _pairs(*self._paired()))
         return worst <= tol.SYMMETRY_RTOL * scale
 
     @cached_property
@@ -211,22 +212,24 @@ class StochasticMatrix:
         if not self.irreducible:
             raise NotIrreducible("stationary distribution needs an irreducible chain")
         hint = self._pi_hint
-        pi = hint if hint is not None else self._tree_stationary()
-        balanced = pi is not None and self._detailed_balance(pi)
+        paired = self._paired()
+        pi = hint if hint is not None else self._tree_stationary(paired)
+        balanced = pi is not None and self._detailed_balance(pi, paired)
         if hint is None and not balanced:
             pi, resid = self._lu_stationary()
-            return pi, resid, self._detailed_balance(pi)
+            return pi, resid, self._detailed_balance(pi, paired)
         piP = self._csr.T @ pi  # summed over the stored entries in order, with no copy of them
         return pi, float(np.abs(piP - pi).max()), balanced
 
-    def _tree_stationary(self) -> np.ndarray | None:
+    def _tree_stationary(self, paired) -> np.ndarray | None:
         """pi_j = pi_i P_ij / P_ji along a breadth-first tree from state 0,
-        normalized; None where an arc has no reverse arc or pi degenerates."""
+        normalized; None where an arc has no reverse arc or pi degenerates.
+        P_ij and P_ji are read from the pairs of _paired."""
         from scipy.sparse.csgraph import breadth_first_order
 
         order, pred = breadth_first_order(self._csr, 0, directed=True, return_predecessors=True)
         forth, back = np.zeros(self.n), np.zeros(self.n)  # P[pred[j], j] and P[j, pred[j]]
-        for i, j, p, q in self._pairs():
+        for i, j, p, q in _pairs(*paired):
             arc = pred[j] == i
             forth[j[arc]] = p[arc]
             back[j[arc]] = q[arc]
@@ -246,21 +249,21 @@ class StochasticMatrix:
         pi.setflags(write=False)
         return pi
 
-    def _detailed_balance(self, pi: np.ndarray) -> bool:
+    def _detailed_balance(self, pi: np.ndarray, paired) -> bool:
         """max |pi_i P_ij - pi_j P_ji| <= REVERSIBILITY_RTOL * max pi_i P_ij,
-        over the stored entries of the flux matrix."""
+        over the stored entries of the flux matrix (the pairs of _paired)."""
         worst = top = 0.0
-        for i, j, p, q in self._pairs():
+        for i, j, p, q in _pairs(*paired):
             flux = pi[i] * p
             worst = max(worst, float(np.abs(flux - q * pi[j]).max()))
             top = max(top, float(flux.max()))
         return worst <= tol.REVERSIBILITY_RTOL * top
 
-    @cached_property
     def _paired(self):
         """(U, V): the entries on the union of the pattern and its transpose,
         as a CSR matrix U, and for each stored entry (i, j) of U the entry
-        U[j, i] at the same position of the array V.
+        U[j, i] at the same position of the array V.  Not cached: V is as
+        large as the entries, so a check makes it and drops it.
 
         U is the chain's own CSR matrix when its pattern is symmetric, as the
         pattern of every graph chain and of its square is; any other pattern
@@ -279,16 +282,6 @@ class StochasticMatrix:
                            shape=S.shape).tocsr()  # duplicates summed, the zeros kept
             V = _transposed_data(S)
         return S, V
-
-    def _pairs(self):
-        """(i, j, P_ij, P_ji) for the stored entries (i, j) of U (see
-        _paired), one block of rows of about 2^14 entries at a time."""
-        U, V = self._paired
-        ptr = U.indptr
-        for b in _entry_blocks(ptr):
-            k = slice(ptr[b.start], ptr[b.stop])
-            i = np.repeat(np.arange(b.start, b.stop), np.diff(ptr[b.start:b.stop + 1]))
-            yield i, U.indices[k], U.data[k], V[k]
 
     def _lu_stationary(self) -> tuple[np.ndarray, float]:
         """pi by LU and its residual (before normalization)."""
@@ -405,23 +398,45 @@ def _strongly_connected(support) -> bool:
     return ncomp == 1
 
 
+_BLOCK = 1 << 16
+"""Entries per block of a blocked pass, of a dense array or of the stored
+entries of a CSR matrix: the pass keeps its temporaries small."""
+
+
 def _row_blocks(n: int):
-    """Slices of consecutive rows, about 2^16 entries of an n-column array
-    each: blocked passes over n x n arrays keep their temporaries small."""
-    step = max(1, (1 << 16) // n)
+    """Slices of consecutive rows, about _BLOCK entries of an n-column array
+    each."""
+    step = max(1, _BLOCK // n)
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
 def _entry_blocks(indptr: np.ndarray):
-    """Slices of consecutive rows of a CSR matrix, each holding about 2^14
-    stored entries and at least one row: a pass over the entries keeps its
-    several temporaries small."""
+    """Slices of consecutive rows of a CSR matrix, each holding about _BLOCK
+    stored entries and at least one row."""
     n = indptr.size - 1
-    if indptr[-1] <= 1 << 14:
+    if indptr[-1] <= _BLOCK:
         return (slice(0, n),)
-    cuts = np.searchsorted(indptr, np.arange(1 << 14, indptr[-1], 1 << 14)).tolist()
+    cuts = np.searchsorted(indptr, np.arange(_BLOCK, indptr[-1], _BLOCK)).tolist()
     bounds = sorted({0, *cuts, n})
     return (slice(a, b) for a, b in zip(bounds, bounds[1:]))
+
+
+def _stored(S):
+    """(b, i, j, S_ij) for the stored entries of the CSR matrix S, one slice
+    b of ``_entry_blocks`` at a time."""
+    ptr = S.indptr
+    for b in _entry_blocks(ptr):
+        k = slice(ptr[b.start], ptr[b.stop])
+        i = np.repeat(np.arange(b.start, b.stop), np.diff(ptr[b.start:b.stop + 1]))
+        yield b, i, S.indices[k], S.data[k]
+
+
+def _pairs(U, V):
+    """(i, j, U_ij, U_ji) for the stored entries (i, j) of U, by the blocks
+    of _stored, with V from StochasticMatrix._paired."""
+    ptr = U.indptr
+    for b, i, j, p in _stored(U):
+        yield i, j, p, V[ptr[b.start]:ptr[b.stop]]
 
 
 def _transposed_data(S) -> np.ndarray | None:
@@ -457,28 +472,29 @@ def _fundamental_cholesky(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray | N
     """Z of a reversible chain, in one n x n buffer; None if not positive definite.
 
     B_s = I - D^{1/2} P D^{-1/2} + sqrt(pi) sqrt(pi)' (D = diag(pi)) is
-    symmetric positive definite, and Z = D^{-1/2} B_s^-1 D^{1/2}.  The lower
-    triangle of the buffer takes sqrt(pi) sqrt(pi)' by row strips, and then
-    -(A_ij + A_ji)/2 + sqrt(pi_i) sqrt(pi_j), with A = D^{1/2} P D^{-1/2},
-    on the stored pairs i > j (see StochasticMatrix._paired): the numbers
-    of the same formula on the dense arrays.  The diagonal entries 1 - P_ii
-    are summed from each dense row's other entries.  LAPACK potrf and potri
-    then factor and invert the lower triangle in place, and one pass of row
-    blocks mirrors it onto the upper triangle and scales it.
+    symmetric positive definite, and Z = D^{-1/2} B_s^-1 D^{1/2}.  The
+    zeroed buffer takes A = D^{1/2} P D^{-1/2} on P's stored entries, and
+    one pass of row blocks then writes the lower triangle
+    (A_ij + A_ji) * -0.5 + sqrt(pi_i) sqrt(pi_j) from the rows and one
+    contiguous copy of the column strip: the numbers of the same formula on
+    the dense arrays, with no copy of the entries.  The diagonal entries
+    1 - P_ii are summed from each dense row's other entries.  LAPACK potrf
+    and potri then factor and invert the lower triangle in place, and one
+    pass of row blocks mirrors it onto the upper triangle and scales it.
     """
     from scipy.linalg import lapack
 
     n = pi.size
     s = np.sqrt(pi)
-    B = np.empty((n, n))
-    for b in _row_blocks(n):
-        np.multiply(s[b, None], s[:b.stop], out=B[b, :b.stop])
+    B = np.zeros((n, n))
     flat = B.ravel()
-    for i, j, p, q in P._pairs():
-        low = j < i
-        i, j, p, q = i[low], j[low], p[low], q[low]
-        si, sj = s[i], s[j]
-        flat[i * n + j] = (si * p / sj + sj * q / si) * -0.5 + si * sj
+    for _, i, j, p in _stored(P._csr):
+        flat[i * n + j] = s[i] * p / s[j]
+    for b in _row_blocks(n):  # no earlier block wrote the column strip B[:stop, b]
+        low = B[b, :b.stop]
+        low += np.ascontiguousarray(B[:b.stop, b]).T
+        low *= -0.5
+        low += s[b, None] * s[:b.stop]
     diag = np.empty(n)
     for b, rows in _dense_blocks(P._csr):
         # summed from the row's other entries, 1 - P_ii keeps sqrt(pi) the null
@@ -577,9 +593,7 @@ def _require_connected(g: Graph) -> None:
 
 def _graph_chain(g: Graph, off: np.ndarray, diag: np.ndarray) -> StochasticMatrix:
     """The chain with P[i,j] = off[i] on every edge {i, j} of g (both arcs)
-    and P[i,i] = diag[i], built as CSR straight from the edge list; the
-    entry of each arc's reverse arc is known here too, so the chain's
-    pairs (see StochasticMatrix._paired) come with it."""
+    and P[i,i] = diag[i], built as CSR straight from the edge list."""
     from scipy.sparse import csr_matrix
 
     e = np.array(g.edges, dtype=np.int32).reshape(-1, 2)
@@ -587,14 +601,11 @@ def _graph_chain(g: Graph, off: np.ndarray, diag: np.ndarray) -> StochasticMatri
     tails = np.concatenate([e[:, 0], e[:, 1], loops])
     heads = np.concatenate([e[:, 1], e[:, 0], loops])
     values = np.concatenate([off[e[:, 0]], off[e[:, 1]], diag[loops]])
-    reverse = np.concatenate([off[e[:, 1]], off[e[:, 0]], diag[loops]])
     order = np.lexsort((heads, tails))
     indptr = np.zeros(g.n + 1, dtype=np.int32)
     np.cumsum(np.bincount(tails, minlength=g.n), out=indptr[1:])
     S = csr_matrix((values[order], heads[order], indptr), shape=(g.n, g.n))
-    P = StochasticMatrix(S, _owned=True)
-    P._paired = S, reverse[order]
-    return P
+    return StochasticMatrix(S, _owned=True)
 
 
 def simple_walk_matrix(g: Graph) -> StochasticMatrix:
@@ -765,38 +776,41 @@ def effective_resistance(P: StochasticMatrix) -> np.ndarray:
 
     For a reversible chain with conductances c(x,y) = pi_x P[x,y],
     R(i <-> j) = H(i -> j) + H(j -> i); that identity is taken as the
-    definition here, read off the fundamental matrix as
-    R_ij = (Z_jj - Z_ij) / pi_j + (Z_ii - Z_ji) / pi_i by row blocks, so no
-    H is built (the values equal H + H' bit for bit).  Requires
-    reversibility.
+    definition here, read off the fundamental matrix by
+    _resistance_blocks, so no H is built (the values equal H + H' bit for
+    bit).  Requires reversibility.
     """
-    Z, pi = _reversible_z(P)
-    z = np.diag(Z)
     R = np.empty((P.n, P.n))
+    for b, rows in _resistance_blocks(P):
+        R[b, :b.stop] = rows
     for b in _row_blocks(P.n):
-        R[b] = (z - Z[b]) / pi + (z[b, None] - Z[:, b].T) / pi[b, None]
+        R[b, b.stop:] = R[b.stop:, b].T
     return R
 
 
 def _max_resistance(P: StochasticMatrix) -> float:
-    """max_ij R_ij of :func:`effective_resistance`, without an n x n R.
+    """max_ij R_ij of :func:`effective_resistance`, without an n x n R."""
+    return max(float(rows.max()) for _, rows in _resistance_blocks(P))
+
+
+def _resistance_blocks(P: StochasticMatrix):
+    """(b, R[b, :b.stop]) for the row blocks b, with
+    R_ij = (Z_jj - Z_ij) / pi_j + (Z_ii - Z_ji) / pi_i, the one reader of R.
 
     R = H + H' is symmetric bit for bit, since its two terms are added in
-    either order, so the i >= j triangle holds the maximum: row block b
-    takes R[b, :stop] = H[b, :stop] + H[:stop, b]' from the rows Z[b] and
-    one contiguous copy of the column strip Z[:stop, b].
+    either order, so the i >= j triangle holds all of it: row block b takes
+    H[b, :stop] + H[:stop, b]' from the rows Z[b] and one contiguous copy
+    of the column strip Z[:stop, b].
     """
     Z, pi = _reversible_z(P)
     z = np.diag(Z)
-    worst = -math.inf
     for b in _row_blocks(P.n):
         H_col = z[b] - Z[:b.stop, b]
         H_col /= pi[b]
-        R = z[:b.stop] - Z[b, :b.stop]
-        R /= pi[:b.stop]
-        R += H_col.T
-        worst = max(worst, float(R.max()))
-    return worst
+        rows = z[:b.stop] - Z[b, :b.stop]
+        rows /= pi[:b.stop]
+        rows += H_col.T
+        yield b, rows
 
 
 def _reversible_z(P: StochasticMatrix) -> tuple[np.ndarray, np.ndarray]:

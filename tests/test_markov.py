@@ -350,8 +350,9 @@ def _dense_tree_stationary(E: np.ndarray) -> np.ndarray | None:
 @given(sparse_chain_inputs(), st.sampled_from(["csr", "coo", "dense"]))
 def test_stored_entry_checks_equal_the_dense_formulas(case, form):
     # validation, symmetric, reversible and pi read the stored entries in
-    # O(nnz), each paired with its transposed entry; they must give exactly
-    # the verdicts, flags and pi of the same formulas on the dense array
+    # O(nnz), each paired with its transposed entry, and B_s is built from the
+    # stored entries alone; they must give exactly the verdicts, flags, pi
+    # and Z of the same formulas on the dense array
     from scipy.sparse import coo_matrix, csr_matrix
 
     rows, cols, values, E = case
@@ -388,6 +389,8 @@ def test_stored_entry_checks_equal_the_dense_formulas(case, form):
         reversible = balanced(pi)
     assert P.reversible == reversible
     assert np.array_equal(P.stationary(), pi)
+    if reversible:  # the Cholesky route builds B_s from the stored entries alone
+        assert np.array_equal(P._fundamental[0], _whole_array_cholesky_z(E, pi))
 
 
 def test_sweep_row_keeps_the_chain_and_its_square_sparse():
