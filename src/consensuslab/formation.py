@@ -33,8 +33,9 @@ from .errors import (
     InvalidParam,
     StepSizeViolation,
 )
-from .graphs import Graph, custom_graph, is_connected
-from .markov import StochasticMatrix, _default_eps, kemeny_constant_combinatorial, square_chain
+from .graphs import Graph, _edge_array, custom_graph
+from .markov import (StochasticMatrix, _default_eps, _graph_chain, kemeny_constant_combinatorial,
+                     square_chain, uniform_edge_matrix)
 from .simulate import SimConfig, _resolve_burn_in, _run_trials, _summarize
 
 __all__ = [
@@ -61,9 +62,10 @@ class FormationSpec:
     ``noise`` is Diag(lambda^2); every route reads these two, so all share
     P_form's pi, P^2 and Z.  ``offsets`` and ``weights`` are keyed by
     canonical edges (i < j); the stored offset is always p_j - p_i.
-    ``positions`` are the in-formation positions recovered from the offsets
-    (zero centroid), and ``consistency_residual`` is the worst residual of
-    that least-squares solve — guaranteed <= ``tolerances.CONSISTENCY_TOL``.
+    ``positions`` are the in-formation positions walked out from the
+    offsets along a spanning tree (zero centroid), and
+    ``consistency_residual`` is max over the edges of |p_j - p_i - r_ij|,
+    the worst cycle-closure defect — guaranteed <= ``tolerances.CONSISTENCY_TOL``.
     """
 
     graph: Graph
@@ -146,15 +148,14 @@ def build_formation_spec(
     """Validate a formation problem; build its P_form and Diag(lambda^2) once.
 
     ``offsets`` maps edges (either orientation) to the desired p_j - p_i.
-    ``weights`` is "default" (:func:`uniform_edge_matrix`'s default weight)
+    ``weights`` is "default" (P_form is :func:`uniform_edge_matrix` itself)
     or a mapping to positive weights; per-node weight sums must stay
     strictly below 1.  ``lambda2`` is the per-node (or shared scalar)
-    per-coordinate noise variance.  The offsets must be realizable by
-    actual positions: the least-squares solve for positions must leave
-    residual <= ``tolerances.CONSISTENCY_TOL``, else InconsistentFormation.
+    per-coordinate noise variance.  Positions are walked out along P_form's
+    breadth-first tree, p_j = p_i + r_ij; each cycle's closure defect
+    |p_j - p_i - r_ij| must stay <= ``tolerances.CONSISTENCY_TOL``, else
+    InconsistentFormation.
     """
-    if not is_connected(graph):
-        raise DisconnectedGraph("formation graph must be connected")
     if dim < 1:
         raise InvalidParam(f"dimension must be >= 1, got {dim}")
     n = graph.n
@@ -171,27 +172,28 @@ def build_formation_spec(
         off_arrays[tuple(key)] = r
     off = _canonical_edge_map(graph, off_arrays, "offset", negate_flip=True)
 
+    e = _edge_array(graph)
     if isinstance(weights, str):
         if weights != "default":
             raise InvalidParam(f"weights must be a mapping or 'default', got {weights!r}")
         if graph.m == 0:
             raise InvalidParam("formation weights need at least one edge")
+        chain = uniform_edge_matrix(graph)
         w = dict.fromkeys(graph.edges, _default_eps(graph))
     else:
         w = _canonical_edge_map(graph, dict(weights), "weight", negate_flip=False)
-        w = {e: float(x) for e, x in w.items()}
-    if not all(np.isfinite(x) and x > 0 for x in w.values()):
-        raise InvalidParam("formation weights must be finite and positive")
-
-    p = np.zeros((n, n))
-    for (i, j), x in w.items():
-        p[i, j] = p[j, i] = x
-    row_sum = p.sum(axis=1)
-    if row_sum.max() >= 1.0:
-        worst = int(row_sum.argmax())
-        raise StepSizeViolation(
-            f"node {worst} has total weight {row_sum[worst]:.6g} >= 1"
-        )
+        x = np.array([float(w[edge]) for edge in graph.edges])
+        w = dict(zip(graph.edges, x.tolist()))
+        if not (np.isfinite(x).all() and np.all(x > 0)):
+            raise InvalidParam("formation weights must be finite and positive")
+        row_sum = np.bincount(e.ravel(), np.repeat(x, 2), minlength=n)
+        if row_sum.max() >= 1.0:
+            worst = int(row_sum.argmax())
+            raise StepSizeViolation(f"node {worst} has total weight {row_sum[worst]:.6g} >= 1")
+        chain = _graph_chain(n, e, np.stack([x, x]), 1.0 - row_sum)
+    order, pred = chain._bfs_tree
+    if order.size < n:
+        raise DisconnectedGraph("formation graph must be connected")
 
     lam = np.asarray(lambda2, dtype=float)
     if lam.ndim == 0:
@@ -201,26 +203,23 @@ def build_formation_spec(
     _require_variances(lam, "lambda2")
     noise = NoiseCovariance.diagonal(lam)
 
-    # recover positions: one incidence row per edge plus a centroid anchor
-    m = graph.m
-    A = np.zeros((m + 1, n))
-    B = np.zeros((m + 1, dim))
-    for row, (i, j) in enumerate(sorted(off)):
-        A[row, i] = -1.0
-        A[row, j] = 1.0
-        B[row] = off[(i, j)]
-    A[m, :] = 1.0 / n
-    sol, *_ = np.linalg.lstsq(A, B, rcond=None)
-    resid = float(np.abs(A[:m] @ sol - B[:m]).max()) if m else 0.0
+    # each node's offset from its tree parent, then p_j = p_i + r_ij in tree order
+    r = np.array([off[edge] for edge in graph.edges]).reshape(-1, dim)
+    i, j = e[:, 0], e[:, 1]
+    pos = np.zeros((n, dim))
+    down, up = pred[j] == i, pred[i] == j
+    pos[j[down]] = r[down]
+    pos[i[up]] = -r[up]
+    for k in order[1:].tolist():
+        pos[k] += pos[pred[k]]
+    positions = pos - pos.mean(axis=0, keepdims=True)
+    resid = float(np.abs(positions[j] - positions[i] - r).max()) if graph.m else 0.0
     if resid > tolerances.CONSISTENCY_TOL:
         raise InconsistentFormation(
-            f"offsets are inconsistent: best-fit residual {resid:.3e} "
+            f"offsets are inconsistent: cycle-closure residual {resid:.3e} "
             f"exceeds {tolerances.CONSISTENCY_TOL:g}"
         )
-    positions = sol - sol.mean(axis=0, keepdims=True)
-
-    p[np.diag_indices(n)] = 1.0 - row_sum
-    return FormationSpec(graph=graph, dim=dim, offsets=off, weights=w, chain=StochasticMatrix(p),
+    return FormationSpec(graph=graph, dim=dim, offsets=off, weights=w, chain=chain,
                          noise=noise, positions=positions, consistency_residual=resid)
 
 

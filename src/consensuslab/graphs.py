@@ -68,11 +68,12 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            d[i] += 1
-            d[j] += 1
-        return d
+        return np.bincount(_edge_array(self).ravel(), minlength=self.n)
+
+
+def _edge_array(g: Graph) -> np.ndarray:
+    """The edges of g as an (m, 2) array, in the order of ``g.edges``."""
+    return np.array(g.edges, dtype=np.int32).reshape(-1, 2)
 
 
 def _make_graph(n: int, edges, family: str) -> Graph:
@@ -89,30 +90,18 @@ def _make_graph(n: int, edges, family: str) -> Graph:
     return Graph(n=n, edges=tuple(sorted(canon)), family=family)
 
 
-def _bfs_levels(n: int, arcs) -> list[int]:
-    """Each node's depth in a breadth-first forest over the arcs ``(u, v)``.
-
-    Each tree is rooted at the lowest node that no earlier tree reached, so
-    node 0 reaches every node exactly when only one node has depth 0.
-    """
-    out: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
-        out[u].append(v)
-    level = [-1] * n
-    for root in range(n):
-        if level[root] < 0:
-            level[root] = 0
-            queue = [root]
-            for u in queue:  # the loop also visits what it appends
-                for v in out[u]:
-                    if level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-    return level
-
-
 def is_connected(g: Graph) -> bool:
-    return _bfs_levels(g.n, [*g.edges, *((j, i) for i, j in g.edges)]).count(0) == 1
+    neighbours: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in g.edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    seen, queue = [True] + [False] * (g.n - 1), [0]
+    for u in queue:  # the loop also visits what it appends
+        for v in neighbours[u]:
+            if not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    return len(queue) == g.n
 
 
 # =====================================================================

@@ -43,7 +43,7 @@ from .errors import (
     RandomTargetViolation,
     SingularSystem,
 )
-from .graphs import Graph, _bfs_levels, is_connected
+from .graphs import Graph, _edge_array, is_connected
 
 __all__ = [
     "StochasticMatrix",
@@ -162,10 +162,13 @@ class StochasticMatrix:
         S = self._csr
         if np.any(S.diagonal() > 0):
             return True
+        order, pred = self._bfs_tree
+        level, parent = [0] * self.n, pred.tolist()
+        for j in order[1:].tolist():  # the tree order puts a parent first
+            level[j] = level[parent[j]] + 1
+        level = np.array(level)
         tails = np.repeat(np.arange(self.n), np.diff(S.indptr))
-        arcs = list(zip(tails.tolist(), S.indices.tolist()))
-        level = _bfs_levels(self.n, arcs)
-        return math.gcd(*(level[u] + 1 - level[v] for u, v in arcs)) == 1
+        return int(np.gcd.reduce(level[tails] + 1 - level[S.indices])) == 1
 
     @cached_property
     def symmetric(self) -> bool:
@@ -221,13 +224,19 @@ class StochasticMatrix:
         piP = self._csr.T @ pi  # summed over the stored entries in order, with no copy of them
         return pi, float(np.abs(piP - pi).max()), balanced
 
+    @cached_property
+    def _bfs_tree(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, pred) of a breadth-first search from state 0 over the stored
+        entries: the states it reaches, and each one's tree parent (else -9999)."""
+        from scipy.sparse.csgraph import breadth_first_order
+
+        return breadth_first_order(self._csr, 0, directed=True, return_predecessors=True)
+
     def _tree_stationary(self, paired) -> np.ndarray | None:
         """pi_j = pi_i P_ij / P_ji along a breadth-first tree from state 0,
         normalized; None where an arc has no reverse arc or pi degenerates.
         P_ij and P_ji are read from the pairs of _paired."""
-        from scipy.sparse.csgraph import breadth_first_order
-
-        order, pred = breadth_first_order(self._csr, 0, directed=True, return_predecessors=True)
+        order, pred = self._bfs_tree
         forth, back = np.zeros(self.n), np.zeros(self.n)  # P[pred[j], j] and P[j, pred[j]]
         for i, j, p, q in _pairs(*paired):
             arc = pred[j] == i
@@ -591,20 +600,20 @@ def _require_connected(g: Graph) -> None:
         raise DisconnectedGraph(f"graph {g.family} is not connected")
 
 
-def _graph_chain(g: Graph, off: np.ndarray, diag: np.ndarray) -> StochasticMatrix:
-    """The chain with P[i,j] = off[i] on every edge {i, j} of g (both arcs)
-    and P[i,i] = diag[i], built as CSR straight from the edge list."""
+def _graph_chain(n: int, e: np.ndarray, arcs: np.ndarray, diag: np.ndarray) -> StochasticMatrix:
+    """The chain with P[i,j] = arcs[0, k] and P[j,i] = arcs[1, k] on the k-th
+    edge (i, j) of the edge array e, and P[i,i] = diag[i]: every chain of a
+    graph, built as CSR straight from its edges.  A per-node rule is off[e.T]."""
     from scipy.sparse import csr_matrix
 
-    e = np.array(g.edges, dtype=np.int32).reshape(-1, 2)
     loops = np.flatnonzero(diag).astype(np.int32)  # no stored zeros
     tails = np.concatenate([e[:, 0], e[:, 1], loops])
     heads = np.concatenate([e[:, 1], e[:, 0], loops])
-    values = np.concatenate([off[e[:, 0]], off[e[:, 1]], diag[loops]])
+    values = np.concatenate([arcs[0], arcs[1], diag[loops]])
     order = np.lexsort((heads, tails))
-    indptr = np.zeros(g.n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(tails, minlength=g.n), out=indptr[1:])
-    S = csr_matrix((values[order], heads[order], indptr), shape=(g.n, g.n))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    S = csr_matrix((values[order], heads[order], indptr), shape=(n, n))
     return StochasticMatrix(S, _owned=True)
 
 
@@ -617,7 +626,8 @@ def simple_walk_matrix(g: Graph) -> StochasticMatrix:
     if g.n < 2:
         raise InvalidParam("simple random walk needs n >= 2")
     _require_connected(g)
-    return _graph_chain(g, 1.0 / g.degrees(), np.zeros(g.n))
+    e = _edge_array(g)
+    return _graph_chain(g.n, e, (1.0 / g.degrees())[e.T], np.zeros(g.n))
 
 
 def lazy_walk_matrix(g: Graph) -> StochasticMatrix:
@@ -628,7 +638,8 @@ def lazy_walk_matrix(g: Graph) -> StochasticMatrix:
     if g.n == 1:
         return StochasticMatrix([[1.0]])
     _require_connected(g)
-    return _graph_chain(g, 0.5 / g.degrees(), np.full(g.n, 0.5))
+    e = _edge_array(g)
+    return _graph_chain(g.n, e, (0.5 / g.degrees())[e.T], np.full(g.n, 0.5))
 
 
 def _default_eps(g: Graph) -> float:
@@ -655,7 +666,7 @@ def uniform_edge_matrix(g: Graph, eps: float | None = None) -> StochasticMatrix:
         raise InvalidParam(
             f"edge weight must satisfy 0 < eps < 1/max_degree = {1.0 / dmax:g}, got {eps}"
         )
-    return _graph_chain(g, np.full(g.n, eps, dtype=float), 1.0 - eps * d)
+    return _graph_chain(g.n, _edge_array(g), np.full((2, g.m), eps, dtype=float), 1.0 - eps * d)
 
 
 # =====================================================================

@@ -54,5 +54,6 @@ EDGE_VALUE_ATOL = 1e-12
 edge (offsets after the antisymmetry flip, or weights)."""
 
 CONSISTENCY_TOL = 1e-9
-"""Max residual of the offset least-squares solve for a formation to be
-declared consistent."""
+"""Max over a formation's edges of |p_j - p_i - r_ij|, positions walked out
+along a spanning tree, for it to be declared consistent: each cycle's
+closure defect, counted in full on the cycle's edge off the tree."""

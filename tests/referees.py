@@ -15,7 +15,8 @@ of P^2.  The referees here reach the same numbers another way:
 Two more give closed forms the package reaches by other routes:
 ``degree_stationary`` is the stationary law d/2m of the simple and lazy
 walks, and ``form_metric`` the formation error of one set of positions,
-which the simulator reaches as a uniform disagreement.
+which the simulator reaches as a uniform disagreement.  ``exact_positions``
+recovers formation positions from offsets in ``fractions.Fraction``.
 """
 
 from fractions import Fraction
@@ -128,3 +129,33 @@ def exact_lazy_delta(graph, variances) -> Fraction:
           for j in range(n)] for i in range(n)]
     Z = _inverse(B)
     return sum(Fraction(v) * pi[i] * (Z[i][i] - pi[i]) for i, v in enumerate(variances))
+
+
+def exact_positions(graph, positions) -> list:
+    """The centred positions of a formation whose offsets are the exact
+    differences r_ij = p_j - p_i of ``positions`` (floats, read exactly).
+
+    Solved in rational arithmetic apart from the package: a depth-first
+    walk from node 0 sets p_j = p_i + r_ij, every edge is checked to close
+    exactly, and the centroid is subtracted.  A list of n rows of Fractions.
+    """
+    given = [[Fraction(x) for x in row] for row in np.asarray(positions, dtype=float).tolist()]
+    r = {(i, j): [b - a for a, b in zip(given[i], given[j])] for i, j in graph.edges}
+    neighbours = [[] for _ in range(graph.n)]
+    for i, j in graph.edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    p = [None] * graph.n
+    p[0] = [Fraction(0)] * len(given[0])
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in neighbours[i]:
+            if p[j] is None:
+                step = r[(i, j)] if (i, j) in r else [-x for x in r[(j, i)]]
+                p[j] = [a + b for a, b in zip(p[i], step)]
+                stack.append(j)
+    assert all(x is not None for x in p), "graph is not connected"
+    assert all([b - a for a, b in zip(p[i], p[j])] == r[(i, j)] for i, j in graph.edges)
+    centre = [sum(col) / graph.n for col in zip(*p)]
+    return [[x - c for x, c in zip(row, centre)] for row in p]

@@ -3,13 +3,16 @@ import importlib
 import io
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
-from conftest import nearest_valid_size
-from referees import form_metric
+from conftest import nearest_valid_size, run_main
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from referees import exact_positions, form_metric
 
-from consensuslab import formation
+from consensuslab import formation, tolerances
 
 from consensuslab.errors import (
     AsymmetricWeights,
@@ -51,18 +54,37 @@ def test_default_weights_and_matrix_star4():
     P = spec.chain
     np.testing.assert_allclose(np.diag(P.entries), [1 / 2, 5 / 6, 5 / 6, 5 / 6], atol=1e-15)
     assert P.symmetric and P.aperiodic
-    # with default weights, P_form is the uniform chain; on hubs its
-    # diagonal sums the weights in another order, within 1 ulp
-    for fam, n in (("ring", 64), ("line", 50), ("tree", 127), ("grid", 256),
-                   ("starry-line", 192), ("complete", 64), ("star", 127), ("two-star", 200)):
-        g = build_graph(fam, n)
-        form, uniform = spec_from_graph(g, 1e-3).chain.entries, uniform_edge_matrix(g).entries
-        off = ~np.eye(n, dtype=bool)
-        assert np.array_equal(form[off], uniform[off]), fam
-        if fam in ("star", "two-star"):
-            np.testing.assert_array_max_ulp(np.diag(form), np.diag(uniform), maxulp=1)
-        else:
-            assert np.array_equal(form, uniform), fam
+
+
+@pytest.mark.parametrize("family, n", [
+    ("ring", 64), ("line", 50), ("tree", 127), ("grid", 256), ("grid", 1024),
+    ("starry-line", 192), ("complete", 64), ("star", 127), ("two-star", 200), ("two-star", 1600),
+])
+def test_default_formation_chain_is_the_uniform_chain_bitwise(family, n):
+    # one chain builder: with default weights, P_form's stored arrays are
+    # those of the uniform chain, hub diagonals included
+    g = build_graph(family, n)
+    form, uniform = spec_from_graph(g, 1e-3).chain._csr, uniform_edge_matrix(g)._csr
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(form, name), getattr(uniform, name)), name
+
+
+def test_custom_weights_build_the_same_chain_as_the_uniform_builder():
+    spec = ring_demo_spec()
+    form, uniform = spec.chain._csr, uniform_edge_matrix(spec.graph, 1.0 / 9.0)._csr
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(form, name), getattr(uniform, name)), name
+
+
+def test_formation_and_analyze_write_the_same_kemeny_bytes():
+    def kemeny_text(*argv):
+        code, out, err = run_main(*argv)
+        assert code == 0, err
+        return re.search(r'"kemeny_p2": ([^,\n]+)', out).group(1)
+
+    assert (kemeny_text("formation", "--family", "star", "--n", 127, "--skip-sim",
+                        "--lambda2", 1e-3)
+            == kemeny_text("analyze", "--family", "star", "--n", 127, "--chain", "uniform"))
 
 
 def test_formation_chain_is_built_once_per_spec(monkeypatch):
@@ -182,6 +204,28 @@ def test_lambda2_must_be_finite_and_nonnegative():
     for bad in (-1.0, np.nan, np.inf, [1.0, np.nan, 1.0]):
         with pytest.raises(InvalidParam):
             build_formation_spec(g, 1, offsets, "default", bad)
+
+
+def test_step_size_boundary_is_a_row_sum_of_one():
+    # node 2's weights sum to exactly 1.0, summed over the edge arrays; the
+    # next float below 1.0 is a valid step size
+    g = custom_graph(4, [(0, 2), (1, 2), (2, 3)])
+    offsets = {e: [1.0] for e in g.edges}
+    weights = {(0, 2): 0.25, (1, 2): 0.25, (2, 3): 0.5}
+    with pytest.raises(StepSizeViolation, match=r"^node 2 has total weight 1 >= 1$"):
+        build_formation_spec(g, 1, offsets, weights, 1.0)
+    below = np.nextafter(1.0, 0.0)
+    weights[(2, 3)] = below - 0.5
+    spec = build_formation_spec(g, 1, offsets, weights, 1.0)
+    assert 0.25 + 0.25 + weights[(2, 3)] == below
+    assert spec.chain.entries[2, 2] == 1.0 - below
+
+
+def test_custom_weights_on_a_disconnected_graph_are_rejected():
+    # the walk from node 0 reaches nodes 0-1 only; nodes 2-3 are a second component
+    g = custom_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(DisconnectedGraph):
+        build_formation_spec(g, 1, {e: [1.0] for e in g.edges}, dict.fromkeys(g.edges, 0.25), 1.0)
 
 
 def test_weight_validation():
@@ -338,3 +382,61 @@ def test_layouts_have_unit_scale_edges():
         pos = layout_positions(g)
         lengths = [np.linalg.norm(pos[j] - pos[i]) for i, j in g.edges]
         assert min(lengths) > 0.5, fam  # nodes never collide along an edge
+
+
+@pytest.mark.parametrize("family, n", [("star", 127), ("tree", 127), ("grid", 1024),
+                                       ("two-star", 400), ("ring", 64)])
+def test_positions_match_the_exact_walk(family, n):
+    # the spec walks positions out of the layout's float offsets; the
+    # referee walks them out of the exact differences, in Fractions
+    g = build_graph(family, n)
+    spec = spec_from_graph(g, 1e-3)
+    exact = np.array([[float(x) for x in row] for row in exact_positions(g, layout_positions(g))])
+    extent = np.abs(exact).max()
+    assert np.abs(spec.positions - exact).max() <= 4 * np.finfo(float).eps * extent
+    assert spec.consistency_residual <= 4 * np.finfo(float).eps * extent
+
+
+@st.composite
+def formations(draw):
+    """A connected graph with positions, a bridge, and a cycle edge (None on
+    a tree): a ring of 0 or 3-8 nodes with chords, and pendant trees, under
+    a random node labelling."""
+    ring = draw(st.sampled_from([0, 3, 4, 5, 6, 8]))
+    pendants = draw(st.integers(1, 8))
+    n = max(ring, 1) + pendants
+    edges = [(k, (k + 1) % ring) for k in range(ring)]
+    cycle_edge = edges[0] if ring else None
+    for a in range(ring):
+        for b in range(a + 2, ring):
+            if (a, b) != (0, ring - 1) and draw(st.booleans()):
+                edges.append((a, b))
+    for k in range(max(ring, 1), n):
+        edges.append((draw(st.integers(0, k - 1)), k))
+    bridge = edges[-1]
+    label = draw(st.permutations(range(n)))
+
+    def relabel(edge):
+        return tuple(sorted((label[edge[0]], label[edge[1]])))
+
+    pos = np.array(draw(st.lists(st.tuples(*[st.floats(-4, 4)] * 2), min_size=n, max_size=n)))
+    return (custom_graph(n, [relabel(e) for e in edges]), pos, relabel(bridge),
+            None if cycle_edge is None else relabel(cycle_edge))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(formations())
+def test_cycle_closure_decides_consistency(case):
+    g, pos, bridge, cycle_edge = case
+
+    def spec_with(edge, delta):
+        offsets = {(i, j): pos[j] - pos[i] for i, j in g.edges}
+        offsets[edge] = offsets[edge] + delta
+        return build_formation_spec(g, 2, offsets, "default", 1.0)
+
+    # a bridge lies on no cycle, so any offset on it is realizable
+    assert spec_with(bridge, 1e-3).consistency_residual < 1e-12
+    if cycle_edge is not None:
+        with pytest.raises(InconsistentFormation):
+            spec_with(cycle_edge, 10 * tolerances.CONSISTENCY_TOL)
+        spec_with(cycle_edge, tolerances.CONSISTENCY_TOL / 10)

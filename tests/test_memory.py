@@ -5,6 +5,7 @@ from conftest import traced_peak
 
 from consensuslab.cli import _fill_row
 from consensuslab.disagreement import NoiseCovariance
+from consensuslab.formation import spec_from_graph
 from consensuslab.graphs import build_graph
 from consensuslab.markov import lazy_walk_matrix, square_chain, uniform_edge_matrix
 
@@ -39,3 +40,13 @@ def test_squared_chain_checks_hold_no_dense_copy():
     P.stationary()
     peak = traced_peak(lambda: square_chain(P).reversible)
     assert peak < 1.7 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n x n arrays"
+
+
+def test_formation_spec_holds_no_n_by_n_array():
+    # P_form is the sparse uniform chain and positions come from a walk over
+    # its breadth-first tree; a dense P_form, or an (m + 1) x n incidence
+    # matrix for positions, would each break the bound of one n x n array
+    n = 1600
+    g = build_graph("two-star", n)
+    peak = traced_peak(lambda: spec_from_graph(g, 1e-3))
+    assert peak < 8 * n * n, f"peak {peak / (8 * n * n):.2f} n x n arrays"
