@@ -33,7 +33,7 @@ from .errors import (
     InvalidParam,
     StepSizeViolation,
 )
-from .graphs import Graph, _edge_array, custom_graph
+from .graphs import Graph, _degrees, _edge_array, custom_graph
 from .markov import (StochasticMatrix, _default_eps, _graph_chain, kemeny_constant_combinatorial,
                      square_chain, uniform_edge_matrix)
 from .simulate import SimConfig, _resolve_burn_in, _run_trials, _summarize
@@ -179,7 +179,7 @@ def build_formation_spec(
         if graph.m == 0:
             raise InvalidParam("formation weights need at least one edge")
         chain = uniform_edge_matrix(graph)
-        w = dict.fromkeys(graph.edges, _default_eps(graph))
+        w = dict.fromkeys(graph.edges, _default_eps(_degrees(n, e)))
     else:
         w = _canonical_edge_map(graph, dict(weights), "weight", negate_flip=False)
         x = np.array([float(w[edge]) for edge in graph.edges])

@@ -68,12 +68,17 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(_edge_array(self).ravel(), minlength=self.n)
+        return _degrees(self.n, _edge_array(self))
 
 
 def _edge_array(g: Graph) -> np.ndarray:
     """The edges of g as an (m, 2) array, in the order of ``g.edges``."""
     return np.array(g.edges, dtype=np.int32).reshape(-1, 2)
+
+
+def _degrees(n: int, e: np.ndarray) -> np.ndarray:
+    """The degrees of the n nodes of the (m, 2) edge array e."""
+    return np.bincount(e.ravel(), minlength=n)
 
 
 def _make_graph(n: int, edges, family: str) -> Graph:

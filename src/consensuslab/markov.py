@@ -19,10 +19,12 @@ Every chain stores its entries as CSR, and its square stays CSR too.
 Every chain built from a graph is reversible, and reversible chains take a
 fast route: pi by detailed balance along a breadth-first tree (O(nnz) with
 its check), P^2 by a sparse product that inherits pi, and the fundamental
-matrix Z = (I - P + 1 pi')^-1 by a Cholesky inversion of its symmetrized
-form.  Other chains take LU solves.  H, K and R are all read off Z, and H
-is only built when asked for; the O(n^2) passes over Z read it by
-contiguous row blocks and column strips.
+matrix Z = (I - P + 1 pi')^-1 of P^2 by a Cholesky inversion of its
+symmetrized form.  Other chains take LU solves.  An aperiodic chain reads
+its own Z off Z(P^2) by one sparse product, Z = Z(P^2) + P Z(P^2) - 1 pi',
+so only P^2, or a periodic chain, is inverted.  H, K and R are all read
+off Z, and H is only built when asked for; the O(n^2) passes over Z read
+it by contiguous row blocks and column strips.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     RandomTargetViolation,
     SingularSystem,
 )
-from .graphs import Graph, _edge_array, is_connected
+from .graphs import Graph, _degrees, _edge_array, is_connected
 
 __all__ = [
     "StochasticMatrix",
@@ -70,7 +72,8 @@ class StochasticMatrix:
     of their entries.  A sparse chain (at most n^2 / 32 stored
     entries) keeps its CSR matrix as the factor of its hitting residual,
     and its square keeps the chain's factors twice; a dense one takes that
-    residual by row blocks (see _hitting_residual).
+    residual, and the product that reads its Z off Z(P^2), by row blocks
+    (see _hitting_residual and _fundamental).
 
     The structural flags, the stationary law, the non-unit spectrum, the
     squared chain, the fundamental matrix and the hitting times are each
@@ -125,6 +128,8 @@ class StochasticMatrix:
         self._factors = (S,) if S.nnz * 32 <= S.shape[0] ** 2 else None
         # what a squared chain knows from the chain P it squares: P's pi
         self._pi_hint: np.ndarray | None = None
+        # True for the chain P^2 that _square builds, whose Z takes the direct route
+        self._squared = False
 
     # -- basic access -------------------------------------------------
 
@@ -366,6 +371,7 @@ class StochasticMatrix:
         C = S @ S  # no duplicates and no stored zeros, but unsorted
         C.sort_indices()
         Q = StochasticMatrix(C, _owned=True)
+        Q._squared = True
         if self.irreducible:
             Q._pi_hint = self._stationary[0]
         if self._factors is not None:
@@ -376,9 +382,31 @@ class StochasticMatrix:
     def _fundamental(self) -> tuple[np.ndarray, float]:
         """Z = (I - P + 1 pi')^-1, read-only, with the residual of the
         hitting-time equations that H[i,j] = (Z[j,j] - Z[i,j]) / pi[j] would
-        leave: Cholesky for a reversible chain, LU otherwise."""
+        leave.
+
+        An aperiodic chain that is not itself a squared chain reads Z off
+        Z2 = Z(P^2), which the closed forms need anyway: since
+        I - P^2 + 1 pi' = (I - P + 1 pi')(I + P - 1 pi') and pi' Z2 = pi',
+        Z = Z2 + P Z2 - 1 pi', one product and two passes.  Z2's own
+        residual is checked first.  As in _hitting_residual, a sparse chain
+        takes P Z2 by one CSR product and a dense one by dense row blocks,
+        an n^3 product that costs no more than an inversion.  A squared
+        chain, and a periodic chain, whose square is reducible, invert
+        directly: Cholesky for a reversible chain, LU otherwise.
+        """
         pi = self.stationary()
-        Z = _fundamental_cholesky(self, pi) if self.reversible else None
+        if self.aperiodic and not self._squared:
+            Z2 = _fundamental_matrix(self._square)
+            if self._factors is not None:
+                Z = self._csr @ Z2
+            else:
+                Z = np.empty_like(Z2)
+                for b, rows in _dense_blocks(self._csr):
+                    np.matmul(rows, Z2, out=Z[b])
+            Z += Z2
+            Z -= pi
+        else:
+            Z = _fundamental_cholesky(self, pi) if self.reversible else None
         if Z is None:
             n = self.n
             try:
@@ -627,7 +655,7 @@ def simple_walk_matrix(g: Graph) -> StochasticMatrix:
         raise InvalidParam("simple random walk needs n >= 2")
     _require_connected(g)
     e = _edge_array(g)
-    return _graph_chain(g.n, e, (1.0 / g.degrees())[e.T], np.zeros(g.n))
+    return _graph_chain(g.n, e, (1.0 / _degrees(g.n, e))[e.T], np.zeros(g.n))
 
 
 def lazy_walk_matrix(g: Graph) -> StochasticMatrix:
@@ -639,12 +667,13 @@ def lazy_walk_matrix(g: Graph) -> StochasticMatrix:
         return StochasticMatrix([[1.0]])
     _require_connected(g)
     e = _edge_array(g)
-    return _graph_chain(g.n, e, (0.5 / g.degrees())[e.T], np.full(g.n, 0.5))
+    return _graph_chain(g.n, e, (0.5 / _degrees(g.n, e))[e.T], np.full(g.n, 0.5))
 
 
-def _default_eps(g: Graph) -> float:
-    """The default edge weight 1/(2 * max degree) of a graph with an edge."""
-    return 1.0 / (2.0 * int(g.degrees().max()))
+def _default_eps(d: np.ndarray) -> float:
+    """The default edge weight 1/(2 * max degree) of a graph with an edge,
+    from its degrees d."""
+    return 1.0 / (2.0 * int(d.max()))
 
 
 def uniform_edge_matrix(g: Graph, eps: float | None = None) -> StochasticMatrix:
@@ -658,15 +687,16 @@ def uniform_edge_matrix(g: Graph, eps: float | None = None) -> StochasticMatrix:
     if g.n == 1:
         return StochasticMatrix([[1.0]])
     _require_connected(g)
-    d = g.degrees()
+    e = _edge_array(g)
+    d = _degrees(g.n, e)
     dmax = int(d.max())
     if eps is None:
-        eps = _default_eps(g)
+        eps = _default_eps(d)
     if not (0.0 < eps < 1.0 / dmax):
         raise InvalidParam(
             f"edge weight must satisfy 0 < eps < 1/max_degree = {1.0 / dmax:g}, got {eps}"
         )
-    return _graph_chain(g.n, _edge_array(g), np.full((2, g.m), eps, dtype=float), 1.0 - eps * d)
+    return _graph_chain(g.n, e, np.full((2, g.m), eps, dtype=float), 1.0 - eps * d)
 
 
 # =====================================================================
@@ -682,8 +712,11 @@ def hitting_times(P: StochasticMatrix, *, method: str = "fundamental") -> np.nda
 
     * ``fundamental`` (the default): H[i,j] = (Z[j,j] - Z[i,j]) / pi[j]
       (Kemeny & Snell) with the fundamental matrix Z = (I - P + 1 pi')^-1
-      cached on ``P``: a Cholesky inversion for a reversible chain, an LU
-      solve otherwise.  The residual is evaluated from Z through the
+      cached on ``P``.  An aperiodic ``P`` reads Z off Z(P^2), which it
+      builds and checks first, as Z(P^2) + P Z(P^2) - 1 pi'; so asking for
+      H of such a chain costs P^2 and Z(P^2) as well.  A squared or
+      periodic chain inverts directly: Cholesky for a reversible chain, an
+      LU solve otherwise.  The residual is evaluated from Z through the
       product P Z and cached with it, so later calls only check it again;
       H itself is built from Z on the first call and cached too.
     * ``per-target``: for each target j solve (I - P) h = 1 with row j

@@ -8,7 +8,8 @@ of P^2.  The referees here reach the same numbers another way:
   per-target hitting-time solves, which never read Z;
 * ``exact_lazy_delta`` runs a ``fractions.Fraction`` Gauss-Jordan on
   I - P^2 + 1 pi' for a lazy walk, whose entries are rational, and returns
-  delta_ss with no rounding at all;
+  delta_ss with no rounding at all (``exact_lazy_z`` gives that Z, and Z
+  of P itself);
 * ``delta_ss_bounds`` brackets delta_ss for diagonal noise between the
   Kemeny constant and the largest effective resistance of P^2.
 
@@ -115,6 +116,19 @@ def _inverse(B: list) -> list:
     return [r[n:] for r in rows]
 
 
+def exact_lazy_z(graph, steps: int = 1) -> tuple[list, list]:
+    """Z = (I - P^steps + 1 pi')^-1 of the lazy walk P on ``graph`` and its
+    stationary law, exactly: Z as n rows of Fractions, by Gauss-Jordan."""
+    P, pi = lazy_walk_fractions(graph)
+    n = len(pi)
+    Q = P
+    for _ in range(steps - 1):
+        cols = list(zip(*Q))
+        Q = [[sum(a * b for a, b in zip(P[i], cols[j])) for j in range(n)] for i in range(n)]
+    B = [[int(i == j) - Q[i][j] + pi[j] for j in range(n)] for i in range(n)]
+    return _inverse(B), pi
+
+
 def exact_lazy_delta(graph, variances) -> Fraction:
     """delta_ss of the lazy walk on ``graph`` for diagonal noise, exactly.
 
@@ -122,12 +136,7 @@ def exact_lazy_delta(graph, variances) -> Fraction:
     delta_ss = Tr((Z - 1 pi') Sigma D) = sum_i sigma_i^2 pi_i (Z_ii - pi_i).
     ``variances`` must be exact: ints, Fractions or floats (read exactly).
     """
-    P, pi = lazy_walk_fractions(graph)
-    n = len(pi)
-    cols = list(zip(*P))
-    B = [[int(i == j) - sum(a * b for a, b in zip(P[i], cols[j])) + pi[j]
-          for j in range(n)] for i in range(n)]
-    Z = _inverse(B)
+    Z, pi = exact_lazy_z(graph, 2)
     return sum(Fraction(v) * pi[i] * (Z[i][i] - pi[i]) for i, v in enumerate(variances))
 
 

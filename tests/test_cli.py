@@ -12,7 +12,9 @@ the module entry point stays covered:
 - ``test_selftest_fails_under_optimized_python``;
 - ``test_parser_reuse_leaks_no_state_between_calls``, whose fresh-process
   runs are the reference for its in-process sequence;
-- ``test_readme_cli_examples_run`` and ``test_readme_python_quickstart_runs``.
+- ``test_readme_cli_examples_run`` and ``test_readme_python_quickstart_runs``;
+- ``test_closed_forms_across_blas_thread_counts``, which sets the BLAS
+  thread count of each fresh process.
 """
 
 import csv
@@ -682,6 +684,29 @@ def test_readme_cli_examples_run(tmp_path):
         json.loads(text, parse_constant=reject)
     # the formation example resolves its automatic burn-in in the output
     assert json.loads((tmp_path / "form.json").read_text())["config"]["burn_in"] == 7052
+
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def test_closed_forms_across_blas_thread_counts():
+    # README, File formats: closed-form outputs are byte-identical across
+    # reruns at one BLAS thread count, and across counts every number stays
+    # within the relative bound it states.  Each run is a fresh process, one
+    # at a time, with at most two BLAS threads
+    text = pathlib.Path(__file__).resolve().parents[1].joinpath("README.md").read_text()
+    section = text.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    bound = float(re.search(r"within (\S+)\s+relative", section).group(1))
+    for argv in (("sweep", "--family", "line", "--n-list", "300,1200", "--chain", "uniform"),
+                 ("analyze", "--family", "ring", "--n", "200")):
+        one, again, two = (run_cli(*argv, env={**_package_env(), "OPENBLAS_NUM_THREADS": t})
+                           for t in ("1", "1", "2"))
+        assert one.returncode == again.returncode == two.returncode == 0, two.stderr
+        assert one.stdout == again.stdout
+        assert _NUMBER.sub("#", one.stdout) == _NUMBER.sub("#", two.stdout)
+        for a, b in zip(_NUMBER.findall(one.stdout), _NUMBER.findall(two.stdout)):
+            x, y = float(a), float(b)
+            assert abs(x - y) <= bound * max(abs(x), abs(y)), (argv[0], a, b)
 
 
 def test_readme_python_quickstart_runs(tmp_path):

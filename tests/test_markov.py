@@ -1,12 +1,14 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 from conftest import adjacency, mc_first_passage, nearest_valid_size, random_reversible_chain
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from referees import degree_stationary, hitting_time_delta
+from referees import degree_stationary, exact_lazy_z, hitting_time_delta
 
 from consensuslab import tolerances
 from consensuslab.disagreement import NoiseCovariance, delta_ss_theorem
@@ -22,6 +24,7 @@ from consensuslab.graphs import (
 from consensuslab.markov import (
     StochasticMatrix,
     _max_resistance,
+    _row_blocks,
     effective_resistance,
     hitting_times,
     kemeny_constant_combinatorial,
@@ -190,18 +193,33 @@ def _whole_array_cholesky_z(E: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return Z * s / s[:, None]
 
 
-# n above 256 takes more than one row block (see markov._row_blocks)
+def _z_from_square(P: StochasticMatrix, Z2: np.ndarray) -> np.ndarray:
+    """Z(P) = Z2 + P Z2 - 1 pi' for Z2 = Z(P^2), by the three operations the
+    package makes: the product P Z2 first (one CSR product for a sparse P,
+    the dense row blocks of markov._row_blocks for a dense one), then Z2
+    added, then pi taken off."""
+    if P._factors is not None:
+        Z = P._csr @ Z2
+    else:
+        Z = np.concatenate([P.entries[b] @ Z2 for b in _row_blocks(P.n)])
+    Z += Z2
+    Z -= P.stationary()
+    return Z
+
+
+# n above 256 takes more than one row block (see markov._row_blocks); the
+# complete graph's chain, and each chain below 32 states, is dense
 @pytest.mark.parametrize("family, n", [
     ("ring", 9), ("ring", 300), ("line", 2), ("line", 300), ("grid", 16), ("grid", 289),
     ("tree", 15), ("tree", 511), ("starry-line", 12), ("starry-line", 288),
-    ("two-star", 10), ("two-star", 300),
+    ("two-star", 10), ("two-star", 300), ("complete", 300),
 ])
 @pytest.mark.parametrize("chain", ["lazy", "uniform"])
 def test_csr_built_chains_equal_the_dense_build(family, n, chain):
     # the builders make CSR straight from the edge list, and every O(n^2)
     # pass reads dense blocks of it; entries, pi and Z must be the bits of
-    # the dense build, and Z, of P and of P^2, the bits of B_s built from
-    # the whole dense array
+    # the dense build, Z of P^2 the bits of B_s built from the whole dense
+    # array, and Z of the aperiodic P the bits read off that Z of P^2
     g = build_graph(family, n)
     P = (lazy_walk_matrix if chain == "lazy" else uniform_edge_matrix)(g)
     D = StochasticMatrix(_dense_walk(g, chain))
@@ -209,9 +227,33 @@ def test_csr_built_chains_equal_the_dense_build(family, n, chain):
     assert np.array_equal(P.stationary(), D.stationary())
     assert np.array_equal(P._fundamental[0], D._fundamental[0])
     assert P.symmetric == D.symmetric and P.reversible and P.aperiodic
-    for Q in (P, square_chain(P)):
-        Z = Q._fundamental[0]
-        assert np.array_equal(Z, _whole_array_cholesky_z(Q.entries, Q.stationary()))
+    P2 = square_chain(P)
+    Z2 = _whole_array_cholesky_z(P2.entries, P2.stationary())
+    assert np.array_equal(P2._fundamental[0], Z2)
+    assert np.array_equal(P._fundamental[0], _z_from_square(P, Z2))
+
+
+def test_direct_routes_of_the_fundamental_matrix():
+    # a periodic chain has a reducible square, so its Z is inverted
+    # directly: the simple walk on an even ring by the Cholesky route, bit
+    # for bit.  A non-reversible aperiodic chain reads Z off an LU Z of its
+    # square, which is the plain LU solve of I - P^2 + 1 pi'
+    walk = simple_walk_matrix(ring_graph(300))
+    assert walk.reversible and not walk.aperiodic
+    pi = walk.stationary()
+    assert np.array_equal(walk._fundamental[0], _whole_array_cholesky_z(walk.entries, pi))
+
+    n = 300
+    cycle = StochasticMatrix(0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1))
+    assert cycle.aperiodic and not cycle.reversible
+    Q, pi = square_chain(cycle), cycle.stationary()
+    assert not Q.reversible
+    Z2 = scipy.linalg.solve(np.eye(n) - Q.entries + pi, np.eye(n))
+    assert np.array_equal(Q._fundamental[0], Z2)
+    assert np.array_equal(cycle._fundamental[0], _z_from_square(cycle, Z2))
+    # 5.6e-15 off the plain LU Z at one BLAS thread and 7.5e-15 at two,
+    # whose entries reach 1; 4x that covers another LAPACK build's rounding
+    assert np.abs(cycle._fundamental[0] - _lu_referees(cycle)[1]).max() <= 3e-14
 
 
 def test_column_blocked_hitting_residual_equals_the_full_product():
@@ -348,6 +390,8 @@ def _dense_tree_stationary(E: np.ndarray) -> np.ndarray | None:
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(sparse_chain_inputs(), st.sampled_from(["csr", "coo", "dense"]))
+@example((np.array([0, 1]), np.array([1, 0]), np.ones(2), np.array([[0.0, 1.0], [1.0, 0.0]])),
+         "csr")  # the flip chain: reversible and periodic
 def test_stored_entry_checks_equal_the_dense_formulas(case, form):
     # validation, symmetric, reversible and pi read the stored entries in
     # O(nnz), each paired with its transposed entry, and B_s is built from the
@@ -389,7 +433,14 @@ def test_stored_entry_checks_equal_the_dense_formulas(case, form):
         reversible = balanced(pi)
     assert P.reversible == reversible
     assert np.array_equal(P.stationary(), pi)
-    if reversible:  # the Cholesky route builds B_s from the stored entries alone
+    # the Cholesky route builds B_s from the stored entries alone: of P^2,
+    # whose Z gives Z of an aperiodic P, or of a periodic P itself
+    if reversible and P.aperiodic:
+        P2 = square_chain(P)
+        Z2 = _whole_array_cholesky_z(P2.entries, pi)
+        assert np.array_equal(P2._fundamental[0], Z2)
+        assert np.array_equal(P._fundamental[0], _z_from_square(P, Z2))
+    elif reversible:
         assert np.array_equal(P._fundamental[0], _whole_array_cholesky_z(E, pi))
 
 
@@ -502,6 +553,60 @@ def test_reversible_route_accuracy_against_exact_values():
     ):
         K = kemeny_constant_combinatorial(square_chain(P))
         assert abs(K - exact) <= u / gap * exact
+
+
+def _ring_walk(n: int, a: float) -> StochasticMatrix:
+    """The walk on a ring of n states with a to each neighbour and 1 - 2a to
+    stay, as a dense array: row sums of exactly 1 for a in [1/4, 1/2]."""
+    shift = np.roll(np.eye(n), 1, axis=1)
+    return StochasticMatrix((1.0 - 2.0 * a) * np.eye(n) + a * (shift + shift.T))
+
+
+def _versine(x):
+    """1 - cos x as 2 sin^2(x / 2), in mpmath."""
+    return 2 * mpmath.sin(x / 2) ** 2
+
+
+# K(P) = sum over k = 1..n-1 of 1 / (1 - lambda_k), from each chain's
+# analytic spectrum, against Z(P) read off Z(P^2).  measured: the largest
+# relative error at one and at two BLAS threads; each bound is three times it,
+# room for other thread counts and LAPACK builds
+@pytest.mark.parametrize("chain, gap, measured", [
+    pytest.param(lambda: lazy_walk_matrix(ring_graph(200)),
+                 lambda k: _versine(2 * mpmath.pi * k / 200) / 2, 6.6e-14, id="lazy-ring200"),
+    pytest.param(lambda: uniform_edge_matrix(line_graph(200)),
+                 lambda k: _versine(mpmath.pi * k / 200) / 2, 5.4e-14, id="uniform-line200"),
+    # aperiodic but close to periodic: lambda_min = -cos(pi / 201)
+    pytest.param(lambda: simple_walk_matrix(ring_graph(201)),
+                 lambda k: _versine(2 * mpmath.pi * k / 201), 2.6e-14, id="simple-ring201"),
+    # 1 - eps on the neighbours of an even ring: 1 - lambda_min^2 is about 4 eps
+    *(pytest.param(lambda a=(1 - eps) / 2: _ring_walk(200, a),
+                   lambda k, a=(1 - eps) / 2: 2 * mpmath.mpf(a) * _versine(2 * mpmath.pi * k / 200),
+                   measured, id=f"eps-lazy-ring200-{eps:g}")
+      for eps, measured in ((1e-2, 3.2e-14), (1e-4, 5.4e-14), (1e-6, 4.7e-14))),
+])
+def test_kemeny_read_off_the_square_matches_the_analytic_spectrum(chain, gap, measured):
+    P = chain()
+    assert P.aperiodic  # so Z comes from Z(P^2)
+    with mpmath.workdps(40):
+        exact = mpmath.fsum(1 / gap(k) for k in range(1, P.n))
+        err = abs(mpmath.mpf(kemeny_constant_combinatorial(P)) - exact) / exact
+    assert err <= 3 * measured, f"{float(err):.2e}"
+
+
+@pytest.mark.parametrize("family, n, measured", [
+    ("ring", 9, 6.2e-16), ("line", 8, 8.7e-16), ("star", 7, 4.8e-16), ("tree", 15, 5.3e-16),
+    ("grid", 16, 4.3e-16), ("two-star", 10, 6.9e-16), ("starry-line", 12, 1.8e-15),
+])
+def test_z_read_off_the_square_matches_the_exact_rational_z(family, n, measured):
+    # Z(P) of the lazy walk entry by entry against Gauss-Jordan in Fractions;
+    # measured: the largest error over the largest |Z_ij| at one and at two
+    # BLAS threads, and the bound is four times it
+    g = build_graph(family, n)
+    Z = lazy_walk_matrix(g)._fundamental[0]
+    exact = [x for row in exact_lazy_z(g)[0] for x in row]
+    err = max(abs(Fraction(z) - x) for z, x in zip(Z.ravel().tolist(), exact))
+    assert err <= 4 * measured * max(map(abs, exact))
 
 
 def test_stationary_two_state_hand_value():
