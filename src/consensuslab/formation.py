@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
+from ._csvrows import BLOCK_FLOATS, _csv_rows, _int_field
 from .disagreement import NoiseCovariance, _require_variances, delta_ss_theorem
 from .errors import (
     AsymmetricWeights,
@@ -453,15 +454,16 @@ def write_trajectory_csv(path, trace: FormationTrace) -> None:
 def _write_trajectory(fh, trace: FormationTrace) -> None:
     """The trajectory CSV (header and rows) into an open text file.
 
-    One ``%`` format per recorded step, over all n rows: the node numbers
-    sit in the template and the step's ``t`` is joined in before the
-    floats are formatted.  One step is written at a time, so memory stays
-    at one step's rows.  The bytes equal those of the row format
-    ``"%d,%d," + ",".join(["%.16e"] * d) + "\\n"`` per (t, node).
+    The rows are built ``BLOCK_FLOATS`` floats' worth of recorded steps at
+    a time, one ``fh.write`` each, so memory stays at one block whatever
+    the record count.  Their floats come from ``_csvrows._csv_rows``,
+    byte for byte Python's ``'%.16e'``, so the bytes equal those of the
+    row format ``"%d,%d," + ",".join(["%.16e"] * d) + "\\n"`` per (t, node).
     """
     _, n, d = trace.positions.shape
     fh.write("t,node," + ",".join(f"x{k + 1}" for k in range(d)) + "\n")
-    floats = ",".join(["%.16e"] * d) + "\n"
-    rows = ["", *(f"{node}," + floats for node in range(n))]
-    for t, step in zip(trace.times.tolist(), trace.positions):
-        fh.write(f"{t},".join(rows) % tuple(step.ravel().tolist()))
+    nodes = _int_field(range(n))
+    step = max(1, BLOCK_FLOATS // (n * d))
+    for s in range(0, trace.times.size, step):
+        t = _int_field(trace.times[s : s + step].tolist())[:, None]
+        fh.write(_csv_rows([t, nodes], trace.positions[s : s + step]))

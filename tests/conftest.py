@@ -6,10 +6,12 @@ controls its own seed; nothing here touches global RNG state.
 
 import contextlib
 import io
+import os
 import tracemalloc
 
 import numpy as np
 
+import consensuslab
 from consensuslab import cli
 from consensuslab.graphs import Graph, _family_key, custom_graph, erdos_renyi_graph
 from consensuslab.markov import StochasticMatrix
@@ -148,3 +150,11 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def package_env() -> dict:
+    """The environment with the tested package's root on PYTHONPATH, for
+    subprocesses."""
+    pkg_root = os.path.dirname(os.path.dirname(consensuslab.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))}

@@ -19,7 +19,6 @@ the module entry point stays covered:
 
 import csv
 import json
-import os
 import pathlib
 import re
 import shlex
@@ -28,7 +27,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import run_main
+from conftest import package_env, run_main
 
 import consensuslab
 from consensuslab import cli
@@ -634,16 +633,9 @@ def test_selftest_fails_under_optimized_python():
             "cli.delta_ss_kemeny = lambda P, sigma2: 0.0; "
             "sys.exit(cli.main(['selftest']))")
     r = subprocess.run([sys.executable, "-O", "-c", code],
-                       capture_output=True, text=True, env=_package_env())
+                       capture_output=True, text=True, env=package_env())
     assert r.returncode == 3, r.stdout + r.stderr
     assert "6/7 checks passed" in r.stdout
-
-
-def _package_env() -> dict:
-    """The environment with the tested package's root on PYTHONPATH."""
-    pkg_root = os.path.dirname(os.path.dirname(consensuslab.__file__))
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))}
 
 
 def _readme_block(section: str, lang: str) -> str:
@@ -667,7 +659,7 @@ def _readme_cli_commands() -> list[list[str]]:
 def test_readme_cli_examples_run(tmp_path):
     commands = _readme_cli_commands()
     assert len(commands) == 6
-    env = _package_env()
+    env = package_env()
     documents = []
     for argv in commands:
         r = run_cli(*argv, cwd=tmp_path, env=env)
@@ -699,7 +691,7 @@ def test_closed_forms_across_blas_thread_counts():
     bound = float(re.search(r"within (\S+)\s+relative", section).group(1))
     for argv in (("sweep", "--family", "line", "--n-list", "300,1200", "--chain", "uniform"),
                  ("analyze", "--family", "ring", "--n", "200")):
-        one, again, two = (run_cli(*argv, env={**_package_env(), "OPENBLAS_NUM_THREADS": t})
+        one, again, two = (run_cli(*argv, env={**package_env(), "OPENBLAS_NUM_THREADS": t})
                            for t in ("1", "1", "2"))
         assert one.returncode == again.returncode == two.returncode == 0, two.stderr
         assert one.stdout == again.stdout
@@ -712,6 +704,6 @@ def test_closed_forms_across_blas_thread_counts():
 def test_readme_python_quickstart_runs(tmp_path):
     block = _readme_block("Library quickstart", "python")
     r = subprocess.run([sys.executable, "-c", block], cwd=tmp_path,
-                       capture_output=True, text=True, env=_package_env())
+                       capture_output=True, text=True, env=package_env())
     assert r.returncode == 0, r.stderr
     assert float(r.stdout) > 0  # the exact formation error it prints

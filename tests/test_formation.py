@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from referees import exact_positions, form_metric
 
 from consensuslab import formation, tolerances
+from consensuslab._csvrows import BLOCK_FLOATS
 
 from consensuslab.errors import (
     AsymmetricWeights,
@@ -354,18 +355,37 @@ def _per_row_csv(trace: FormationTrace) -> str:
     return "".join(lines)
 
 
+def _block_trace(n: int, d: int, steps: int) -> FormationTrace:
+    """Recorded steps t = 0, 1, ... of normal values, with a zero and a NaN
+    (formatted by Python) among them."""
+    pos = np.random.default_rng(n * d).standard_normal((steps, n, d))
+    pos[steps // 2, n // 2, d - 1] = 0.0
+    pos[steps // 2 + 1, 0, 0] = np.nan
+    return FormationTrace(times=np.arange(steps), positions=pos, form_mean=np.zeros(steps),
+                          form_stderr=np.zeros(steps), burn_in=0)
+
+
 def test_trajectory_writer_bytes_equal_the_per_row_format(tmp_path, monkeypatch):
     perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
     tracer = importlib.import_module("tracer").Tracer()
-    for n, d in ((1, 1), (1, 2), (1, 3), (4, 1), (5, 2), (3, 3)):
-        trace = _hand_trace(n, d)
+    traces = [_hand_trace(n, d) for n, d in ((1, 1), (1, 2), (1, 3), (4, 1), (5, 2), (3, 3))]
+    for trace in traces:
         expected = _per_row_csv(trace)
         assert "inf" in expected and "nan" in expected and "-0.0000000000000000e+00" in expected
+    # several blocks of recorded steps, the last one partial; t from one to
+    # three digits and node numbers from one to three within a block
+    for n, d in ((130, 1), (101, 2), (101, 3)):
+        step = BLOCK_FLOATS // (n * d)
+        assert 10 < step < 125 and 125 % step
+        traces.append(_block_trace(n, d, 125))
+    for k, trace in enumerate(traces):
+        n, d = trace.positions.shape[1:]
+        expected = _per_row_csv(trace)
         fh = io.StringIO()
         _write_trajectory(fh, trace)
         assert fh.getvalue() == expected
-        path = tmp_path / f"traj_{n}_{d}.csv"
+        path = tmp_path / f"traj_{k}.csv"
         tracer.install()
         try:
             formation.write_trajectory_csv(path, trace)

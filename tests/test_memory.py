@@ -1,11 +1,17 @@
 """Memory pins: the peak that one call holds, traced with ``tracemalloc``."""
 
-import pytest
-from conftest import traced_peak
+import os
+import subprocess
+import sys
 
+import numpy as np
+import pytest
+from conftest import package_env, traced_peak
+
+from consensuslab._csvrows import BLOCK_FLOATS
 from consensuslab.cli import _fill_row
 from consensuslab.disagreement import NoiseCovariance
-from consensuslab.formation import spec_from_graph
+from consensuslab.formation import FormationTrace, _write_trajectory, spec_from_graph
 from consensuslab.graphs import build_graph
 from consensuslab.markov import lazy_walk_matrix, square_chain, uniform_edge_matrix
 
@@ -50,3 +56,28 @@ def test_formation_spec_holds_no_n_by_n_array():
     g = build_graph("two-star", n)
     peak = traced_peak(lambda: spec_from_graph(g, 1e-3))
     assert peak < 8 * n * n, f"peak {peak / (8 * n * n):.2f} n x n arrays"
+
+
+def test_trajectory_writer_holds_a_few_blocks():
+    # the writer renders BLOCK_FLOATS floats at a time, in 28-byte words
+    # each, so its peak is a few blocks of words whatever the record count;
+    # the whole text of this trajectory, 11 MB, would be 49 of them
+    steps, n = 1601, 127
+    pos = np.random.default_rng(0).standard_normal((steps, n, 2))
+    trace = FormationTrace(times=5 * np.arange(steps), positions=pos, form_mean=np.zeros(steps),
+                           form_stderr=np.zeros(steps), burn_in=0)
+    with open(os.devnull, "w") as fh:
+        peak = traced_peak(lambda: _write_trajectory(fh, trace))
+    block = 28 * BLOCK_FLOATS
+    assert peak < 8 * block, f"peak {peak / block:.2f} blocks"
+
+
+def test_importing_the_cli_builds_no_render_tables():
+    # the power-of-ten and digit tables are built by the first CSV write,
+    # so commands that write none never pay for them
+    code = ("import consensuslab.cli, consensuslab._csvrows as r; "
+            "print(r._tables.cache_info().currsize)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=package_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0\n"
