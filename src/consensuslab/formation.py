@@ -29,12 +29,11 @@ from .disagreement import NoiseCovariance, _require_variances, delta_ss_theorem
 from .errors import (
     AsymmetricWeights,
     DimensionMismatch,
-    DisconnectedGraph,
     InconsistentFormation,
     InvalidParam,
     StepSizeViolation,
 )
-from .graphs import Graph, _degrees, _edge_array, custom_graph
+from .graphs import Graph, custom_graph
 from .markov import (StochasticMatrix, _default_eps, _graph_chain, kemeny_constant_combinatorial,
                      square_chain, uniform_edge_matrix)
 from .simulate import SimConfig, _resolve_burn_in, _run_trials, _summarize
@@ -108,13 +107,12 @@ class FormationTrace:
     burn_in: int
 
 
-def _canonical_edge_map(graph: Graph, mapping, what: str, *, negate_flip: bool):
-    """Fold an either-orientation mapping onto canonical edges.
+def _canonical_edge_map(edge_set: set, mapping, what: str, *, negate_flip: bool):
+    """Fold an either-orientation mapping onto the canonical edges of edge_set.
 
     negate_flip=True treats values as direction-dependent (offsets):
     a (j, i) entry is stored as its negation at (i, j).
     """
-    edge_set = set(graph.edges)
     out: dict = {}
     for key, value in mapping.items():
         i, j = int(key[0]), int(key[1])
@@ -159,7 +157,9 @@ def build_formation_spec(
     """
     if dim < 1:
         raise InvalidParam(f"dimension must be >= 1, got {dim}")
-    n = graph.n
+    n, e = graph.n, graph.edges
+    keys = list(map(tuple, e.tolist()))  # the edges as the dict keys of the spec
+    edge_set = set(keys)
 
     off_arrays = {}
     for key, value in dict(offsets).items():
@@ -171,30 +171,27 @@ def build_formation_spec(
         if not np.isfinite(r).all():
             raise InvalidParam(f"offset for edge {tuple(key)} must be finite")
         off_arrays[tuple(key)] = r
-    off = _canonical_edge_map(graph, off_arrays, "offset", negate_flip=True)
+    off = _canonical_edge_map(edge_set, off_arrays, "offset", negate_flip=True)
 
-    e = _edge_array(graph)
     if isinstance(weights, str):
         if weights != "default":
             raise InvalidParam(f"weights must be a mapping or 'default', got {weights!r}")
         if graph.m == 0:
             raise InvalidParam("formation weights need at least one edge")
         chain = uniform_edge_matrix(graph)
-        w = dict.fromkeys(graph.edges, _default_eps(_degrees(n, e)))
+        w = dict.fromkeys(keys, _default_eps(graph.degrees()))
     else:
-        w = _canonical_edge_map(graph, dict(weights), "weight", negate_flip=False)
-        x = np.array([float(w[edge]) for edge in graph.edges])
-        w = dict(zip(graph.edges, x.tolist()))
+        w = _canonical_edge_map(edge_set, dict(weights), "weight", negate_flip=False)
+        x = np.array([float(w[edge]) for edge in keys])
+        w = dict(zip(keys, x.tolist()))
         if not (np.isfinite(x).all() and np.all(x > 0)):
             raise InvalidParam("formation weights must be finite and positive")
         row_sum = np.bincount(e.ravel(), np.repeat(x, 2), minlength=n)
         if row_sum.max() >= 1.0:
             worst = int(row_sum.argmax())
             raise StepSizeViolation(f"node {worst} has total weight {row_sum[worst]:.6g} >= 1")
-        chain = _graph_chain(n, e, np.stack([x, x]), 1.0 - row_sum)
+        chain = _graph_chain(graph, np.stack([x, x]), 1.0 - row_sum)
     order, pred = chain._bfs_tree
-    if order.size < n:
-        raise DisconnectedGraph("formation graph must be connected")
 
     lam = np.asarray(lambda2, dtype=float)
     if lam.ndim == 0:
@@ -205,7 +202,7 @@ def build_formation_spec(
     noise = NoiseCovariance.diagonal(lam)
 
     # each node's offset from its tree parent, then p_j = p_i + r_ij in tree order
-    r = np.array([off[edge] for edge in graph.edges]).reshape(-1, dim)
+    r = np.array([off[edge] for edge in keys]).reshape(-1, dim)
     i, j = e[:, 0], e[:, 1]
     pos = np.zeros((n, dim))
     down, up = pred[j] == i, pred[i] == j
@@ -315,7 +312,7 @@ def ring_demo_spec(lambda2: float = 4e-4) -> FormationSpec:
         (2, 3): [-1.0, -1.0],
         (3, 0): [1.0, -1.0],
     }
-    weights = {e: 1.0 / 9.0 for e in g.edges}
+    weights = dict.fromkeys(offsets, 1.0 / 9.0)
     return build_formation_spec(g, 2, offsets, weights, lambda2)
 
 
@@ -376,7 +373,7 @@ def spec_from_graph(graph: Graph, lambda2) -> FormationSpec:
     gives the same Form), so the layout only shapes trajectories.
     """
     pos = layout_positions(graph)
-    offsets = {(i, j): pos[j] - pos[i] for i, j in graph.edges}
+    offsets = {(i, j): pos[j] - pos[i] for i, j in graph.edges.tolist()}
     return build_formation_spec(graph, 2, offsets, "default", lambda2)
 
 

@@ -1,8 +1,9 @@
 """Graph families and helpers for consensus experiments.
 
 All graphs are simple and undirected, with nodes labelled ``0 .. n-1``.
-Edges are stored canonically as ``(i, j)`` with ``i < j``.  Conventions for
-the named families:
+``Graph.edges`` is the one edge representation: a read-only (m, 2) int32
+array of canonical rows ``(i, j)``, ``i < j``, sorted.  Conventions for the
+named families:
 
 * ``star``: node 0 is the center.
 * ``two-star``: nodes 0 and n-1 are the two centers, joined by an edge;
@@ -54,12 +55,13 @@ _RETRY_CAP = 1000
 # container
 # =====================================================================
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """An undirected simple graph with canonical edge storage."""
+    """An undirected simple graph, compared and hashed by identity; ``edges``
+    is its canonical edge array (see the module docstring)."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     family: str = "custom"
 
     @property
@@ -68,45 +70,39 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        return _degrees(self.n, _edge_array(self))
-
-
-def _edge_array(g: Graph) -> np.ndarray:
-    """The edges of g as an (m, 2) array, in the order of ``g.edges``."""
-    return np.array(g.edges, dtype=np.int32).reshape(-1, 2)
-
-
-def _degrees(n: int, e: np.ndarray) -> np.ndarray:
-    """The degrees of the n nodes of the (m, 2) edge array e."""
-    return np.bincount(e.ravel(), minlength=n)
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
 def _make_graph(n: int, edges, family: str) -> Graph:
+    """The graph on n nodes with the (i, j) pairs of ``edges``, either way round
+    and repeated; InvalidParam names the first self-loop or out-of-range pair."""
     if n < 1:
         raise InvalidParam(f"graph needs n >= 1, got n={n}")
-    canon = set()
-    for e in edges:
-        i, j = int(e[0]), int(e[1])
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        e = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # a label past int64, out of range: check Python ints
+        e = np.array(pairs, dtype=object).reshape(-1, 2)
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    bad = (lo == hi) | (lo < 0) | (hi >= n)
+    if bad.any():
+        i, j = map(int, e[bad.argmax()])
         if i == j:
             raise InvalidParam(f"self-loop at node {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidParam(f"edge ({i},{j}) out of range for n={n}")
-        canon.add((min(i, j), max(i, j)))
-    return Graph(n=n, edges=tuple(sorted(canon)), family=family)
+        raise InvalidParam(f"edge ({i},{j}) out of range for n={n}")
+    code = np.sort(lo * n + hi, kind="stable")  # as (lo, hi) tuples sort; a run in order is cheap
+    code = code[np.diff(code, prepend=-1) != 0]  # distinct: np.unique(code), but faster
+    canon = np.stack([code // n, code % n], axis=1).astype(np.int32)
+    canon.setflags(write=False)
+    return Graph(n=n, edges=canon, family=family)
 
 
 def is_connected(g: Graph) -> bool:
-    neighbours: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in g.edges:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    seen, queue = [True] + [False] * (g.n - 1), [0]
-    for u in queue:  # the loop also visits what it appends
-        for v in neighbours[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return len(queue) == g.n
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    adjacency = coo_matrix((np.ones(g.m), tuple(g.edges.T)), shape=(g.n, g.n))
+    return connected_components(adjacency, directed=False, return_labels=False) == 1
 
 
 # =====================================================================
@@ -114,8 +110,7 @@ def is_connected(g: Graph) -> bool:
 # =====================================================================
 
 def complete_graph(n: int) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return _make_graph(n, edges, f"complete(n={n})")
+    return _make_graph(n, np.stack(np.triu_indices(n, k=1), axis=1), f"complete(n={n})")
 
 
 def line_graph(n: int) -> Graph:
@@ -218,7 +213,7 @@ def erdos_renyi_graph(n: int, p: float, seed=None) -> Graph:
     iu, ju = np.triu_indices(n, k=1)
     for _ in range(_RETRY_CAP):
         mask = rng.random(iu.size) < p
-        edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
+        edges = np.stack([iu[mask], ju[mask]], axis=1)
         g = _make_graph(n, edges, f"erdos-renyi(n={n},p={p},seed={seed})")
         if is_connected(g):
             return g
@@ -249,11 +244,8 @@ def random_regular_graph(n: int, d: int, seed=None) -> Graph:
         a, b = perm[0::2], perm[1::2]
         if np.any(a == b):
             continue
-        pairs = {(min(x, y), max(x, y)) for x, y in zip(a.tolist(), b.tolist())}
-        if len(pairs) != n * d // 2:
-            continue  # multi-edge collapsed
-        g = _make_graph(n, pairs, f"random-regular(n={n},d={d},seed={seed})")
-        if is_connected(g):
+        g = _make_graph(n, np.stack([a, b], axis=1), f"random-regular(n={n},d={d},seed={seed})")
+        if g.m == n * d // 2 and is_connected(g):  # else a multi-edge collapsed
             return g
     raise GenerationFailed(
         f"no connected simple {d}-regular graph on {n} nodes in {_RETRY_CAP} attempts"

@@ -45,7 +45,7 @@ from .errors import (
     RandomTargetViolation,
     SingularSystem,
 )
-from .graphs import Graph, _degrees, _edge_array, is_connected
+from .graphs import Graph
 
 __all__ = [
     "StochasticMatrix",
@@ -231,11 +231,7 @@ class StochasticMatrix:
 
     @cached_property
     def _bfs_tree(self) -> tuple[np.ndarray, np.ndarray]:
-        """(order, pred) of a breadth-first search from state 0 over the stored
-        entries: the states it reaches, and each one's tree parent (else -9999)."""
-        from scipy.sparse.csgraph import breadth_first_order
-
-        return breadth_first_order(self._csr, 0, directed=True, return_predecessors=True)
+        return _breadth_first(self._csr)
 
     def _tree_stationary(self, paired) -> np.ndarray | None:
         """pi_j = pi_i P_ij / P_ji along a breadth-first tree from state 0,
@@ -423,6 +419,14 @@ class StochasticMatrix:
         H = (np.diag(Z)[None, :] - Z) / self.stationary()[None, :]
         H.setflags(write=False)
         return H
+
+
+def _breadth_first(support) -> tuple[np.ndarray, np.ndarray]:
+    """(order, pred) of a breadth-first search from state 0 over a sparse pattern:
+    the states it reaches, and each one's tree parent (else -9999)."""
+    from scipy.sparse.csgraph import breadth_first_order
+
+    return breadth_first_order(support, 0, directed=True, return_predecessors=True)
 
 
 def _strongly_connected(support) -> bool:
@@ -623,17 +627,16 @@ def _check_hitting_residual(worst: float, n: int) -> None:
 # chains from graphs
 # =====================================================================
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise DisconnectedGraph(f"graph {g.family} is not connected")
-
-
-def _graph_chain(n: int, e: np.ndarray, arcs: np.ndarray, diag: np.ndarray) -> StochasticMatrix:
+def _graph_chain(g: Graph, arcs: np.ndarray, diag: np.ndarray) -> StochasticMatrix:
     """The chain with P[i,j] = arcs[0, k] and P[j,i] = arcs[1, k] on the k-th
-    edge (i, j) of the edge array e, and P[i,i] = diag[i]: every chain of a
-    graph, built as CSR straight from its edges.  A per-node rule is off[e.T]."""
+    edge (i, j) of g, and P[i,i] = diag[i]: every chain of a graph, built as
+    CSR straight from its edges.  A per-node rule of the degrees d reads d[e.T].
+    The breadth-first tree the chain caches is grown first: it checks that g
+    is connected (every edge is an arc both ways, so the chain is irreducible)
+    before the row sums are, which an isolated node's row can fail."""
     from scipy.sparse import csr_matrix
 
+    n, e = g.n, g.edges
     loops = np.flatnonzero(diag).astype(np.int32)  # no stored zeros
     tails = np.concatenate([e[:, 0], e[:, 1], loops])
     heads = np.concatenate([e[:, 1], e[:, 0], loops])
@@ -642,7 +645,12 @@ def _graph_chain(n: int, e: np.ndarray, arcs: np.ndarray, diag: np.ndarray) -> S
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
     S = csr_matrix((values[order], heads[order], indptr), shape=(n, n))
-    return StochasticMatrix(S, _owned=True)
+    tree = _breadth_first(S)
+    if tree[0].size < n:
+        raise DisconnectedGraph(f"graph {g.family} is not connected")
+    P = StochasticMatrix(S, _owned=True)
+    P._bfs_tree, P.irreducible = tree, True  # seed the cached properties
+    return P
 
 
 def simple_walk_matrix(g: Graph) -> StochasticMatrix:
@@ -653,9 +661,7 @@ def simple_walk_matrix(g: Graph) -> StochasticMatrix:
     """
     if g.n < 2:
         raise InvalidParam("simple random walk needs n >= 2")
-    _require_connected(g)
-    e = _edge_array(g)
-    return _graph_chain(g.n, e, (1.0 / _degrees(g.n, e))[e.T], np.zeros(g.n))
+    return _graph_chain(g, 1.0 / g.degrees()[g.edges.T], np.zeros(g.n))
 
 
 def lazy_walk_matrix(g: Graph) -> StochasticMatrix:
@@ -665,9 +671,7 @@ def lazy_walk_matrix(g: Graph) -> StochasticMatrix:
     """
     if g.n == 1:
         return StochasticMatrix([[1.0]])
-    _require_connected(g)
-    e = _edge_array(g)
-    return _graph_chain(g.n, e, (0.5 / _degrees(g.n, e))[e.T], np.full(g.n, 0.5))
+    return _graph_chain(g, 0.5 / g.degrees()[g.edges.T], np.full(g.n, 0.5))
 
 
 def _default_eps(d: np.ndarray) -> float:
@@ -686,9 +690,9 @@ def uniform_edge_matrix(g: Graph, eps: float | None = None) -> StochasticMatrix:
     """
     if g.n == 1:
         return StochasticMatrix([[1.0]])
-    _require_connected(g)
-    e = _edge_array(g)
-    d = _degrees(g.n, e)
+    if g.m == 0:  # no edge to weigh, and n >= 2 nodes that none joins
+        raise DisconnectedGraph(f"graph {g.family} is not connected")
+    d = g.degrees()
     dmax = int(d.max())
     if eps is None:
         eps = _default_eps(d)
@@ -696,7 +700,7 @@ def uniform_edge_matrix(g: Graph, eps: float | None = None) -> StochasticMatrix:
         raise InvalidParam(
             f"edge weight must satisfy 0 < eps < 1/max_degree = {1.0 / dmax:g}, got {eps}"
         )
-    return _graph_chain(g.n, e, np.full((2, g.m), eps, dtype=float), 1.0 - eps * d)
+    return _graph_chain(g, np.full((2, g.m), eps, dtype=float), 1.0 - eps * d)
 
 
 # =====================================================================

@@ -115,6 +115,15 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     token.write_text("2\n0 x\n")
     code, _, err = run_main("analyze", "--family", "custom", "--edges", token)
     assert code == 2 and "token.txt:2" in err, err
+    # a node label past int64 is out of range like any other, not an overflow
+    huge = tmp_path / "huge.txt"
+    huge.write_text("4\n1 99999999999999999999999\n")
+    code, _, err = run_main("analyze", "--family", "custom", "--edges", huge)
+    assert code == 2 and "edge (1,99999999999999999999999) out of range for n=4" in err, err
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"n": 2, "dim": 1, "edges": [[0, -10**23, [1.0]]]}))
+    code, _, err = run_main("formation", "--spec", spec, "--skip-sim")
+    assert code == 2 and "out of range" in err, err
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"2\n0 1\n\xff\xfe\n")
     code, _, err = run_main("analyze", "--family", "custom", "--edges", binary)

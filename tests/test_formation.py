@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ def test_step_size_boundary_is_a_row_sum_of_one():
     # node 2's weights sum to exactly 1.0, summed over the edge arrays; the
     # next float below 1.0 is a valid step size
     g = custom_graph(4, [(0, 2), (1, 2), (2, 3)])
-    offsets = {e: [1.0] for e in g.edges}
+    offsets = {e: [1.0] for e in map(tuple, g.edges.tolist())}
     weights = {(0, 2): 0.25, (1, 2): 0.25, (2, 3): 0.5}
     with pytest.raises(StepSizeViolation, match=r"^node 2 has total weight 1 >= 1$"):
         build_formation_spec(g, 1, offsets, weights, 1.0)
@@ -225,8 +226,14 @@ def test_step_size_boundary_is_a_row_sum_of_one():
 def test_custom_weights_on_a_disconnected_graph_are_rejected():
     # the walk from node 0 reaches nodes 0-1 only; nodes 2-3 are a second component
     g = custom_graph(4, [(0, 1), (2, 3)])
+    edges = list(map(tuple, g.edges.tolist()))
     with pytest.raises(DisconnectedGraph):
-        build_formation_spec(g, 1, {e: [1.0] for e in g.edges}, dict.fromkeys(g.edges, 0.25), 1.0)
+        build_formation_spec(g, 1, dict.fromkeys(edges, [1.0]), dict.fromkeys(edges, 0.25), 1.0)
+    # an isolated node: no division by its zero degree, and no row-sum error first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DisconnectedGraph, match="is not connected"):
+            build_formation_spec(custom_graph(3, [(0, 1)]), 1, {(0, 1): [1.0]}, {(1, 0): 0.25}, 1.0)
 
 
 def test_weight_validation():

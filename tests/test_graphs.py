@@ -1,4 +1,6 @@
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from consensuslab.graphs import (
     starry_line_graph,
     two_star_graph,
 )
-from consensuslab.markov import simple_walk_matrix
+from consensuslab.markov import lazy_walk_matrix, simple_walk_matrix, uniform_edge_matrix
 
 
 def test_edge_counts_match_family_formulas():
@@ -53,7 +55,7 @@ def test_starry_line_n9_hand_check():
     deg = g.degrees()
     assert sorted(deg.tolist()) == [1, 1, 1, 1, 2, 2, 2, 3, 3]
     assert deg[0] == 3 and deg[8] == 3  # the two hubs
-    assert (0, 3) in g.edges and (5, 8) in g.edges  # hubs glued to the path ends
+    assert {(0, 3), (5, 8)} <= set(map(tuple, g.edges.tolist()))  # hubs glued to the path ends
     assert is_connected(g)
 
 
@@ -62,7 +64,7 @@ def test_two_star_splits_leaves_between_hubs():
     deg = g.degrees()
     # 7 leaves split 4/3, plus the hub-hub bridge
     assert deg[0] + deg[8] == 7 + 2
-    assert (0, 8) in g.edges
+    assert (0, 8) in set(map(tuple, g.edges.tolist()))
     assert all(deg[i] == 1 for i in range(1, 8))
 
 
@@ -98,7 +100,7 @@ def test_bipartite_classification():
 def test_erdos_renyi_is_connected_and_seeded():
     g1 = erdos_renyi_graph(30, 0.2, seed=7)
     g2 = erdos_renyi_graph(30, 0.2, seed=7)
-    assert g1.edges == g2.edges
+    assert np.array_equal(g1.edges, g2.edges)
     assert is_connected(g1)
     # p=0 can never connect n >= 2, so generation must give up cleanly
     with pytest.raises(GenerationFailed):
@@ -133,7 +135,7 @@ def test_edge_list_round_trip(tmp_path):
     lines = [f"{g.n}"] + [f"{i} {j}" for i, j in g.edges]
     path.write_text("# comment line\n" + "\n".join(lines) + "\n")
     g2 = load_edge_list(path)
-    assert g2.n == g.n and g2.edges == g.edges
+    assert g2.n == g.n and np.array_equal(g2.edges, g.edges)
 
 
 def test_build_graph_dispatch_and_aliases():
@@ -146,8 +148,8 @@ def test_build_graph_dispatch_and_aliases():
                      ("binary-tree", binary_tree_graph(7)),
                      ("er", erdos_renyi_graph(6, 0.7, seed=1)),
                      ("regular", random_regular_graph(6, 3, seed=1))):
-        assert build_graph(alias, g.n, **every).edges == g.edges, alias
-    assert build_graph("grid", 9, seed=1, p=0.7, degree=3).edges == grid_graph(9).edges
+        assert np.array_equal(build_graph(alias, g.n, **every).edges, g.edges), alias
+    assert np.array_equal(build_graph("grid", 9, seed=1, p=0.7, degree=3).edges, grid_graph(9).edges)
     with pytest.raises(InvalidParam, match="grid needs dim"):
         build_graph("grid", 9, dim=None)
     with pytest.raises(InvalidParam):
@@ -171,10 +173,59 @@ def test_disconnected_detection():
     assert not is_connected(g)
     assert not is_connected(custom_graph(2, []))
     assert is_connected(custom_graph(1, [])) and is_connected(custom_graph(2, [(0, 1)]))
-    from consensuslab.markov import lazy_walk_matrix
-
     with pytest.raises(DisconnectedGraph):
         lazy_walk_matrix(g)
+
+
+@pytest.mark.parametrize("chain", [simple_walk_matrix, lazy_walk_matrix, uniform_edge_matrix])
+@pytest.mark.parametrize("edges", [[(0, 1)], [(1, 2)], []])
+def test_an_isolated_node_makes_every_chain_disconnected(chain, edges):
+    # an isolated node has degree 0 and, in the lazy walk, a row summing to 1/2:
+    # the graph is reported disconnected, with no division warning or row-sum error
+    g = custom_graph(3, edges)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DisconnectedGraph, match="is not connected"):
+            chain(g)
+
+
+@st.composite
+def pair_lists(draw):
+    """(n, pairs): node pairs in either orientation, with repeats, and now
+    and then a self-loop or an out-of-range pair (past int64 included)
+    inserted somewhere."""
+    n = draw(st.integers(1, 9))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=30)
+                 if n > 1 else st.just([]))
+    if n > 1 and pairs and draw(st.booleans()):
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))  # repeats, same orientation
+    outside = st.sampled_from([-1, n, n + 7, -(2**63) - 1, 2**63, 10**23])
+    bad = st.one_of(node.map(lambda i: (i, i)), st.tuples(outside, node), st.tuples(node, outside),
+                    st.tuples(outside, outside))
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(bad))
+    return n, pairs
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(pair_lists())
+def test_canonical_edges_are_the_sorted_set_of_min_max_pairs(case):
+    n, pairs = case
+    first_bad = next(((i, j) for i, j in pairs if i == j or not (0 <= i < n and 0 <= j < n)), None)
+    if first_bad is not None:
+        i, j = first_bad
+        message = f"self-loop at node {i}" if i == j else f"edge ({i},{j}) out of range for n={n}"
+        with pytest.raises(InvalidParam, match=f"^{re.escape(message)}$"):
+            custom_graph(n, pairs)
+        return
+    e = custom_graph(n, pairs).edges
+    want = sorted({(min(i, j), max(i, j)) for i, j in pairs})
+    assert e.dtype == np.int32 and e.shape == (len(want), 2)
+    assert list(map(tuple, e.tolist())) == want
+    assert not e.flags.writeable
+    with pytest.raises(ValueError):
+        e[0:1] = 0
 
 
 @st.composite
