@@ -3,10 +3,14 @@
 One kernel, :func:`_run_trials`, steps every trial at once by a CSR
 product; the formation simulator runs it too, on a state of shape (n, d).
 Trial k draws its noise from its own stream, seeded by (seed, k) through
-numpy's SeedSequence spawning, NOISE_CHUNK steps at a time.  The states
-recorded within a chunk are reduced together at its end, by the same CSR
-products a per-step reduction would use; each column is summed on its own,
-so the numbers are those of one reduction per recorded step.
+numpy's SeedSequence spawning, NOISE_CHUNK steps at a time.  Gaussian
+streams are drawn by up to one thread per usable core, and no more threads
+than trials; each thread fills whole trials' blocks, so which thread draws
+a trial changes none of its numbers.  Rademacher streams are drawn on the
+calling thread.  The states recorded within a chunk are reduced together
+at its end, by the same CSR products a per-step reduction would use; each
+column is summed on its own, so the numbers are those of one reduction per
+recorded step.
 
 What is bit-identical:
 
@@ -14,7 +18,9 @@ What is bit-identical:
 - trial k's per-step numbers (its squared errors, and trial 0's states),
   whatever the trial count: adding trials leaves the earlier ones unchanged;
 - trial k's noise, and so every output, whatever the chunk size, that is
-  the number of steps drawn, and of records reduced, together.
+  the number of steps drawn, and of records reduced, together;
+- every output, whatever the number of threads drawing the noise, that is
+  whatever the number of usable cores.
 
 Against the earlier kernel, which stepped one trial at a time by dense
 products and drew each trial's noise in one block, outputs moved at
@@ -25,6 +31,8 @@ most 8.3e-15 relative on any number of a trace CSV or summary, and at most
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +121,9 @@ NOISE_CHUNK = 128
 
 Any value gives the same numbers.  128 steps amortize the per-call cost of
 the draws and reductions while the noise and snapshot buffers stay a few
-MB; 256 doubled the noise buffers without a measurable gain.
+MB.  With the draws threaded, 256 steps took the benchmark's ``montecarlo``
+pass from 0.949 to 0.910 s (medians of three 8-second runs on 2 cores, within
+run-to-run spread) but its peak RSS from 78.2 to 84.6 MB.
 """
 
 
@@ -126,25 +136,52 @@ def _noise_factor(noise: NoiseCovariance):
     return sparse.csr_array(noise.sampling_factor())
 
 
-def _draw_noise(rngs, factor, kind: str, out: np.ndarray) -> None:
+def _usable_cores() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _draw_noise(rngs, factor, kind: str, out: np.ndarray, pool, workers: int) -> None:
     """Fill ``out``, C-contiguous of shape (steps, n, trials, d), with the
     next ``steps`` noise vectors of each trial, trial k from ``rngs[k]``.
 
     Trial k draws one (steps, n, d) block, so consecutive calls continue its
-    stream exactly as one long draw would.  The trial-major draws reach
+    stream exactly as one long draw would.  Gaussian blocks are drawn in
+    ``workers`` runs of consecutive trials: the calling thread draws the
+    first run and ``pool`` the others, one task each.  ``standard_normal``
+    releases the GIL while it fills a block, so up to ``workers`` threads
+    draw at once, and the calling thread's own run covers the time the pool
+    takes to wake.  The calling thread draws every Rademacher block, since
+    ``integers`` holds the GIL for much of each call and threads would only
+    contend for it.  Either way the blocks, and so every output, are the
+    same whatever ``workers`` is.  The trial-major draws reach
     ``out`` by one transposing copy of ``np.void`` items of 8 * d bytes, so
-    each node's d floats move as one item and every bit is kept.  The factor
-    acts elementwise or by a CSR product, which sums each column on its own
-    in a fixed order: a trial's noise depends neither on the other trials
-    nor on ``steps``.
+    each node's d floats move as one item and every bit is kept.  The
+    factor acts elementwise or by a CSR product, which sums each column on
+    its own in a fixed order: a trial's noise depends neither on the other
+    trials nor on ``steps``.
     """
     steps, n, trials, d = out.shape
     z = np.empty((trials, steps, n, d))
-    for k, rng in enumerate(rngs):
-        if kind == "gaussian":
-            rng.standard_normal(out=z[k])
-        else:  # rademacher
-            z[k] = rng.integers(0, 2, size=(steps, n, d))
+
+    def fill(trial_ids: range) -> None:
+        for k in trial_ids:
+            if kind == "gaussian":
+                rngs[k].standard_normal(out=z[k])
+            else:  # rademacher
+                z[k] = rngs[k].integers(0, 2, size=(steps, n, d))
+
+    if kind == "gaussian":
+        groups = [range(w * trials // workers, (w + 1) * trials // workers)
+                  for w in range(workers)]
+        tasks = [pool.submit(fill, group) for group in groups[1:]]
+        fill(groups[0])
+        for task in tasks:
+            task.result()  # re-raises a group's error
+    else:
+        fill(range(trials))
     item = np.dtype((np.void, 8 * d))
     out.view(item)[..., 0] = z.view(item)[..., 0].transpose(1, 2, 0)
     if kind != "gaussian":
@@ -163,9 +200,10 @@ def _run_trials(P: StochasticMatrix, noise: NoiseCovariance, x0: np.ndarray, cfg
     Every trial steps at once: the state is X of shape (n, trials * d),
     trial k in columns k*d .. k*d + d - 1, and one step is one product
     ``E @ X`` with the CSR matrix the chain caches, plus that step's
-    noise, drawn NOISE_CHUNK steps at a time.  A recorded step only copies
-    X into a snapshot buffer of shape (n, chunk // record_every + 1,
-    trials * d).  Once per chunk, CSR products with the rows [pi; 1]
+    noise, drawn NOISE_CHUNK steps at a time by up to min(trials, usable
+    cores) threads: this one and a pool that lives as long as the run.  A
+    recorded step only copies X into a snapshot buffer of shape (n, chunk
+    // record_every + 1, trials * d).  Once per chunk, CSR products with the rows [pi; 1]
     reduce all its snapshots side by side: one takes pi'X, one more takes
     pi'e^2 and sum_i e_i^2.  A CSR product sums each column on its own, in nnz order, so these numbers equal
     those of one product per recorded step, and trial k's numbers do not
@@ -203,18 +241,20 @@ def _run_trials(P: StochasticMatrix, noise: NoiseCovariance, x0: np.ndarray, cfg
     snaps = np.empty((n, chunk // cfg.record_every + 1, trials * d))
     snaps[:, 0] = X
     k, j = 0, 1  # the first record the buffer holds, and how many it holds
-    for start in range(0, cfg.horizon, chunk):
-        W = buf[: min(chunk, cfg.horizon - start)]
-        _draw_noise(rngs, factor, cfg.noise, W)
-        for t, w in enumerate(W.reshape(len(W), n, trials * d), start + 1):
-            X = E @ X
-            X += w
-            if t % cfg.record_every == 0:
-                snaps[:, j] = X
-                j += 1
-        if j:
-            record(k, snaps[:, :j])
-        k, j = k + j, 0
+    workers = min(trials, _usable_cores())
+    with ThreadPoolExecutor(workers) as pool:
+        for start in range(0, cfg.horizon, chunk):
+            W = buf[: min(chunk, cfg.horizon - start)]
+            _draw_noise(rngs, factor, cfg.noise, W, pool, workers)
+            for t, w in enumerate(W.reshape(len(W), n, trials * d), start + 1):
+                X = E @ X
+                X += w
+                if t % cfg.record_every == 0:
+                    snaps[:, j] = X
+                    j += 1
+            if j:
+                record(k, snaps[:, :j])
+            k, j = k + j, 0
     return times, wsq.sum(axis=2), usq.sum(axis=2), states.reshape(times.size, *x0.shape)
 
 

@@ -1,12 +1,18 @@
 import itertools
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import random_reversible_chain
+from conftest import package_env, random_reversible_chain
 
 from consensuslab import simulate
 from consensuslab.disagreement import NoiseCovariance, delta_ss_theorem, divergence_probe
 from consensuslab.errors import InvalidParam, NoConvergence
+from consensuslab.formation import ring_demo_spec, simulate_formation
 from consensuslab.graphs import ring_graph, star_graph
 from consensuslab.markov import StochasticMatrix, lazy_walk_matrix, simple_walk_matrix
 from consensuslab.simulate import (
@@ -109,18 +115,122 @@ def test_noise_drawn_in_chunks_equals_one_draw():
         factor = simulate._noise_factor(noise)
         for kind, d in itertools.product(("gaussian", "rademacher"), (1, 2, 3)):
             whole = np.empty((steps, n, trials, d))
-            simulate._draw_noise([_trial_rng(4, k) for k in range(trials)], factor, kind, whole)
             rngs = [_trial_rng(4, k) for k in range(trials)]
-            pieces = []
-            for size in (1, 37, 200, steps - 238):
-                pieces.append(np.empty((size, n, trials, d)))
-                simulate._draw_noise(rngs, factor, kind, pieces[-1])
+            with ThreadPoolExecutor(trials) as pool:
+                simulate._draw_noise(rngs, factor, kind, whole, pool, trials)
+                rngs = [_trial_rng(4, k) for k in range(trials)]
+                pieces = []
+                for size in (1, 37, 200, steps - 238):
+                    pieces.append(np.empty((size, n, trials, d)))
+                    simulate._draw_noise(rngs, factor, kind, pieces[-1], pool, trials)
             np.testing.assert_array_equal(np.concatenate(pieces), whole)
             if noise.is_diagonal:
                 scale = np.sqrt(noise.variances())[:, None]
                 for k in range(trials):
                     z = _one_draw(_trial_rng(4, k), kind, (steps, n, d))
                     np.testing.assert_array_equal(whole[:, :, k], z * scale)
+
+
+def test_noise_and_kernel_numbers_do_not_depend_on_the_draw_threads(monkeypatch):
+    # 1 and 2 workers, 3 for groups of unequal size, 6 for more than trials;
+    # n large enough that a dense product's sums would depend on the layout,
+    # and a short switch interval so that the threads interleave often
+    n, trials, steps = 20, 4, 150
+    rng = np.random.default_rng(6)
+    P = random_reversible_chain(rng, n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for noise, kind, d in itertools.product(
+                _covariances(n, rng), ("gaussian", "rademacher"), (1, 2, 3)):
+            factor = simulate._noise_factor(noise)
+            x0 = rng.normal(size=(n, d)) if d > 1 else rng.normal(size=n)
+            cfg = SimConfig(horizon=2 * simulate.NOISE_CHUNK + 45, trials=trials, seed=9,
+                            record_every=2, noise=kind)
+            draws, runs = [], []
+            for workers in (1, 2, 3, 6):
+                out = np.empty((steps, n, trials, d))
+                with ThreadPoolExecutor(workers) as pool:
+                    rngs = [_trial_rng(9, k) for k in range(trials)]
+                    simulate._draw_noise(rngs, factor, kind, out[:40], pool, workers)
+                    simulate._draw_noise(rngs, factor, kind, out[40:], pool, workers)
+                draws.append(out)
+                monkeypatch.setattr(simulate, "_usable_cores", lambda: workers)
+                runs.append(_run_trials(P, noise, x0, cfg))
+            for out, run in zip(draws[1:], runs[1:]):
+                np.testing.assert_array_equal(out, draws[0])
+                for a, b in zip(run, runs[0]):
+                    np.testing.assert_array_equal(a, b)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_usable_cores_is_the_affinity_set_or_the_cpu_count(monkeypatch):
+    assert simulate._usable_cores() >= 1
+    if hasattr(os, "sched_getaffinity"):
+        assert simulate._usable_cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert simulate._usable_cores() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._usable_cores() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_cli_outputs_do_not_depend_on_the_usable_cores(tmp_path):
+    cpu = min(os.sched_getaffinity(0))
+    runs = {
+        "simulate": ["simulate", "--family", "ring", "--n", "16", "--horizon", "700",
+                     "--trials", "5", "--burn-in", "100", "--seed", "4"],
+        "formation": ["formation", "--family", "tree", "--n", "127", "--lambda2", "0.0004",
+                      "--horizon", "300", "--trials", "3", "--burn-in", "100",
+                      "--record-every", "3", "--seed", "4"],
+    }
+    for pinned in (True, False):
+        for name, argv in runs.items():
+            stem = tmp_path / f"{name}-{pinned}"
+            r = subprocess.run(
+                [sys.executable, "-m", "consensuslab", *argv,
+                 "--out", f"{stem}.csv", "--summary", f"{stem}.json"],
+                capture_output=True, env=package_env(), timeout=120,
+                preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pinned else None)
+            assert r.returncode == 0, r.stderr
+            (tmp_path / f"{name}-{pinned}.out").write_bytes(r.stdout)
+    for name in runs:
+        for ext in ("csv", "json", "out"):
+            pinned, free = (tmp_path / f"{name}-{flag}.{ext}" for flag in (True, False))
+            assert pinned.read_bytes() == free.read_bytes(), (name, ext)
+
+
+def test_runs_leave_no_draw_thread_behind(monkeypatch):
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 3)
+    P = lazy_walk_matrix(ring_graph(6))
+    noise = NoiseCovariance.scalar(6, 1.0)
+    cfg = SimConfig(horizon=300, trials=4, burn_in=10, seed=1)
+    before = threading.enumerate()
+    simulate_consensus(P, noise, np.zeros(6), cfg)
+    assert threading.enumerate() == before
+    simulate_formation(ring_demo_spec(), cfg)
+    assert threading.enumerate() == before
+
+    class Boom(Exception):
+        pass
+
+    class Exploding:
+        def standard_normal(self, out):
+            raise Boom
+
+    trial_rng = simulate._trial_rng
+    # trial 0 is drawn by the calling thread, trial 3 by a pool thread
+    for bad in (0, 3):
+        monkeypatch.setattr(simulate, "_trial_rng",
+                            lambda seed, k: Exploding() if k == bad else trial_rng(seed, k))
+        with pytest.raises(Boom):
+            simulate_consensus(P, noise, np.zeros(6), cfg)
+        assert threading.enumerate() == before
+        with pytest.raises(Boom):
+            simulate_formation(ring_demo_spec(), cfg)
+        assert threading.enumerate() == before
 
 
 def test_kernel_numbers_do_not_depend_on_the_chunk_size(monkeypatch):
