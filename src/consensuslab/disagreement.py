@@ -16,7 +16,8 @@ With H_ij = (Z_jj - Z_ij) / pi_j (Kemeny & Snell), Z the fundamental
 matrix of P^2, and pi' Z = pi', it reads delta_ss = Tr((Z - 1 pi') Sigma_w D),
 and that is how it is evaluated: O(n) for diagonal noise once Z is known,
 O(n^2) for a full covariance, with no hitting-time matrix built.  The
-tests referee it with the hitting-time form above, H from per-target solves.
+tests referee it with the hitting-time form above, H from per-target solves
+(``per_target_hitting_times`` in ``tests/referees.py``).
 
 This module implements that closed form, its covariance companion, its
 specializations for equal-variance noise on symmetric chains (Kemeny

@@ -34,8 +34,8 @@ from .errors import (
     StepSizeViolation,
 )
 from .graphs import Graph, custom_graph
-from .markov import (StochasticMatrix, _default_eps, _graph_chain, kemeny_constant_combinatorial,
-                     square_chain, uniform_edge_matrix)
+from .markov import (StochasticMatrix, _graph_chain, kemeny_constant_combinatorial, square_chain,
+                     uniform_edge_matrix)
 from .simulate import SimConfig, _resolve_burn_in, _run_trials, _summarize
 
 __all__ = [
@@ -60,18 +60,16 @@ class FormationSpec:
 
     ``chain`` is P_form (off-diagonal f_ij, diagonal 1 - sum_j f_ij) and
     ``noise`` is Diag(lambda^2); every route reads these two, so all share
-    P_form's pi, P^2 and Z.  ``offsets`` and ``weights`` are keyed by
-    canonical edges (i < j); the stored offset is always p_j - p_i.
+    P_form's pi, P^2 and Z, and ``chain`` holds the weight f_ij at (i, j).
     ``positions`` are the in-formation positions walked out from the
-    offsets along a spanning tree (zero centroid), and
-    ``consistency_residual`` is max over the edges of |p_j - p_i - r_ij|,
-    the worst cycle-closure defect — guaranteed <= ``tolerances.CONSISTENCY_TOL``.
+    offsets r_ij = p_j - p_i along a spanning tree (zero centroid), so
+    they hold the offsets too: ``consistency_residual`` is max over the
+    edges of |p_j - p_i - r_ij|, the worst cycle-closure defect —
+    guaranteed <= ``tolerances.CONSISTENCY_TOL``.
     """
 
     graph: Graph
     dim: int
-    offsets: dict
-    weights: dict
     chain: StochasticMatrix
     noise: NoiseCovariance
     positions: np.ndarray
@@ -158,7 +156,7 @@ def build_formation_spec(
     if dim < 1:
         raise InvalidParam(f"dimension must be >= 1, got {dim}")
     n, e = graph.n, graph.edges
-    keys = list(map(tuple, e.tolist()))  # the edges as the dict keys of the spec
+    keys = list(map(tuple, e.tolist()))  # the canonical edges, as dict keys
     edge_set = set(keys)
 
     off_arrays = {}
@@ -179,11 +177,9 @@ def build_formation_spec(
         if graph.m == 0:
             raise InvalidParam("formation weights need at least one edge")
         chain = uniform_edge_matrix(graph)
-        w = dict.fromkeys(keys, _default_eps(graph.degrees()))
     else:
         w = _canonical_edge_map(edge_set, dict(weights), "weight", negate_flip=False)
         x = np.array([float(w[edge]) for edge in keys])
-        w = dict(zip(keys, x.tolist()))
         if not (np.isfinite(x).all() and np.all(x > 0)):
             raise InvalidParam("formation weights must be finite and positive")
         row_sum = np.bincount(e.ravel(), np.repeat(x, 2), minlength=n)
@@ -217,8 +213,8 @@ def build_formation_spec(
             f"offsets are inconsistent: cycle-closure residual {resid:.3e} "
             f"exceeds {tolerances.CONSISTENCY_TOL:g}"
         )
-    return FormationSpec(graph=graph, dim=dim, offsets=off, weights=w, chain=chain,
-                         noise=noise, positions=positions, consistency_residual=resid)
+    return FormationSpec(graph=graph, dim=dim, chain=chain, noise=noise, positions=positions,
+                         consistency_residual=resid)
 
 
 def form_exact(spec: FormationSpec) -> FormationReport:

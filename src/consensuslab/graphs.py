@@ -75,9 +75,12 @@ class Graph:
 
 def _make_graph(n: int, edges, family: str) -> Graph:
     """The graph on n nodes with the (i, j) pairs of ``edges``, either way round
-    and repeated; InvalidParam names the first self-loop or out-of-range pair."""
+    and repeated; InvalidParam names the first self-loop or out-of-range pair.
+    The labels 0 .. n-1 must fit the int32 edge array, so n <= 2^31."""
     if n < 1:
         raise InvalidParam(f"graph needs n >= 1, got n={n}")
+    if n > 2 ** 31:
+        raise InvalidParam(f"graph needs n <= 2^31 (int32 node labels), got n={n}")
     pairs = edges if isinstance(edges, np.ndarray) else list(edges)
     try:
         e = np.array(pairs, dtype=np.int64).reshape(-1, 2)
@@ -168,6 +171,8 @@ def grid_graph(n: int, dim: int = 2) -> Graph:
     """k-dimensional lattice; n must be a perfect ``dim``-th power."""
     if dim < 1:
         raise InvalidParam(f"grid dimension must be >= 1, got {dim}")
+    if n < 1:
+        raise InvalidParam(f"grid needs n >= 1, got n={n}")
     side = round(n ** (1.0 / dim))
     if side ** dim != n:
         raise InvalidParam(

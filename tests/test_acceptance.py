@@ -17,6 +17,7 @@ from conftest import (
     random_psd_covariance,
     random_reversible_chain,
 )
+from referees import per_target_hitting_times
 
 from consensuslab import (
     NoiseCovariance,
@@ -125,7 +126,7 @@ def test_03_kemeny_sum_is_start_independent():
     worst = 0.0
     for name, P in symmetric_walk_set():
         for Q in (P, square_chain(P)):
-            H = hitting_times(Q, method="per-target")
+            H = per_target_hitting_times(Q)
             Ki = H @ Q.stationary()
             spread = np.ptp(Ki) / (1.0 + Ki.mean())
             worst = max(worst, spread)

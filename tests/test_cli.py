@@ -120,6 +120,11 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     huge.write_text("4\n1 99999999999999999999999\n")
     code, _, err = run_main("analyze", "--family", "custom", "--edges", huge)
     assert code == 2 and "edge (1,99999999999999999999999) out of range for n=4" in err, err
+    # so is a node count past the int32 labels, not an overflow of the edge codes
+    many = tmp_path / "many.txt"
+    many.write_text(f"{10**30}\n0 1\n")
+    code, _, err = run_main("analyze", "--family", "custom", "--edges", many)
+    assert code == 2 and "InvalidParam" in err and "n <= 2^31" in err, err
     spec = tmp_path / "huge.json"
     spec.write_text(json.dumps({"n": 2, "dim": 1, "edges": [[0, -10**23, [1.0]]]}))
     code, _, err = run_main("formation", "--spec", spec, "--skip-sim")
@@ -163,8 +168,9 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     # --sigma2 next to the --sigma2-vec file that replaces it, --out with
     # formation --skip-sim, a sweep given --n, --edges or an unknown family
     # (custom included), --eps with a chain other than uniform, a negative
-    # --oracle-cap, a malformed or empty --n-list, a missing --family and a
-    # formation family run without --lambda2 end the run before any work; a
+    # --oracle-cap, a malformed or empty --n-list, a missing --family, a
+    # formation family run without --lambda2 and a grid of n < 1 end the run
+    # before any work; a
     # --sigma2-vec or --sigma2-node that does not fit the graph ends it
     # before any output
     nan_vec = tmp_path / "nan.txt"
@@ -216,7 +222,10 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
                  ("analyze", "--family", "ring", "--n", "5", "--sigma2-vec", six_vec),
                  ("analyze", "--family", "ring", "--n", "5", "--sigma2-node", "9=1"),
                  ("analyze", "--n", "5"),
-                 ("formation", "--family", "star", "--n", "7", "--skip-sim")):
+                 ("formation", "--family", "star", "--n", "7", "--skip-sim"),
+                 ("analyze", "--family", "grid", "--n", "-4"),
+                 ("formation", "--family", "grid", "--n", "-4", "--lambda2", "1",
+                  "--skip-sim")):
         code, out, err = run_main(*argv)
         assert code == 2 and out == "", (argv, err)
 
@@ -277,6 +286,13 @@ def test_sweep_csv_schema_and_error_rows(tmp_path):
     by_n = {r[1]: r for r in rows}
     assert by_n["10"][2] == "" and "InvalidParam" in by_n["10"][-1]
     assert float(by_n["9"][2]) > 0 and float(by_n["18"][2]) > 0
+    # a grid size below 1 is a row error too, not the end of the table
+    code, out, err = run_main("sweep", "--family", "grid", "--n-list=-4,16")
+    assert code == 0, err
+    rows = list(csv.reader(ln for ln in out.splitlines() if not ln.startswith("#")))
+    assert [r[1] for r in rows[1:]] == ["-4", "16"]
+    assert rows[1][2] == "" and "InvalidParam: grid needs n >= 1" in rows[1][-1]
+    assert float(rows[2][2]) > 0 and rows[2][-1] == ""
 
 
 def test_sweep_rows_build_no_hitting_matrix(monkeypatch):

@@ -9,6 +9,7 @@ from referees import (
     exact_lazy_delta,
     hitting_time_delta,
     hitting_time_sigma_hat,
+    per_target_hitting_times,
 )
 
 from consensuslab.disagreement import (
@@ -35,7 +36,6 @@ from consensuslab.formation import form_via_delta, spec_from_graph
 from consensuslab.graphs import line_graph, ring_graph, star_graph
 from consensuslab.markov import (
     StochasticMatrix,
-    hitting_times,
     lazy_walk_matrix,
     simple_walk_matrix,
     square_chain,
@@ -129,7 +129,7 @@ def test_star_center_only_noise_hand_value():
     P = lazy_walk_matrix(g)
     pi = P.stationary()
     np.testing.assert_allclose(pi, [0.5, 1 / 6, 1 / 6, 1 / 6], atol=1e-12)
-    H2 = hitting_times(square_chain(P), method="per-target")
+    H2 = per_target_hitting_times(square_chain(P))
     expected = 0.25 * float(pi @ H2[:, 0])
     got = delta_ss_theorem_diagonal(P, [1.0, 0.0, 0.0, 0.0])
     assert got == pytest.approx(expected, rel=1e-12)

@@ -56,8 +56,6 @@ _PERIODIC = "chain is periodic, so the squared chain is reducible"
 
 CASES = [
     # InvalidParam: a parameter outside its domain
-    pytest.param(lambda: hitting_times(_lazy5(), method="bogus"), InvalidParam, None,
-                 id="hitting_times-unknown-method"),
     pytest.param(lambda: NoiseCovariance.full(np.ones((2, 3))), InvalidParam, None,
                  id="full-covariance-not-square"),
     pytest.param(lambda: NoiseCovariance.full([[1.0, 0.0], [0.0, -1.0]]), InvalidParam, None,

@@ -52,8 +52,9 @@ def test_default_weights_and_matrix_star4():
     spec = build_formation_spec(
         g, 2, {(0, j): [float(j), 0.0] for j in (1, 2, 3)}, "default", 1.0
     )
-    assert all(v == pytest.approx(1 / 6) for v in spec.weights.values())
     P = spec.chain
+    i, j = spec.graph.edges.T
+    assert all(v == pytest.approx(1 / 6) for v in P.entries[i, j])
     np.testing.assert_allclose(np.diag(P.entries), [1 / 2, 5 / 6, 5 / 6, 5 / 6], atol=1e-15)
     assert P.symmetric and P.aperiodic
 
@@ -152,7 +153,8 @@ def test_ring_demo_spec_is_the_unit_square():
     p = spec.positions
     for i, j in spec.graph.edges:
         assert np.linalg.norm(p[j] - p[i]) == pytest.approx(np.sqrt(2), rel=1e-12)
-    assert all(v == pytest.approx(1 / 9) for v in spec.weights.values())
+    i, j = spec.graph.edges.T
+    assert all(v == pytest.approx(1 / 9) for v in spec.chain.entries[i, j])
 
 
 def test_theorem_and_general_route_agree_on_families():

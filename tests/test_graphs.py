@@ -75,6 +75,9 @@ def test_grid_graph_requires_perfect_power():
         grid_graph(24)
     g3 = grid_graph(27, dim=3)
     assert g3.m == 3 * 9 * 2
+    for n in (0, -4):  # -4 has a complex square root
+        with pytest.raises(InvalidParam, match=f"grid needs n >= 1, got n={n}"):
+            grid_graph(n)
 
 
 def test_binary_tree_sizes():
@@ -127,6 +130,16 @@ def test_custom_graph_validation():
     # duplicates collapse, either orientation
     g2 = custom_graph(3, [(0, 1), (1, 0), (1, 2)])
     assert g2.m == 2
+    # the labels fit the int32 edge array: the largest n keeps its largest
+    # label exactly, and one more node is refused before any array is built,
+    # where it would wrap a label (2^32), overflow the int64 edge codes
+    # (10^30) or size arrays by n (3 * 10^9)
+    g = custom_graph(2**31, [(0, 2**31 - 1)])
+    assert g.edges.tolist() == [[0, 2**31 - 1]]
+    for n, edges in ((2**31 + 1, [(0, 1)]), (2**32, [(0, 2**31)]), (10**30, [(0, 1)]),
+                     (3 * 10**9, [(0, 1)])):
+        with pytest.raises(InvalidParam, match=rf"n <= 2\^31 .* got n={n}$"):
+            custom_graph(n, edges)
 
 
 def test_edge_list_round_trip(tmp_path):

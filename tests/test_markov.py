@@ -8,7 +8,7 @@ import scipy.linalg
 from conftest import adjacency, mc_first_passage, nearest_valid_size, random_reversible_chain
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from referees import degree_stationary, exact_lazy_z, hitting_time_delta
+from referees import degree_stationary, exact_lazy_z, hitting_time_delta, per_target_hitting_times
 
 from consensuslab import tolerances
 from consensuslab.disagreement import NoiseCovariance, delta_ss_theorem
@@ -134,7 +134,7 @@ def _agrees_with_per_target(P: StochasticMatrix) -> None:
     Z = P._fundamental[0]
     Z_lu = _lu_referees(P)[1]
     assert np.abs(Z - Z_lu).max() <= 1e-9 * np.abs(Z_lu).max()
-    H_ref = hitting_times(P, method="per-target")
+    H_ref = per_target_hitting_times(P)
     scale = 1.0 + H_ref.max()
     assert np.abs(hitting_times(P) - H_ref).max() <= 1e-9 * scale
     K_ref = H_ref @ P.stationary()  # the same from every start
@@ -691,8 +691,8 @@ def test_per_target_and_fundamental_routes_agree():
     ]
     for P in chains:
         for Q in (P, square_chain(P)):
-            H1 = hitting_times(Q, method="per-target")
-            H2 = hitting_times(Q, method="fundamental")
+            H1 = per_target_hitting_times(Q)
+            H2 = hitting_times(Q)
             assert np.abs(H1 - H2).max() <= 1e-10 * H1.max()
 
 
@@ -701,10 +701,7 @@ def test_squared_chain_and_hitting_matrix_are_computed_once():
     assert square_chain(P) is square_chain(P)
     H = hitting_times(P)
     assert hitting_times(P) is H
-    assert hitting_times(P, method="fundamental") is H
     assert not H.flags.writeable
-    # the referee route is solved afresh on every call
-    assert hitting_times(P, method="per-target") is not hitting_times(P, method="per-target")
 
 
 def test_hitting_residual_tolerance_holds_after_caching(monkeypatch):
