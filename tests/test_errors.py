@@ -101,6 +101,10 @@ CASES = [
     pytest.param(lambda: random_regular_graph(1, 1), InvalidParam, None,
                  id="random-regular-one-node"),
     pytest.param(lambda: custom_graph(0, []), InvalidParam, None, id="custom-graph-no-nodes"),
+    pytest.param(lambda: custom_graph(2**31 + 1, [(0, 1)]), InvalidParam, "int32 node labels",
+                 id="custom-graph-past-int32-labels"),
+    pytest.param(lambda: build_graph("grid", 0), InvalidParam, "grid needs n >= 1",
+                 id="grid-no-nodes"),
     pytest.param(lambda: build_formation_spec(line_graph(3), 1, {(0, 2): [1.0]}),
                  InvalidParam, None, id="formation-offset-on-a-non-edge"),
     pytest.param(lambda: build_formation_spec(line_graph(3), 1, {(1, 1): [1.0]}),
