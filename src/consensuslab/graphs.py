@@ -73,14 +73,19 @@ class Graph:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
-def _make_graph(n: int, edges, family: str) -> Graph:
-    """The graph on n nodes with the (i, j) pairs of ``edges``, either way round
-    and repeated; InvalidParam names the first self-loop or out-of-range pair.
-    The labels 0 .. n-1 must fit the int32 edge array, so n <= 2^31."""
-    if n < 1:
-        raise InvalidParam(f"graph needs n >= 1, got n={n}")
+def _check_size(n: int) -> None:
+    """InvalidParam for n > 2^31: the labels 0 .. n-1 must fit the int32 edge
+    array.  Each builder checks first, before it makes any edge."""
     if n > 2 ** 31:
         raise InvalidParam(f"graph needs n <= 2^31 (int32 node labels), got n={n}")
+
+
+def _make_graph(n: int, edges, family: str) -> Graph:
+    """The graph on n nodes with the (i, j) pairs of ``edges``, either way round
+    and repeated; InvalidParam names the first self-loop or out-of-range pair."""
+    if n < 1:
+        raise InvalidParam(f"graph needs n >= 1, got n={n}")
+    _check_size(n)
     pairs = edges if isinstance(edges, np.ndarray) else list(edges)
     try:
         e = np.array(pairs, dtype=np.int64).reshape(-1, 2)
@@ -113,14 +118,17 @@ def is_connected(g: Graph) -> bool:
 # =====================================================================
 
 def complete_graph(n: int) -> Graph:
+    _check_size(n)
     return _make_graph(n, np.stack(np.triu_indices(n, k=1), axis=1), f"complete(n={n})")
 
 
 def line_graph(n: int) -> Graph:
+    _check_size(n)
     return _make_graph(n, [(i, i + 1) for i in range(n - 1)], f"line(n={n})")
 
 
 def ring_graph(n: int) -> Graph:
+    _check_size(n)
     if n < 3:
         raise InvalidParam(f"ring needs n >= 3, got n={n}")
     edges = [(i, (i + 1) % n) for i in range(n)]
@@ -129,6 +137,7 @@ def ring_graph(n: int) -> Graph:
 
 def star_graph(n: int) -> Graph:
     """Star with center node 0 and n-1 leaves."""
+    _check_size(n)
     if n < 2:
         raise InvalidParam(f"star needs n >= 2, got n={n}")
     return _make_graph(n, [(0, j) for j in range(1, n)], f"star(n={n})")
@@ -141,6 +150,7 @@ def two_star_graph(n: int) -> Graph:
     the extra leaf when n is odd; leaves 1..a belong to center 0 and the
     rest to center n-1.
     """
+    _check_size(n)
     if n < 2:
         raise InvalidParam(f"two-star needs n >= 2, got n={n}")
     a = (n - 2 + 1) // 2
@@ -151,6 +161,7 @@ def two_star_graph(n: int) -> Graph:
 
 
 def starry_line_graph(n: int) -> Graph:
+    _check_size(n)
     if n < 3 or n % 3 != 0:
         raise InvalidParam(f"starry-line needs n divisible by 3, got n={n}")
     k = n // 3
@@ -169,6 +180,7 @@ def starry_line_graph(n: int) -> Graph:
 
 def grid_graph(n: int, dim: int = 2) -> Graph:
     """k-dimensional lattice; n must be a perfect ``dim``-th power."""
+    _check_size(n)
     if dim < 1:
         raise InvalidParam(f"grid dimension must be >= 1, got {dim}")
     if n < 1:
@@ -190,6 +202,7 @@ def grid_graph(n: int, dim: int = 2) -> Graph:
 
 def binary_tree_graph(n: int) -> Graph:
     """Complete binary tree on n = 2^h - 1 nodes, children at 2i+1, 2i+2."""
+    _check_size(n)
     if n < 1 or (n + 1) & n != 0:
         raise InvalidParam(f"complete binary tree needs n = 2^h - 1, got n={n}")
     edges = []
@@ -212,6 +225,7 @@ def _rng(seed) -> np.random.Generator:
 
 def erdos_renyi_graph(n: int, p: float, seed=None) -> Graph:
     """G(n, p), resampled until connected (at most 1000 attempts)."""
+    _check_size(n)
     if not (0.0 <= p <= 1.0):
         raise InvalidParam(f"edge probability must be in [0,1], got {p}")
     rng = _rng(seed)
@@ -234,6 +248,7 @@ def random_regular_graph(n: int, d: int, seed=None) -> Graph:
     accepted simple graph is additionally required to be connected; both
     kinds of rejection share the 1000-attempt budget.
     """
+    _check_size(n)
     if n < 2 or d < 1:
         raise InvalidParam(f"random-regular needs n >= 2 and d >= 1, got n={n}, d={d}")
     if d >= n:

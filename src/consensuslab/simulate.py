@@ -5,12 +5,14 @@ product; the formation simulator runs it too, on a state of shape (n, d).
 Trial k draws its noise from its own stream, seeded by (seed, k) through
 numpy's SeedSequence spawning, NOISE_CHUNK steps at a time.  Gaussian
 streams are drawn by up to one thread per usable core, and no more threads
-than trials; each thread fills whole trials' blocks, so which thread draws
-a trial changes none of its numbers.  Rademacher streams are drawn on the
-calling thread.  The states recorded within a chunk are reduced together
-at its end, by the same CSR products a per-step reduction would use; each
-column is summed on its own, so the numbers are those of one reduction per
-recorded step.
+than trials: while the calling thread steps one chunk, pool threads draw
+the next, and the calling thread joins them once it has stepped.  Each
+thread claims whole trials and draws each claimed block in one call, so
+which thread draws a trial changes none of its numbers.  Rademacher
+streams are drawn on the calling thread.  The states recorded within a
+chunk are reduced together at its end, by the same CSR products a per-step
+reduction would use; each column is summed on its own, so the numbers are
+those of one reduction per recorded step.
 
 What is bit-identical:
 
@@ -20,7 +22,7 @@ What is bit-identical:
 - trial k's noise, and so every output, whatever the chunk size, that is
   the number of steps drawn, and of records reduced, together;
 - every output, whatever the number of threads drawing the noise, that is
-  whatever the number of usable cores.
+  whatever the number of usable cores, and whichever thread draws a trial.
 
 Against the earlier kernel, which stepped one trial at a time by dense
 products and drew each trial's noise in one block, outputs moved at
@@ -32,11 +34,14 @@ most 8.3e-15 relative on any number of a trace CSV or summary, and at most
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from . import tolerances
 from ._csvrows import _csv_rows, _int_field
@@ -121,9 +126,10 @@ NOISE_CHUNK = 128
 
 Any value gives the same numbers.  128 steps amortize the per-call cost of
 the draws and reductions while the noise and snapshot buffers stay a few
-MB.  With the draws threaded, 256 steps took the benchmark's ``montecarlo``
-pass from 0.949 to 0.910 s (medians of three 8-second runs on 2 cores, within
-run-to-run spread) but its peak RSS from 78.2 to 84.6 MB.
+MB.  With the next chunk drawn while this one steps, 256 steps took the
+benchmark's ``montecarlo`` pass from 0.772 to 0.739 s (medians of five
+8-second runs on 2 cores, seeds 21-25; the runs spread over 0.740-0.792 and
+0.725-0.761 s) but its peak RSS from 79.0 to 86.2 MB.
 """
 
 
@@ -143,45 +149,62 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _draw_noise(rngs, factor, kind: str, out: np.ndarray, pool, workers: int) -> None:
-    """Fill ``out``, C-contiguous of shape (steps, n, trials, d), with the
-    next ``steps`` noise vectors of each trial, trial k from ``rngs[k]``.
+def _draw_noise(rngs, kind: str, z: np.ndarray, pool, workers: int):
+    """Start filling ``z``, of shape (trials, steps, n, d), with the next
+    ``steps`` standard draws of each trial, trial k's block ``z[k]`` from
+    ``rngs[k]``; return the function that completes the fill.
 
-    Trial k draws one (steps, n, d) block, so consecutive calls continue its
-    stream exactly as one long draw would.  Gaussian blocks are drawn in
-    ``workers`` runs of consecutive trials: the calling thread draws the
-    first run and ``pool`` the others, one task each.  ``standard_normal``
-    releases the GIL while it fills a block, so up to ``workers`` threads
-    draw at once, and the calling thread's own run covers the time the pool
-    takes to wake.  The calling thread draws every Rademacher block, since
+    Trial k draws its whole block in one call, so consecutive fills continue
+    its stream exactly as one long draw would.  For Gaussian draws
+    ``workers - 1`` pool threads start at once, each claiming trials one by
+    one from a shared iterator under a lock, and the returned function has
+    the calling thread claim those left, then wait for the pool and re-raise
+    its first error.  Each trial is claimed once, so no generator serves two
+    threads, and a block's numbers do not depend on the thread that draws
+    it.  ``standard_normal`` releases the GIL while it fills a block, so the
+    pool draws while the caller works between the two calls.  The returned
+    function draws every Rademacher block on the calling thread, since
     ``integers`` holds the GIL for much of each call and threads would only
-    contend for it.  Either way the blocks, and so every output, are the
-    same whatever ``workers`` is.  The trial-major draws reach
-    ``out`` by one transposing copy of ``np.void`` items of 8 * d bytes, so
-    each node's d floats move as one item and every bit is kept.  The
-    factor acts elementwise or by a CSR product, which sums each column on
-    its own in a fixed order: a trial's noise depends neither on the other
-    trials nor on ``steps``.
+    contend for it.
     """
-    steps, n, trials, d = out.shape
-    z = np.empty((trials, steps, n, d))
+    steps, n, d = z.shape[1:]
+    claims = iter(range(len(rngs)))
+    lock = threading.Lock()
 
-    def fill(trial_ids: range) -> None:
-        for k in trial_ids:
+    def fill() -> None:
+        while True:
+            with lock:
+                k = next(claims, None)
+            if k is None:
+                return
             if kind == "gaussian":
                 rngs[k].standard_normal(out=z[k])
             else:  # rademacher
                 z[k] = rngs[k].integers(0, 2, size=(steps, n, d))
 
-    if kind == "gaussian":
-        groups = [range(w * trials // workers, (w + 1) * trials // workers)
-                  for w in range(workers)]
-        tasks = [pool.submit(fill, group) for group in groups[1:]]
-        fill(groups[0])
-        for task in tasks:
-            task.result()  # re-raises a group's error
-    else:
-        fill(range(trials))
+    tasks = [pool.submit(fill) for _ in range(workers - 1)] if kind == "gaussian" else []
+
+    def finish() -> None:
+        try:
+            fill()
+        finally:
+            for task in tasks:
+                task.result()  # waits, and re-raises a pool thread's error
+
+    return finish
+
+
+def _shape_noise(z: np.ndarray, factor, kind: str, out: np.ndarray) -> None:
+    """Fill ``out``, C-contiguous of shape (steps, n, trials, d), with the
+    noise made from the standard draws ``z`` of shape (trials, steps, n, d).
+
+    The trial-major draws reach ``out`` by one transposing copy of
+    ``np.void`` items of 8 * d bytes, so each node's d floats move as one
+    item and every bit is kept.  The factor acts elementwise or by a CSR
+    product, which sums each column on its own in a fixed order: a trial's
+    noise depends neither on the other trials nor on ``steps``.
+    """
+    steps, n, trials, d = out.shape
     item = np.dtype((np.void, 8 * d))
     out.view(item)[..., 0] = z.view(item)[..., 0].transpose(1, 2, 0)
     if kind != "gaussian":
@@ -194,20 +217,44 @@ def _draw_noise(rngs, factor, kind: str, out: np.ndarray, pool, workers: int) ->
         out[...] = cols.reshape(n, steps, trials, d).transpose(1, 0, 2, 3)
 
 
+def _stepper(E: sparse.csr_array, cols: int):
+    """The step y = E @ x + w for flat x, y and w holding (n, cols) arrays,
+    into the preallocated ``y``.  It zeroes y and runs the CSR kernel that
+    ``E @ x`` runs, so its bits are those of ``E @ x`` followed by ``+= w``,
+    without the product's Python dispatch and allocation."""
+    matvecs = partial(_sparsetools.csr_matvecs, *E.shape, cols, E.indptr, E.indices, E.data)
+
+    def step(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> None:
+        y.fill(0.0)
+        matvecs(x, y)
+        y += w
+
+    return step
+
+
 def _run_trials(P: StochasticMatrix, noise: NoiseCovariance, x0: np.ndarray, cfg: SimConfig):
     """The trial loop: x(t+1) = P x(t) + w(t) from x0 of shape (n,) or (n, d).
 
     Every trial steps at once: the state is X of shape (n, trials * d),
-    trial k in columns k*d .. k*d + d - 1, and one step is one product
-    ``E @ X`` with the CSR matrix the chain caches, plus that step's
-    noise, drawn NOISE_CHUNK steps at a time by up to min(trials, usable
-    cores) threads: this one and a pool that lives as long as the run.  A
-    recorded step only copies X into a snapshot buffer of shape (n, chunk
-    // record_every + 1, trials * d).  Once per chunk, CSR products with the rows [pi; 1]
-    reduce all its snapshots side by side: one takes pi'X, one more takes
-    pi'e^2 and sum_i e_i^2.  A CSR product sums each column on its own, in nnz order, so these numbers equal
-    those of one product per recorded step, and trial k's numbers do not
-    depend on the trial count or the chunk.
+    trial k in columns k*d .. k*d + d - 1, and one step is the CSR product
+    ``E @ X`` with the matrix the chain caches, plus that step's noise, by
+    :func:`_stepper` between two flat state buffers used in turn.
+
+    The noise comes NOISE_CHUNK steps at a time, drawn into one trial-major
+    buffer by up to min(trials, usable cores) threads: this one and a pool
+    that lives as long as the run.  Once chunk c's draws are shaped into
+    noise, the pool starts drawing chunk c + 1 while this thread steps
+    chunk c; this thread then claims the trials of chunk c + 1 the pool has
+    not, waits for the pool and shapes the chunk.  Rademacher chunks are
+    drawn by this thread alone, once it has stepped the chunk before.
+
+    A recorded step only copies X into a snapshot buffer of shape (n, chunk
+    // record_every + 1, trials * d).  Once per chunk, CSR products with the
+    rows [pi; 1] reduce all its snapshots side by side: one takes pi'X, one
+    more takes pi'e^2 and sum_i e_i^2.  A CSR product sums each column on
+    its own, in nnz order, so these numbers equal those of one product per
+    recorded step, and trial k's numbers do not depend on the trial count,
+    the chunk or the thread that drew its noise.
 
     Returns the recorded times, the weighted and uniform squared errors,
     each summed over the d coordinates and of shape (trials, n_rec), and
@@ -215,9 +262,9 @@ def _run_trials(P: StochasticMatrix, noise: NoiseCovariance, x0: np.ndarray, cfg
     """
     n, trials = P.n, cfg.trials
     d = x0.size // n
-    E = P._csr
     R = sparse.csr_array(np.vstack([P.stationary(), np.ones(n)]))
     factor = _noise_factor(noise)
+    step = _stepper(P._csr, trials * d)
     rngs = [_trial_rng(cfg.seed, k) for k in range(trials)]
     times = np.arange(0, cfg.horizon + 1, cfg.record_every)
     wsq = np.empty((trials, times.size, d))
@@ -234,23 +281,30 @@ def _run_trials(P: StochasticMatrix, noise: NoiseCovariance, x0: np.ndarray, cfg
         usq[:, k : k + j] = (sq[1] / n).reshape(j, trials, d).transpose(1, 0, 2)
         states[k : k + j] = S[:, :, :d].transpose(1, 0, 2)
 
-    X = np.tile(x0.reshape(n, d), trials)
+    x = np.tile(x0.reshape(n, d), trials).ravel()
+    y = np.empty_like(x)
     chunk = min(NOISE_CHUNK, cfg.horizon)
+    z = np.empty((trials, chunk, n, d))
     buf = np.empty((chunk, n, trials, d))
     # room for t = 0 with the first chunk's records, or for any later chunk's
     snaps = np.empty((n, chunk // cfg.record_every + 1, trials * d))
-    snaps[:, 0] = X
+    snaps[:, 0] = x.reshape(n, -1)
     k, j = 0, 1  # the first record the buffer holds, and how many it holds
     workers = min(trials, _usable_cores())
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        finish = _draw_noise(rngs, cfg.noise, z, pool, workers)
         for start in range(0, cfg.horizon, chunk):
             W = buf[: min(chunk, cfg.horizon - start)]
-            _draw_noise(rngs, factor, cfg.noise, W, pool, workers)
-            for t, w in enumerate(W.reshape(len(W), n, trials * d), start + 1):
-                X = E @ X
-                X += w
+            finish()
+            _shape_noise(z[:, : len(W)], factor, cfg.noise, W)
+            later = min(chunk, cfg.horizon - start - chunk)  # the next chunk's steps
+            if later > 0:
+                finish = _draw_noise(rngs, cfg.noise, z[:, :later], pool, workers)
+            for t, w in enumerate(W.reshape(len(W), -1), start + 1):
+                step(x, y, w)
+                x, y = y, x
                 if t % cfg.record_every == 0:
-                    snaps[:, j] = X
+                    snaps[:, j] = x.reshape(n, -1)
                     j += 1
             if j:
                 record(k, snaps[:, :j])

@@ -105,6 +105,8 @@ CASES = [
                  id="custom-graph-past-int32-labels"),
     pytest.param(lambda: build_graph("grid", 0), InvalidParam, "grid needs n >= 1",
                  id="grid-no-nodes"),
+    pytest.param(lambda: build_graph("grid", 10**400), InvalidParam, "int32 node labels",
+                 id="grid-n-past-float"),
     pytest.param(lambda: build_formation_spec(line_graph(3), 1, {(0, 2): [1.0]}),
                  InvalidParam, None, id="formation-offset-on-a-non-edge"),
     pytest.param(lambda: build_formation_spec(line_graph(3), 1, {(1, 1): [1.0]}),

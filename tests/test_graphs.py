@@ -1,10 +1,12 @@
 import itertools
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from conftest import adjacency, nearest_valid_size
+from conftest import adjacency, nearest_valid_size, package_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +142,37 @@ def test_custom_graph_validation():
                      (3 * 10**9, [(0, 1)])):
         with pytest.raises(InvalidParam, match=rf"n <= 2\^31 .* got n={n}$"):
             custom_graph(n, edges)
+
+
+_REFUSE_PAST_INT32 = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from consensuslab.errors import InvalidParam
+from consensuslab.graphs import build_graph, builtin_families, line_graph
+
+def refused(build):
+    try:
+        build()
+    except InvalidParam as exc:
+        return "int32 node labels" in str(exc)
+    return False
+
+n = 3 * 10**9
+assert refused(lambda: line_graph(n))
+for family in builtin_families():
+    assert refused(lambda: build_graph(family, n, p=0.5, degree=3)), family
+print("refused")
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_builders_refuse_n_past_int32_before_building_edges():
+    # a builder that made its edges first would end in MemoryError under the
+    # 1 GiB cap, where the suite itself could be killed for memory without it
+    r = subprocess.run([sys.executable, "-c", _REFUSE_PAST_INT32], capture_output=True,
+                       text=True, env={**package_env(), "OPENBLAS_NUM_THREADS": "1"},
+                       timeout=120)
+    assert (r.returncode, r.stdout) == (0, "refused\n"), r.stderr
 
 
 def test_edge_list_round_trip(tmp_path):

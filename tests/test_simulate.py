@@ -8,6 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from conftest import package_env, random_reversible_chain
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consensuslab import simulate
 from consensuslab.disagreement import NoiseCovariance, delta_ss_theorem, divergence_probe
@@ -107,6 +109,14 @@ def _one_draw(rng, kind: str, shape: tuple) -> np.ndarray:
     return 2.0 * rng.integers(0, 2, size=shape) - 1.0
 
 
+def _fill(rngs, factor, kind: str, z: np.ndarray, out: np.ndarray, pool, workers: int) -> None:
+    """``out`` from the next draws of ``rngs``, through the first len(out)
+    steps of the draw buffer ``z``, as a run draws and shapes a chunk."""
+    z = z[:, : len(out)]
+    simulate._draw_noise(rngs, kind, z, pool, workers)()
+    simulate._shape_noise(z, factor, kind, out)
+
+
 def test_noise_drawn_in_chunks_equals_one_draw():
     # n large enough that a dense product's sums would depend on the chunk;
     # d = 1, 2 and 3 cover the copy of one node's d floats as one item
@@ -114,15 +124,16 @@ def test_noise_drawn_in_chunks_equals_one_draw():
     for noise in _covariances(n, np.random.default_rng(2)):
         factor = simulate._noise_factor(noise)
         for kind, d in itertools.product(("gaussian", "rademacher"), (1, 2, 3)):
+            z = np.empty((trials, steps, n, d))  # one draw buffer, as a run holds
             whole = np.empty((steps, n, trials, d))
             rngs = [_trial_rng(4, k) for k in range(trials)]
             with ThreadPoolExecutor(trials) as pool:
-                simulate._draw_noise(rngs, factor, kind, whole, pool, trials)
+                _fill(rngs, factor, kind, z, whole, pool, trials)
                 rngs = [_trial_rng(4, k) for k in range(trials)]
                 pieces = []
                 for size in (1, 37, 200, steps - 238):
                     pieces.append(np.empty((size, n, trials, d)))
-                    simulate._draw_noise(rngs, factor, kind, pieces[-1], pool, trials)
+                    _fill(rngs, factor, kind, z, pieces[-1], pool, trials)
             np.testing.assert_array_equal(np.concatenate(pieces), whole)
             if noise.is_diagonal:
                 scale = np.sqrt(noise.variances())[:, None]
@@ -132,9 +143,11 @@ def test_noise_drawn_in_chunks_equals_one_draw():
 
 
 def test_noise_and_kernel_numbers_do_not_depend_on_the_draw_threads(monkeypatch):
-    # 1 and 2 workers, 3 for groups of unequal size, 6 for more than trials;
-    # n large enough that a dense product's sums would depend on the layout,
-    # and a short switch interval so that the threads interleave often
+    # 1 and 2 workers, 3 for two pool threads beside the caller, 6 for more
+    # than trials; n large enough that a dense product's sums would depend on
+    # the layout, a horizon past two chunks, so that the pool draws chunks
+    # while the trials step, and a short switch interval so that the threads
+    # interleave often
     n, trials, steps = 20, 4, 150
     rng = np.random.default_rng(6)
     P = random_reversible_chain(rng, n)
@@ -149,11 +162,12 @@ def test_noise_and_kernel_numbers_do_not_depend_on_the_draw_threads(monkeypatch)
                             record_every=2, noise=kind)
             draws, runs = [], []
             for workers in (1, 2, 3, 6):
+                z = np.empty((trials, 110, n, d))
                 out = np.empty((steps, n, trials, d))
                 with ThreadPoolExecutor(workers) as pool:
                     rngs = [_trial_rng(9, k) for k in range(trials)]
-                    simulate._draw_noise(rngs, factor, kind, out[:40], pool, workers)
-                    simulate._draw_noise(rngs, factor, kind, out[40:], pool, workers)
+                    _fill(rngs, factor, kind, z, out[:40], pool, workers)
+                    _fill(rngs, factor, kind, z, out[40:], pool, workers)
                 draws.append(out)
                 monkeypatch.setattr(simulate, "_usable_cores", lambda: workers)
                 runs.append(_run_trials(P, noise, x0, cfg))
@@ -163,6 +177,29 @@ def test_noise_and_kernel_numbers_do_not_depend_on_the_draw_threads(monkeypatch)
                     np.testing.assert_array_equal(a, b)
     finally:
         sys.setswitchinterval(interval)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), trials=st.integers(1, 4),
+       d=st.sampled_from((1, 2, 3)), diagonal=st.booleans(), scale=st.integers(-8, 8))
+def test_kernel_step_is_the_csr_product_then_the_noise_bit_for_bit(
+        seed, n, trials, d, diagonal, scale):
+    # one trial with d = 1 is the case where E @ X takes scipy's one-vector kernel
+    rng = np.random.default_rng(seed)
+    P = random_reversible_chain(rng, n)
+    noise = _covariances(n, rng)[0 if diagonal else 1]
+    W = np.empty((3, n, trials, d))
+    simulate._shape_noise(rng.standard_normal((trials, 3, n, d)),
+                          simulate._noise_factor(noise), "gaussian", W)
+    X = rng.normal(size=(n, trials * d)) * 10.0 ** scale
+    step = simulate._stepper(P._csr, trials * d)
+    x, y = X.ravel().copy(), np.empty(X.size)
+    for w in W.reshape(3, -1):
+        X = P._csr @ X
+        X += w.reshape(n, -1)
+        step(x, y, w)
+        x, y = y, x
+        np.testing.assert_array_equal(x, X.ravel())
 
 
 def test_usable_cores_is_the_affinity_set_or_the_cpu_count(monkeypatch):
@@ -202,6 +239,10 @@ def test_cli_outputs_do_not_depend_on_the_usable_cores(tmp_path):
             assert pinned.read_bytes() == free.read_bytes(), (name, ext)
 
 
+class Boom(Exception):
+    pass
+
+
 def test_runs_leave_no_draw_thread_behind(monkeypatch):
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 3)
     P = lazy_walk_matrix(ring_graph(6))
@@ -213,15 +254,12 @@ def test_runs_leave_no_draw_thread_behind(monkeypatch):
     simulate_formation(ring_demo_spec(), cfg)
     assert threading.enumerate() == before
 
-    class Boom(Exception):
-        pass
-
     class Exploding:
         def standard_normal(self, out):
             raise Boom
 
     trial_rng = simulate._trial_rng
-    # trial 0 is drawn by the calling thread, trial 3 by a pool thread
+    # on the first chunk, whichever thread claims the bad trial
     for bad in (0, 3):
         monkeypatch.setattr(simulate, "_trial_rng",
                             lambda seed, k: Exploding() if k == bad else trial_rng(seed, k))
@@ -230,6 +268,62 @@ def test_runs_leave_no_draw_thread_behind(monkeypatch):
         assert threading.enumerate() == before
         with pytest.raises(Boom):
             simulate_formation(ring_demo_spec(), cfg)
+        assert threading.enumerate() == before
+
+
+def _failing_second_chunk(side: str, trial_rng):
+    """A ``_trial_rng`` for a run of 4 trials on 2 draw threads whose trial 3
+    raises Boom on its second chunk, a draw that overlaps the steps.
+
+    The thread ``side`` names ("caller" or "pool") claims trial 3: on the
+    second chunk the other thread holds the first trial it claims until
+    Boom is raised, and this one holds its first until the other has
+    claimed one, so neither claims two trials before the other claims one
+    and trial 3 is left to ``side``.  Returns the ``_trial_rng`` and the
+    list that records the side that raised.
+    """
+    caller = threading.current_thread()
+    entered = {True: threading.Event(), False: threading.Event()}  # by "on the caller"
+    raised = threading.Event()
+    who = []
+
+    class Gated:
+        def __init__(self, k: int, rng):
+            self.k, self.rng, self.calls = k, rng, 0
+
+        def standard_normal(self, out):
+            self.calls += 1
+            if self.calls == 2:
+                mine = threading.current_thread() is caller
+                entered[mine].set()
+                if self.k == 3:
+                    who.append("caller" if mine else "pool")
+                    raised.set()
+                    raise Boom
+                if mine == (side == "pool"):
+                    raised.wait(10)
+                else:
+                    entered[not mine].wait(10)
+            return self.rng.standard_normal(out=out)
+
+    return (lambda seed, k: Gated(k, trial_rng(seed, k))), who
+
+
+@pytest.mark.parametrize("side", ["caller", "pool"])
+def test_an_overlapped_draw_error_reaches_the_caller(monkeypatch, side):
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+    P = lazy_walk_matrix(ring_graph(6))
+    noise = NoiseCovariance.scalar(6, 1.0)
+    cfg = SimConfig(horizon=2 * simulate.NOISE_CHUNK + 45, trials=4, burn_in=10, seed=1)
+    trial_rng = simulate._trial_rng
+    before = threading.enumerate()
+    for run in (lambda: simulate_consensus(P, noise, np.zeros(6), cfg),
+                lambda: simulate_formation(ring_demo_spec(), cfg)):
+        gated, who = _failing_second_chunk(side, trial_rng)
+        monkeypatch.setattr(simulate, "_trial_rng", gated)
+        with pytest.raises(Boom):
+            run()
+        assert who == [side]
         assert threading.enumerate() == before
 
 
