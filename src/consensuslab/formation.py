@@ -318,7 +318,8 @@ def layout_positions(graph: Graph) -> np.ndarray:
     Star leaves sit on the unit circle around the center; rings and the
     fallback use the regular polygon with unit sides; trees use a level
     drawing with unit level spacing (so every edge is at least unit
-    length); lines and grids use unit spacing.
+    length); lines and 2-D grids use unit spacing, and grids of any other
+    dimension take the fallback polygon.
     """
     n = graph.n
     fam = graph.family.split("(", 1)[0]

@@ -23,6 +23,7 @@ named families:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,23 +75,34 @@ class Graph:
 
 
 def _check_size(n: int) -> None:
-    """InvalidParam for n > 2^31: the labels 0 .. n-1 must fit the int32 edge
-    array.  Each builder checks first, before it makes any edge."""
+    """InvalidParam for an n that is not an integer (bools included) or is
+    past 2^31, as the labels 0 .. n-1 must fit the int32 edge array.  Each
+    builder checks first, before it makes any edge."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise InvalidParam(f"graph needs an integer n, got n={n!r}")
     if n > 2 ** 31:
         raise InvalidParam(f"graph needs n <= 2^31 (int32 node labels), got n={n}")
 
 
 def _make_graph(n: int, edges, family: str) -> Graph:
     """The graph on n nodes with the (i, j) pairs of ``edges``, either way round
-    and repeated; InvalidParam names the first self-loop or out-of-range pair."""
+    and repeated; InvalidParam names the first pair with a non-integer label
+    (a float, str or bool), else the first self-loop or out-of-range pair."""
+    _check_size(n)
     if n < 1:
         raise InvalidParam(f"graph needs n >= 1, got n={n}")
-    _check_size(n)
-    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+    e = edges if isinstance(edges, np.ndarray) else np.array(list(edges), dtype=object)
+    if e.dtype.kind not in "iu":  # each label as given: any integer but a bool
+        e = e.astype(object, copy=False).reshape(-1, 2)
+        bad = {t for t in set(map(type, e.flat))
+               if t is bool or not issubclass(t, numbers.Integral)}
+        if bad:
+            k = next(k for k, label in enumerate(e.flat) if type(label) in bad)
+            raise InvalidParam(f"edge {tuple(e[k // 2])} has a non-integer node label")
     try:
-        e = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        e = e.astype(np.int64).reshape(-1, 2)
     except OverflowError:  # a label past int64, out of range: check Python ints
-        e = np.array(pairs, dtype=object).reshape(-1, 2)
+        e = e.reshape(-1, 2)
     lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
     bad = (lo == hi) | (lo < 0) | (hi >= n)
     if bad.any():
@@ -190,14 +202,10 @@ def grid_graph(n: int, dim: int = 2) -> Graph:
         raise InvalidParam(
             f"grid needs n to be a perfect {dim}-th power, got n={n}"
         )
-    edges = []
-    strides = [side ** k for k in range(dim)]
-    for u in range(n):
-        coords = [(u // strides[k]) % side for k in range(dim)]
-        for k in range(dim):
-            if coords[k] + 1 < side:
-                edges.append((u, u + strides[k]))
-    return _make_graph(n, edges, f"grid{dim}(n={n})")
+    u = np.arange(n)  # node u sits at coordinates (u // side^k) % side
+    edges = [np.stack([u, u + s], axis=1)[u // s % side < side - 1]
+             for s in (side ** k for k in range(dim))]
+    return _make_graph(n, np.concatenate(edges), f"grid{dim}(n={n})")
 
 
 def binary_tree_graph(n: int) -> Graph:
@@ -205,12 +213,8 @@ def binary_tree_graph(n: int) -> Graph:
     _check_size(n)
     if n < 1 or (n + 1) & n != 0:
         raise InvalidParam(f"complete binary tree needs n = 2^h - 1, got n={n}")
-    edges = []
-    for i in range(n):
-        for c in (2 * i + 1, 2 * i + 2):
-            if c < n:
-                edges.append((i, c))
-    return _make_graph(n, edges, f"tree(n={n})")
+    c = np.arange(1, n)  # each child c joins its parent (c - 1) // 2
+    return _make_graph(n, np.stack([(c - 1) // 2, c], axis=1), f"tree(n={n})")
 
 
 # =====================================================================

@@ -17,8 +17,9 @@ graphs come in three flavors:
 
 Every chain stores its entries as CSR, and its square stays CSR too.
 Every chain built from a graph is reversible, and reversible chains take a
-fast route: pi by detailed balance along a breadth-first tree (O(nnz) with
-its check), P^2 by a sparse product that inherits pi, and the fundamental
+fast route: pi by detailed balance on the n - 1 arcs of a breadth-first
+tree, whose P_ij and P_ji are looked up in the CSR matrix (O(nnz) with its
+check), P^2 by a sparse product that inherits pi, and the fundamental
 matrix Z = (I - P + 1 pi')^-1 of P^2 by a Cholesky inversion of its
 symmetrized form.  Other chains take LU solves.  An aperiodic chain reads
 its own Z off Z(P^2) by one sparse product, Z = Z(P^2) + P Z(P^2) - 1 pi',
@@ -160,18 +161,16 @@ class StochasticMatrix:
 
         A self-loop is a cycle of length 1.  Otherwise the period is the gcd
         of level[u] + 1 - level[v] over the arcs u -> v, with the levels of
-        one breadth-first search from state 0.
+        csgraph's unweighted shortest paths from state 0.
         """
+        from scipy.sparse.csgraph import shortest_path
+
         if not self.irreducible:
             return False
         S = self._csr
         if np.any(S.diagonal() > 0):
             return True
-        order, pred = self._bfs_tree
-        level, parent = [0] * self.n, pred.tolist()
-        for j in order[1:].tolist():  # the tree order puts a parent first
-            level[j] = level[parent[j]] + 1
-        level = np.array(level)
+        level = shortest_path(S, unweighted=True, indices=0).astype(np.int64)
         tails = np.repeat(np.arange(self.n), np.diff(S.indptr))
         return int(np.gcd.reduce(level[tails] + 1 - level[S.indices])) == 1
 
@@ -221,7 +220,7 @@ class StochasticMatrix:
             raise NotIrreducible("stationary distribution needs an irreducible chain")
         hint = self._pi_hint
         paired = self._paired()
-        pi = hint if hint is not None else self._tree_stationary(paired)
+        pi = hint if hint is not None else self._tree_stationary()
         balanced = pi is not None and self._detailed_balance(pi, paired)
         if hint is None and not balanced:
             pi, resid = self._lu_stationary()
@@ -233,23 +232,21 @@ class StochasticMatrix:
     def _bfs_tree(self) -> tuple[np.ndarray, np.ndarray]:
         return _breadth_first(self._csr)
 
-    def _tree_stationary(self, paired) -> np.ndarray | None:
+    def _tree_stationary(self) -> np.ndarray | None:
         """pi_j = pi_i P_ij / P_ji along a breadth-first tree from state 0,
         normalized; None where an arc has no reverse arc or pi degenerates.
-        P_ij and P_ji are read from the pairs of _paired."""
+        P_ij and P_ji are looked up in the CSR matrix on the n - 1 tree arcs."""
         order, pred = self._bfs_tree
-        forth, back = np.zeros(self.n), np.zeros(self.n)  # P[pred[j], j] and P[j, pred[j]]
-        for i, j, p, q in _pairs(*paired):
-            arc = pred[j] == i
-            forth[j[arc]] = p[arc]
-            back[j[arc]] = q[arc]
-        child = order[1:]
-        if np.any(back[child] <= 0):
+        child, S = order[1:], self._csr
+        forth = back = np.zeros(0)  # no tree arc; csr lookups by empty arrays give sparse results
+        if child.size:
+            forth = np.asarray(S[pred[child], child]).ravel()
+            back = np.asarray(S[child, pred[child]]).ravel()
+        if np.any(back <= 0):
             return None
         pi = [0.0] * self.n
         pi[0] = 1.0
-        for j, i, r in zip(child.tolist(), pred[child].tolist(),
-                           (forth[child] / back[child]).tolist()):
+        for j, i, r in zip(child.tolist(), pred[child].tolist(), (forth / back).tolist()):
             pi[j] = pi[i] * r  # the tree order puts i before j
         pi = np.array(pi)
         total = pi.sum()
@@ -626,7 +623,8 @@ def _fundamental_matrix(P: StochasticMatrix) -> np.ndarray:
 def _graph_chain(g: Graph, arcs: np.ndarray, diag: np.ndarray) -> StochasticMatrix:
     """The chain with P[i,j] = arcs[0, k] and P[j,i] = arcs[1, k] on the k-th
     edge (i, j) of g, and P[i,i] = diag[i]: every chain of a graph, built as
-    CSR straight from its edges.  A per-node rule of the degrees d reads d[e.T].
+    CSR from its arcs by scipy's COO-to-CSR conversion, which sorts each row
+    and keeps int32 indices.  A per-node rule of the degrees d reads d[e.T].
     The breadth-first tree the chain caches is grown first: it checks that g
     is connected (every edge is an arc both ways, so the chain is irreducible)
     before the row sums are, which an isolated node's row can fail."""
@@ -637,10 +635,7 @@ def _graph_chain(g: Graph, arcs: np.ndarray, diag: np.ndarray) -> StochasticMatr
     tails = np.concatenate([e[:, 0], e[:, 1], loops])
     heads = np.concatenate([e[:, 1], e[:, 0], loops])
     values = np.concatenate([arcs[0], arcs[1], diag[loops]])
-    order = np.lexsort((heads, tails))
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
-    S = csr_matrix((values[order], heads[order], indptr), shape=(n, n))
+    S = csr_matrix((values, (tails, heads)), shape=(n, n))
     tree = _breadth_first(S)
     if tree[0].size < n:
         raise DisconnectedGraph(f"graph {g.family} is not connected")

@@ -33,6 +33,7 @@ most 8.3e-15 relative on any number of a trace CSV or summary, and at most
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -77,6 +78,11 @@ class SimConfig:
     noise: str = "gaussian"
 
     def __post_init__(self):
+        for name in ("horizon", "trials", "burn_in", "seed", "record_every"):
+            value = getattr(self, name)
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (integral or name == "burn_in" and value is None):
+                raise InvalidParam(f"{name} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise InvalidParam(f"horizon must be >= 1, got {self.horizon}")
         if self.trials < 1:

@@ -16,6 +16,11 @@ of P^2.  The referees here reach the same numbers another way:
 * ``delta_ss_bounds`` brackets delta_ss for diagonal noise between the
   Kemeny constant and the largest effective resistance of P^2.
 
+Three more rebuild, one node or one sort at a time, arrays the package
+gets from numpy and scipy calls: ``grid_edges`` and ``tree_edges`` the
+canonical edge arrays of the grid and the complete binary tree, and
+``lexsort_csr`` the CSR matrix of a graph's chain.
+
 Two more give closed forms the package reaches by other routes:
 ``degree_stationary`` is the stationary law d/2m of the simple and lazy
 walks, and ``form_metric`` the formation error of one set of positions,
@@ -44,6 +49,49 @@ from consensuslab.markov import effective_resistance, kemeny_constant_combinator
 def degree_stationary(g) -> np.ndarray:
     """Closed-form stationary law d(i)/(2m) of the simple and lazy walks."""
     return g.degrees() / (2.0 * g.m)
+
+
+def _edge_array(edges) -> np.ndarray:
+    """The sorted (i, j) pairs, i < j, as an (m, 2) int32 array."""
+    return np.array(sorted(edges), dtype=np.int32).reshape(-1, 2)
+
+
+def grid_edges(n: int, dim: int) -> np.ndarray:
+    """Canonical edges of the ``dim``-dimensional grid on n = side^dim nodes,
+    node by node: u joins u + side^k wherever its k-th coordinate
+    (u // side^k) % side is not the last."""
+    side = round(n ** (1.0 / dim))
+    strides = [side ** k for k in range(dim)]
+    edges = []
+    for u in range(n):
+        coords = [(u // strides[k]) % side for k in range(dim)]
+        for k in range(dim):
+            if coords[k] + 1 < side:
+                edges.append((u, u + strides[k]))
+    return _edge_array(edges)
+
+
+def tree_edges(n: int) -> np.ndarray:
+    """Canonical edges of the complete binary tree on n nodes, node by node:
+    node i joins its children 2i+1 and 2i+2 below n."""
+    return _edge_array((i, c) for i in range(n) for c in (2 * i + 1, 2 * i + 2) if c < n)
+
+
+def lexsort_csr(g, arcs: np.ndarray, diag: np.ndarray):
+    """The CSR matrix with P[i,j] = arcs[0, k] and P[j,i] = arcs[1, k] on the
+    k-th edge (i, j) of g and P[i,i] = diag[i] where nonzero, assembled by
+    hand: the arcs sorted by (tail, head), indptr the cumulative out-degrees."""
+    from scipy.sparse import csr_matrix
+
+    n, e = g.n, g.edges
+    loops = np.flatnonzero(diag).astype(np.int32)
+    tails = np.concatenate([e[:, 0], e[:, 1], loops])
+    heads = np.concatenate([e[:, 1], e[:, 0], loops])
+    values = np.concatenate([arcs[0], arcs[1], diag[loops]])
+    order = np.lexsort((heads, tails))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    return csr_matrix((values[order], heads[order], indptr), shape=(n, n))
 
 
 def delta_ss_bounds(P, variances) -> tuple[float, float]:

@@ -103,6 +103,35 @@ CASES = [
     pytest.param(lambda: custom_graph(0, []), InvalidParam, None, id="custom-graph-no-nodes"),
     pytest.param(lambda: custom_graph(2**31 + 1, [(0, 1)]), InvalidParam, "int32 node labels",
                  id="custom-graph-past-int32-labels"),
+    pytest.param(lambda: custom_graph(3, [(1, 2), (0.7, 1.9)]), InvalidParam,
+                 r"^edge \(0\.7, 1\.9\) has a non-integer node label$",
+                 id="custom-graph-float-label"),
+    pytest.param(lambda: custom_graph(3, [("0", "1")]), InvalidParam,
+                 r"^edge \('0', '1'\) has a non-integer node label$",
+                 id="custom-graph-str-label"),
+    pytest.param(lambda: custom_graph(3, [(True, 2)]), InvalidParam,
+                 r"^edge \(True, 2\) has a non-integer node label$",
+                 id="custom-graph-bool-label"),
+    pytest.param(lambda: custom_graph(3, np.array([[0.0, 1.0]])), InvalidParam,
+                 "non-integer node label", id="custom-graph-float-array-labels"),
+    pytest.param(lambda: custom_graph(3.0, [(0, 1)]), InvalidParam, "integer n",
+                 id="custom-graph-float-n"),
+    pytest.param(lambda: custom_graph(True, []), InvalidParam, "integer n",
+                 id="custom-graph-bool-n"),
+    pytest.param(lambda: build_graph("ring", 5.0), InvalidParam, "integer n",
+                 id="build-graph-float-n"),
+    pytest.param(lambda: SimConfig(horizon=100, burn_in=10.5), InvalidParam,
+                 "burn_in must be an integer", id="simconfig-float-burn-in"),
+    pytest.param(lambda: SimConfig(horizon=100.0), InvalidParam, "horizon must be an integer",
+                 id="simconfig-float-horizon"),
+    pytest.param(lambda: SimConfig(horizon=10, trials=2.0), InvalidParam,
+                 "trials must be an integer", id="simconfig-float-trials"),
+    pytest.param(lambda: SimConfig(horizon=10, trials=True), InvalidParam,
+                 "trials must be an integer", id="simconfig-bool-trials"),
+    pytest.param(lambda: SimConfig(horizon=10, record_every=1.5), InvalidParam,
+                 "record_every must be an integer", id="simconfig-float-record-every"),
+    pytest.param(lambda: SimConfig(horizon=10, seed=1.5), InvalidParam,
+                 "seed must be an integer", id="simconfig-float-seed"),
     pytest.param(lambda: build_graph("grid", 0), InvalidParam, "grid needs n >= 1",
                  id="grid-no-nodes"),
     pytest.param(lambda: build_graph("grid", 10**400), InvalidParam, "int32 node labels",

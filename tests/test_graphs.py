@@ -9,7 +9,9 @@ import pytest
 from conftest import adjacency, nearest_valid_size, package_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from referees import grid_edges, lexsort_csr, tree_edges
 
+from consensuslab import markov
 from consensuslab.errors import DisconnectedGraph, GenerationFailed, InvalidParam
 from consensuslab.graphs import (
     binary_tree_graph,
@@ -294,3 +296,48 @@ def test_search_agrees_with_brute_force_on_small_graphs(g):
         two_colourable = any(all(c[i] != c[j] for i, j in g.edges)
                              for c in itertools.product((0, 1), repeat=g.n))
         assert simple_walk_matrix(g).aperiodic == (not two_colourable)
+
+
+# the benchmark's graph sizes per family; "random" there is a custom edge
+# list, so the random families take sizes of their own
+_BENCH_SIZES = {
+    "complete": (8, 200),
+    "line": (32, 200, 300, 700, 1200),
+    "ring": (32, 64, 200, 256, 640, 1024),
+    "star": (8, 127),
+    "two-star": (40, 200, 400, 900, 1600),
+    "starry-line": (48, 192, 288, 576, 1152),
+    "grid": (256, 576, 1024),
+    "tree": (63, 127, 255, 511, 1023),
+    "erdos-renyi": (48, 120, 160),
+    "random-regular": (48, 120, 160),
+}
+
+
+def test_edges_and_chain_csr_equal_the_node_by_node_referees(monkeypatch):
+    for dim, sides in ((1, (1, 2, 7, 100)), (2, (1, 2, 3, 32)), (3, (1, 2, 5, 16)), (4, (1, 2, 5, 8))):
+        for side in sides:
+            got, want = grid_graph(side ** dim, dim).edges, grid_edges(side ** dim, dim)
+            assert got.dtype == want.dtype == np.int32 and np.array_equal(got, want)
+    for h in range(1, 16):  # n = 1 .. 32,767
+        got, want = binary_tree_graph(2 ** h - 1).edges, tree_edges(2 ** h - 1)
+        assert got.dtype == want.dtype == np.int32 and np.array_equal(got, want)
+
+    calls = []
+    graph_chain = markov._graph_chain
+
+    def recorded(g, arcs, diag):
+        calls.append((g, arcs, diag))
+        return graph_chain(g, arcs, diag)
+
+    monkeypatch.setattr(markov, "_graph_chain", recorded)
+    assert set(_BENCH_SIZES) == set(builtin_families())
+    for family, sizes in _BENCH_SIZES.items():
+        for n in sizes:
+            g = build_graph(family, n, seed=1, p=0.2, degree=3)
+            for walk in (simple_walk_matrix, lazy_walk_matrix, uniform_edge_matrix):
+                got = walk(g)._csr
+                want = lexsort_csr(*calls.pop())
+                for name in ("indptr", "indices", "data"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (family, n, walk, name)
