@@ -32,6 +32,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from . import tolerances as tol
 from .disagreement import (
     NoiseCovariance,
     _require_variances,
@@ -518,7 +519,7 @@ def cmd_selftest(args) -> int:
     def _two_node():
         P = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         rep = delta_ss_theorem(P, NoiseCovariance.scalar(2, 1.0))
-        expect(abs(rep.delta_ss - 0.5) < 1e-12, rep.delta_ss)
+        expect(abs(rep.delta_ss - 0.5) < tol.SELFTEST_EXACT_TOL, rep.delta_ss)
 
     @check("four formulas agree on lazy ring n=8")
     def _four_way():
@@ -529,7 +530,7 @@ def cmd_selftest(args) -> int:
             delta_ss_spectral(P, 1.0),
             delta_ss_resistance(P, 1.0),
         ]
-        expect(max(vals) - min(vals) < 1e-9 * max(vals), vals)
+        expect(max(vals) - min(vals) < tol.SELFTEST_AGREEMENT_RTOL * max(vals), vals)
 
     @check("oracle matches closed form on lazy star n=6")
     def _oracle():
@@ -539,7 +540,7 @@ def cmd_selftest(args) -> int:
         noise = NoiseCovariance.diagonal(v)
         rep = delta_ss_theorem(P, noise)
         _, orep = delta_oracle(P, noise)
-        expect(abs(rep.delta_ss - orep.delta_ss) <= 1e-8 * (1 + orep.delta_ss),
+        expect(abs(rep.delta_ss - orep.delta_ss) <= tol.SELFTEST_ORACLE_RTOL * (1 + orep.delta_ss),
                (rep.delta_ss, orep.delta_ss))
 
     @check("projection identities hold on lazy star n=6")
@@ -554,18 +555,18 @@ def cmd_selftest(args) -> int:
         noise = NoiseCovariance.scalar(6, 1.0)
         S = sigma_hat(P, noise)
         rep = delta_ss_theorem(P, noise)
-        expect(abs(np.trace(S) - rep.delta_ss) < 1e-10 * (1 + rep.delta_ss),
+        expect(abs(np.trace(S) - rep.delta_ss) < tol.SELFTEST_IDENTITY_TOL * (1 + rep.delta_ss),
                (np.trace(S), rep.delta_ss))
-        expect(np.abs(j_matrix(P) @ S).max() < 1e-10, "J @ Sigma_hat != 0")
+        expect(np.abs(j_matrix(P) @ S).max() < tol.SELFTEST_IDENTITY_TOL, "J @ Sigma_hat != 0")
 
     @check("formation: two agents at unit offset give Form = 1")
     def _formation():
         g = custom_graph(2, [(0, 1)], family="line(n=2)")
         spec = build_formation_spec(g, 2, {(0, 1): [1.0, 0.0]}, "default", 1.0)
         rep = form_exact(spec)
-        expect(abs(rep.form_exact - 1.0) < 1e-12, rep.form_exact)
+        expect(abs(rep.form_exact - 1.0) < tol.SELFTEST_EXACT_TOL, rep.form_exact)
         via = form_via_delta(spec)
-        expect(abs(via - 1.0) < 1e-10, via)
+        expect(abs(via - 1.0) < tol.SELFTEST_IDENTITY_TOL, via)
 
     @check("simulation is reproducible per seed")
     def _repro():

@@ -74,24 +74,35 @@ class Graph:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
+def _check_integer(name: str, value) -> None:
+    """InvalidParam for a count or seed that is not an integer (bools
+    included; numpy integers pass)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParam(f"graph needs an integer {name}, got {name}={value!r}")
+
+
 def _check_size(n: int) -> None:
-    """InvalidParam for an n that is not an integer (bools included) or is
-    past 2^31, as the labels 0 .. n-1 must fit the int32 edge array.  Each
-    builder checks first, before it makes any edge."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise InvalidParam(f"graph needs an integer n, got n={n!r}")
+    """InvalidParam for an n that is not an integer or is past 2^31, as the
+    labels 0 .. n-1 must fit the int32 edge array.  Each builder checks
+    first, before it makes any edge."""
+    _check_integer("n", n)
     if n > 2 ** 31:
         raise InvalidParam(f"graph needs n <= 2^31 (int32 node labels), got n={n}")
 
 
 def _make_graph(n: int, edges, family: str) -> Graph:
     """The graph on n nodes with the (i, j) pairs of ``edges``, either way round
-    and repeated; InvalidParam names the first pair with a non-integer label
-    (a float, str or bool), else the first self-loop or out-of-range pair."""
+    and repeated; InvalidParam names the first edge that is not a pair of
+    labels, else the first pair with a non-integer label (a float, str or
+    bool), else the first self-loop or out-of-range pair."""
     _check_size(n)
     if n < 1:
         raise InvalidParam(f"graph needs n >= 1, got n={n}")
     e = edges if isinstance(edges, np.ndarray) else np.array(list(edges), dtype=object)
+    if e.shape[1:] != (2,) and len(e):  # numpy stacks the edges to (m, 2) iff each is a pair
+        bad = next(x for x in e.tolist() if not _is_pair(x))
+        raise InvalidParam(f"edge {tuple(bad) if isinstance(bad, list) else bad!r} "
+                           "is not a pair of node labels")
     if e.dtype.kind not in "iu":  # each label as given: any integer but a bool
         e = e.astype(object, copy=False).reshape(-1, 2)
         bad = {t for t in set(map(type, e.flat))
@@ -115,6 +126,14 @@ def _make_graph(n: int, edges, family: str) -> Graph:
     canon = np.stack([code // n, code % n], axis=1).astype(np.int32)
     canon.setflags(write=False)
     return Graph(n=n, edges=canon, family=family)
+
+
+def _is_pair(edge) -> bool:
+    """True for two labels, as numpy reads them: a sequence of shape (2,)."""
+    try:
+        return np.shape(edge) == (2,)
+    except ValueError:  # a ragged nest of sequences
+        return False
 
 
 def is_connected(g: Graph) -> bool:
@@ -193,6 +212,7 @@ def starry_line_graph(n: int) -> Graph:
 def grid_graph(n: int, dim: int = 2) -> Graph:
     """k-dimensional lattice; n must be a perfect ``dim``-th power."""
     _check_size(n)
+    _check_integer("dim", dim)
     if dim < 1:
         raise InvalidParam(f"grid dimension must be >= 1, got {dim}")
     if n < 1:
@@ -222,8 +242,11 @@ def binary_tree_graph(n: int) -> Graph:
 # =====================================================================
 
 def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise InvalidParam(f"seed must be >= 0, got {seed}")
+    """The generator of an integer seed >= 0, or of fresh entropy for None."""
+    if seed is not None:
+        _check_integer("seed", seed)
+        if seed < 0:
+            raise InvalidParam(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
 
 
@@ -253,6 +276,7 @@ def random_regular_graph(n: int, d: int, seed=None) -> Graph:
     kinds of rejection share the 1000-attempt budget.
     """
     _check_size(n)
+    _check_integer("d", d)
     if n < 2 or d < 1:
         raise InvalidParam(f"random-regular needs n >= 2 and d >= 1, got n={n}, d={d}")
     if d >= n:

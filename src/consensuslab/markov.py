@@ -16,9 +16,17 @@ graphs come in three flavors:
   identical to the lazy walk on regular graphs.
 
 Every chain stores its entries as CSR, and its square stays CSR too.
+Every sparse pass runs scipy's compiled CSR kernels
+(scipy.sparse._sparsetools) on those arrays: csr_matvec for the row sums,
+csc_matvec for pi'P, csr_sample_values for the tree arcs' entries,
+csr_tocsc for the transposed entries, csr_matmat_maxnnz, csr_matmat and
+csr_sort_indices for P^2, and csr_matvecs for the products with Z.  They
+are the kernels scipy's operators call, fed the same arguments in the same
+order, so every number is the operator's bit for bit; a chain and its
+square are the only sparse matrices an analysis builds.
 Every chain built from a graph is reversible, and reversible chains take a
 fast route: pi by detailed balance on the n - 1 arcs of a breadth-first
-tree, whose P_ij and P_ji are looked up in the CSR matrix (O(nnz) with its
+tree, whose P_ij and P_ji are looked up in the CSR arrays (O(nnz) with its
 check), P^2 by a sparse product that inherits pi, and the fundamental
 matrix Z = (I - P + 1 pi')^-1 of P^2 by a Cholesky inversion of its
 symmetrized form.  Other chains take LU solves.  An aperiodic chain reads
@@ -31,10 +39,11 @@ it by contiguous row blocks and column strips.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import _sparsetools
 
 from . import tolerances as tol
 from .errors import (
@@ -117,7 +126,7 @@ class StochasticMatrix:
             raise InvalidParam("transition matrix has non-finite entries")
         if np.any(S.data < 0):
             raise InvalidParam("transition matrix has negative entries")
-        worst = float(np.abs(S @ np.ones(S.shape[0]) - 1.0).max())
+        worst = float(np.abs(_product(S, np.ones(S.shape[0])) - 1.0).max())
         if worst > tol.ROW_SUM_TOL:
             raise InvalidParam(
                 f"rows must sum to 1 within {tol.ROW_SUM_TOL:g} (worst deviation {worst:.3e})"
@@ -225,8 +234,7 @@ class StochasticMatrix:
         if hint is None and not balanced:
             pi, resid = self._lu_stationary()
             return pi, resid, self._detailed_balance(pi, paired)
-        piP = self._csr.T @ pi  # summed over the stored entries in order, with no copy of them
-        return pi, float(np.abs(piP - pi).max()), balanced
+        return pi, float(np.abs(_transposed_product(self._csr, pi) - pi).max()), balanced
 
     @cached_property
     def _bfs_tree(self) -> tuple[np.ndarray, np.ndarray]:
@@ -235,13 +243,11 @@ class StochasticMatrix:
     def _tree_stationary(self) -> np.ndarray | None:
         """pi_j = pi_i P_ij / P_ji along a breadth-first tree from state 0,
         normalized; None where an arc has no reverse arc or pi degenerates.
-        P_ij and P_ji are looked up in the CSR matrix on the n - 1 tree arcs."""
+        P_ij and P_ji are looked up in the CSR arrays on the n - 1 tree arcs."""
         order, pred = self._bfs_tree
-        child, S = order[1:], self._csr
-        forth = back = np.zeros(0)  # no tree arc; csr lookups by empty arrays give sparse results
-        if child.size:
-            forth = np.asarray(S[pred[child], child]).ravel()
-            back = np.asarray(S[child, pred[child]]).ravel()
+        child = order[1:]
+        forth = _lookup(self._csr, pred[child], child)
+        back = _lookup(self._csr, child, pred[child])
         if np.any(back <= 0):
             return None
         pi = [0.0] * self.n
@@ -357,13 +363,10 @@ class StochasticMatrix:
 
     @cached_property
     def _square(self) -> StochasticMatrix:
-        """P @ P by a sparse product, kept sparse; it inherits pi, since
+        """P @ P by a sparse product (_csr_square), kept sparse; it inherits pi, since
         pi' P^2 = pi', and a sparse P's factors twice, so that its hitting
         residual never multiplies by the denser P^2 (see _hitting_residual)."""
-        S = self._csr
-        C = S @ S  # no duplicates and no stored zeros, but unsorted
-        C.sort_indices()
-        Q = StochasticMatrix(C, _owned=True)
+        Q = StochasticMatrix(_csr_square(self._csr), _owned=True)
         Q._squared = True
         if self.irreducible:
             Q._pi_hint = self._stationary[0]
@@ -391,7 +394,7 @@ class StochasticMatrix:
         if self.aperiodic and not self._squared:
             Z2 = _fundamental_matrix(self._square)
             if self._factors is not None:
-                Z = self._csr @ Z2
+                Z = _product(self._csr, Z2)
             else:
                 Z = np.empty_like(Z2)
                 for b, rows in _dense_blocks(self._csr):
@@ -416,6 +419,70 @@ class StochasticMatrix:
         H = (np.diag(Z)[None, :] - Z) / self.stationary()[None, :]
         H.setflags(write=False)
         return H
+
+
+# =====================================================================
+# CSR kernels (see the module docstring)
+# =====================================================================
+
+def _kernel(name: str, S, *lead):
+    """scipy's compiled CSR routine ``name``, bound to the n x n CSR matrix
+    S: the call passes the routine's arguments after n, n, ``lead`` and S's
+    indptr, indices and data."""
+    n = S.shape[0]
+    return partial(getattr(_sparsetools, name), n, n, *lead, S.indptr, S.indices, S.data)
+
+
+def _product(S, X: np.ndarray) -> np.ndarray:
+    """S @ X for a dense vector X (csr_matvec) or matrix X (csr_matvecs)."""
+    if X.ndim == 1:
+        Y = np.zeros(S.shape[0])
+        _kernel("csr_matvec", S)(X, Y)
+    else:
+        Y = np.zeros((S.shape[0], X.shape[1]))
+        _kernel("csr_matvecs", S, X.shape[1])(X.ravel(), Y.ravel())
+    return Y
+
+
+def _transposed_product(S, x: np.ndarray) -> np.ndarray:
+    """S' @ x for a dense vector x: csc_matvec, which reads S's arrays as
+    those of S' in CSC, summing over the stored entries in order."""
+    y = np.zeros(S.shape[0])
+    _kernel("csc_matvec", S)(x, y)
+    return y
+
+
+def _lookup(S, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The entries S[rows, cols] of two index vectors, 0 where none is
+    stored: csr_sample_values."""
+    rows, cols = (np.asarray(k, dtype=S.indices.dtype) for k in (rows, cols))
+    out = np.empty(rows.size)
+    _kernel("csr_sample_values", S)(rows.size, rows, cols, out)
+    return out
+
+
+def _transpose(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The indptr, indices and data of S' in CSR, which S.tocsc() holds:
+    csr_tocsc."""
+    arrays = np.empty_like(S.indptr), np.empty_like(S.indices), np.empty_like(S.data)
+    _kernel("csr_tocsc", S)(*arrays)
+    return arrays
+
+
+def _csr_square(S):
+    """S @ S as a canonical CSR matrix of S's class: sorted indices, no
+    duplicates and no stored zeros (csr_matmat stores neither).  The index
+    dtype is the one scipy's product picks, S's own or int64 once the
+    product's bound on its stored entries needs it; csr_matmat_maxnnz gives
+    that bound, csr_matmat the product and csr_sort_indices its order."""
+    n = S.shape[0]
+    nnz = _sparsetools.csr_matmat_maxnnz(n, n, S.indptr, S.indices, S.indptr, S.indices)
+    idx = np.promote_types(S.indices.dtype, np.int64 if nnz > np.iinfo(np.int32).max else np.int32)
+    ptr, ind = S.indptr.astype(idx, copy=False), S.indices.astype(idx, copy=False)
+    indptr, indices, data = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+    _sparsetools.csr_matmat(n, n, ptr, ind, S.data, ptr, ind, S.data, indptr, indices, data)
+    _sparsetools.csr_sort_indices(n, indptr, indices, data)
+    return type(S)((data, indices, indptr), shape=S.shape)  # pruned to the stored entries
 
 
 def _breadth_first(support) -> tuple[np.ndarray, np.ndarray]:
@@ -480,9 +547,9 @@ def _pairs(U, V):
 def _transposed_data(S) -> np.ndarray | None:
     """The entries S[j, i] in the order of the stored entries (i, j) of the
     canonical CSR matrix S; None if some (j, i) is not stored."""
-    T = S.tocsc()  # the arrays of S' in CSR
-    if np.array_equal(T.indptr, S.indptr) and np.array_equal(T.indices, S.indices):
-        return T.data
+    indptr, indices, data = _transpose(S)
+    if np.array_equal(indptr, S.indptr) and np.array_equal(indices, S.indices):
+        return data
     return None
 
 
@@ -586,7 +653,7 @@ def _hitting_residual(P: StochasticMatrix, Z: np.ndarray, pi: np.ndarray) -> flo
 
     def times_p(X):
         for F in reversed(P._factors):
-            X = F @ X
+            X = _product(F, X)
         return X
 
     worst = 0.0

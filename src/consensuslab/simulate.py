@@ -38,17 +38,15 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import _sparsetools
 
 from . import tolerances
 from ._csvrows import _csv_rows, _int_field
 from .disagreement import NoiseCovariance, _check_noise
 from .errors import DimensionMismatch, InvalidParam, NoConvergence
-from .markov import StochasticMatrix
+from .markov import StochasticMatrix, _kernel
 
 __all__ = [
     "SimConfig",
@@ -226,9 +224,10 @@ def _shape_noise(z: np.ndarray, factor, kind: str, out: np.ndarray) -> None:
 def _stepper(E: sparse.csr_array, cols: int):
     """The step y = E @ x + w for flat x, y and w holding (n, cols) arrays,
     into the preallocated ``y``.  It zeroes y and runs the CSR kernel that
-    ``E @ x`` runs, so its bits are those of ``E @ x`` followed by ``+= w``,
-    without the product's Python dispatch and allocation."""
-    matvecs = partial(_sparsetools.csr_matvecs, *E.shape, cols, E.indptr, E.indices, E.data)
+    ``E @ x`` runs (csr_matvecs, bound by ``markov._kernel``), so its bits
+    are those of ``E @ x`` followed by ``+= w``, without the product's
+    Python dispatch and allocation."""
+    matvecs = _kernel("csr_matvecs", E, cols)
 
     def step(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> None:
         y.fill(0.0)

@@ -57,3 +57,19 @@ CONSISTENCY_TOL = 1e-9
 """Max over a formation's edges of |p_j - p_i - r_ij|, positions walked out
 along a spanning tree, for it to be declared consistent: each cycle's
 closure defect, counted in full on the cycle's edge off the tree."""
+
+SELFTEST_EXACT_TOL = 1e-12
+"""``selftest``: absolute error allowed of a value known exactly (delta_ss
+of the two-node chain, Form of two agents at unit offset)."""
+
+SELFTEST_AGREEMENT_RTOL = 1e-9
+"""``selftest``: spread of the four delta_ss formulas, relative to the
+largest."""
+
+SELFTEST_ORACLE_RTOL = 1e-8
+"""``selftest``: |theorem - oracle| for delta_ss, scaled by (1 + oracle)."""
+
+SELFTEST_IDENTITY_TOL = 1e-10
+"""``selftest``: violation allowed of an identity of the steady state
+(tr Sigma_hat = delta_ss, scaled by (1 + delta_ss); J Sigma_hat = 0; Form
+read off delta_ss)."""

@@ -30,7 +30,7 @@ import pytest
 from conftest import package_env, run_main
 
 import consensuslab
-from consensuslab import cli
+from consensuslab import cli, tolerances
 from consensuslab.graphs import builtin_families
 
 
@@ -651,6 +651,16 @@ def test_selftest_passes():
     assert "checks passed" in out
     assert "FAIL" not in out
 
+
+@pytest.mark.parametrize("name, failing", [("SELFTEST_EXACT_TOL", 2),
+                                           ("SELFTEST_AGREEMENT_RTOL", 1),
+                                           ("SELFTEST_ORACLE_RTOL", 1),
+                                           ("SELFTEST_IDENTITY_TOL", 2)])
+def test_selftest_reads_its_tolerances_from_the_tolerances_module(monkeypatch, name, failing):
+    monkeypatch.setattr(tolerances, name, -1.0)  # no deviation is below it
+    code, out, _ = run_main("selftest")
+    assert code == 3
+    assert f"{7 - failing}/7 checks passed" in out
 
 def test_selftest_fails_under_optimized_python():
     # python -O strips assert statements; a broken formula must still fail

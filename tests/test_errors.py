@@ -132,6 +132,26 @@ CASES = [
                  "record_every must be an integer", id="simconfig-float-record-every"),
     pytest.param(lambda: SimConfig(horizon=10, seed=1.5), InvalidParam,
                  "seed must be an integer", id="simconfig-float-seed"),
+    pytest.param(lambda: build_graph("grid", 16, dim=2.0), InvalidParam, "integer dim",
+                 id="grid-float-dimension"),
+    pytest.param(lambda: build_graph("grid", 16, dim=True), InvalidParam, "integer dim",
+                 id="grid-bool-dimension"),
+    pytest.param(lambda: build_graph("erdos-renyi", 10, p=0.5, seed=1.5), InvalidParam,
+                 "integer seed", id="erdos-renyi-float-seed"),
+    pytest.param(lambda: build_graph("random-regular", 10, degree=4, seed=True), InvalidParam,
+                 "integer seed", id="random-regular-bool-seed"),
+    pytest.param(lambda: build_graph("random-regular", 10, degree=3.0, seed=1), InvalidParam,
+                 "integer d", id="random-regular-float-degree"),
+    pytest.param(lambda: custom_graph(3, [(0, 1, 2)]), InvalidParam,
+                 r"^edge \(0, 1, 2\) is not a pair of node labels$", id="custom-graph-three-labels"),
+    pytest.param(lambda: custom_graph(3, [(0, 1), (1,)]), InvalidParam,
+                 r"^edge \(1,\) is not a pair of node labels$", id="custom-graph-one-label"),
+    pytest.param(lambda: custom_graph(3, [0, 1, 1, 2]), InvalidParam,
+                 r"^edge 0 is not a pair of node labels$", id="custom-graph-flat-labels"),
+    pytest.param(lambda: custom_graph(3, np.array([0, 1, 1, 2])), InvalidParam,
+                 r"^edge 0 is not a pair of node labels$", id="custom-graph-flat-label-array"),
+    pytest.param(lambda: custom_graph(3, [()]), InvalidParam,
+                 r"^edge \(\) is not a pair of node labels$", id="custom-graph-empty-edge"),
     pytest.param(lambda: build_graph("grid", 0), InvalidParam, "grid needs n >= 1",
                  id="grid-no-nodes"),
     pytest.param(lambda: build_graph("grid", 10**400), InvalidParam, "int32 node labels",

@@ -5,7 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import adjacency, mc_first_passage, nearest_valid_size, random_reversible_chain
+from conftest import (
+    adjacency,
+    mc_first_passage,
+    nearest_valid_size,
+    random_reversible_chain,
+    run_main,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from referees import degree_stationary, exact_lazy_z, hitting_time_delta, per_target_hitting_times
@@ -482,6 +488,76 @@ def test_one_and_two_state_chains_from_sparse_and_dense_input():
     for bad in (csr_matrix((1, 1)), csr_matrix([[1.5, -0.5], [0.5, 0.5]]), csr_matrix((2, 3))):
         with pytest.raises(InvalidParam):
             StochasticMatrix(bad)
+
+
+def _kernel_chains():
+    """The CSR matrices the kernel tests run on, by name."""
+    from scipy.sparse import csr_array
+
+    lazy = lazy_walk_matrix(build_graph("starry-line", 48))
+    cycle = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.25, 0.0, 0.75]])
+    user = StochasticMatrix(csr_array((cycle[cycle > 0], np.nonzero(cycle)[1].astype(np.int64),
+                                       np.array([0, 2, 4, 6], dtype=np.int64)), shape=(3, 3)))
+    assert user._csr.indices.dtype == np.int64 and not user.symmetric
+    chains = {
+        "graph": lazy,
+        "squared": square_chain(lazy),
+        "dense-input": StochasticMatrix(_dense_walk(ring_graph(7), "uniform")),
+        "user-int64-asymmetric": user,
+        "one-state": StochasticMatrix([[1.0]]),
+    }
+    return {name: P._csr for name, P in chains.items()}
+
+
+@pytest.mark.parametrize("name", list(_kernel_chains()))
+def test_csr_kernels_equal_the_scipy_operators_they_replace(name):
+    from consensuslab.markov import _csr_square, _lookup, _product, _transpose, _transposed_product
+
+    S = _kernel_chains()[name]
+    n = S.shape[0]
+    rng = np.random.default_rng(n)
+    x, X = rng.standard_normal(n), rng.standard_normal((n, 5))
+    assert np.array_equal(_product(S, x), S @ x)
+    assert np.array_equal(_product(S, X), S @ X)
+    assert np.array_equal(_product(S, np.asfortranarray(X)), S @ np.asfortranarray(X))
+    assert np.array_equal(_transposed_product(S, x), S.T @ x)
+    rows, cols = (k.ravel() for k in np.indices((n, n)))  # stored entries and absent ones
+    assert np.array_equal(_lookup(S, rows, cols), np.asarray(S[rows, cols]).ravel())
+    assert _lookup(S, rows[:0], cols[:0]).shape == (0,)
+    T = S.tocsc()
+    for got, want in zip(_transpose(S), (T.indptr, T.indices, T.data)):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    C, want = _csr_square(S), S @ S
+    want.sort_indices()
+    assert type(C) is type(want)
+    for got, ref in ((C.indptr, want.indptr), (C.indices, want.indices), (C.data, want.data)):
+        assert np.array_equal(got, ref) and got.dtype == ref.dtype
+    # canonical: indices strictly increasing within each row, no stored zero
+    key = np.repeat(np.arange(n), np.diff(C.indptr)) * n + C.indices
+    assert np.all(np.diff(key) > 0) and np.all(C.data != 0)
+    assert C.indices.size == C.data.size == C.indptr[-1]
+
+
+def test_analyze_and_sweep_build_two_sparse_matrices(monkeypatch):
+    """One analyze, and one sweep row, build the chain's CSR matrix and its
+    square's, and no other compressed sparse matrix: every other pass runs
+    scipy's CSR kernels on those two."""
+    from scipy.sparse import _compressed
+
+    built = []
+    init = _compressed._cs_matrix.__init__
+
+    def counted(self, *args, **kw):
+        built.append(type(self).__name__)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(_compressed._cs_matrix, "__init__", counted)
+    for argv in (["analyze", "--family", "ring", "--n", "16"],
+                 ["sweep", "--family", "ring", "--n-list", "256"]):
+        built.clear()
+        code, _, err = run_main(*argv)
+        assert code == 0, err
+        assert len(built) <= 2, (argv[0], built)
 
 
 @st.composite
