@@ -222,6 +222,8 @@ def grid_graph(n: int, dim: int = 2) -> Graph:
         raise InvalidParam(
             f"grid needs n to be a perfect {dim}-th power, got n={n}"
         )
+    if side == 1:  # one node and no edges, in any dimension
+        return _make_graph(1, np.empty((0, 2), np.int64), f"grid{dim}(n=1)")
     u = np.arange(n)  # node u sits at coordinates (u // side^k) % side
     edges = [np.stack([u, u + s], axis=1)[u // s % side < side - 1]
              for s in (side ** k for k in range(dim))]

@@ -15,15 +15,19 @@ graphs come in three flavors:
   degree)) and 1 - eps*d(i) on the diagonal.  Symmetric for every graph, and
   identical to the lazy walk on regular graphs.
 
-Every chain stores its entries as CSR, and its square stays CSR too.
-Every sparse pass runs scipy's compiled CSR kernels
-(scipy.sparse._sparsetools) on those arrays: csr_matvec for the row sums,
-csc_matvec for pi'P, csr_sample_values for the tree arcs' entries,
-csr_tocsc for the transposed entries, csr_matmat_maxnnz, csr_matmat and
-csr_sort_indices for P^2, and csr_matvecs for the products with Z.  They
-are the kernels scipy's operators call, fed the same arguments in the same
-order, so every number is the operator's bit for bit; a chain and its
-square are the only sparse matrices an analysis builds.
+Every chain stores its entries as CSR, and so does a sparse square.  The
+square of a sparse, irreducible and aperiodic chain that would store more
+than n^2 / 32 entries is held as the chain's CSR matrix F instead, and read
+as strips of columns F (F[:, c]) and of rows, whose entries are the CSR
+product's bit for bit.  Every sparse pass runs scipy's compiled CSR
+kernels (scipy.sparse._sparsetools) on those arrays: csr_matvec for the
+row sums, csc_matvec for pi'P, csr_sample_values for the tree arcs'
+entries, csr_tocsc for the transposed entries, csr_matmat_maxnnz,
+csr_matmat and csr_sort_indices for a CSR P^2, and csr_matvecs for the
+strips of a held P^2 and the products with Z.  They are the kernels
+scipy's operators call, fed the same arguments in the same order, so every
+number is the operator's bit for bit; the chain, and a sparse square, are
+the only sparse matrices an analysis builds.
 Every chain built from a graph is reversible, and reversible chains take a
 fast route: pi by detailed balance on the n - 1 arcs of a breadth-first
 tree, whose P_ij and P_ji are looked up in the CSR arrays (O(nnz) with its
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -85,6 +90,13 @@ class StochasticMatrix:
     residual, and the product that reads its Z off Z(P^2), by row blocks
     (see _hitting_residual and _fundamental).
 
+    A dense square of a sparse, irreducible and aperiodic chain stores no
+    entries: it is held as the chain's CSR matrix F (see _square).  Its row
+    sums, the check of its inherited pi and its Cholesky build read F F by
+    strips of rows and columns (_square_strips), O(n) entries at a time,
+    and its CSR matrix is built only when something reads the entries
+    themselves: ``entries``, the spectrum, the LU routes, ``symmetric``.
+
     The structural flags, the stationary law, the non-unit spectrum, the
     squared chain, the fundamental matrix and the hitting times are each
     computed at most once per matrix and cached with it.  The stationary
@@ -100,42 +112,56 @@ class StochasticMatrix:
         converted to CSR.
     """
 
-    def __init__(self, entries, *, _owned: bool = False):
+    def __init__(self, entries, *, _owned: bool = False, _factor=None):
         # _owned: entries is a CSR matrix built for this chain alone, with
         # sorted indices, no duplicates and no stored zeros; it is validated
-        # but neither copied nor re-sorted (see _graph_chain and _square)
+        # but neither copied nor re-sorted (see _graph_chain and _square).
+        # _factor: the CSR matrix F of a chain; this chain is F F, held as F,
+        # and entries is None; _square sets its factors, pi and flags
         from scipy.sparse import csr_matrix
 
-        if _owned:
-            S, dense = entries, None
-        elif hasattr(entries, "tocsr"):
-            S, dense = entries.tocsr(copy=True).astype(float, copy=False), None
+        # (F, F'), F' as the arrays of _transpose, for a chain held as F F
+        self._held = None
+        dense = None
+        if _factor is not None:
+            self._held = F, Ft = _factor, _transpose(_factor)
+            # F's entries are finite and nonnegative, and so are F F's; its
+            # row sums are the column sums of the strips of F' F'
+            n = F.shape[0]
+            sums = np.concatenate([strip.sum(axis=0) for _, strip in _square_strips(Ft, F)])
         else:
-            S = dense = np.array(entries, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise InvalidParam(f"transition matrix must be square, got shape {S.shape}")
-        if S.shape[0] < 1:
-            raise InvalidParam("transition matrix must be at least 1x1")
-        if dense is not None:
-            dense.setflags(write=False)
-            S = csr_matrix(dense)  # sorted, with no zeros stored
-        elif not (_owned or S.has_canonical_format and S.data.all()):
-            S.sum_duplicates()  # sorts the indices too
-            S.eliminate_zeros()
-        if not np.isfinite(S.data).all():
-            raise InvalidParam("transition matrix has non-finite entries")
-        if np.any(S.data < 0):
-            raise InvalidParam("transition matrix has negative entries")
-        worst = float(np.abs(_product(S, np.ones(S.shape[0])) - 1.0).max())
+            if _owned:
+                S = entries
+            elif hasattr(entries, "tocsr"):
+                S = entries.tocsr(copy=True).astype(float, copy=False)
+            else:
+                S = dense = np.array(entries, dtype=float)
+            if S.ndim != 2 or S.shape[0] != S.shape[1]:
+                raise InvalidParam(f"transition matrix must be square, got shape {S.shape}")
+            if S.shape[0] < 1:
+                raise InvalidParam("transition matrix must be at least 1x1")
+            if dense is not None:
+                dense.setflags(write=False)
+                S = csr_matrix(dense)  # sorted, with no zeros stored
+            elif not (_owned or S.has_canonical_format and S.data.all()):
+                S.sum_duplicates()  # sorts the indices too
+                S.eliminate_zeros()
+            if not np.isfinite(S.data).all():
+                raise InvalidParam("transition matrix has non-finite entries")
+            if np.any(S.data < 0):
+                raise InvalidParam("transition matrix has negative entries")
+            n, self._csr = S.shape[0], S
+            # sparse matrices whose product is P, for the hitting residual;
+            # None for a dense P
+            self._factors = (S,) if _sparse(S.nnz, n) else None
+            sums = _product(S, np.ones(n))
+        worst = float(np.abs(sums - 1.0).max())
         if worst > tol.ROW_SUM_TOL:
             raise InvalidParam(
                 f"rows must sum to 1 within {tol.ROW_SUM_TOL:g} (worst deviation {worst:.3e})"
             )
-        self._csr = S
+        self._n = n
         self._dense = dense
-        # sparse matrices whose product is P, for the hitting residual; None
-        # for a dense P
-        self._factors = (S,) if S.nnz * 32 <= S.shape[0] ** 2 else None
         # what a squared chain knows from the chain P it squares: P's pi
         self._pi_hint: np.ndarray | None = None
         # True for the chain P^2 that _square builds, whose Z takes the direct route
@@ -153,7 +179,22 @@ class StochasticMatrix:
 
     @property
     def n(self) -> int:
-        return self._csr.shape[0]
+        return self._n
+
+    @cached_property
+    def _csr(self):
+        """The entries as a canonical CSR matrix.  __init__ sets it, except on
+        a chain held as F F, which builds it on first request."""
+        return _csr_square(self._held[0])
+
+    def _rows(self):
+        """(b, P[b]) for the slices b of ``_row_blocks(n)``: C-ordered dense
+        row blocks, from the CSR matrix (_dense_blocks), or on a chain held
+        as F F from the strips of F' F', whose columns are its rows."""
+        if self._held is None:
+            return _dense_blocks(self._csr)
+        F, Ft = self._held
+        return ((b, np.ascontiguousarray(strip.T)) for b, strip in _square_strips(Ft, F))
 
     def __repr__(self) -> str:
         return f"StochasticMatrix(n={self.n})"
@@ -228,6 +269,8 @@ class StochasticMatrix:
         if not self.irreducible:
             raise NotIrreducible("stationary distribution needs an irreducible chain")
         hint = self._pi_hint
+        if self._held is not None:
+            return (hint, *_square_checks(*self._held, hint))
         paired = self._paired()
         pi = hint if hint is not None else self._tree_stationary()
         balanced = pi is not None and self._detailed_balance(pi, paired)
@@ -363,13 +406,28 @@ class StochasticMatrix:
 
     @cached_property
     def _square(self) -> StochasticMatrix:
-        """P @ P by a sparse product (_csr_square), kept sparse; it inherits pi, since
-        pi' P^2 = pi', and a sparse P's factors twice, so that its hitting
-        residual never multiplies by the denser P^2 (see _hitting_residual)."""
-        Q = StochasticMatrix(_csr_square(self._csr), _owned=True)
+        """P @ P.  It inherits pi, since pi' P^2 = pi', and a sparse P's
+        factors twice, so that its hitting residual never multiplies by the
+        denser P^2 (see _hitting_residual).  An irreducible, aperiodic P has
+        an irreducible, aperiodic square, which takes both flags from P.
+
+        A sparse square is a CSR matrix (_csr_square).  A sparse, irreducible
+        and aperiodic P whose square csr_matmat_maxnnz bounds above n^2 / 32
+        stored entries holds its square as its own CSR matrix F instead: the
+        checks and the Cholesky route read F F by strips (_square_strips), and
+        the CSR matrix of F F is built only if its entries are asked for."""
+        F = self._csr
+        primitive = self.irreducible and self.aperiodic
+        nnz = _square_nnz(F)
+        if primitive and self._factors is not None and not _sparse(nnz, self.n):
+            Q = StochasticMatrix(None, _factor=F)
+        else:
+            Q = StochasticMatrix(_csr_square(F, nnz), _owned=True)
         Q._squared = True
         if self.irreducible:
             Q._pi_hint = self._stationary[0]
+        if primitive:
+            Q.irreducible = Q.aperiodic = True
         if self._factors is not None:
             Q._factors = self._factors * 2
         return Q
@@ -391,7 +449,7 @@ class StochasticMatrix:
         directly: Cholesky for a reversible chain, LU otherwise.
         """
         pi = self.stationary()
-        if self.aperiodic and not self._squared:
+        if not self._squared and self.aperiodic:
             Z2 = _fundamental_matrix(self._square)
             if self._factors is not None:
                 Z = _product(self._csr, Z2)
@@ -425,10 +483,23 @@ class StochasticMatrix:
 # CSR kernels (see the module docstring)
 # =====================================================================
 
+class _Arrays(NamedTuple):
+    """The indptr, indices and data of an n x n CSR matrix, held as plain
+    arrays with the ``shape`` the helpers below read."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.indptr.size - 1, self.indptr.size - 1
+
+
 def _kernel(name: str, S, *lead):
     """scipy's compiled CSR routine ``name``, bound to the n x n CSR matrix
-    S: the call passes the routine's arguments after n, n, ``lead`` and S's
-    indptr, indices and data."""
+    (or _Arrays) S: the call passes the routine's arguments after n, n,
+    ``lead`` and S's indptr, indices and data."""
     n = S.shape[0]
     return partial(getattr(_sparsetools, name), n, n, *lead, S.indptr, S.indices, S.data)
 
@@ -461,28 +532,77 @@ def _lookup(S, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transpose(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _transpose(S) -> _Arrays:
     """The indptr, indices and data of S' in CSR, which S.tocsc() holds:
     csr_tocsc."""
-    arrays = np.empty_like(S.indptr), np.empty_like(S.indices), np.empty_like(S.data)
+    arrays = _Arrays(np.empty_like(S.indptr), np.empty_like(S.indices), np.empty_like(S.data))
     _kernel("csr_tocsc", S)(*arrays)
     return arrays
 
 
-def _csr_square(S):
+def _sparse(nnz: int, n: int) -> bool:
+    """At most n^2 / 32 stored entries in an n x n matrix: the rule for a
+    chain that keeps sparse factors, and for a square that stays CSR."""
+    return nnz * 32 <= n ** 2
+
+
+def _square_nnz(S) -> int:
+    """csr_matmat_maxnnz's bound on the stored entries of S @ S: the entries
+    of its pattern, which a product of nonnegative entries can only shrink by
+    underflow."""
+    n = S.shape[0]
+    return int(_sparsetools.csr_matmat_maxnnz(n, n, S.indptr, S.indices, S.indptr, S.indices))
+
+
+def _csr_square(S, nnz: int | None = None):
     """S @ S as a canonical CSR matrix of S's class: sorted indices, no
     duplicates and no stored zeros (csr_matmat stores neither).  The index
     dtype is the one scipy's product picks, S's own or int64 once the
     product's bound on its stored entries needs it; csr_matmat_maxnnz gives
-    that bound, csr_matmat the product and csr_sort_indices its order."""
+    that bound (``nnz``, if the caller has it), csr_matmat the product and
+    csr_sort_indices its order."""
     n = S.shape[0]
-    nnz = _sparsetools.csr_matmat_maxnnz(n, n, S.indptr, S.indices, S.indptr, S.indices)
+    if nnz is None:
+        nnz = _square_nnz(S)
     idx = np.promote_types(S.indices.dtype, np.int64 if nnz > np.iinfo(np.int32).max else np.int32)
     ptr, ind = S.indptr.astype(idx, copy=False), S.indices.astype(idx, copy=False)
     indptr, indices, data = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz)
     _sparsetools.csr_matmat(n, n, ptr, ind, S.data, ptr, ind, S.data, indptr, indices, data)
     _sparsetools.csr_sort_indices(n, indptr, indices, data)
     return type(S)((data, indices, indptr), shape=S.shape)  # pruned to the stored entries
+
+
+def _square_strips(A, At):
+    """(c, (A A)[:, c]) for the slices c of ``_row_blocks(n)``, each an
+    n x |c| C-ordered array: csr_matvecs of A on the dense columns A[:, c],
+    laid out from the rows At[c] of A's transpose.
+
+    For each entry it adds the products A_ik A_kj over the stored A_ik in
+    the order of k, as csr_matmat does, and otherwise only zeros, so the
+    strips hold the bits of _csr_square(A); with A = F' they hold the rows
+    of F F, transposed, since (F F)_ij = sum_k F'_jk F'_ki."""
+    for c, cols in _dense_blocks(At, transposed=True):
+        yield c, _product(A, cols)
+
+
+def _square_checks(F, Ft, pi: np.ndarray) -> tuple[float, bool]:
+    """The stationary residual ||pi' Q - pi'||_inf of Q = F F and its
+    detailed-balance verdict (as in StochasticMatrix._detailed_balance),
+    read from the strips Q[:, c] and Q[c, :]' of _square_strips.
+
+    In the strip of columns c, back_jc = pi_j Q_jc is the flux the other
+    way of flux_jc = pi_c Q_cj; the entries absent from both patterns add
+    zeros.  Summed down the strip, the sequential sum of a C-ordered axis 0,
+    back gives (pi' Q)_c, in the order csc_matvec sums it."""
+    worst = top = resid = 0.0
+    for (c, back), (_, flux) in zip(_square_strips(F, Ft), _square_strips(Ft, F)):
+        back *= pi[:, None]
+        resid = max(resid, float(np.abs(back.sum(axis=0) - pi[c]).max()))
+        flux *= pi[c]
+        top = max(top, float(flux.max()))
+        flux -= back
+        worst = max(worst, float(flux.max()), -float(flux.min()))
+    return resid, worst <= tol.REVERSIBILITY_RTOL * top
 
 
 def _breadth_first(support) -> tuple[np.ndarray, np.ndarray]:
@@ -553,10 +673,11 @@ def _transposed_data(S) -> np.ndarray | None:
     return None
 
 
-def _dense_blocks(S):
+def _dense_blocks(S, transposed: bool = False):
     """For each slice b of ``_row_blocks(n)``, the dense rows S[b] of the
     CSR matrix S, scattered into one zeroed buffer and cleared from it entry
-    by entry once the caller asks for the next block.  Each block holds
+    by entry once the caller asks for the next block; ``transposed`` lays
+    them out as the C-ordered n x |b| array S[b]'.  Each block holds
     exactly the values of that slice of the dense array, so a pass over the
     blocks gives the numbers of the same pass over the dense matrix.
     """
@@ -565,11 +686,11 @@ def _dense_blocks(S):
     blocks = list(_row_blocks(S.shape[0]))
     buf = np.zeros((blocks[0].stop - blocks[0].start) * n)  # the first block is the largest
     for b in blocks:
-        k = slice(ptr[b.start], ptr[b.stop])
-        at = np.repeat(np.arange(0, (b.stop - b.start) * n, n), np.diff(ptr[b.start:b.stop + 1]))
-        at += S.indices[k]
+        k, size = slice(ptr[b.start], ptr[b.stop]), b.stop - b.start
+        row = np.repeat(np.arange(size), np.diff(ptr[b.start:b.stop + 1]))
+        at = S.indices[k] * size + row if transposed else row * n + S.indices[k]
         buf[at] = S.data[k]
-        yield b, buf[:(b.stop - b.start) * n].reshape(-1, n)
+        yield b, buf[:size * n].reshape((n, size) if transposed else (size, n))
         buf[at] = 0.0
 
 
@@ -577,9 +698,10 @@ def _fundamental_cholesky(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray | N
     """Z of a reversible chain, in one n x n buffer; None if not positive definite.
 
     B_s = I - D^{1/2} P D^{-1/2} + sqrt(pi) sqrt(pi)' (D = diag(pi)) is
-    symmetric positive definite, and Z = D^{-1/2} B_s^-1 D^{1/2}.  The
-    zeroed buffer takes A = D^{1/2} P D^{-1/2} on P's stored entries, and
-    one pass of row blocks then writes the lower triangle
+    symmetric positive definite, and Z = D^{-1/2} B_s^-1 D^{1/2}.  One
+    pass of P's dense row blocks (StochasticMatrix._rows) writes
+    A = D^{1/2} P D^{-1/2} into the buffer, and one pass of row blocks
+    then writes the lower triangle
     (A_ij + A_ji) * -0.5 + sqrt(pi_i) sqrt(pi_j) from the rows and one
     contiguous copy of the column strip: the numbers of the same formula on
     the dense arrays, with no copy of the entries.  The diagonal entries
@@ -591,23 +713,22 @@ def _fundamental_cholesky(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray | N
 
     n = pi.size
     s = np.sqrt(pi)
-    B = np.zeros((n, n))
-    flat = B.ravel()
-    for _, i, j, p in _stored(P._csr):
-        flat[i * n + j] = s[i] * p / s[j]
-    for b in _row_blocks(n):  # no earlier block wrote the column strip B[:stop, b]
-        low = B[b, :b.stop]
-        low += np.ascontiguousarray(B[:b.stop, b]).T
-        low *= -0.5
-        low += s[b, None] * s[:b.stop]
+    B = np.empty((n, n))
     diag = np.empty(n)
-    for b, rows in _dense_blocks(P._csr):
+    for b, rows in P._rows():
+        np.multiply(s[b, None], rows, out=B[b])
+        B[b] /= s
         # summed from the row's other entries, 1 - P_ii keeps sqrt(pi) the null
         # vector of B_s - sqrt(pi) sqrt(pi)' to within the entries' own rounding
         # (adding the identity last instead moved K(P^2) of the uniform
         # line1200 by 2.5e-11)
         rows[np.arange(b.stop - b.start), np.arange(b.start, b.stop)] = 0.0
         diag[b] = rows.sum(axis=1) + pi[b]
+    for b in _row_blocks(n):  # no earlier block wrote the column strip B[:stop, b]
+        low = B[b, :b.stop]
+        low += np.ascontiguousarray(B[:b.stop, b]).T
+        low *= -0.5
+        low += s[b, None] * s[:b.stop]
     B[np.diag_indices(n)] = diag
     # B.T is the Fortran-ordered view of B, and its upper triangle is B's
     # lower one, so LAPACK factors and inverts that triangle in place,

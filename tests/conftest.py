@@ -17,6 +17,22 @@ from consensuslab.graphs import Graph, _family_key, custom_graph, erdos_renyi_gr
 from consensuslab.markov import StochasticMatrix
 
 
+# the benchmark's graph sizes per family; "random" there is a custom edge
+# list, so the random families take sizes of their own
+BENCH_SIZES = {
+    "complete": (8, 200),
+    "line": (32, 200, 300, 700, 1200),
+    "ring": (32, 64, 200, 256, 640, 1024),
+    "star": (8, 127),
+    "two-star": (40, 200, 400, 900, 1600),
+    "starry-line": (48, 192, 288, 576, 1152),
+    "grid": (256, 576, 1024),
+    "tree": (63, 127, 255, 511, 1023),
+    "erdos-renyi": (48, 120, 160),
+    "random-regular": (48, 120, 160),
+}
+
+
 def nearest_valid_size(family: str, n: int, *, dim: int = 2) -> int:
     """Snap a target size to the family's nearest structurally valid n.
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import adjacency, nearest_valid_size, package_env
+from conftest import BENCH_SIZES, adjacency, nearest_valid_size, package_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from referees import grid_edges, lexsort_csr, tree_edges
@@ -177,6 +177,16 @@ def test_builders_refuse_n_past_int32_before_building_edges():
     assert (r.returncode, r.stdout) == (0, "refused\n"), r.stderr
 
 
+def test_one_node_grid_builds_no_edges_per_axis():
+    # side 1 has no edges in any dimension; one empty edge array per axis
+    # would take about two hours at a billion axes
+    code = ("from consensuslab.graphs import build_graph; "
+            "g = build_graph('grid', 1, dim=10**9); print(g.n, g.m, g.family)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={**package_env(), "OPENBLAS_NUM_THREADS": "1"}, timeout=10)
+    assert (r.returncode, r.stdout) == (0, "1 0 grid1000000000(n=1)\n"), r.stderr
+
+
 def test_edge_list_round_trip(tmp_path):
     g = two_star_graph(9)
     path = tmp_path / "g.txt"
@@ -298,22 +308,6 @@ def test_search_agrees_with_brute_force_on_small_graphs(g):
         assert simple_walk_matrix(g).aperiodic == (not two_colourable)
 
 
-# the benchmark's graph sizes per family; "random" there is a custom edge
-# list, so the random families take sizes of their own
-_BENCH_SIZES = {
-    "complete": (8, 200),
-    "line": (32, 200, 300, 700, 1200),
-    "ring": (32, 64, 200, 256, 640, 1024),
-    "star": (8, 127),
-    "two-star": (40, 200, 400, 900, 1600),
-    "starry-line": (48, 192, 288, 576, 1152),
-    "grid": (256, 576, 1024),
-    "tree": (63, 127, 255, 511, 1023),
-    "erdos-renyi": (48, 120, 160),
-    "random-regular": (48, 120, 160),
-}
-
-
 def test_edges_and_chain_csr_equal_the_node_by_node_referees(monkeypatch):
     for dim, sides in ((1, (1, 2, 7, 100)), (2, (1, 2, 3, 32)), (3, (1, 2, 5, 16)), (4, (1, 2, 5, 8))):
         for side in sides:
@@ -331,8 +325,8 @@ def test_edges_and_chain_csr_equal_the_node_by_node_referees(monkeypatch):
         return graph_chain(g, arcs, diag)
 
     monkeypatch.setattr(markov, "_graph_chain", recorded)
-    assert set(_BENCH_SIZES) == set(builtin_families())
-    for family, sizes in _BENCH_SIZES.items():
+    assert set(BENCH_SIZES) == set(builtin_families())
+    for family, sizes in BENCH_SIZES.items():
         for n in sizes:
             g = build_graph(family, n, seed=1, p=0.2, degree=3)
             for walk in (simple_walk_matrix, lazy_walk_matrix, uniform_edge_matrix):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import (
+    BENCH_SIZES,
     adjacency,
     mc_first_passage,
     nearest_valid_size,
@@ -113,17 +114,19 @@ def small_chains(draw):
 @settings(max_examples=300, deadline=None, database=None)
 @given(small_chains())
 def test_chain_flags_agree_with_brute_force(P):
-    n = P.n
-    A = (P.entries > 0).astype(float)
-    # irreducible: every state reaches every other in fewer than n steps
-    irreducible = bool(np.all(np.linalg.matrix_power(np.eye(n) + A, n - 1) > 0))
-    assert P.irreducible == irreducible
-    # the period is the gcd of the return times to state 0.  Those up to 3n
-    # suffice: a simple cycle of c <= n steps through a state v, added to a
-    # closed walk 0 -> v -> 0 of w <= 2n - 2 steps, gives the returns w and
-    # w + c, whose gcd divides c
-    returns = [k for k in range(1, 3 * n + 1) if np.linalg.matrix_power(A, k)[0, 0] > 0]
-    assert P.aperiodic == (irreducible and math.gcd(*returns) == 1)
+    # and so do the flags of its square, which a primitive P hands down
+    for Q in (P, square_chain(P)):
+        n = Q.n
+        A = (Q.entries > 0).astype(float)
+        # irreducible: every state reaches every other in fewer than n steps
+        irreducible = bool(np.all(np.linalg.matrix_power(np.eye(n) + A, n - 1) > 0))
+        assert Q.irreducible == irreducible
+        # the period is the gcd of the return times to state 0.  Those up to
+        # 3n suffice: a simple cycle of c <= n steps through a state v, added
+        # to a closed walk 0 -> v -> 0 of w <= 2n - 2 steps, gives the returns
+        # w and w + c, whose gcd divides c
+        returns = [k for k in range(1, 3 * n + 1) if np.linalg.matrix_power(A, k)[0, 0] > 0]
+        assert Q.aperiodic == (irreducible and math.gcd(*returns) == 1)
 
 
 def _lu_referees(P: StochasticMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -457,8 +460,11 @@ def test_sweep_row_keeps_the_chain_and_its_square_sparse():
     row = {}
     _fill_row(row, P, NoiseCovariance.scalar(300, 1.0))
     assert row["max_resistance"] > 0
-    # no dense entries were built, neither of P nor of P^2
-    assert P._dense is None and square_chain(P)._dense is None
+    # no dense entries were built, neither of P nor of P^2, and the dense
+    # P^2 is held as P's CSR matrix, with no CSR matrix of its own
+    Q = square_chain(P)
+    assert P._dense is None and Q._dense is None
+    assert Q._held is not None and "_csr" not in vars(Q)
 
 
 def test_one_and_two_state_chains_from_sparse_and_dense_input():
@@ -538,10 +544,119 @@ def test_csr_kernels_equal_the_scipy_operators_they_replace(name):
     assert C.indices.size == C.data.size == C.indptr[-1]
 
 
+def _held_and_stored(P: StochasticMatrix) -> tuple[StochasticMatrix, StochasticMatrix]:
+    """P^2 twice, as _square builds it: held as P's CSR matrix F, and stored
+    as the CSR product of F, each with P's pi to check and F as its factors."""
+    from consensuslab.markov import _csr_square
+
+    F = P._csr
+    pair = (StochasticMatrix(None, _factor=F), StochasticMatrix(_csr_square(F), _owned=True))
+    for Q in pair:
+        Q._squared, Q._pi_hint, Q._factors = True, P.stationary(), (F, F)
+    return pair
+
+
+def _assert_strips_are_the_product(P: StochasticMatrix) -> None:
+    """The strips of F F by columns and by rows (F = P's CSR matrix), the
+    row blocks and row sums of P^2 held as F, and the checks of its pi,
+    against the CSR product of F, bit for bit."""
+    from consensuslab.markov import _csr_square, _product, _square_strips, _transpose
+
+    F, n = P._csr, P.n
+    C = _csr_square(F)
+    by_cols, sums = C.tocsc(), _product(C, np.ones(n))
+    Ft = _transpose(F)
+    seen = 0
+    # block by block, against the same slice of the product's entries
+    for (c, cols), (r, rows) in zip(_square_strips(F, Ft), _square_strips(Ft, F)):
+        assert c == r and cols.flags.c_contiguous and rows.flags.c_contiguous
+        assert np.array_equal(cols, by_cols[:, c].toarray())
+        assert np.array_equal(rows, C[c].toarray().T)
+        # validation sums the rows down the strips, in the order csr_matvec does
+        assert np.array_equal(rows.sum(axis=0), sums[c])
+        seen += c.stop - c.start
+    assert seen == n
+    held, stored = _held_and_stored(P)
+    # C-ordered row blocks: a row's sum depends on the layout it is read in
+    seen = 0
+    for b, block in held._rows():
+        assert block.flags.c_contiguous and np.array_equal(block, C[b].toarray())
+        seen += b.stop - b.start
+    assert seen == n
+    assert held._stationary[1:] == stored._stationary[1:]
+
+
+@pytest.mark.parametrize("family", builtin_families())
+def test_strips_of_a_square_hold_its_csr_product(family):
+    # every graph chain at the benchmark's sizes, lazy and uniform: the
+    # strips csr_matvecs reads off P's CSR matrix and its transpose are the
+    # entries csr_matmat stores, and the zeros it does not
+    for n in BENCH_SIZES[family]:
+        g = build_graph(family, n, seed=1, p=0.2, degree=3)
+        for chain in (lazy_walk_matrix, uniform_edge_matrix):
+            _assert_strips_are_the_product(chain(g))
+
+
+def _dense_square_chains() -> dict[str, StochasticMatrix]:
+    """Sparse, irreducible and aperiodic chains with dense squares, by name:
+    two reversible graph chains and two that are not reversible."""
+    from scipy.sparse import csr_matrix
+
+    n = 300
+    rng = np.random.default_rng(11)
+    # a lazy directed cycle whose states also step to state 0, which steps
+    # anywhere: an asymmetric pattern
+    i = np.arange(1, n)
+    tails = np.concatenate([np.zeros(n, int), i, i, i])
+    heads = np.concatenate([np.arange(n), i, (i + 1) % n, np.zeros(n - 1, int)])
+    values = np.concatenate([np.full(n, 1.0 / n), np.full(n - 1, 0.25), np.full(n - 1, 0.25),
+                             np.full(n - 1, 0.5)])
+    cycle = csr_matrix((values, (tails, heads)), shape=(n, n))
+    # random weights both ways on the star and the ring of its leaves: a
+    # symmetric pattern whose cycles break detailed balance
+    star = build_graph("star", n)
+    ring = np.stack([i, i % (n - 1) + 1], axis=1)
+    e = np.concatenate([star.edges, ring])
+    W = csr_matrix((rng.uniform(0.5, 2.0, 2 * len(e)), (np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]])),
+                   shape=(n, n))
+    W = W.multiply(1.0 / W.sum(axis=1)).tocsr() * 0.5
+    weighted = W + 0.5 * csr_matrix(np.eye(n))
+    return {
+        "two-star": uniform_edge_matrix(build_graph("two-star", n)),
+        "starry-line": lazy_walk_matrix(build_graph("starry-line", n)),
+        "hub-and-directed-cycle": StochasticMatrix(cycle),
+        "weighted-star-and-ring": StochasticMatrix(weighted),
+    }
+
+
+@pytest.mark.parametrize("name", list(_dense_square_chains()))
+def test_a_dense_square_is_held_as_its_factor(name):
+    # a sparse, irreducible and aperiodic chain with a dense square holds it
+    # as its own CSR matrix: the square's flags come from P, and its pi
+    # checks, Z, K and hitting residual are those of the stored product bit
+    # for bit, the Cholesky route's on the graph chains and LU's otherwise
+    P = _dense_square_chains()[name]
+    assert P._factors is not None and P.irreducible and P.aperiodic
+    Q = square_chain(P)
+    assert Q._held is not None and Q._held[0] is P._csr and Q._factors == (P._csr,) * 2
+    assert Q.irreducible and Q.aperiodic
+    assert Q.reversible == P.reversible == (name in ("two-star", "starry-line"))
+    held, stored = _held_and_stored(P)
+    assert held._stationary[1:] == stored._stationary[1:]
+    assert np.array_equal(Q._fundamental[0], stored._fundamental[0])
+    assert Q._fundamental[1] == stored._fundamental[1]
+    assert np.array_equal(P._fundamental[0], _z_from_square(P, stored._fundamental[0]))
+    _assert_strips_are_the_product(P)
+    # only the LU route reads the entries, which are then the CSR product's
+    assert ("_csr" in vars(Q)) == (not Q.reversible)
+    assert np.array_equal(Q.entries, stored.entries)
+
+
 def test_analyze_and_sweep_build_two_sparse_matrices(monkeypatch):
-    """One analyze, and one sweep row, build the chain's CSR matrix and its
-    square's, and no other compressed sparse matrix: every other pass runs
-    scipy's CSR kernels on those two."""
+    """One analyze, and one sweep row, build the chain's CSR matrix and, for
+    a sparse square, its square's, and no other compressed sparse matrix:
+    every other pass runs scipy's CSR kernels on those two.  A dense square
+    is held as the chain's matrix, so a two-star run builds only that."""
     from scipy.sparse import _compressed
 
     built = []
@@ -552,12 +667,14 @@ def test_analyze_and_sweep_build_two_sparse_matrices(monkeypatch):
         init(self, *args, **kw)
 
     monkeypatch.setattr(_compressed._cs_matrix, "__init__", counted)
-    for argv in (["analyze", "--family", "ring", "--n", "16"],
-                 ["sweep", "--family", "ring", "--n-list", "256"]):
+    for argv, count in ((["analyze", "--family", "ring", "--n", "16"], 2),
+                        (["sweep", "--family", "ring", "--n-list", "256"], 2),
+                        (["analyze", "--family", "two-star", "--n", "200", "--chain", "uniform"], 1),
+                        (["sweep", "--family", "two-star", "--n-list", "400", "--chain", "uniform"], 1)):
         built.clear()
         code, _, err = run_main(*argv)
         assert code == 0, err
-        assert len(built) <= 2, (argv[0], built)
+        assert len(built) == count, (argv, built)
 
 
 @st.composite
