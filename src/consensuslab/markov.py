@@ -38,16 +38,33 @@ its own Z off Z(P^2) by one sparse product, Z = Z(P^2) + P Z(P^2) - 1 pi',
 so only P^2, or a periodic chain, is inverted.  H, K and R are all read
 off Z, and H is only built when asked for; the O(n^2) passes over Z read
 it by contiguous row blocks and column strips.
+
+The inversion and the O(n^2) passes around it run on up to two threads
+(_Threads): the caller and, for a chain of more than one row block, one
+pool thread that lives for one call, where the usable cores allow it at
+the BLAS's own thread count (_workers).  LAPACK and BLAS are called
+through ctypes from the function pointers that scipy.linalg.cython_lapack
+and cython_blas export (_call), which releases the GIL that
+scipy.linalg.lapack's wrappers hold.  From _SPLIT states B_s is inverted
+by a two-way block Cholesky whose split depends on n alone
+(_cholesky_inverse), and each pass hands its row blocks to the threads
+with the same arithmetic per block, so no number depends on the thread
+count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_blas, cython_lapack
 from scipy.sparse import _sparsetools
 
 from . import tolerances as tol
@@ -187,14 +204,15 @@ class StochasticMatrix:
         a chain held as F F, which builds it on first request."""
         return _csr_square(self._held[0])
 
-    def _rows(self):
-        """(b, P[b]) for the slices b of ``_row_blocks(n)``: C-ordered dense
-        row blocks, from the CSR matrix (_dense_blocks), or on a chain held
-        as F F from the strips of F' F', whose columns are its rows."""
+    def _rows(self, blocks=None):
+        """(b, P[b]) for the slices b of ``blocks`` (``_row_blocks(n)`` if
+        None): C-ordered dense row blocks, from the CSR matrix
+        (_dense_blocks), or on a chain held as F F from the strips of F' F',
+        whose columns are its rows."""
         if self._held is None:
-            return _dense_blocks(self._csr)
+            return _dense_blocks(self._csr, blocks=blocks)
         F, Ft = self._held
-        return ((b, np.ascontiguousarray(strip.T)) for b, strip in _square_strips(Ft, F))
+        return ((b, np.ascontiguousarray(strip.T)) for b, strip in _square_strips(Ft, F, blocks))
 
     def __repr__(self) -> str:
         return f"StochasticMatrix(n={self.n})"
@@ -572,16 +590,16 @@ def _csr_square(S, nnz: int | None = None):
     return type(S)((data, indices, indptr), shape=S.shape)  # pruned to the stored entries
 
 
-def _square_strips(A, At):
-    """(c, (A A)[:, c]) for the slices c of ``_row_blocks(n)``, each an
-    n x |c| C-ordered array: csr_matvecs of A on the dense columns A[:, c],
-    laid out from the rows At[c] of A's transpose.
+def _square_strips(A, At, blocks=None):
+    """(c, (A A)[:, c]) for the slices c of ``blocks`` (``_row_blocks(n)``
+    if None), each an n x |c| C-ordered array: csr_matvecs of A on the dense
+    columns A[:, c], laid out from the rows At[c] of A's transpose.
 
     For each entry it adds the products A_ik A_kj over the stored A_ik in
     the order of k, as csr_matmat does, and otherwise only zeros, so the
     strips hold the bits of _csr_square(A); with A = F' they hold the rows
     of F F, transposed, since (F F)_ij = sum_k F'_jk F'_ki."""
-    for c, cols in _dense_blocks(At, transposed=True):
+    for c, cols in _dense_blocks(At, transposed=True, blocks=blocks):
         yield c, _product(A, cols)
 
 
@@ -628,10 +646,15 @@ _BLOCK = 1 << 16
 entries of a CSR matrix: the pass keeps its temporaries small."""
 
 
+def _block_rows(n: int) -> int:
+    """Rows per slice of ``_row_blocks(n)``."""
+    return max(1, _BLOCK // n)
+
+
 def _row_blocks(n: int):
     """Slices of consecutive rows, about _BLOCK entries of an n-column array
     each."""
-    step = max(1, _BLOCK // n)
+    step = _block_rows(n)
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
@@ -673,18 +696,21 @@ def _transposed_data(S) -> np.ndarray | None:
     return None
 
 
-def _dense_blocks(S, transposed: bool = False):
-    """For each slice b of ``_row_blocks(n)``, the dense rows S[b] of the
-    CSR matrix S, scattered into one zeroed buffer and cleared from it entry
-    by entry once the caller asks for the next block; ``transposed`` lays
-    them out as the C-ordered n x |b| array S[b]'.  Each block holds
-    exactly the values of that slice of the dense array, so a pass over the
-    blocks gives the numbers of the same pass over the dense matrix.
+def _dense_blocks(S, transposed: bool = False, blocks=None):
+    """For each slice b of ``blocks`` (``_row_blocks(n)`` if None), the
+    dense rows S[b] of the n x n CSR matrix S, scattered into one zeroed
+    buffer and cleared from it entry by entry once the caller asks for the
+    next block; ``transposed`` lays them out as the C-ordered n x |b| array
+    S[b]'.  Each block holds exactly the values of that slice of the dense
+    array, so a pass over the blocks gives the numbers of the same pass
+    over the dense matrix.  The buffer belongs to this generator, so
+    threads that share the blocks each run their own.
     """
     n = S.shape[1]
     ptr = S.indptr
-    blocks = list(_row_blocks(S.shape[0]))
-    buf = np.zeros((blocks[0].stop - blocks[0].start) * n)  # the first block is the largest
+    if blocks is None:
+        blocks = _row_blocks(n)
+    buf = np.zeros(min(_block_rows(n), n) * n)  # a slice of _row_blocks at its largest
     for b in blocks:
         k, size = slice(ptr[b.start], ptr[b.stop]), b.stop - b.start
         row = np.repeat(np.arange(size), np.diff(ptr[b.start:b.stop + 1]))
@@ -693,6 +719,252 @@ def _dense_blocks(S, transposed: bool = False):
         yield b, buf[:size * n].reshape((n, size) if transposed else (size, n))
         buf[at] = 0.0
 
+
+# =====================================================================
+# threads, and LAPACK and BLAS without the GIL
+# =====================================================================
+
+def _usable_cores() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _openblas_thread_count():
+    """scipy_openblas_get_num_threads of the OpenBLAS that cython_lapack
+    calls, or None where that library has no such function."""
+    try:
+        function = ctypes.CDLL(cython_lapack.__file__).scipy_openblas_get_num_threads
+    except (AttributeError, OSError):
+        return None
+    function.restype, function.argtypes = ctypes.c_int, []
+    return function
+
+
+_openblas_threads = _openblas_thread_count()
+
+
+def _workers() -> int:
+    """Threads for the blocked passes: min(2, usable cores / BLAS threads),
+    and 1 where the BLAS does not report its thread count, so that the
+    passes never run more BLAS threads than there are cores."""
+    if _openblas_threads is None:
+        return 1
+    return max(1, min(2, _usable_cores() // max(1, _openblas_threads())))
+
+
+def _claims(items):
+    """A function that makes a new iterator on each call; together the
+    iterators hand out the items of one shared iterator, each once, under a
+    lock, so threads may share the items."""
+    source, lock = iter(items), threading.Lock()
+
+    def claimed():
+        while True:
+            with lock:
+                item = next(source, None)
+            if item is None:
+                return
+            yield item
+
+    return claimed
+
+
+class _Threads:
+    """The threads the blocked passes over an n-state chain run on: the
+    calling thread and, where the chain spans more than one row block and
+    ``_workers()`` is 2, one pool thread.  A context manager: on exit it
+    shuts the pool down, so no thread outlives the call that made it.  A
+    pass gives each block, and each LAPACK call, the same arithmetic on
+    whichever thread runs it, so no number depends on the thread count."""
+
+    def __init__(self, n: int):
+        two = _block_rows(n) < n and _workers() == 2
+        self._pool = ThreadPoolExecutor(1) if two else None
+
+    def __enter__(self) -> _Threads:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def both(self, first, second) -> tuple:
+        """first() on the pool thread while second() runs on this one, or
+        first() and then second() here; their results, once both have
+        returned.  An error of first() is raised here, after second()."""
+        if self._pool is None:
+            return first(), second()
+        task = self._pool.submit(first)
+        try:
+            done = second()
+        finally:
+            other = task.result()  # waits, and re-raises the pool thread's error
+        return other, done
+
+    def run(self, work, items) -> list:
+        """work(claimed) on each thread, with ``claimed`` iterating over the
+        items that thread claims from ``items`` (see _claims); the results
+        of the calls."""
+        if self._pool is None:
+            return [work(iter(items))]
+        claimed = _claims(items)
+        return list(self.both(lambda: work(claimed()), lambda: work(claimed())))
+
+
+_ROUTINES = {
+    # the arguments of each routine, every one passed by pointer: c a char,
+    # i an int, a a double array, x a double scalar.  A LAPACK routine's
+    # last int is its info, which _call passes and returns
+    "dpotrf": (cython_lapack, "ciaii"),
+    "dpotri": (cython_lapack, "ciaii"),
+    "dtrtri": (cython_lapack, "cciaii"),
+    "dlauum": (cython_lapack, "ciaii"),
+    "dtrsm": (cython_blas, "cccciixaiai"),
+    "dsyrk": (cython_blas, "cciixaixai"),
+    "dgemm": (cython_blas, "cciiixaiaixai"),
+    "dtrmm": (cython_blas, "cccciixaiai"),
+}
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _bind(name: str):
+    """The routine ``name`` of scipy.linalg's cython_lapack or cython_blas,
+    from the function pointer its ``__pyx_capi__`` exports, as a ctypes
+    function, which releases the GIL for each call.  These are the
+    routines the wrappers of scipy.linalg.lapack and scipy.linalg.blas
+    call."""
+    module, kinds = _ROUTINES[name]
+    capsule = module.__pyx_capi__[name]
+    address = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(kinds))(address)
+
+
+_BOUND = {name: _bind(name) for name in _ROUTINES}
+
+
+def _call(name: str, *args) -> int:
+    """Call the routine ``name`` of _ROUTINES with ``args``, in its order: a
+    str for each char, an int for each int, an array's address for each
+    array and a float for each scalar; a LAPACK routine's info, else 0."""
+    module, kinds = _ROUTINES[name]
+    info = ctypes.c_int(0)
+    lapack = module is cython_lapack
+    if len(args) != len(kinds) - lapack:
+        raise TypeError(f"{name} takes {len(kinds) - lapack} arguments, got {len(args)}")
+    refs = [value.encode() if kind == "c"
+            else ctypes.byref(ctypes.c_int(value)) if kind == "i"
+            else ctypes.byref(ctypes.c_double(value)) if kind == "x"
+            else value
+            for kind, value in zip(kinds, args)]
+    _BOUND[name](*refs, *[ctypes.byref(info)] * lapack)
+    return info.value
+
+
+_SPLIT = 320
+"""The order from which _cholesky_inverse inverts in two halves.  In 41
+alternating calls per size, with one BLAS thread on each of 2 cores and
+the pool made for each call, the split's median took 1.56 ms against
+potrf and potri's 1.11 at n = 257 and 1.91 against 1.88 at 288; from 320
+to 700 it was 1.02 to 1.47 times faster in two rounds, but for 352 and
+448 in one of them (0.80 and 0.96).  Every larger size tried was faster
+still: 1.4 to 1.8 times at 1024 to 1600."""
+
+
+def _halves(size: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(start, count) of the two halves of ``size`` consecutive indices."""
+    h = size // 2
+    return (0, h), (h, size - h)
+
+
+def _rank_update(threads: _Threads, trans: str, alpha: float, size: int, inner: int,
+                 x, c, ld: int) -> None:
+    """C += alpha X'X (trans "T", X of shape inner x size) or alpha X X'
+    ("N", X of shape size x inner) on the upper triangle of the size x size
+    C, as two calls of equal work on ``threads``: dsyrk on C's first
+    p = size / sqrt(2) columns, and dgemm above the diagonal and dsyrk on
+    it for the rest.  x(j) is the address of X's column j ("T") or row j
+    ("N"), c(i, j) that of C_ij; both Fortran-ordered with leading
+    dimension ``ld``."""
+    p = round(size / math.sqrt(2))
+    other = "N" if trans == "T" else "T"
+
+    def first():
+        _call("dsyrk", "U", trans, p, inner, alpha, x(0), ld, 1.0, c(0, 0), ld)
+
+    def second():
+        _call("dgemm", trans, other, p, size - p, inner, alpha, x(0), ld, x(p), ld,
+              1.0, c(0, p), ld)
+        _call("dsyrk", "U", trans, size - p, inner, alpha, x(p), ld, 1.0, c(p, p), ld)
+
+    threads.both(first, second)
+
+
+def _cholesky_inverse(B: np.ndarray, threads: _Threads) -> bool:
+    """Invert in place the symmetric positive definite matrix whose lower
+    triangle the C-ordered n x n array B holds, leaving the lower triangle
+    of the inverse there; False if LAPACK finds it not positive definite.
+
+    LAPACK reads that triangle as the upper one of A = B', Fortran-ordered.
+    Below _SPLIT it runs dpotrf and dpotri.  From _SPLIT it takes the 2 x 2
+    partition of A = U'U by a fixed split k = n // 2 (as in the RFP
+    Cholesky of Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 37(2),
+    2010), each pair of calls on the two ``threads``:
+    U11 by dpotrf; U12 = U11'^-1 A12 by dtrsm on two halves of its columns,
+    and A22 - U12'U12 by _rank_update; U22 by dpotrf; V11 = U11^-1 and
+    V22 = U22^-1 by dtrtri side by side; V12 = -V11 U12 V22 by dtrmm on two
+    halves of the rows, then two halves of the columns.  Then A^-1 = V V':
+    V11 V11' by dlauum, + V12 V12' by _rank_update, V12 V22' by dtrmm on
+    two halves of the rows, V22 V22' by dlauum.  On random arrays of
+    condition 40 at n = 320 to 1024, its error against np.linalg.inv was
+    0.7 to 1.3 times potri's.
+    """
+    n = B.shape[0]
+    if B.dtype != np.float64 or B.shape != (n, n) or not B.flags.c_contiguous:
+        raise ValueError("_cholesky_inverse takes a C-ordered square float64 array")
+    base = B.ctypes.data
+
+    def at(i: int, j: int) -> int:  # the address of A_ij
+        return base + B.itemsize * (i + j * n)
+
+    if n < _SPLIT:
+        return _call("dpotrf", "U", n, base, n) == 0 and _call("dpotri", "U", n, base, n) == 0
+    k, m = n // 2, n - n // 2
+
+    def split(make, size: int) -> tuple:
+        return threads.both(*(partial(make, start, count) for start, count in _halves(size)))
+
+    if _call("dpotrf", "U", k, at(0, 0), n):
+        return False
+    split(lambda j, w: _call("dtrsm", "L", "U", "T", "N", k, w, 1.0, at(0, 0), n,
+                             at(0, k + j), n), m)
+    _rank_update(threads, "T", -1.0, m, k, lambda j: at(0, k + j),
+                 lambda i, j: at(k + i, k + j), n)
+    if _call("dpotrf", "U", m, at(k, k), n):
+        return False
+    if any(threads.both(partial(_call, "dtrtri", "U", "N", k, at(0, 0), n),
+                        partial(_call, "dtrtri", "U", "N", m, at(k, k), n))):
+        return False
+    split(lambda i, h: _call("dtrmm", "R", "U", "N", "N", h, m, -1.0, at(k, k), n,
+                             at(i, k), n), k)
+    split(lambda j, w: _call("dtrmm", "L", "U", "N", "N", k, w, 1.0, at(0, 0), n,
+                             at(0, k + j), n), m)
+    _call("dlauum", "U", k, at(0, 0), n)
+    _rank_update(threads, "N", 1.0, k, m, lambda i: at(i, k), at, n)
+    split(lambda i, h: _call("dtrmm", "R", "U", "T", "N", h, m, 1.0, at(k, k), n,
+                             at(i, k), n), k)
+    _call("dlauum", "U", m, at(k, k), n)
+    return True
+
+
+# =====================================================================
+# the fundamental matrix
+# =====================================================================
 
 def _fundamental_cholesky(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray | None:
     """Z of a reversible chain, in one n x n buffer; None if not positive definite.
@@ -705,47 +977,54 @@ def _fundamental_cholesky(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray | N
     (A_ij + A_ji) * -0.5 + sqrt(pi_i) sqrt(pi_j) from the rows and one
     contiguous copy of the column strip: the numbers of the same formula on
     the dense arrays, with no copy of the entries.  The diagonal entries
-    1 - P_ii are summed from each dense row's other entries.  LAPACK potrf
-    and potri then factor and invert the lower triangle in place, and one
-    pass of row blocks mirrors it onto the upper triangle and scales it.
+    1 - P_ii are summed from each dense row's other entries.
+    _cholesky_inverse then inverts the lower triangle in place, one pass of
+    row blocks mirrors it onto the upper triangle, and one more scales it.
+    Every pass runs its blocks on the same _Threads as the inversion.
     """
-    from scipy.linalg import lapack
-
     n = pi.size
     s = np.sqrt(pi)
     B = np.empty((n, n))
     diag = np.empty(n)
-    for b, rows in P._rows():
-        np.multiply(s[b, None], rows, out=B[b])
-        B[b] /= s
-        # summed from the row's other entries, 1 - P_ii keeps sqrt(pi) the null
-        # vector of B_s - sqrt(pi) sqrt(pi)' to within the entries' own rounding
-        # (adding the identity last instead moved K(P^2) of the uniform
-        # line1200 by 2.5e-11)
-        rows[np.arange(b.stop - b.start), np.arange(b.start, b.stop)] = 0.0
-        diag[b] = rows.sum(axis=1) + pi[b]
-    for b in _row_blocks(n):  # no earlier block wrote the column strip B[:stop, b]
-        low = B[b, :b.stop]
-        low += np.ascontiguousarray(B[:b.stop, b]).T
-        low *= -0.5
-        low += s[b, None] * s[:b.stop]
-    B[np.diag_indices(n)] = diag
-    # B.T is the Fortran-ordered view of B, and its upper triangle is B's
-    # lower one, so LAPACK factors and inverts that triangle in place,
-    # leaving the lower triangle of Z = c.T
-    c, info = lapack.dpotrf(B.T, lower=False, overwrite_a=True, clean=False)
-    if info == 0:
-        c, info = lapack.dpotri(c, lower=False, overwrite_c=True)
-    if info != 0:
-        return None
-    Z = c.T
-    for b in _row_blocks(n):  # rows b: mirrored, then Z_ij = c_ij s_j / s_i
-        corner = Z[b, b]
-        np.copyto(corner, corner.T, where=np.tri(*corner.shape, -1, dtype=bool).T)
-        Z[b, b.stop:] = np.ascontiguousarray(Z[b.stop:, b]).T
-        Z[b] *= s
-        Z[b] /= s[b, None]
-    return Z
+
+    def fill(blocks) -> None:
+        for b, rows in P._rows(blocks):
+            np.multiply(s[b, None], rows, out=B[b])
+            B[b] /= s
+            # summed from the row's other entries, 1 - P_ii keeps sqrt(pi) the
+            # null vector of B_s - sqrt(pi) sqrt(pi)' to within the entries' own
+            # rounding (adding the identity last instead moved K(P^2) of the
+            # uniform line1200 by 2.5e-11)
+            rows[np.arange(b.stop - b.start), np.arange(b.start, b.stop)] = 0.0
+            diag[b] = rows.sum(axis=1) + pi[b]
+
+    def symmetrize(blocks) -> None:
+        for b in blocks:  # no block writes another's column strip B[:stop, b]
+            low = B[b, :b.stop]
+            low += np.ascontiguousarray(B[:b.stop, b]).T
+            low *= -0.5
+            low += s[b, None] * s[:b.stop]
+
+    def mirror(blocks) -> None:
+        for b in blocks:  # reads only rows below b, which no block writes
+            corner = B[b, b]
+            np.copyto(corner, corner.T, where=np.tri(*corner.shape, -1, dtype=bool).T)
+            B[b, b.stop:] = np.ascontiguousarray(B[b.stop:, b]).T
+
+    def scale(blocks) -> None:
+        for b in blocks:  # Z_ij = c_ij s_j / s_i, once every row is mirrored
+            B[b] *= s
+            B[b] /= s[b, None]
+
+    with _Threads(n) as threads:
+        threads.run(fill, _row_blocks(n))
+        threads.run(symmetrize, _row_blocks(n))
+        B[np.diag_indices(n)] = diag
+        if not _cholesky_inverse(B, threads):
+            return None
+        threads.run(mirror, _row_blocks(n))
+        threads.run(scale, _row_blocks(n))
+    return B
 
 
 def _hitting_residual(P: StochasticMatrix, Z: np.ndarray, pi: np.ndarray) -> float:
@@ -760,7 +1039,8 @@ def _hitting_residual(P: StochasticMatrix, Z: np.ndarray, pi: np.ndarray) -> flo
     P = F F) to contiguous copies of column blocks of Z, F (F Z[:, c]); a
     dense chain takes dense row blocks P[b] Z, an n^3 product.  A CSR
     product sums each column on its own, in nnz order, so the column blocks
-    give the numbers of the full product F (F Z).
+    give the numbers of the full product F (F Z).  The blocks run on
+    _Threads, and the residual is the largest of their maxima.
     """
     z = np.diag(Z)
 
@@ -777,19 +1057,26 @@ def _hitting_residual(P: StochasticMatrix, Z: np.ndarray, pi: np.ndarray) -> flo
             X = _product(F, X)
         return X
 
-    worst = 0.0
-    if P._factors is None:
-        for b, rows in _dense_blocks(P._csr):
+    def dense(blocks) -> float:
+        worst = 0.0
+        for b, rows in _dense_blocks(P._csr, blocks=blocks):
             slack = 1.0 - rows.sum(axis=1)
             diag = (np.arange(b.stop - b.start), np.arange(b.start, b.stop))
             worst = max(worst, worst_of(rows @ Z, Z[b], slack, z, pi, diag))
         return worst
-    slack = 1.0 - times_p(np.ones(pi.size))
-    for c in _row_blocks(pi.size):
-        diag = (np.arange(c.start, c.stop), np.arange(c.stop - c.start))
-        Zc = np.ascontiguousarray(Z[:, c])
-        worst = max(worst, worst_of(times_p(Zc), Zc, slack, z[c], pi[c], diag))
-    return worst
+
+    def strips(blocks) -> float:
+        worst = 0.0
+        for c in blocks:
+            diag = (np.arange(c.start, c.stop), np.arange(c.stop - c.start))
+            Zc = np.ascontiguousarray(Z[:, c])
+            worst = max(worst, worst_of(times_p(Zc), Zc, slack, z[c], pi[c], diag))
+        return worst
+
+    if P._factors is not None:
+        slack = 1.0 - times_p(np.ones(pi.size))
+    with _Threads(pi.size) as threads:
+        return max(threads.run(dense if P._factors is None else strips, _row_blocks(pi.size)))
 
 
 def _fundamental_matrix(P: StochasticMatrix) -> np.ndarray:
@@ -963,37 +1250,53 @@ def effective_resistance(P: StochasticMatrix) -> np.ndarray:
     _resistance_blocks, so no H is built (the values equal H + H' bit for
     bit).  Requires reversibility.
     """
+    Z, pi = _reversible_z(P)
     R = np.empty((P.n, P.n))
-    for b, rows in _resistance_blocks(P):
+
+    def fill(b, rows) -> None:
         R[b, :b.stop] = rows
-    for b in _row_blocks(P.n):
-        R[b, b.stop:] = R[b.stop:, b].T
+
+    def mirror(blocks) -> None:
+        for b in blocks:
+            R[b, b.stop:] = R[b.stop:, b].T
+
+    with _Threads(P.n) as threads:
+        _resistance_blocks(Z, pi, threads, fill)
+        threads.run(mirror, _row_blocks(P.n))
     return R
 
 
 def _max_resistance(P: StochasticMatrix) -> float:
     """max_ij R_ij of :func:`effective_resistance`, without an n x n R."""
-    return max(float(rows.max()) for _, rows in _resistance_blocks(P))
+    Z, pi = _reversible_z(P)
+    with _Threads(P.n) as threads:
+        return max(_resistance_blocks(Z, pi, threads, lambda b, rows: float(rows.max())))
 
 
-def _resistance_blocks(P: StochasticMatrix):
-    """(b, R[b, :b.stop]) for the row blocks b, with
-    R_ij = (Z_jj - Z_ij) / pi_j + (Z_ii - Z_ji) / pi_i, the one reader of R.
+def _resistance_blocks(Z: np.ndarray, pi: np.ndarray, threads: _Threads, use) -> list:
+    """use(b, R[b, :b.stop]) for the row blocks b, on ``threads``, with
+    R_ij = (Z_jj - Z_ij) / pi_j + (Z_ii - Z_ji) / pi_i, the one reader of R;
+    the results, in no fixed order.
 
     R = H + H' is symmetric bit for bit, since its two terms are added in
     either order, so the i >= j triangle holds all of it: row block b takes
     H[b, :stop] + H[:stop, b]' from the rows Z[b] and one contiguous copy
     of the column strip Z[:stop, b].
     """
-    Z, pi = _reversible_z(P)
     z = np.diag(Z)
-    for b in _row_blocks(P.n):
-        H_col = z[b] - Z[:b.stop, b]
-        H_col /= pi[b]
-        rows = z[:b.stop] - Z[b, :b.stop]
-        rows /= pi[:b.stop]
-        rows += H_col.T
-        yield b, rows
+
+    def work(blocks) -> list:
+        results = []
+        for b in blocks:
+            H_col = z[b] - Z[:b.stop, b]
+            H_col /= pi[b]
+            rows = z[:b.stop] - Z[b, :b.stop]
+            rows /= pi[:b.stop]
+            rows += H_col.T
+            results.append(use(b, rows))
+        return results
+
+    return [r for part in threads.run(work, _row_blocks(pi.size)) for r in part]
 
 
 def _reversible_z(P: StochasticMatrix) -> tuple[np.ndarray, np.ndarray]:

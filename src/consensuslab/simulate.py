@@ -34,7 +34,6 @@ most 8.3e-15 relative on any number of a trace CSV or summary, and at most
 from __future__ import annotations
 
 import numbers
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ from . import tolerances
 from ._csvrows import _csv_rows, _int_field
 from .disagreement import NoiseCovariance, _check_noise
 from .errors import DimensionMismatch, InvalidParam, NoConvergence
-from .markov import StochasticMatrix, _kernel
+from .markov import StochasticMatrix, _kernel, _usable_cores
 
 __all__ = [
     "SimConfig",
@@ -144,13 +143,6 @@ def _noise_factor(noise: NoiseCovariance):
     if noise.is_diagonal:
         return np.sqrt(noise.variances())[:, None, None]
     return sparse.csr_array(noise.sampling_factor())
-
-
-def _usable_cores() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _draw_noise(rngs, kind: str, z: np.ndarray, pool, workers: int):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -187,8 +188,10 @@ def _dense_walk(g, chain: str) -> np.ndarray:
 
 def _whole_array_cholesky_z(E: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Z of a reversible chain with B_s built from the whole dense array at
-    once, then factored and inverted by the LAPACK calls the package makes."""
-    from scipy.linalg import lapack
+    once, then inverted by the package's own inverse of a whole array
+    (markov._cholesky_inverse), so that the blocked passes around it are
+    what the comparison checks."""
+    from consensuslab.markov import _cholesky_inverse, _Threads
 
     s = np.sqrt(pi)
     A = s[:, None] * E / s
@@ -196,9 +199,9 @@ def _whole_array_cholesky_z(E: np.ndarray, pi: np.ndarray) -> np.ndarray:
     off = E.copy()
     np.fill_diagonal(off, 0.0)
     B[np.diag_indices(pi.size)] = off.sum(axis=1) + pi
-    c, _ = lapack.dpotrf(B.T, lower=False, overwrite_a=True, clean=False)
-    c, _ = lapack.dpotri(c, lower=False, overwrite_c=True)
-    Z = np.tril(c.T) + np.tril(c.T, -1).T
+    with _Threads(pi.size) as threads:
+        assert _cholesky_inverse(B, threads)
+    Z = np.tril(B) + np.tril(B, -1).T
     return Z * s / s[:, None]
 
 
@@ -263,6 +266,159 @@ def test_direct_routes_of_the_fundamental_matrix():
     # 5.6e-15 off the plain LU Z at one BLAS thread and 7.5e-15 at two,
     # whose entries reach 1; 4x that covers another LAPACK build's rounding
     assert np.abs(cycle._fundamental[0] - _lu_referees(cycle)[1]).max() <= 3e-14
+
+
+def _spd(n: int, seed: int) -> np.ndarray:
+    """A random symmetric positive definite n x n array, condition about 40."""
+    X = np.random.default_rng(seed).standard_normal((n, n))
+    return X @ X.T / n + 0.1 * np.eye(n)
+
+
+@pytest.fixture(params=[1, 2], ids=["one-thread", "two-threads"])
+def workers(request, monkeypatch):
+    """markov's blocked passes on one thread, or on two whatever the cores
+    and BLAS threads; a short switch interval, so the threads interleave."""
+    from consensuslab import markov
+
+    monkeypatch.setattr(markov, "_workers", lambda: request.param)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield request.param
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", [2, 200, 319, 320, 321, 777])
+def test_cholesky_inverse_is_potri_below_the_split_and_as_accurate_above(n, workers):
+    # below markov._SPLIT the route is dpotrf + dpotri, bit for bit; from it,
+    # the two-way block inverse, whose error against np.linalg.inv was at
+    # most 1.3 times potri's on these arrays
+    from scipy.linalg import lapack
+
+    from consensuslab.markov import _SPLIT, _cholesky_inverse, _Threads
+
+    assert _SPLIT == 320
+    for seed in range(2):
+        A = _spd(n, seed)
+        c, info = lapack.dpotrf(A, lower=False, clean=False)
+        c, info2 = lapack.dpotri(c, lower=False, overwrite_c=True)
+        assert info == info2 == 0
+        B = A.copy()  # its lower triangle is the upper one of A = B'
+        with _Threads(n) as threads:
+            assert _cholesky_inverse(B, threads)
+        got, potri = np.tril(B).T, np.triu(c)
+        if n < _SPLIT:
+            assert np.array_equal(got, potri)
+        else:
+            ref = np.triu(np.linalg.inv(A))
+            scale = np.abs(ref).max()
+            assert np.abs(got - ref).max() <= 2 * np.abs(potri - ref).max()
+            assert np.abs(got - ref).max() <= 1e-14 * scale
+
+
+class _Rows:
+    """A stand-in for a chain that _fundamental_cholesky reads: its dense
+    row blocks."""
+
+    def __init__(self, E: np.ndarray):
+        self.E = E
+
+    def _rows(self, blocks=None):
+        blocks = _row_blocks(len(self.E)) if blocks is None else blocks
+        return ((b, self.E[b].copy()) for b in blocks)
+
+
+@pytest.mark.parametrize("n", [300, 321, 640])
+@pytest.mark.parametrize("half", ["first", "second"])
+def test_cholesky_route_refuses_what_is_not_positive_definite(n, half, workers):
+    # a failure of either half's potrf (or of the one potrf below the split)
+    # gives False, and _fundamental_cholesky returns None, which sends the
+    # chain to the LU route
+    from consensuslab.markov import _cholesky_inverse, _fundamental_cholesky, _Threads
+
+    B = _spd(n, 0)
+    k = 0 if half == "first" else n - 1
+    B[k, k] = -1.0
+    with _Threads(n) as threads:
+        assert not _cholesky_inverse(B, threads)
+    # steps of -0.5 between four states of one half give those states
+    # negative diagonal entries of B_s, which sums 1 - P_ii from the others
+    E = np.eye(n)
+    four = np.arange(4) if half == "first" else np.arange(n - 4, n)
+    E[np.ix_(four, four)] -= 0.5
+    assert _fundamental_cholesky(_Rows(E), np.full(n, 1.0 / n)) is None
+
+
+def test_lapack_bindings_match_the_exported_signatures():
+    # markov._call passes each routine's arguments by the kinds of
+    # markov._ROUTINES; each must match the C signature scipy exports in the
+    # name of its capsule, so that a scipy upgrade that changes one fails
+    # here and not inside LAPACK
+    from consensuslab.markov import _ROUTINES, _capsule_name
+
+    kind_of = {"char *": "c", "int *": "i"}
+    for name, (module, kinds) in _ROUTINES.items():
+        signature = _capsule_name(module.__pyx_capi__[name]).decode()
+        head, args = signature.split("(", 1)
+        assert head.strip() == "void", signature
+        got = "".join(kind_of.get(a.strip(), "d" if a.strip().endswith("_d *") else "?")
+                      for a in args.rstrip(")").split(","))
+        assert got == kinds.replace("a", "d").replace("x", "d"), (name, signature)
+    # the scalars are the alpha and beta of the BLAS routines
+    assert {name: kinds.count("x") for name, (_, kinds) in _ROUTINES.items()} == {
+        "dpotrf": 0, "dpotri": 0, "dtrtri": 0, "dlauum": 0,
+        "dtrsm": 1, "dsyrk": 2, "dgemm": 2, "dtrmm": 1}
+
+
+def test_usable_cores_is_the_affinity_set_or_the_cpu_count(monkeypatch):
+    import os
+
+    from consensuslab.markov import _usable_cores
+
+    assert _usable_cores() >= 1
+    if hasattr(os, "sched_getaffinity"):
+        assert _usable_cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _usable_cores() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cores() == 1
+
+
+def test_block_workers_follow_the_cores_and_the_blas_threads(monkeypatch):
+    from consensuslab import markov
+
+    for cores, blas, workers in ((1, 1, 1), (2, 1, 2), (8, 1, 2), (2, 2, 1), (1, 2, 1), (4, 2, 2)):
+        monkeypatch.setattr(markov, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(markov, "_openblas_threads", lambda: blas)
+        assert markov._workers() == workers
+    monkeypatch.setattr(markov, "_openblas_threads", None)
+    assert markov._workers() == 1
+
+
+@pytest.mark.parametrize("family, n, chain", [
+    ("line", 321, "uniform"), ("two-star", 400, "uniform"), ("tree", 511, "lazy"),
+    ("complete", 300, "lazy"),
+])
+def test_blocked_passes_do_not_depend_on_the_threads(family, n, chain, monkeypatch):
+    # Z of P^2 (the held square of the two-star, the dense square of the
+    # complete graph), its hitting residual, R and max R, on one thread and
+    # on two: the same bits
+    from consensuslab import markov
+
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(markov, "_workers", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            P = (lazy_walk_matrix if chain == "lazy" else uniform_edge_matrix)(build_graph(family, n))
+            Q = square_chain(P)
+            Z, worst = Q._fundamental
+            results.append((Z, worst, effective_resistance(Q), _max_resistance(Q)))
+        finally:
+            sys.setswitchinterval(interval)
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
 
 
 def test_column_blocked_hitting_residual_equals_the_full_product():

@@ -7,16 +7,23 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import package_env, random_reversible_chain
+from conftest import package_env, random_reversible_chain, run_main
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensuslab import simulate
+from consensuslab import markov, simulate
 from consensuslab.disagreement import NoiseCovariance, delta_ss_theorem, divergence_probe
 from consensuslab.errors import InvalidParam, NoConvergence
 from consensuslab.formation import ring_demo_spec, simulate_formation
-from consensuslab.graphs import ring_graph, star_graph
-from consensuslab.markov import StochasticMatrix, lazy_walk_matrix, simple_walk_matrix
+from consensuslab.graphs import line_graph, ring_graph, star_graph
+from consensuslab.markov import (
+    StochasticMatrix,
+    kemeny_constant_combinatorial,
+    lazy_walk_matrix,
+    simple_walk_matrix,
+    square_chain,
+    uniform_edge_matrix,
+)
 from consensuslab.simulate import (
     SimConfig,
     _run_trials,
@@ -202,39 +209,38 @@ def test_kernel_step_is_the_csr_product_then_the_noise_bit_for_bit(
         np.testing.assert_array_equal(x, X.ravel())
 
 
-def test_usable_cores_is_the_affinity_set_or_the_cpu_count(monkeypatch):
-    assert simulate._usable_cores() >= 1
-    if hasattr(os, "sched_getaffinity"):
-        assert simulate._usable_cores() == len(os.sched_getaffinity(0))
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert simulate._usable_cores() == 5
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert simulate._usable_cores() == 1
-
-
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
 def test_cli_outputs_do_not_depend_on_the_usable_cores(tmp_path):
+    # at one BLAS thread, unpinned on two or more cores, the noise draws and
+    # markov's blocked passes run on two threads, and pinned on one; the
+    # sweep and analyze chains are above markov._SPLIT, and the two-star's
+    # dense square is held as its factor
     cpu = min(os.sched_getaffinity(0))
     runs = {
         "simulate": ["simulate", "--family", "ring", "--n", "16", "--horizon", "700",
-                     "--trials", "5", "--burn-in", "100", "--seed", "4"],
+                     "--trials", "5", "--burn-in", "100", "--seed", "4",
+                     "--out", "{stem}.csv", "--summary", "{stem}.json"],
         "formation": ["formation", "--family", "tree", "--n", "127", "--lambda2", "0.0004",
                       "--horizon", "300", "--trials", "3", "--burn-in", "100",
-                      "--record-every", "3", "--seed", "4"],
+                      "--record-every", "3", "--seed", "4",
+                      "--out", "{stem}.csv", "--summary", "{stem}.json"],
+        "sweep": ["sweep", "--family", "two-star", "--n-list", "900,1600", "--chain", "uniform",
+                  "--out", "{stem}.csv"],
+        "analyze": ["analyze", "--family", "line", "--n", "1200", "--chain", "uniform",
+                    "--out", "{stem}.json"],
     }
     for pinned in (True, False):
         for name, argv in runs.items():
             stem = tmp_path / f"{name}-{pinned}"
             r = subprocess.run(
-                [sys.executable, "-m", "consensuslab", *argv,
-                 "--out", f"{stem}.csv", "--summary", f"{stem}.json"],
-                capture_output=True, env=package_env(), timeout=120,
+                [sys.executable, "-m", "consensuslab", *(a.format(stem=stem) for a in argv)],
+                capture_output=True, env={**package_env(), "OPENBLAS_NUM_THREADS": "1"},
+                timeout=120,
                 preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pinned else None)
             assert r.returncode == 0, r.stderr
             (tmp_path / f"{name}-{pinned}.out").write_bytes(r.stdout)
-    for name in runs:
-        for ext in ("csv", "json", "out"):
+    for name, argv in runs.items():
+        for ext in [a.rsplit(".", 1)[1] for a in argv if "{stem}" in a] + ["out"]:
             pinned, free = (tmp_path / f"{name}-{flag}.{ext}" for flag in (True, False))
             assert pinned.read_bytes() == free.read_bytes(), (name, ext)
 
@@ -269,6 +275,24 @@ def test_runs_leave_no_draw_thread_behind(monkeypatch):
         with pytest.raises(Boom):
             simulate_formation(ring_demo_spec(), cfg)
         assert threading.enumerate() == before
+
+    # the blocked passes of a sweep row above markov._SPLIT, on two threads,
+    # and a LAPACK call that raises on the pool thread
+    monkeypatch.setattr(markov, "_workers", lambda: 2)
+    code, _, err = run_main("sweep", "--family", "line", "--n-list", "400", "--chain", "uniform")
+    assert code == 0, err
+    assert threading.enumerate() == before
+    call, caller = markov._call, threading.current_thread()
+
+    def pool_raises(*args):
+        if threading.current_thread() is not caller:
+            raise Boom
+        return call(*args)
+
+    monkeypatch.setattr(markov, "_call", pool_raises)
+    with pytest.raises(Boom):
+        kemeny_constant_combinatorial(square_chain(uniform_edge_matrix(line_graph(400))))
+    assert threading.enumerate() == before
 
 
 def _failing_second_chunk(side: str, trial_rng):
