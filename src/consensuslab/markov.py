@@ -40,9 +40,11 @@ off Z, and H is only built when asked for; the O(n^2) passes over Z read
 it by contiguous row blocks and column strips.
 
 The inversion and the O(n^2) passes around it run on up to two threads
-(_Threads): the caller and, for a chain of more than one row block, one
-pool thread that lives for one call, where the usable cores allow it at
-the BLAS's own thread count (_workers).  LAPACK and BLAS are called
+(_block_threads): the caller and, for a chain of more than one row block,
+one pool thread that lives for one call, where the usable cores allow it
+at the BLAS's own thread count (_workers).  _Threads, which simulate's
+noise draws run on too, is the one layer that hands out work, joins a
+pool and re-raises a pool thread's error.  LAPACK and BLAS are called
 through ctypes from the function pointers that scipy.linalg.cython_lapack
 and cython_blas export (_call), which releases the GIL that
 scipy.linalg.lapack's wrappers hold.  From _SPLIT states B_s is inverted
@@ -754,6 +756,12 @@ def _workers() -> int:
     return max(1, min(2, _usable_cores() // max(1, _openblas_threads())))
 
 
+def _block_threads(n: int) -> int:
+    """Threads for the blocked passes over an n-state chain: ``_workers()``
+    where the chain spans more than one row block, else one."""
+    return _workers() if _block_rows(n) < n else 1
+
+
 def _claims(items):
     """A function that makes a new iterator on each call; together the
     iterators hand out the items of one shared iterator, each once, under a
@@ -771,17 +779,29 @@ def _claims(items):
     return claimed
 
 
-class _Threads:
-    """The threads the blocked passes over an n-state chain run on: the
-    calling thread and, where the chain spans more than one row block and
-    ``_workers()`` is 2, one pool thread.  A context manager: on exit it
-    shuts the pool down, so no thread outlives the call that made it.  A
-    pass gives each block, and each LAPACK call, the same arithmetic on
-    whichever thread runs it, so no number depends on the thread count."""
+def _joined(tasks, work) -> list:
+    """The results of the pool ``tasks`` and then of work(), run here, once
+    all have returned; a pool thread's error is raised after work() has
+    returned or raised."""
+    try:
+        mine = work()
+    finally:
+        for task in tasks:
+            task.exception()  # waits for each pool thread, whether it failed or not
+        done = [task.result() for task in tasks]  # re-raises a pool thread's error
+    return [*done, mine]
 
-    def __init__(self, n: int):
-        two = _block_rows(n) < n and _workers() == 2
-        self._pool = ThreadPoolExecutor(1) if two else None
+
+class _Threads:
+    """This thread and ``count - 1`` pool threads, for the blocked passes of
+    markov and the noise draws of simulate.  A context manager: on exit it
+    shuts the pool down, so no thread outlives the ``with`` block.  A pass
+    gives each item, and each LAPACK call, the same arithmetic on whichever
+    thread runs it, so no number depends on the thread count."""
+
+    def __init__(self, count: int):
+        self._count = count
+        self._pool = ThreadPoolExecutor(count - 1) if count > 1 else None
 
     def __enter__(self) -> _Threads:
         return self
@@ -791,26 +811,26 @@ class _Threads:
             self._pool.shutdown()
 
     def both(self, first, second) -> tuple:
-        """first() on the pool thread while second() runs on this one, or
+        """first() on a pool thread while second() runs on this one, or
         first() and then second() here; their results, once both have
         returned.  An error of first() is raised here, after second()."""
         if self._pool is None:
             return first(), second()
-        task = self._pool.submit(first)
-        try:
-            done = second()
-        finally:
-            other = task.result()  # waits, and re-raises the pool thread's error
-        return other, done
+        return tuple(_joined([self._pool.submit(first)], second))
+
+    def start(self, work, items):
+        """Hand work(claimed) to each pool thread at once, ``claimed`` being
+        the items that thread claims from ``items`` (see _claims); return
+        finish(), which runs work(claimed) here, then _joined's the pool."""
+        if self._pool is None:
+            return lambda: [work(iter(items))]
+        claimed = _claims(items)
+        tasks = [self._pool.submit(work, claimed()) for _ in range(self._count - 1)]
+        return partial(_joined, tasks, partial(work, claimed()))
 
     def run(self, work, items) -> list:
-        """work(claimed) on each thread, with ``claimed`` iterating over the
-        items that thread claims from ``items`` (see _claims); the results
-        of the calls."""
-        if self._pool is None:
-            return [work(iter(items))]
-        claimed = _claims(items)
-        return list(self.both(lambda: work(claimed()), lambda: work(claimed())))
+        """start(work, items)(): the results of work(claimed) on each thread."""
+        return self.start(work, items)()
 
 
 _ROUTINES = {
@@ -978,8 +998,8 @@ def _fundamental_cholesky(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray | N
     contiguous copy of the column strip: the numbers of the same formula on
     the dense arrays, with no copy of the entries.  The diagonal entries
     1 - P_ii are summed from each dense row's other entries.
-    _cholesky_inverse then inverts the lower triangle in place, one pass of
-    row blocks mirrors it onto the upper triangle, and one more scales it.
+    _cholesky_inverse then inverts the lower triangle in place, _mirror
+    copies it onto the upper triangle, and one pass of row blocks scales it.
     Every pass runs its blocks on the same _Threads as the inversion.
     """
     n = pi.size
@@ -1005,26 +1025,33 @@ def _fundamental_cholesky(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray | N
             low *= -0.5
             low += s[b, None] * s[:b.stop]
 
-    def mirror(blocks) -> None:
-        for b in blocks:  # reads only rows below b, which no block writes
-            corner = B[b, b]
-            np.copyto(corner, corner.T, where=np.tri(*corner.shape, -1, dtype=bool).T)
-            B[b, b.stop:] = np.ascontiguousarray(B[b.stop:, b]).T
-
     def scale(blocks) -> None:
         for b in blocks:  # Z_ij = c_ij s_j / s_i, once every row is mirrored
             B[b] *= s
             B[b] /= s[b, None]
 
-    with _Threads(n) as threads:
+    with _Threads(_block_threads(n)) as threads:
         threads.run(fill, _row_blocks(n))
         threads.run(symmetrize, _row_blocks(n))
         B[np.diag_indices(n)] = diag
         if not _cholesky_inverse(B, threads):
             return None
-        threads.run(mirror, _row_blocks(n))
+        _mirror(B, threads)
         threads.run(scale, _row_blocks(n))
     return B
+
+
+def _mirror(A: np.ndarray, threads: _Threads) -> None:
+    """Copy the lower triangle of the square A onto its upper one, by row
+    blocks on ``threads``."""
+
+    def mirror(blocks) -> None:
+        for b in blocks:  # reads only rows below b, which no block writes
+            corner = A[b, b]
+            np.copyto(corner, corner.T, where=np.tri(*corner.shape, -1, dtype=bool).T)
+            A[b, b.stop:] = np.ascontiguousarray(A[b.stop:, b]).T
+
+    threads.run(mirror, _row_blocks(A.shape[0]))
 
 
 def _hitting_residual(P: StochasticMatrix, Z: np.ndarray, pi: np.ndarray) -> float:
@@ -1075,7 +1102,7 @@ def _hitting_residual(P: StochasticMatrix, Z: np.ndarray, pi: np.ndarray) -> flo
 
     if P._factors is not None:
         slack = 1.0 - times_p(np.ones(pi.size))
-    with _Threads(pi.size) as threads:
+    with _Threads(_block_threads(pi.size)) as threads:
         return max(threads.run(dense if P._factors is None else strips, _row_blocks(pi.size)))
 
 
@@ -1256,20 +1283,16 @@ def effective_resistance(P: StochasticMatrix) -> np.ndarray:
     def fill(b, rows) -> None:
         R[b, :b.stop] = rows
 
-    def mirror(blocks) -> None:
-        for b in blocks:
-            R[b, b.stop:] = R[b.stop:, b].T
-
-    with _Threads(P.n) as threads:
+    with _Threads(_block_threads(P.n)) as threads:
         _resistance_blocks(Z, pi, threads, fill)
-        threads.run(mirror, _row_blocks(P.n))
+        _mirror(R, threads)
     return R
 
 
 def _max_resistance(P: StochasticMatrix) -> float:
     """max_ij R_ij of :func:`effective_resistance`, without an n x n R."""
     Z, pi = _reversible_z(P)
-    with _Threads(P.n) as threads:
+    with _Threads(_block_threads(P.n)) as threads:
         return max(_resistance_blocks(Z, pi, threads, lambda b, rows: float(rows.max())))
 
 

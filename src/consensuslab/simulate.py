@@ -4,12 +4,13 @@ One kernel, :func:`_run_trials`, steps every trial at once by a CSR
 product; the formation simulator runs it too, on a state of shape (n, d).
 Trial k draws its noise from its own stream, seeded by (seed, k) through
 numpy's SeedSequence spawning, NOISE_CHUNK steps at a time.  Gaussian
-streams are drawn by up to one thread per usable core, and no more threads
-than trials: while the calling thread steps one chunk, pool threads draw
-the next, and the calling thread joins them once it has stepped.  Each
-thread claims whole trials and draws each claimed block in one call, so
-which thread draws a trial changes none of its numbers.  Rademacher
-streams are drawn on the calling thread.  The states recorded within a
+streams are drawn on markov's thread layer (_Threads) by up to one thread
+per usable core, and no more threads than trials: while the calling
+thread steps one chunk, pool threads draw the next, and the calling
+thread joins them once it has stepped.  Each thread claims whole trials
+and draws each claimed block in one call, so which thread draws a trial
+changes none of its numbers.  Rademacher streams are drawn on the calling
+thread, by the same layer with no pool.  The states recorded within a
 chunk are reduced together at its end, by the same CSR products a per-step
 reduction would use; each column is summed on its own, so the numbers are
 those of one reduction per recorded step.
@@ -34,9 +35,8 @@ most 8.3e-15 relative on any number of a trace CSV or summary, and at most
 from __future__ import annotations
 
 import numbers
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -45,7 +45,7 @@ from . import tolerances
 from ._csvrows import _csv_rows, _int_field
 from .disagreement import NoiseCovariance, _check_noise
 from .errors import DimensionMismatch, InvalidParam, NoConvergence
-from .markov import StochasticMatrix, _kernel, _usable_cores
+from .markov import StochasticMatrix, _kernel, _Threads, _usable_cores
 
 __all__ = [
     "SimConfig",
@@ -92,7 +92,7 @@ class SimConfig:
             raise InvalidParam(
                 f"burn_in must be in [0, horizon), got {self.burn_in} vs horizon {self.horizon}"
             )
-        if self.noise not in ("gaussian", "rademacher"):
+        if not isinstance(self.noise, str) or self.noise not in ("gaussian", "rademacher"):
             raise InvalidParam(f"noise must be 'gaussian' or 'rademacher', got {self.noise!r}")
 
 
@@ -145,49 +145,19 @@ def _noise_factor(noise: NoiseCovariance):
     return sparse.csr_array(noise.sampling_factor())
 
 
-def _draw_noise(rngs, kind: str, z: np.ndarray, pool, workers: int):
-    """Start filling ``z``, of shape (trials, steps, n, d), with the next
-    ``steps`` standard draws of each trial, trial k's block ``z[k]`` from
-    ``rngs[k]``; return the function that completes the fill.
-
-    Trial k draws its whole block in one call, so consecutive fills continue
-    its stream exactly as one long draw would.  For Gaussian draws
-    ``workers - 1`` pool threads start at once, each claiming trials one by
-    one from a shared iterator under a lock, and the returned function has
-    the calling thread claim those left, then wait for the pool and re-raise
-    its first error.  Each trial is claimed once, so no generator serves two
-    threads, and a block's numbers do not depend on the thread that draws
-    it.  ``standard_normal`` releases the GIL while it fills a block, so the
-    pool draws while the caller works between the two calls.  The returned
-    function draws every Rademacher block on the calling thread, since
-    ``integers`` holds the GIL for much of each call and threads would only
-    contend for it.
-    """
-    steps, n, d = z.shape[1:]
-    claims = iter(range(len(rngs)))
-    lock = threading.Lock()
-
-    def fill() -> None:
-        while True:
-            with lock:
-                k = next(claims, None)
-            if k is None:
-                return
-            if kind == "gaussian":
-                rngs[k].standard_normal(out=z[k])
-            else:  # rademacher
-                z[k] = rngs[k].integers(0, 2, size=(steps, n, d))
-
-    tasks = [pool.submit(fill) for _ in range(workers - 1)] if kind == "gaussian" else []
-
-    def finish() -> None:
-        try:
-            fill()
-        finally:
-            for task in tasks:
-                task.result()  # waits, and re-raises a pool thread's error
-
-    return finish
+def _draw_noise(rngs, kind: str, z: np.ndarray, claimed) -> None:
+    """Fill ``z[k]``, of shape (steps, n, d), for each ``claimed`` trial k
+    with the next ``steps`` standard draws of ``rngs[k]``, in one call: so
+    consecutive fills continue its stream as one long draw would, and no
+    number depends on the thread that _Threads gives trial k to.
+    ``standard_normal`` releases the GIL while it fills a block, so pool
+    threads draw while the caller works; ``integers`` holds the GIL for much
+    of each call, so Rademacher blocks are drawn on the calling thread."""
+    for k in claimed:
+        if kind == "gaussian":
+            rngs[k].standard_normal(out=z[k])
+        else:  # rademacher
+            z[k] = rngs[k].integers(0, 2, size=z.shape[1:])
 
 
 def _shape_noise(z: np.ndarray, factor, kind: str, out: np.ndarray) -> None:
@@ -238,12 +208,13 @@ def _run_trials(P: StochasticMatrix, noise: NoiseCovariance, x0: np.ndarray, cfg
     :func:`_stepper` between two flat state buffers used in turn.
 
     The noise comes NOISE_CHUNK steps at a time, drawn into one trial-major
-    buffer by up to min(trials, usable cores) threads: this one and a pool
-    that lives as long as the run.  Once chunk c's draws are shaped into
-    noise, the pool starts drawing chunk c + 1 while this thread steps
-    chunk c; this thread then claims the trials of chunk c + 1 the pool has
-    not, waits for the pool and shapes the chunk.  Rademacher chunks are
-    drawn by this thread alone, once it has stepped the chunk before.
+    buffer on markov's _Threads: up to min(trials, usable cores) threads for
+    Gaussian noise, this one and a pool that lives as long as the run.
+    Once chunk c's draws are shaped into noise, the pool starts on chunk
+    c + 1 while this thread steps chunk c; at ``finish`` this thread then
+    claims the trials the pool has not, waits for it and shapes the chunk.
+    Rademacher chunks run on _Threads(1): this thread draws them alone, at
+    ``finish``, once it has stepped the chunk before.
 
     A recorded step only copies X into a snapshot buffer of shape (n, chunk
     // record_every + 1, trials * d).  Once per chunk, CSR products with the
@@ -287,16 +258,17 @@ def _run_trials(P: StochasticMatrix, noise: NoiseCovariance, x0: np.ndarray, cfg
     snaps = np.empty((n, chunk // cfg.record_every + 1, trials * d))
     snaps[:, 0] = x.reshape(n, -1)
     k, j = 0, 1  # the first record the buffer holds, and how many it holds
-    workers = min(trials, _usable_cores())
-    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
-        finish = _draw_noise(rngs, cfg.noise, z, pool, workers)
+    count = min(trials, _usable_cores()) if cfg.noise == "gaussian" else 1
+    with _Threads(count) as threads:
+        finish = threads.start(partial(_draw_noise, rngs, cfg.noise, z), range(trials))
         for start in range(0, cfg.horizon, chunk):
             W = buf[: min(chunk, cfg.horizon - start)]
             finish()
             _shape_noise(z[:, : len(W)], factor, cfg.noise, W)
             later = min(chunk, cfg.horizon - start - chunk)  # the next chunk's steps
             if later > 0:
-                finish = _draw_noise(rngs, cfg.noise, z[:, :later], pool, workers)
+                finish = threads.start(partial(_draw_noise, rngs, cfg.noise, z[:, :later]),
+                                       range(trials))
             for t, w in enumerate(W.reshape(len(W), -1), start + 1):
                 step(x, y, w)
                 x, y = y, x

@@ -68,6 +68,10 @@ CASES = [
                  id="simconfig-no-trials"),
     pytest.param(lambda: SimConfig(horizon=10, seed=-1), InvalidParam, "seed",
                  id="simconfig-negative-seed"),
+    pytest.param(lambda: SimConfig(horizon=10, noise=np.array(["gaussian", "x"])), InvalidParam,
+                 "noise", id="simconfig-noise-array"),
+    pytest.param(lambda: SimConfig(horizon=10, noise=np.array("gaussian")), InvalidParam,
+                 "noise", id="simconfig-noise-0d-array"),
     pytest.param(lambda: erdos_renyi_graph(10, 0.5, seed=-2), InvalidParam, "seed",
                  id="erdos-renyi-negative-seed"),
     pytest.param(lambda: random_regular_graph(10, 3, seed=-1), InvalidParam, "seed",

@@ -191,7 +191,7 @@ def _whole_array_cholesky_z(E: np.ndarray, pi: np.ndarray) -> np.ndarray:
     once, then inverted by the package's own inverse of a whole array
     (markov._cholesky_inverse), so that the blocked passes around it are
     what the comparison checks."""
-    from consensuslab.markov import _cholesky_inverse, _Threads
+    from consensuslab.markov import _block_threads, _cholesky_inverse, _Threads
 
     s = np.sqrt(pi)
     A = s[:, None] * E / s
@@ -199,7 +199,7 @@ def _whole_array_cholesky_z(E: np.ndarray, pi: np.ndarray) -> np.ndarray:
     off = E.copy()
     np.fill_diagonal(off, 0.0)
     B[np.diag_indices(pi.size)] = off.sum(axis=1) + pi
-    with _Threads(pi.size) as threads:
+    with _Threads(_block_threads(pi.size)) as threads:
         assert _cholesky_inverse(B, threads)
     Z = np.tril(B) + np.tril(B, -1).T
     return Z * s / s[:, None]
@@ -294,7 +294,7 @@ def test_cholesky_inverse_is_potri_below_the_split_and_as_accurate_above(n, work
     # most 1.3 times potri's on these arrays
     from scipy.linalg import lapack
 
-    from consensuslab.markov import _SPLIT, _cholesky_inverse, _Threads
+    from consensuslab.markov import _SPLIT, _block_threads, _cholesky_inverse, _Threads
 
     assert _SPLIT == 320
     for seed in range(2):
@@ -303,7 +303,7 @@ def test_cholesky_inverse_is_potri_below_the_split_and_as_accurate_above(n, work
         c, info2 = lapack.dpotri(c, lower=False, overwrite_c=True)
         assert info == info2 == 0
         B = A.copy()  # its lower triangle is the upper one of A = B'
-        with _Threads(n) as threads:
+        with _Threads(_block_threads(n)) as threads:
             assert _cholesky_inverse(B, threads)
         got, potri = np.tril(B).T, np.triu(c)
         if n < _SPLIT:
@@ -333,12 +333,17 @@ def test_cholesky_route_refuses_what_is_not_positive_definite(n, half, workers):
     # a failure of either half's potrf (or of the one potrf below the split)
     # gives False, and _fundamental_cholesky returns None, which sends the
     # chain to the LU route
-    from consensuslab.markov import _cholesky_inverse, _fundamental_cholesky, _Threads
+    from consensuslab.markov import (
+        _block_threads,
+        _cholesky_inverse,
+        _fundamental_cholesky,
+        _Threads,
+    )
 
     B = _spd(n, 0)
     k = 0 if half == "first" else n - 1
     B[k, k] = -1.0
-    with _Threads(n) as threads:
+    with _Threads(_block_threads(n)) as threads:
         assert not _cholesky_inverse(B, threads)
     # steps of -0.5 between four states of one half give those states
     # negative diagonal entries of B_s, which sums 1 - P_ii from the others
@@ -393,6 +398,65 @@ def test_block_workers_follow_the_cores_and_the_blas_threads(monkeypatch):
         assert markov._workers() == workers
     monkeypatch.setattr(markov, "_openblas_threads", None)
     assert markov._workers() == 1
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_threads_claim_each_item_once_and_leave_no_thread_behind(count):
+    # markov._Threads, the thread layer of the blocked passes and of the noise
+    # draws: this thread and count - 1 pool threads, under a short switch
+    # interval so that they interleave often
+    import threading
+
+    from consensuslab.markov import _Threads
+
+    class Boom(Exception):
+        pass
+
+    caller = threading.current_thread()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    before = threading.enumerate()
+    try:
+        with _Threads(count) as threads:
+            # every item is claimed exactly once, each claim by one thread
+            parts = threads.run(list, range(500))
+            assert len(parts) == count
+            assert sorted(k for part in parts for k in part) == list(range(500))
+
+            # start returns while the pool threads are already in their work:
+            # each holds there until this thread, before finish(), meets it
+            gate = threading.Barrier(count, timeout=10)
+
+            def held(claimed):
+                if threading.current_thread() is not caller:
+                    gate.wait()
+                return list(claimed)
+
+            finish = threads.start(held, range(50))
+            gate.wait()
+            assert sorted(k for part in finish() for k in part) == list(range(50))
+
+            # a pool thread's error comes out of finish() after the caller's
+            # share, which claims every item the failed threads left
+            raised, done = threading.Event(), []
+
+            def failing(claimed):
+                if threading.current_thread() is not caller:
+                    raised.set()
+                    raise Boom
+                assert count == 1 or raised.wait(10)
+                done.extend(claimed)
+
+            finish = threads.start(failing, range(50))
+            if count > 1:
+                with pytest.raises(Boom):
+                    finish()
+            else:
+                finish()
+            assert done == list(range(50))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.enumerate() == before
 
 
 @pytest.mark.parametrize("family, n, chain", [

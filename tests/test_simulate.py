@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -116,11 +116,12 @@ def _one_draw(rng, kind: str, shape: tuple) -> np.ndarray:
     return 2.0 * rng.integers(0, 2, size=shape) - 1.0
 
 
-def _fill(rngs, factor, kind: str, z: np.ndarray, out: np.ndarray, pool, workers: int) -> None:
+def _fill(rngs, factor, kind: str, z: np.ndarray, out: np.ndarray, threads) -> None:
     """``out`` from the next draws of ``rngs``, through the first len(out)
-    steps of the draw buffer ``z``, as a run draws and shapes a chunk."""
+    steps of the draw buffer ``z``, as a run draws and shapes a chunk, on
+    the markov._Threads ``threads``."""
     z = z[:, : len(out)]
-    simulate._draw_noise(rngs, kind, z, pool, workers)()
+    threads.run(partial(simulate._draw_noise, rngs, kind, z), range(len(rngs)))
     simulate._shape_noise(z, factor, kind, out)
 
 
@@ -134,13 +135,13 @@ def test_noise_drawn_in_chunks_equals_one_draw():
             z = np.empty((trials, steps, n, d))  # one draw buffer, as a run holds
             whole = np.empty((steps, n, trials, d))
             rngs = [_trial_rng(4, k) for k in range(trials)]
-            with ThreadPoolExecutor(trials) as pool:
-                _fill(rngs, factor, kind, z, whole, pool, trials)
+            with markov._Threads(trials) as threads:
+                _fill(rngs, factor, kind, z, whole, threads)
                 rngs = [_trial_rng(4, k) for k in range(trials)]
                 pieces = []
                 for size in (1, 37, 200, steps - 238):
                     pieces.append(np.empty((size, n, trials, d)))
-                    _fill(rngs, factor, kind, z, pieces[-1], pool, trials)
+                    _fill(rngs, factor, kind, z, pieces[-1], threads)
             np.testing.assert_array_equal(np.concatenate(pieces), whole)
             if noise.is_diagonal:
                 scale = np.sqrt(noise.variances())[:, None]
@@ -171,10 +172,10 @@ def test_noise_and_kernel_numbers_do_not_depend_on_the_draw_threads(monkeypatch)
             for workers in (1, 2, 3, 6):
                 z = np.empty((trials, 110, n, d))
                 out = np.empty((steps, n, trials, d))
-                with ThreadPoolExecutor(workers) as pool:
+                with markov._Threads(workers) as threads:
                     rngs = [_trial_rng(9, k) for k in range(trials)]
-                    _fill(rngs, factor, kind, z, out[:40], pool, workers)
-                    _fill(rngs, factor, kind, z, out[40:], pool, workers)
+                    _fill(rngs, factor, kind, z, out[:40], threads)
+                    _fill(rngs, factor, kind, z, out[40:], threads)
                 draws.append(out)
                 monkeypatch.setattr(simulate, "_usable_cores", lambda: workers)
                 runs.append(_run_trials(P, noise, x0, cfg))
