@@ -354,7 +354,7 @@ def cmd_analyze(args) -> int:
         "delta_uni_lower": report.delta_uni_lower,
         "delta_uni_upper": report.delta_uni_upper,
     }
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _write(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
     return 0
 
 
@@ -440,7 +440,7 @@ def cmd_simulate(args) -> int:
         "stderr": trace.estimate_stderr,
         "delta_ss_exact": exact,
     }
-    _write(json.dumps(summary, indent=2) + "\n", args.summary)
+    _write(json.dumps(summary, indent=2, allow_nan=False) + "\n", args.summary)
     return 0
 
 
@@ -488,7 +488,7 @@ def cmd_formation(args) -> int:
                 fh.write(_meta_lines(header))
                 _write_trajectory(fh, trace)
     summary = {**header, **dataclasses.asdict(report)}
-    _write(json.dumps(summary, indent=2) + "\n", args.summary)
+    _write(json.dumps(summary, indent=2, allow_nan=False) + "\n", args.summary)
     return 0
 
 

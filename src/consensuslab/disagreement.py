@@ -235,9 +235,22 @@ class JPropertyReport:
         return self.max_violation() <= tolerances.J_IDENTITY_TOL and self.rho < 1.0
 
 
+def _finite(value, what: str) -> float:
+    """``value`` as a float, once it is finite.  Every input is finite, so
+    a result past float64's range means the noise variances are too large
+    for it: InvalidParam (exit code 2), never an inf or a NaN.  A product
+    of Python floats overflows to inf quietly; numpy's warn, so the callers
+    that use numpy silence it (np.errstate) and let this raise."""
+    if not np.isfinite(value):
+        raise InvalidParam(
+            f"{what} is {float(value)} in float64: the noise variances are too large")
+    return float(value)
+
+
 def _sandwich(delta: float, pi: np.ndarray) -> tuple[float, float]:
     n = pi.size
-    return delta / (n * float(pi.max())), delta / (n * float(pi.min()))
+    return (_finite(delta / (n * float(pi.max())), "delta_uni_lower"),
+            _finite(delta / (n * float(pi.min())), "delta_uni_upper"))
 
 
 def _require_steady_state(P: StochasticMatrix) -> None:
@@ -281,11 +294,13 @@ def delta_ss_theorem(P: StochasticMatrix, noise: NoiseCovariance) -> Disagreemen
     delta_ss/(n pi_max) and delta_ss/(n pi_min).
     """
     pi, Z = _z_form(P, noise)
-    if noise.is_diagonal:
-        delta = float(np.sum(noise.variances() * pi * (np.diag(Z) - pi)))
-    else:
-        S = noise.matrix()
-        delta = float(pi @ np.sum(Z * S, axis=1)) - float(pi @ S @ pi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if noise.is_diagonal:
+            delta = np.sum(noise.variances() * pi * (np.diag(Z) - pi))
+        else:
+            S = noise.matrix()
+            delta = pi @ np.sum(Z * S, axis=1) - pi @ S @ pi
+    delta = _finite(delta, "delta_ss")
     lo, hi = _sandwich(delta, pi)
     return DisagreementReport(
         delta_ss=delta,
@@ -307,7 +322,7 @@ def delta_ss_kemeny(P: StochasticMatrix, sigma2: float) -> float:
     _require_variances(sigma2, "variance")
     _require_symmetric_aperiodic(P)
     K = kemeny_constant_combinatorial(square_chain(P))
-    return sigma2 * K / P.n
+    return _finite(float(sigma2) * K / P.n, "delta_ss")
 
 
 def delta_ss_spectral(P: StochasticMatrix, sigma2: float) -> float:
@@ -316,7 +331,7 @@ def delta_ss_spectral(P: StochasticMatrix, sigma2: float) -> float:
     _require_variances(sigma2, "variance")
     _require_symmetric_aperiodic(P)
     lam = P.nonunit_spectrum
-    return sigma2 / P.n * float(np.sum(1.0 / (1.0 - lam ** 2)))
+    return _finite(float(sigma2) / P.n * float(np.sum(1.0 / (1.0 - lam ** 2))), "delta_ss")
 
 
 def delta_ss_resistance(P: StochasticMatrix, sigma2: float) -> float:
@@ -324,7 +339,7 @@ def delta_ss_resistance(P: StochasticMatrix, sigma2: float) -> float:
     _require_variances(sigma2, "variance")
     _require_symmetric_aperiodic(P)
     R = effective_resistance(square_chain(P))
-    return sigma2 / P.n * float(R.sum() / 2.0) / P.n ** 2
+    return _finite(float(sigma2) / P.n * float(R.sum() / 2.0) / P.n ** 2, "delta_ss")
 
 
 def delta_uni_bounds(P: StochasticMatrix, noise: NoiseCovariance) -> tuple[float, float]:
@@ -406,33 +421,34 @@ def delta_oracle(
 
     X, powers = N, [M]  # powers[k] = M^(2^k)
     trace_history = []
-    for its in range(1, budget + 1):
-        X_next = _compose(X, powers[-1], X)
-        diff = float(np.abs(X_next - X).max())
-        X = X_next
-        trace_history.append(float(np.trace(X)))
-        if diff <= tolerances.ORACLE_TOL * (1.0 + float(np.abs(X).max())):
-            break
-        powers.append(powers[-1] @ powers[-1])
-    else:
-        raise NoConvergence(
-            f"covariance doubling did not converge in {its} squarings "
-            f"(rho(P-J) = {rho:.6g}); final trace {trace_history[-1]:.6g}",
-            iterations=its,
-            trace_history=np.asarray(trace_history),
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses what overflows
+        for its in range(1, budget + 1):
+            X_next = _compose(X, powers[-1], X)
+            diff = _finite(np.abs(X_next - X).max(), "the oracle's covariance")
+            X = X_next
+            trace_history.append(float(np.trace(X)))
+            if diff <= tolerances.ORACLE_TOL * (1.0 + float(np.abs(X).max())):
+                break
+            powers.append(powers[-1] @ powers[-1])
+        else:
+            raise NoConvergence(
+                f"covariance doubling did not converge in {its} squarings "
+                f"(rho(P-J) = {rho:.6g}); final trace {trace_history[-1]:.6g}",
+                iterations=its,
+                trace_history=np.asarray(trace_history),
+            )
 
-    # one step of iterative refinement: the squarings leave M^(2^k) a
-    # relative error of about 2^k eps along its slow modes, which reached
-    # 1e-11 of delta_ss on a lazy 128-node line; summing the residual
-    # N + M S M' - S through the same powers takes it out
-    R = _compose(N, M, X) - X
-    for A in powers:
-        R = _compose(R, A, R)
-    S = X + R
-    residual = float(np.abs(_compose(N, M, S) - S).max())
-    delta = float(np.diag(S) @ pi)
-    delta_uni = float(np.trace(S) / P.n)
+        # one step of iterative refinement: the squarings leave M^(2^k) a
+        # relative error of about 2^k eps along its slow modes, which reached
+        # 1e-11 of delta_ss on a lazy 128-node line; summing the residual
+        # N + M S M' - S through the same powers takes it out
+        R = _compose(N, M, X) - X
+        for A in powers:
+            R = _compose(R, A, R)
+        S = X + R
+        residual = _finite(np.abs(_compose(N, M, S) - S).max(), "the oracle's residual")
+        delta = _finite(np.diag(S) @ pi, "delta_ss")
+        delta_uni = _finite(np.trace(S) / P.n, "delta_uni")
     lo, hi = _sandwich(delta, pi)
     cov = SteadyStateCovariance(matrix=S, iterations=its, residual=residual)
     rep = DisagreementReport(

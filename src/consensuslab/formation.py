@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tolerances
 from ._csvrows import BLOCK_FLOATS, _csv_rows, _int_field
-from .disagreement import NoiseCovariance, _require_variances, delta_ss_theorem
+from .disagreement import NoiseCovariance, _finite, _require_variances, delta_ss_theorem
 from .errors import (
     AsymmetricWeights,
     DimensionMismatch,
@@ -229,7 +229,7 @@ def form_exact(spec: FormationSpec) -> FormationReport:
     if lam2 is None:
         val, lam2 = form_via_delta(spec), spec.noise.variances().tolist()
     else:
-        val = spec.dim * lam2 * K / spec.n
+        val = _finite(spec.dim * float(lam2) * K / spec.n, "form_exact")
     return FormationReport(
         form_exact=val,
         kemeny_p2=K,
@@ -252,7 +252,7 @@ def form_via_delta(spec: FormationSpec) -> float:
     covariance is built.  Supports per-node lambda^2.
     """
     rep = delta_ss_theorem(spec.chain, spec.noise)
-    return spec.dim * rep.delta_ss
+    return _finite(spec.dim * rep.delta_ss, "form_exact")
 
 
 def simulate_formation(

@@ -32,9 +32,16 @@ Every chain built from a graph is reversible, and reversible chains take a
 fast route: pi by detailed balance on the n - 1 arcs of a breadth-first
 tree, whose P_ij and P_ji are looked up in the CSR arrays (O(nnz) with its
 check), P^2 by a sparse product that inherits pi, and the fundamental
-matrix Z = (I - P + 1 pi')^-1 of P^2 by a Cholesky inversion of its
-symmetrized form.  Other chains take LU solves.  An aperiodic chain reads
-its own Z off Z(P^2) by one sparse product, Z = Z(P^2) + P Z(P^2) - 1 pi',
+matrix Z = (I - P + 1 pi')^-1 of P^2 from an inverse within an envelope
+or a dense Cholesky inverse.  A square stored as sparse CSR (the squares
+of the ring, the line and the tree, and the grid's from 576 states) is
+inverted through its grounded conductance Laplacian, factored and
+inverted within its reverse Cuthill-McKee envelope in O(n^2 front) flops
+(_grounded_z); a square held as its factor (the two-star, the
+starry-line, the grid at 256 states) and a dense chain (the complete
+graph) take the Cholesky inverse of the symmetrized form B_s
+(_fundamental_cholesky).  Other chains take LU solves.  An aperiodic chain
+reads its own Z off Z(P^2) by one sparse product, Z = Z(P^2) + P Z(P^2) - 1 pi',
 so only P^2, or a periodic chain, is inverted.  H, K and R are all read
 off Z, and H is only built when asked for; the O(n^2) passes over Z read
 it by contiguous row blocks and column strips.
@@ -49,14 +56,16 @@ through ctypes from the function pointers that scipy.linalg.cython_lapack
 and cython_blas export (_call), which releases the GIL that
 scipy.linalg.lapack's wrappers hold.  From _SPLIT states B_s is inverted
 by a two-way block Cholesky whose split depends on n alone
-(_cholesky_inverse), and each pass hands its row blocks to the threads
-with the same arithmetic per block, so no number depends on the thread
-count.
+(_cholesky_inverse), the envelope inverse splits its largest products in
+two halves above one row block (_envelope_inverse), and each pass hands
+its row blocks to the threads with the same arithmetic per block, so no
+number depends on the thread count.
 """
 
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import os
 import threading
@@ -466,7 +475,11 @@ class StochasticMatrix:
         takes P Z2 by one CSR product and a dense one by dense row blocks,
         an n^3 product that costs no more than an inversion.  A squared
         chain, and a periodic chain, whose square is reducible, invert
-        directly: Cholesky for a reversible chain, LU otherwise.
+        directly (_inverted_z): a reversible chain stored as sparse CSR
+        within the envelope of its grounded conductance Laplacian, a
+        reversible one held as its factor or dense by the Cholesky inverse
+        of B_s, and LU otherwise, or where either finds the system not
+        positive definite.
         """
         pi = self.stationary()
         if not self._squared and self.aperiodic:
@@ -480,7 +493,7 @@ class StochasticMatrix:
             Z += Z2
             Z -= pi
         else:
-            Z = _fundamental_cholesky(self, pi) if self.reversible else None
+            Z = _inverted_z(self, pi) if self.reversible else None
         if Z is None:
             n = self.n
             try:
@@ -613,15 +626,25 @@ def _square_checks(F, Ft, pi: np.ndarray) -> tuple[float, bool]:
     In the strip of columns c, back_jc = pi_j Q_jc is the flux the other
     way of flux_jc = pi_c Q_cj; the entries absent from both patterns add
     zeros.  Summed down the strip, the sequential sum of a C-ordered axis 0,
-    back gives (pi' Q)_c, in the order csc_matvec sums it."""
-    worst = top = resid = 0.0
-    for (c, back), (_, flux) in zip(_square_strips(F, Ft), _square_strips(Ft, F)):
-        back *= pi[:, None]
-        resid = max(resid, float(np.abs(back.sum(axis=0) - pi[c]).max()))
-        flux *= pi[c]
-        top = max(top, float(flux.max()))
-        flux -= back
-        worst = max(worst, float(flux.max()), -float(flux.min()))
+    back gives (pi' Q)_c, in the order csc_matvec sums it.  The strips run
+    on _Threads, each thread reading the same claimed blocks twice (tee),
+    and the three results are the largest of their maxima."""
+
+    def work(blocks) -> tuple[float, float, float]:
+        resid = worst = top = 0.0
+        mine = itertools.tee(blocks)
+        for (c, back), (_, flux) in zip(_square_strips(F, Ft, mine[0]),
+                                        _square_strips(Ft, F, mine[1])):
+            back *= pi[:, None]
+            resid = max(resid, float(np.abs(back.sum(axis=0) - pi[c]).max()))
+            flux *= pi[c]
+            top = max(top, float(flux.max()))
+            flux -= back
+            worst = max(worst, float(flux.max()), -float(flux.min()))
+        return resid, worst, top
+
+    with _Threads(_block_threads(pi.size)) as threads:
+        resid, worst, top = (max(part) for part in zip(*threads.run(work, _row_blocks(pi.size))))
     return resid, worst <= tol.REVERSIBILITY_RTOL * top
 
 
@@ -845,6 +868,7 @@ _ROUTINES = {
     "dsyrk": (cython_blas, "cciixaixai"),
     "dgemm": (cython_blas, "cciiixaiaixai"),
     "dtrmm": (cython_blas, "cccciixaiai"),
+    "dsymm": (cython_blas, "cciixaiaixai"),
 }
 
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -866,6 +890,7 @@ def _bind(name: str):
 
 
 _BOUND = {name: _bind(name) for name in _ROUTINES}
+_INT, _DOUBLE = ctypes.sizeof(ctypes.c_int), ctypes.sizeof(ctypes.c_double)
 
 
 def _call(name: str, *args) -> int:
@@ -873,17 +898,25 @@ def _call(name: str, *args) -> int:
     str for each char, an int for each int, an array's address for each
     array and a float for each scalar; a LAPACK routine's info, else 0."""
     module, kinds = _ROUTINES[name]
-    info = ctypes.c_int(0)
     lapack = module is cython_lapack
     if len(args) != len(kinds) - lapack:
         raise TypeError(f"{name} takes {len(kinds) - lapack} arguments, got {len(args)}")
-    refs = [value.encode() if kind == "c"
-            else ctypes.byref(ctypes.c_int(value)) if kind == "i"
-            else ctypes.byref(ctypes.c_double(value)) if kind == "x"
-            else value
-            for kind, value in zip(kinds, args)]
-    _BOUND[name](*refs, *[ctypes.byref(info)] * lapack)
-    return info.value
+    # each int and scalar argument in its own slot of one array per type,
+    # passed by address; the info is the last int slot
+    ints, scalars = (ctypes.c_int * len(kinds))(), (ctypes.c_double * len(kinds))()
+    at_int, at_scalar = ctypes.addressof(ints), ctypes.addressof(scalars)
+    refs = []
+    for k, (kind, value) in enumerate(zip(kinds, args)):
+        if kind == "i":
+            ints[k] = value
+            refs.append(at_int + _INT * k)
+        elif kind == "x":
+            scalars[k] = value
+            refs.append(at_scalar + _DOUBLE * k)
+        else:
+            refs.append(value.encode() if kind == "c" else value)
+    _BOUND[name](*refs, *[at_int + _INT * (len(kinds) - 1)] * lapack)
+    return ints[-1] if lapack else 0
 
 
 _SPLIT = 320
@@ -986,6 +1019,19 @@ def _cholesky_inverse(B: np.ndarray, threads: _Threads) -> bool:
 # the fundamental matrix
 # =====================================================================
 
+def _inverted_z(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray | None:
+    """Z of a reversible chain that is inverted directly; None if not
+    positive definite.  A chain stored as sparse CSR (the n^2 / 32 rule of
+    _sparse) is inverted within the envelope of its grounded conductance
+    Laplacian (_grounded_z), unless that takes more flops than the dense
+    inverse; a square held as its factor, and a dense chain, take the
+    Cholesky inverse of B_s (_fundamental_cholesky)."""
+    system = None
+    if P._held is None and _sparse(P._csr.nnz, P.n):
+        system = _grounded_system(P, pi)
+    return _fundamental_cholesky(P, pi) if system is None else _grounded_z(pi, system)
+
+
 def _fundamental_cholesky(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray | None:
     """Z of a reversible chain, in one n x n buffer; None if not positive definite.
 
@@ -1052,6 +1098,241 @@ def _mirror(A: np.ndarray, threads: _Threads) -> None:
             A[b, b.stop:] = np.ascontiguousarray(A[b.stop:, b]).T
 
     threads.run(mirror, _row_blocks(A.shape[0]))
+
+
+class _Grounded(NamedTuple):
+    """The grounded conductance Laplacian L of a reversible chain, in the
+    order of its envelope (see _grounded_system)."""
+
+    perm: np.ndarray  # the state at each position; the ground last
+    blocks: list  # (j0, j1, e) of _envelope_blocks
+    at: np.ndarray  # flat positions r * n + s, r <= s, of L's stored entries
+    values: np.ndarray  # L_rs at those positions
+
+
+_ENVELOPE_BLOCK = 64
+"""Rows per diagonal block of _envelope_inverse: the block size that the
+reference LAPACK's ILAENV gives dpotrf."""
+
+
+def _envelope_blocks(first: np.ndarray) -> list[tuple[int, int, int]]:
+    """(j0, j1, e) for the diagonal blocks [j0, j1) of _ENVELOPE_BLOCK rows
+    of an m x m matrix whose row r has its first entry in column first[r],
+    a nondecreasing array: the rows [j1, e) are those below the block that
+    reach into it, first[r] < j1."""
+    m = first.size
+    starts = range(0, m, _ENVELOPE_BLOCK)
+    ends = [min(j0 + _ENVELOPE_BLOCK, m) for j0 in starts]
+    return list(zip(starts, ends, np.searchsorted(first, ends).tolist()))
+
+
+def _envelope_flops(blocks) -> float:
+    """The flops of _envelope_inverse on ``blocks`` of an m x m envelope."""
+    m = blocks[-1][1]
+    flops = 0.0
+    for j0, j1, e in blocks:
+        k, s, t = j1 - j0, e - j1, m - e
+        # potrf, trsm and syrk; then trsm, the gemm into G[T, I], symm,
+        # potri and the gemm into G[I, I]
+        flops += k ** 3 / 3 + k * k * s + k * s * s
+        flops += k * k * s + 2 * k * s * t + 2 * k * s * s + 2 * k ** 3 / 3 + 2 * k * k * s
+    return flops
+
+
+def _grounded_system(P: StochasticMatrix, pi: np.ndarray) -> _Grounded | None:
+    """The grounded conductance Laplacian of the reversible chain P, stored
+    as sparse CSR, in the order in which its envelope is narrow; None where
+    _envelope_inverse would take more flops than the dense Cholesky inverse.
+
+    The max-pi state, g, is grounded: its row and column go, which leaves
+    L positive definite.  The conductances are taken in units of pi_g,
+    c_ij = (w_i P_ij + w_j P_ji) / 2 with w = pi / pi_g, on the stored
+    entries paired with their transposed ones (_paired), so c_ij and c_ji
+    are the same number; L_ij = -c_ij off the diagonal and
+    L_ii = sum_{j != i} c_ij, a sum of the row's conductances (csr_matvec),
+    never a difference.  In those units a chain with equal pi_i, such as
+    the lazy ring or the uniform line, has conductances that are its own
+    entries, unrounded: in units of 1, K(P^2) of the uniform line200 was
+    2.2e-13 from its spectrum, against 3.2e-14 in units of pi_g.  The
+    other states are ordered by scipy's reverse Cuthill-McKee, and the
+    ground is put last.  Row r's envelope starts at its first entry, or at
+    a later row's first entry where that is smaller, so that the rows
+    reaching into a block are consecutive (_envelope_blocks)."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    n = pi.size
+    U, V = P._paired()
+    rows = np.repeat(np.arange(n), np.diff(U.indptr))
+    cols = U.indices
+    ground = int(np.argmax(pi))
+    w = pi / pi[ground]
+    c = w[rows] * U.data
+    c += w[cols] * V
+    c *= 0.5
+    c[rows == cols] = 0.0
+    diag = _product(_Arrays(U.indptr, U.indices, c), np.ones(n))
+    order = reverse_cuthill_mckee(U, symmetric_mode=True)
+    perm = np.append(order[order != ground], ground)
+    pos = np.empty(n, np.intp)
+    pos[perm] = np.arange(n)
+    r, s = pos[rows], pos[cols]
+    m = n - 1
+    first = np.arange(n)
+    np.minimum.at(first, r, s)
+    first = np.minimum.accumulate(first[m - 1::-1])[::-1]
+    blocks = _envelope_blocks(first)
+    if _envelope_flops(blocks) > float(n) ** 3:  # the dense potrf and potri's
+        return None
+    upper = (r < s) & (s < m)
+    at = np.concatenate([r[upper] * n + s[upper], np.arange(m) * (n + 1)])
+    return _Grounded(perm, blocks, at, np.concatenate([-c[upper], diag[perm[:m]]]))
+
+
+def _envelope_inverse(B: np.ndarray, blocks, threads: _Threads) -> bool:
+    """Invert in place the symmetric positive definite m x m matrix A whose
+    lower triangle, within its envelope, the C-ordered n x n array B holds
+    in its leading m x m block as its upper one (LAPACK reads it as the
+    lower triangle of A, Fortran-ordered, leading dimension n), leaving
+    the lower triangle of A^-1 there; False if LAPACK finds A not positive
+    definite.  Entries of that triangle outside the envelope must be 0.
+
+    The factor A = L L' keeps to the envelope: for each diagonal block
+    [j0, j1) of ``blocks`` (_envelope_blocks), L_II by dpotrf, the rows
+    S = [j1, e) below it that reach into it by dtrsm, and their trailing
+    window A[S, S] -= L_SI L_SI' by dsyrk.  Then G = A^-1, bottom-up
+    (Takahashi, Fagan and Chin, 1973): since L' G = L^-1 is lower
+    triangular, for block I with the rows T = [e, m) beyond S,
+    W = L_SI L_II^-1 gives G[T, I] = -G[T, S] W (dgemm), G[S, I] =
+    -G[S, S] W (dsymm) and G[I, I] = (L_II L_II')^-1 - W' G[S, I] (dpotri,
+    then dgemm): O(m^2 |S|) work instead of m^3.  Above one row block
+    (_block_rows(n) < n, which depends on n alone) the dgemm into G[T, I]
+    runs as two halves of T on the two ``threads``, the second with the
+    dsymm; the rows of each call do not depend on the thread count."""
+    n = B.shape[0]
+    m = blocks[-1][1]
+    base = B.ctypes.data
+
+    def at(i: int, j: int) -> int:  # the address of A_ij
+        return base + B.itemsize * (i + j * n)
+
+    for j0, j1, e in blocks:
+        k, s = j1 - j0, e - j1
+        if _call("dpotrf", "L", k, at(j0, j0), n):
+            return False
+        if s:
+            _call("dtrsm", "R", "L", "T", "N", s, k, 1.0, at(j0, j0), n, at(j1, j0), n)
+            _call("dsyrk", "L", "N", s, k, -1.0, at(j1, j0), n, 1.0, at(j1, j1), n)
+    split = _block_rows(n) < n
+    for j0, j1, e in reversed(blocks):
+        k, s, t = j1 - j0, e - j1, m - e
+        if s:
+            W = np.ascontiguousarray(B[j0:j1, j1:e])  # L_SI, Fortran-ordered s x k
+            w = W.ctypes.data
+            _call("dtrsm", "R", "L", "N", "N", s, k, 1.0, at(j0, j0), n, w, s)
+
+            def below(start: int, count: int) -> None:  # G[T, I] on rows e + start...
+                if count:
+                    _call("dgemm", "N", "N", count, k, s, -1.0, at(e + start, j1), n, w, s,
+                          0.0, at(e + start, j0), n)
+
+            def beside() -> None:  # G[S, I]
+                _call("dsymm", "L", "L", s, k, -1.0, at(j1, j1), n, w, s, 0.0, at(j1, j0), n)
+
+            if split:
+                top, rest = _halves(t)
+                threads.both(partial(below, *top), lambda: (below(*rest), beside()))
+            else:
+                below(0, t)
+                beside()
+        if _call("dpotri", "L", k, at(j0, j0), n):
+            return False
+        if s:
+            _call("dgemm", "T", "N", k, k, s, -1.0, w, s, at(j1, j0), n, 1.0, at(j0, j0), n)
+    return True
+
+
+def _move_rows(B: np.ndarray, source: np.ndarray) -> None:
+    """B[i] = B[source[i]] for every row i in place, ``source`` a
+    permutation: row by row along the cycles of i -> source[i], a group of
+    short cycles by one gather and one scatter of at most a row block, a
+    long cycle a row block at a time from a copy of its first row."""
+    n = B.shape[0]
+    step = _block_rows(n)
+    nxt = source.tolist()
+    done = [False] * n
+    group = []
+    for i0 in range(n):
+        if done[i0] or nxt[i0] == i0:
+            continue
+        cycle = [i0]
+        while nxt[cycle[-1]] != i0:
+            cycle.append(nxt[cycle[-1]])
+        for i in cycle:
+            done[i] = True
+        if group and len(group) + len(cycle) > step:
+            B[group] = B[source[group]]
+            group = []
+        if len(cycle) <= step:
+            group += cycle
+            continue
+        head, last = B[i0].copy(), len(cycle) - 1
+        for t in range(0, last, step):
+            end = min(t + step, last)
+            B[cycle[t:end]] = B[cycle[t + 1:end + 1]]
+        B[cycle[last]] = head
+    if group:
+        B[group] = B[source[group]]
+
+
+def _grounded_z(pi: np.ndarray, system: _Grounded) -> np.ndarray | None:
+    """Z of a reversible chain from its grounded conductance Laplacian
+    (_grounded_system), in one n x n buffer; None if not positive definite.
+
+    G, the inverse of the grounded Laplacian L, padded with a zero row and
+    column at the ground, gives Z = (I - 1 pi') G D_pi (I - 1 pi') + 1 pi'.
+    L is taken in units of the ground's pi_g, so the buffer holds
+    G' = pi_g G, and with w = pi / pi_g and v = G' pi that reads
+    Z_ij = w_j (G'_ij - v_i - v_j + pi'v + pi_g).  The Laplacian is
+    scattered into the zeroed buffer, inverted within its envelope
+    (_envelope_inverse) and mirrored onto its other triangle, still in the
+    envelope's order.  v is taken there by row blocks; then one pass of row
+    blocks gathers each row's columns into the states' order and writes
+    that formula, and _move_rows puts the rows in the states' order.  Every
+    pass runs its blocks on the same _Threads as the inversion."""
+    n = pi.size
+    perm = system.perm
+    top = pi[perm[-1]]
+    w = pi / top
+    pos = np.empty(n, np.intp)
+    pos[perm] = np.arange(n)
+    B = np.zeros((n, n))
+    B.ravel()[system.at] = system.values
+    held = pi[perm]  # pi in the envelope's order
+    v = np.empty(n)
+
+    def times_pi(blocks) -> None:
+        for b in blocks:
+            np.matmul(B[b], held, out=v[b])
+
+    def scale(blocks) -> None:
+        buf = np.empty(min(_block_rows(n), n) * n)
+        for b in blocks:
+            rows = buf[:(b.stop - b.start) * n].reshape(-1, n)
+            # every index is in range: "clip" only spares take a buffered copy
+            np.take(B[b], pos, axis=1, out=rows, mode="clip")
+            rows += t
+            rows -= v[b, None]
+            np.multiply(rows, w, out=B[b])
+
+    with _Threads(_block_threads(n)) as threads:
+        if not _envelope_inverse(B, system.blocks, threads):
+            return None
+        _mirror(B.T, threads)
+        threads.run(times_pi, _row_blocks(n))
+        t = (float(held @ v) + top) - v[pos]
+        threads.run(scale, _row_blocks(n))
+    _move_rows(B, pos)
+    return B
 
 
 def _hitting_residual(P: StochasticMatrix, Z: np.ndarray, pi: np.ndarray) -> float:
@@ -1204,8 +1485,11 @@ def hitting_times(P: StochasticMatrix) -> np.ndarray:
     ``tolerances.HITTING_RESIDUAL_TOL * n``.  An aperiodic ``P`` reads Z
     off Z(P^2), which it builds and checks first, as
     Z(P^2) + P Z(P^2) - 1 pi'; so asking for H of such a chain costs P^2
-    and Z(P^2) as well.  A squared or periodic chain inverts directly:
-    Cholesky for a reversible chain, an LU solve otherwise.  The residual
+    and Z(P^2) as well.  A squared or periodic chain inverts directly: a
+    reversible one stored as sparse CSR through the inverse of its
+    grounded conductance Laplacian within its reverse Cuthill-McKee
+    envelope, one held as its factor or dense by the Cholesky inverse of
+    its symmetrized form, and any other by an LU solve.  The residual
     is evaluated from Z through the product P Z and cached with it, so
     later calls only check it again; H itself is built from Z on the first
     call and cached too.  The returned array is read-only.

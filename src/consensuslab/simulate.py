@@ -243,7 +243,8 @@ def _run_trials(P: StochasticMatrix, noise: NoiseCovariance, x0: np.ndarray, cfg
         # S holds the snapshots of records k, k + 1, ..., shape (n, j, trials * d)
         j = S.shape[1]
         e = S - (R @ S.reshape(n, -1))[0].reshape(j, -1)
-        e *= e
+        with np.errstate(over="ignore"):  # _summarize refuses what overflows
+            e *= e
         sq = R @ e.reshape(n, -1)
         wsq[:, k : k + j] = sq[0].reshape(j, trials, d).transpose(1, 0, 2)
         usq[:, k : k + j] = (sq[1] / n).reshape(j, trials, d).transpose(1, 0, 2)
@@ -296,17 +297,23 @@ def _summarize(times: np.ndarray, sq: np.ndarray, burn: int):
 
     The tail estimate is the mean over trials of each trial's average past
     ``burn``, with its standard error across trials; every standard error
-    is zero for a single trial.
+    is zero for a single trial.  The inputs are finite, so a squared error
+    or a statistic past float64's range means the noise variances are too
+    large: InvalidParam, never an inf or a NaN.
     """
     trials = sq.shape[0]
-    per_trial = sq[:, times > burn].mean(axis=1)
-    if trials > 1:
-        stderr = sq.std(axis=0, ddof=1) / np.sqrt(trials)
-        se = float(per_trial.std(ddof=1) / np.sqrt(trials))
-    else:
-        stderr = np.zeros(times.size)
-        se = 0.0
-    return sq.mean(axis=0), stderr, float(per_trial.mean()), se
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_trial = sq[:, times > burn].mean(axis=1)
+        if trials > 1:
+            stderr = sq.std(axis=0, ddof=1) / np.sqrt(trials)
+            se = float(per_trial.std(ddof=1) / np.sqrt(trials))
+        else:
+            stderr = np.zeros(times.size)
+            se = 0.0
+        mean, est = sq.mean(axis=0), float(per_trial.mean())
+    if not all(np.isfinite(x).all() for x in (sq, mean, stderr, est, se)):
+        raise InvalidParam("the squared error overflows float64: the noise variances are too large")
+    return mean, stderr, est, se
 
 
 def simulate_consensus(

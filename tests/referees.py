@@ -21,9 +21,11 @@ gets from numpy and scipy calls: ``grid_edges`` and ``tree_edges`` the
 canonical edge arrays of the grid and the complete binary tree, and
 ``lexsort_csr`` the CSR matrix of a graph's chain.
 
-Two more give closed forms the package reaches by other routes:
+Three more give closed forms the package reaches by other routes:
 ``degree_stationary`` is the stationary law d/2m of the simple and lazy
-walks, and ``form_metric`` the formation error of one set of positions,
+walks, ``uniform_grid_gaps`` the spectrum of the uniform walk on a square
+grid, as a Kronecker sum of two line spectra, and ``form_metric`` the
+formation error of one set of positions,
 which the simulator reaches as a uniform disagreement.  ``exact_positions``
 recovers formation positions from offsets in ``fractions.Fraction``.
 
@@ -37,6 +39,7 @@ must cover that gap.
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -49,6 +52,20 @@ from consensuslab.markov import effective_resistance, kemeny_constant_combinator
 def degree_stationary(g) -> np.ndarray:
     """Closed-form stationary law d(i)/(2m) of the simple and lazy walks."""
     return g.degrees() / (2.0 * g.m)
+
+
+def uniform_grid_gaps(side: int) -> list:
+    """1 - lambda over the non-unit eigenvalues lambda of the uniform walk on
+    the side x side grid, as mpmath numbers at the working precision.
+
+    The walk is I - L / 8 (weight 1/8 on each edge, 1/(2 max degree) for a
+    side of at least 3), and the grid's Laplacian L is the Kronecker sum
+    L_line + L_line of two path Laplacians, whose eigenvalues are
+    mu_k = 4 sin^2(pi k / (2 side)), k = 0..side-1.  So 1 - lambda =
+    (mu_a + mu_b) / 8 over the pairs (a, b) other than (0, 0), with no
+    cancellation."""
+    mu = [4 * mpmath.sin(mpmath.pi * k / (2 * side)) ** 2 for k in range(side)]
+    return [(mu[a] + mu[b]) / 8 for a in range(side) for b in range(side) if a or b]
 
 
 def _edge_array(edges) -> np.ndarray:

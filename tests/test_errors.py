@@ -171,6 +171,20 @@ CASES = [
     pytest.param(lambda: cli.cmd_analyze(cli.build_parser().parse_args(
                      ["analyze", "--family", "ring", "--n", "5", "--chain", "lazy", "--eps", "0.1"])),
                  InvalidParam, "does not read --eps", id="cli-eps-without-uniform-chain"),
+    # InvalidParam: finite input whose result overflows float64 is refused,
+    # never written as Infinity or NaN: the analyze document, a sweep row's
+    # numbers (cli._fill_row, whose error becomes the row's) and the
+    # simulated estimate
+    pytest.param(lambda: cli.cmd_analyze(cli.build_parser().parse_args(
+                     ["analyze", "--family", "ring", "--n", "16", "--sigma2", "1e308"])),
+                 InvalidParam, "^delta_ss is inf in float64", id="analyze-delta-ss-overflows"),
+    pytest.param(lambda: cli._fill_row({}, lazy_walk_matrix(ring_graph(16)),
+                                       NoiseCovariance.scalar(16, 1e308)),
+                 InvalidParam, "^delta_ss is inf in float64", id="sweep-row-delta-ss-overflows"),
+    pytest.param(lambda: simulate_consensus(lazy_walk_matrix(ring_graph(8)),
+                                            NoiseCovariance.scalar(8, 1e308), np.zeros(8),
+                                            SimConfig(horizon=200, trials=2, burn_in=50, seed=1)),
+                 InvalidParam, "squared error overflows float64", id="simulate-estimate-overflows"),
     # DimensionMismatch: shapes that disagree with the chain
     pytest.param(lambda: delta_ss_theorem(_lazy5(), NoiseCovariance.diagonal(np.ones(4))),
                  DimensionMismatch, None, id="theorem-short-diagonal-variances"),

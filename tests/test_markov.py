@@ -16,7 +16,13 @@ from conftest import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from referees import degree_stationary, exact_lazy_z, hitting_time_delta, per_target_hitting_times
+from referees import (
+    degree_stationary,
+    exact_lazy_z,
+    hitting_time_delta,
+    per_target_hitting_times,
+    uniform_grid_gaps,
+)
 
 from consensuslab import tolerances
 from consensuslab.disagreement import NoiseCovariance, delta_ss_theorem
@@ -205,6 +211,75 @@ def _whole_array_cholesky_z(E: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return Z * s / s[:, None]
 
 
+def _whole_array_grounded_z(E: np.ndarray, pi: np.ndarray) -> np.ndarray | None:
+    """Z of a reversible chain from its grounded conductance Laplacian L,
+    each pass on the whole dense array: the max-pi state g grounded and put
+    last after the others in the reverse Cuthill-McKee order of the pattern
+    of E + E', the conductances (w_i E_ij + w_j E_ji) / 2 in units of pi_g
+    (w = pi / pi_g), each diagonal summed along its row in order (as
+    csr_matvec sums the stored entries), the envelope read off the rows'
+    first entries, then inverted by the package's own envelope inverse of
+    a whole array (markov._envelope_inverse), so that the passes around it
+    are what the comparison checks.  Its inverse G and v = G pi give
+    Z_ij = w_j (G_ij - v_i - v_j + pi'v + pi_g).  None where that inverse
+    takes more flops than the dense one, so that the dense route is the one
+    to compare with."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    from consensuslab.markov import (
+        _block_threads,
+        _envelope_blocks,
+        _envelope_flops,
+        _envelope_inverse,
+        _Threads,
+    )
+
+    n, m = pi.size, pi.size - 1
+    ground = int(np.argmax(pi))
+    w = pi / pi[ground]
+    F = w[:, None] * E
+    C = (F + F.T) * 0.5
+    np.fill_diagonal(C, 0.0)
+    order = reverse_cuthill_mckee(csr_matrix((E != 0) | (E.T != 0)), symmetric_mode=True)
+    perm = np.append(order[order != ground], ground)
+    L = -C[np.ix_(perm, perm)]
+    L[np.diag_indices(n)] = np.cumsum(C, axis=1)[perm, -1]
+    L[m], L[:, m] = 0.0, 0.0
+    first = np.minimum.accumulate(np.argmax(L[:m, :m] != 0, axis=1)[::-1])[::-1]
+    blocks = _envelope_blocks(first)
+    if _envelope_flops(blocks) > float(n) ** 3:
+        return None
+    B = np.triu(L)
+    with _Threads(_block_threads(n)) as threads:
+        assert _envelope_inverse(B, blocks, threads)
+    pos = np.empty(n, int)
+    pos[perm] = np.arange(n)
+    G = np.triu(B) + np.triu(B, 1).T
+    # v = G pi by the row blocks of the envelope's order, then its states'
+    v = np.concatenate([G[b] @ pi[perm] for b in _row_blocks(n)])
+    c = float(pi[perm] @ v)
+    v = v[pos]
+    Z = G[np.ix_(pos, pos)] + ((c + pi[ground]) - v)
+    Z -= v[:, None]
+    Z *= w
+    return Z
+
+
+def _whole_array_z(Q: StochasticMatrix, pi: np.ndarray) -> np.ndarray:
+    """Z of the reversible chain Q, inverted directly, by the whole-array
+    version of the route it takes: the grounded one for a chain stored as
+    sparse CSR (the n^2 / 32 rule) whose envelope inverse takes no more
+    flops than the dense one, else the Cholesky inverse of B_s."""
+    from consensuslab.markov import _sparse
+
+    E = Q.entries
+    Z = None
+    if Q._held is None and _sparse(np.count_nonzero(E), Q.n):
+        Z = _whole_array_grounded_z(E, pi)
+    return _whole_array_cholesky_z(E, pi) if Z is None else Z
+
+
 def _z_from_square(P: StochasticMatrix, Z2: np.ndarray) -> np.ndarray:
     """Z(P) = Z2 + P Z2 - 1 pi' for Z2 = Z(P^2), by the three operations the
     package makes: the product P Z2 first (one CSR product for a sparse P,
@@ -230,8 +305,9 @@ def _z_from_square(P: StochasticMatrix, Z2: np.ndarray) -> np.ndarray:
 def test_csr_built_chains_equal_the_dense_build(family, n, chain):
     # the builders make CSR straight from the edge list, and every O(n^2)
     # pass reads dense blocks of it; entries, pi and Z must be the bits of
-    # the dense build, Z of P^2 the bits of B_s built from the whole dense
-    # array, and Z of the aperiodic P the bits read off that Z of P^2
+    # the dense build, Z of P^2 the bits of its route built from the whole
+    # dense array (the grounded Laplacian of a sparse square, B_s of a held
+    # or dense one), and Z of the aperiodic P the bits read off that Z of P^2
     g = build_graph(family, n)
     P = (lazy_walk_matrix if chain == "lazy" else uniform_edge_matrix)(g)
     D = StochasticMatrix(_dense_walk(g, chain))
@@ -240,20 +316,22 @@ def test_csr_built_chains_equal_the_dense_build(family, n, chain):
     assert np.array_equal(P._fundamental[0], D._fundamental[0])
     assert P.symmetric == D.symmetric and P.reversible and P.aperiodic
     P2 = square_chain(P)
-    Z2 = _whole_array_cholesky_z(P2.entries, P2.stationary())
+    Z2 = _whole_array_z(P2, P2.stationary())
     assert np.array_equal(P2._fundamental[0], Z2)
     assert np.array_equal(P._fundamental[0], _z_from_square(P, Z2))
 
 
 def test_direct_routes_of_the_fundamental_matrix():
     # a periodic chain has a reducible square, so its Z is inverted
-    # directly: the simple walk on an even ring by the Cholesky route, bit
-    # for bit.  A non-reversible aperiodic chain reads Z off an LU Z of its
-    # square, which is the plain LU solve of I - P^2 + 1 pi'
+    # directly: the simple walk on an even ring, stored as sparse CSR, by
+    # the grounded route, bit for bit.  A non-reversible aperiodic chain
+    # reads Z off an LU Z of its square, which is the plain LU solve of
+    # I - P^2 + 1 pi'
     walk = simple_walk_matrix(ring_graph(300))
     assert walk.reversible and not walk.aperiodic
     pi = walk.stationary()
-    assert np.array_equal(walk._fundamental[0], _whole_array_cholesky_z(walk.entries, pi))
+    Z = _whole_array_grounded_z(walk.entries, pi)
+    assert Z is not None and np.array_equal(walk._fundamental[0], Z)
 
     n = 300
     cycle = StochasticMatrix(0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1))
@@ -266,6 +344,39 @@ def test_direct_routes_of_the_fundamental_matrix():
     # 5.6e-15 off the plain LU Z at one BLAS thread and 7.5e-15 at two,
     # whose entries reach 1; 4x that covers another LAPACK build's rounding
     assert np.abs(cycle._fundamental[0] - _lu_referees(cycle)[1]).max() <= 3e-14
+
+
+@pytest.mark.parametrize("name, route", [
+    ("lazy ring200", "_envelope_inverse"), ("uniform line200", "_envelope_inverse"),
+    ("lazy ring1024", "_envelope_inverse"), ("uniform line1200", "_envelope_inverse"),
+    ("lazy tree255", "_envelope_inverse"), ("uniform grid576", "_envelope_inverse"),
+    ("simple ring300", "_envelope_inverse"),
+    ("uniform grid256", "_cholesky_inverse"), ("uniform two-star400", "_cholesky_inverse"),
+    ("lazy starry-line288", "_cholesky_inverse"), ("lazy complete300", "_cholesky_inverse"),
+    ("lazy ring9", "_cholesky_inverse"),
+])
+def test_which_chains_reach_the_cholesky_inverse(name, route, monkeypatch):
+    # a reversible chain inverted directly (a square, or the periodic simple
+    # ring300) takes the envelope route when it is stored as sparse CSR;
+    # a square held as its factor (grid256, two-star, starry-line) and a
+    # dense chain (complete300, and ring9, whose square is dense) keep B_s's
+    # Cholesky inverse
+    from consensuslab import markov
+
+    seen = []
+    for inverse in ("_cholesky_inverse", "_envelope_inverse"):
+        real = getattr(markov, inverse)
+        monkeypatch.setattr(markov, inverse,
+                            lambda *a, real=real, inverse=inverse: seen.append(inverse) or real(*a))
+    walk, family = name.split(" ")
+    fam, n = family.rstrip("0123456789"), int(family[len(family.rstrip("0123456789")):])
+    build = {"lazy": lazy_walk_matrix, "uniform": uniform_edge_matrix,
+             "simple": simple_walk_matrix}[walk]
+    P = build(build_graph(fam, n))
+    Q = P if not P.aperiodic else square_chain(P)
+    assert Q.reversible
+    Q._fundamental
+    assert seen == [route]
 
 
 def _spd(n: int, seed: int) -> np.ndarray:
@@ -371,7 +482,7 @@ def test_lapack_bindings_match_the_exported_signatures():
     # the scalars are the alpha and beta of the BLAS routines
     assert {name: kinds.count("x") for name, (_, kinds) in _ROUTINES.items()} == {
         "dpotrf": 0, "dpotri": 0, "dtrtri": 0, "dlauum": 0,
-        "dtrsm": 1, "dsyrk": 2, "dgemm": 2, "dtrmm": 1}
+        "dtrsm": 1, "dsyrk": 2, "dgemm": 2, "dtrmm": 1, "dsymm": 2}
 
 
 def test_usable_cores_is_the_affinity_set_or_the_cpu_count(monkeypatch):
@@ -461,12 +572,14 @@ def test_threads_claim_each_item_once_and_leave_no_thread_behind(count):
 
 @pytest.mark.parametrize("family, n, chain", [
     ("line", 321, "uniform"), ("two-star", 400, "uniform"), ("tree", 511, "lazy"),
-    ("complete", 300, "lazy"),
+    ("complete", 300, "lazy"), ("ring", 1024, "lazy"),
 ])
 def test_blocked_passes_do_not_depend_on_the_threads(family, n, chain, monkeypatch):
-    # Z of P^2 (the held square of the two-star, the dense square of the
-    # complete graph), its hitting residual, R and max R, on one thread and
-    # on two: the same bits
+    # Z of P^2 (inverted within its envelope for the sparse squares of the
+    # line, the tree and the ring, whose reverse Cuthill-McKee order is
+    # furthest from the states' own; the held square of the two-star, the
+    # dense square of the complete graph), its hitting residual, R, max R
+    # and the checks of its pi, on one thread and on two: the same bits
     from consensuslab import markov
 
     results = []
@@ -478,7 +591,7 @@ def test_blocked_passes_do_not_depend_on_the_threads(family, n, chain, monkeypat
             P = (lazy_walk_matrix if chain == "lazy" else uniform_edge_matrix)(build_graph(family, n))
             Q = square_chain(P)
             Z, worst = Q._fundamental
-            results.append((Z, worst, effective_resistance(Q), _max_resistance(Q)))
+            results.append((Z, worst, effective_resistance(Q), _max_resistance(Q), *Q._stationary))
         finally:
             sys.setswitchinterval(interval)
     for a, b in zip(*results):
@@ -662,15 +775,16 @@ def test_stored_entry_checks_equal_the_dense_formulas(case, form):
         reversible = balanced(pi)
     assert P.reversible == reversible
     assert np.array_equal(P.stationary(), pi)
-    # the Cholesky route builds B_s from the stored entries alone: of P^2,
-    # whose Z gives Z of an aperiodic P, or of a periodic P itself
+    # the reversible routes build their system from the stored entries
+    # alone (the grounded Laplacian of a sparse chain, B_s of a dense one):
+    # of P^2, whose Z gives Z of an aperiodic P, or of a periodic P itself
     if reversible and P.aperiodic:
         P2 = square_chain(P)
-        Z2 = _whole_array_cholesky_z(P2.entries, pi)
+        Z2 = _whole_array_z(P2, pi)
         assert np.array_equal(P2._fundamental[0], Z2)
         assert np.array_equal(P._fundamental[0], _z_from_square(P, Z2))
     elif reversible:
-        assert np.array_equal(P._fundamental[0], _whole_array_cholesky_z(E, pi))
+        assert np.array_equal(P._fundamental[0], _whole_array_z(P, pi))
 
 
 def test_sweep_row_keeps_the_chain_and_its_square_sparse():
@@ -966,6 +1080,37 @@ def test_reversible_route_accuracy_against_exact_values():
     ):
         K = kemeny_constant_combinatorial(square_chain(P))
         assert abs(K - exact) <= u / gap * exact
+
+
+@pytest.mark.parametrize("side", [24, 32])
+def test_grid_closed_forms_match_the_kronecker_spectrum(side):
+    # K(P^2) and delta_ss of the uniform grid576 and grid1024, whose squares
+    # are inverted within their envelope, against the grid's analytic
+    # spectrum (referees.uniform_grid_gaps), with the bound of the ring and
+    # line pins above: the rounding floor u / (1 - lambda_2^2), 2.6e-14 and
+    # 4.6e-14 here.  Measured at one and two BLAS threads: at most 1.5e-15
+    n = side * side
+    P = uniform_edge_matrix(build_graph("grid", n))
+    with mpmath.workdps(40):
+        gaps2 = [g * (2 - g) for g in uniform_grid_gaps(side)]
+        exact = mpmath.fsum(1 / g for g in gaps2)
+        floor = np.finfo(float).eps / 2 / float(min(gaps2))
+        K = kemeny_constant_combinatorial(square_chain(P))
+        delta = delta_ss_theorem(P, NoiseCovariance.scalar(n, 1.5)).delta_ss
+        assert abs(K - exact) <= floor * exact
+        assert abs(delta - 1.5 * exact / n) <= floor * 1.5 * exact / n
+
+
+@pytest.mark.parametrize("n, measured", [(511, 5.0e-14), (1023, 5.0e-14)])
+def test_tree_grounded_z_agrees_with_the_cholesky_route(n, measured):
+    # the lazy tree's square is sparse, so it is inverted within the
+    # envelope of its grounded Laplacian, which reverse Cuthill-McKee keeps
+    # wide on a tree; against B_s's Cholesky inverse of the whole array,
+    # measured: the largest distance over the largest |Z_ij| at one and at
+    # two BLAS threads, and the bound is four times it
+    Q = square_chain(lazy_walk_matrix(build_graph("tree", n)))
+    ref = _whole_array_cholesky_z(Q.entries, Q.stationary())
+    assert np.abs(Q._fundamental[0] - ref).max() <= 4 * measured * np.abs(ref).max()
 
 
 def _ring_walk(n: int, a: float) -> StochasticMatrix:

@@ -214,8 +214,9 @@ def test_kernel_step_is_the_csr_product_then_the_noise_bit_for_bit(
 def test_cli_outputs_do_not_depend_on_the_usable_cores(tmp_path):
     # at one BLAS thread, unpinned on two or more cores, the noise draws and
     # markov's blocked passes run on two threads, and pinned on one; the
-    # sweep and analyze chains are above markov._SPLIT, and the two-star's
-    # dense square is held as its factor
+    # sweep and analyze chains are above markov._SPLIT, the two-star's
+    # dense square is held as its factor, and the ring's and the line's
+    # sparse squares are inverted within their envelopes
     cpu = min(os.sched_getaffinity(0))
     runs = {
         "simulate": ["simulate", "--family", "ring", "--n", "16", "--horizon", "700",
@@ -227,6 +228,8 @@ def test_cli_outputs_do_not_depend_on_the_usable_cores(tmp_path):
                       "--out", "{stem}.csv", "--summary", "{stem}.json"],
         "sweep": ["sweep", "--family", "two-star", "--n-list", "900,1600", "--chain", "uniform",
                   "--out", "{stem}.csv"],
+        "sweep-ring": ["sweep", "--family", "ring", "--n-list", "640,1024", "--chain", "lazy",
+                       "--out", "{stem}.csv"],
         "analyze": ["analyze", "--family", "line", "--n", "1200", "--chain", "uniform",
                     "--out", "{stem}.json"],
     }
