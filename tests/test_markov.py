@@ -346,16 +346,16 @@ def test_direct_routes_of_the_fundamental_matrix():
     assert np.abs(cycle._fundamental[0] - _lu_referees(cycle)[1]).max() <= 3e-14
 
 
-@pytest.mark.parametrize("name, route", [
-    ("lazy ring200", "_envelope_inverse"), ("uniform line200", "_envelope_inverse"),
-    ("lazy ring1024", "_envelope_inverse"), ("uniform line1200", "_envelope_inverse"),
-    ("lazy tree255", "_envelope_inverse"), ("uniform grid576", "_envelope_inverse"),
-    ("simple ring300", "_envelope_inverse"),
-    ("uniform grid256", "_cholesky_inverse"), ("uniform two-star400", "_cholesky_inverse"),
-    ("lazy starry-line288", "_cholesky_inverse"), ("lazy complete300", "_cholesky_inverse"),
-    ("lazy ring9", "_cholesky_inverse"),
+@pytest.mark.parametrize("walk, family, n, route", [
+    ("lazy", "ring", 200, "_envelope_inverse"), ("uniform", "line", 200, "_envelope_inverse"),
+    ("lazy", "ring", 1024, "_envelope_inverse"), ("uniform", "line", 1200, "_envelope_inverse"),
+    ("lazy", "tree", 255, "_envelope_inverse"), ("uniform", "grid", 576, "_envelope_inverse"),
+    ("simple", "ring", 300, "_envelope_inverse"),
+    ("uniform", "grid", 256, "_cholesky_inverse"), ("uniform", "two-star", 400, "_cholesky_inverse"),
+    ("lazy", "starry-line", 288, "_cholesky_inverse"), ("lazy", "complete", 300, "_cholesky_inverse"),
+    ("lazy", "ring", 9, "_cholesky_inverse"),
 ])
-def test_which_chains_reach_the_cholesky_inverse(name, route, monkeypatch):
+def test_which_chains_reach_the_cholesky_inverse(walk, family, n, route, monkeypatch):
     # a reversible chain inverted directly (a square, or the periodic simple
     # ring300) takes the envelope route when it is stored as sparse CSR;
     # a square held as its factor (grid256, two-star, starry-line) and a
@@ -368,11 +368,9 @@ def test_which_chains_reach_the_cholesky_inverse(name, route, monkeypatch):
         real = getattr(markov, inverse)
         monkeypatch.setattr(markov, inverse,
                             lambda *a, real=real, inverse=inverse: seen.append(inverse) or real(*a))
-    walk, family = name.split(" ")
-    fam, n = family.rstrip("0123456789"), int(family[len(family.rstrip("0123456789")):])
     build = {"lazy": lazy_walk_matrix, "uniform": uniform_edge_matrix,
              "simple": simple_walk_matrix}[walk]
-    P = build(build_graph(fam, n))
+    P = build(build_graph(family, n))
     Q = P if not P.aperiodic else square_chain(P)
     assert Q.reversible
     Q._fundamental
