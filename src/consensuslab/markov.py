@@ -23,11 +23,12 @@ product's bit for bit.  Every sparse pass runs scipy's compiled CSR
 kernels (scipy.sparse._sparsetools) on those arrays: csr_matvec for the
 row sums, csc_matvec for pi'P, csr_sample_values for the tree arcs'
 entries, csr_tocsc for the transposed entries, csr_matmat_maxnnz,
-csr_matmat and csr_sort_indices for a CSR P^2, and csr_matvecs for the
-strips of a held P^2 and the products with Z.  They are the kernels
-scipy's operators call, fed the same arguments in the same order, so every
-number is the operator's bit for bit; the chain, and a sparse square, are
-the only sparse matrices an analysis builds.
+csr_matmat and csr_sort_indices for a CSR P^2 and for the split square
+of a held one, and csr_matvecs for the strips of a held P^2 and the
+products with Z.  They are the kernels scipy's operators call, fed the
+same arguments in the same order, so every number is the operator's bit
+for bit; the chain, and a sparse square or the pattern that orders a
+split square, are the only sparse matrices an analysis builds.
 Every chain built from a graph is reversible, and reversible chains take a
 fast route: pi by detailed balance on the n - 1 arcs of a breadth-first
 tree, whose P_ij and P_ji are looked up in the CSR arrays (O(nnz) with its
@@ -37,10 +38,16 @@ or a dense Cholesky inverse.  A square stored as sparse CSR (the squares
 of the ring, the line and the tree, and the grid's from 576 states) is
 inverted through its grounded conductance Laplacian, factored and
 inverted within its reverse Cuthill-McKee envelope in O(n^2 front) flops
-(_grounded_z); a square held as its factor (the two-star, the
-starry-line, the grid at 256 states) and a dense chain (the complete
-graph) take the Cholesky inverse of the symmetrized form B_s
-(_fundamental_cholesky).  Other chains take LU solves.  An aperiodic chain
+(_grounded_z).  So is a square held as its factor whose hubs split off
+(the two-star's two and the starry-line's two at every size, the star's
+one): each hub's paths are kept apart as a copy of the hub, which leaves
+a sparse two-step graph, and the hubs' rows and copies are a Schur border
+around the envelope's interior (_grounded_system, _border_inverse).  A
+held square with no such hubs (the grid at 256 states, the tree at 127)
+and a dense chain (the complete graph) take the Cholesky inverse of the
+symmetrized form B_s (_fundamental_cholesky), as does a system that the
+grounded route finds not positive definite.  Other chains take LU
+solves.  An aperiodic chain
 reads its own Z off Z(P^2) by one sparse product, Z = Z(P^2) + P Z(P^2) - 1 pi',
 so only P^2, or a periodic chain, is inverted.  H, K and R are all read
 off Z, and H is only built when asked for; the O(n^2) passes over Z read
@@ -57,13 +64,15 @@ and cython_blas export (_call), which releases the GIL that
 scipy.linalg.lapack's wrappers hold.  From _SPLIT states B_s is inverted
 by a two-way block Cholesky whose split depends on n alone
 (_cholesky_inverse), the envelope inverse splits its largest products in
-two halves above one row block (_envelope_inverse), and each pass hands
+two halves above one row block (_envelope_inverse), the border's rank-b
+update takes two calls of equal work (_rank_update), and each pass hands
 its row blocks to the threads with the same arithmetic per block, so no
 number depends on the thread count.
 """
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import itertools
 import math
@@ -122,6 +131,7 @@ class StochasticMatrix:
     entries: it is held as the chain's CSR matrix F (see _square).  Its row
     sums, the check of its inherited pi and its Cholesky build read F F by
     strips of rows and columns (_square_strips), O(n) entries at a time,
+    its grounded route reads the split square of F (_grounded_system),
     and its CSR matrix is built only when something reads the entries
     themselves: ``entries``, the spectrum, the LU routes, ``symmetric``.
 
@@ -345,28 +355,9 @@ class StochasticMatrix:
         return worst <= tol.REVERSIBILITY_RTOL * top
 
     def _paired(self):
-        """(U, V): the entries on the union of the pattern and its transpose,
-        as a CSR matrix U, and for each stored entry (i, j) of U the entry
-        U[j, i] at the same position of the array V.  Not cached: V is as
-        large as the entries, so a check makes it and drops it.
-
-        U is the chain's own CSR matrix when its pattern is symmetric, as the
-        pattern of every graph chain and of its square is; any other pattern
-        gets explicit zeros on the transposed pattern.  So P_ij and P_ji are
-        read for every pair where either is nonzero, and their products and
-        differences are those of the dense arrays P and P'.
-        """
-        from scipy.sparse import coo_matrix
-
-        S = self._csr
-        V = _transposed_data(S)
-        if V is None:
-            rows = np.repeat(np.arange(self.n), np.diff(S.indptr))
-            S = coo_matrix((np.concatenate([S.data, np.zeros(S.nnz)]),
-                            (np.concatenate([rows, S.indices]), np.concatenate([S.indices, rows]))),
-                           shape=S.shape).tocsr()  # duplicates summed, the zeros kept
-            V = _transposed_data(S)
-        return S, V
+        """_paired(P's CSR matrix).  Not cached: V is as large as the
+        entries, so a check makes it and drops it."""
+        return _paired(self._csr)
 
     def _lu_stationary(self) -> tuple[np.ndarray, float]:
         """pi by LU and its residual (before normalization)."""
@@ -443,8 +434,9 @@ class StochasticMatrix:
         A sparse square is a CSR matrix (_csr_square).  A sparse, irreducible
         and aperiodic P whose square csr_matmat_maxnnz bounds above n^2 / 32
         stored entries holds its square as its own CSR matrix F instead: the
-        checks and the Cholesky route read F F by strips (_square_strips), and
-        the CSR matrix of F F is built only if its entries are asked for."""
+        checks and the Cholesky route read F F by strips (_square_strips),
+        the grounded route reads F itself (_grounded_system), and the CSR
+        matrix of F F is built only if its entries are asked for."""
         F = self._csr
         primitive = self.irreducible and self.aperiodic
         nnz = _square_nnz(F)
@@ -475,11 +467,12 @@ class StochasticMatrix:
         takes P Z2 by one CSR product and a dense one by dense row blocks,
         an n^3 product that costs no more than an inversion.  A squared
         chain, and a periodic chain, whose square is reducible, invert
-        directly (_inverted_z): a reversible chain stored as sparse CSR
-        within the envelope of its grounded conductance Laplacian, a
-        reversible one held as its factor or dense by the Cholesky inverse
-        of B_s, and LU otherwise, or where either finds the system not
-        positive definite.
+        directly (_inverted_z): a reversible chain stored as sparse CSR, or
+        held as its factor with hubs to split off, within the envelope of
+        its grounded conductance Laplacian, any other reversible one by the
+        Cholesky inverse of B_s, which also takes a system that the
+        envelope route finds not positive definite, and LU otherwise, or
+        where the Cholesky inverse finds B_s not positive definite.
         """
         pi = self.stationary()
         if not self._squared and self.aperiodic:
@@ -579,30 +572,40 @@ def _sparse(nnz: int, n: int) -> bool:
     return nnz * 32 <= n ** 2
 
 
-def _square_nnz(S) -> int:
-    """csr_matmat_maxnnz's bound on the stored entries of S @ S: the entries
-    of its pattern, which a product of nonnegative entries can only shrink by
-    underflow."""
+def _square_nnz(S, left=None) -> int:
+    """csr_matmat_maxnnz's bound on the stored entries of left @ S, S @ S if
+    ``left`` is None: the entries of its pattern, which a product of
+    nonnegative entries can only shrink by underflow."""
     n = S.shape[0]
-    return int(_sparsetools.csr_matmat_maxnnz(n, n, S.indptr, S.indices, S.indptr, S.indices))
+    A = S if left is None else left
+    return int(_sparsetools.csr_matmat_maxnnz(n, n, A.indptr, A.indices, S.indptr, S.indices))
 
 
-def _csr_square(S, nnz: int | None = None):
-    """S @ S as a canonical CSR matrix of S's class: sorted indices, no
-    duplicates and no stored zeros (csr_matmat stores neither).  The index
-    dtype is the one scipy's product picks, S's own or int64 once the
-    product's bound on its stored entries needs it; csr_matmat_maxnnz gives
-    that bound (``nnz``, if the caller has it), csr_matmat the product and
+def _csr_product(A, S, nnz: int | None = None) -> _Arrays:
+    """A @ S for CSR matrices (or _Arrays) A and S of one index dtype, as
+    the canonical arrays of a CSR matrix: sorted indices, no duplicates and
+    no stored zeros (csr_matmat stores neither).  The index dtype is the
+    one scipy's product picks, S's own or int64 once the product's bound on
+    its stored entries needs it; csr_matmat_maxnnz gives that bound
+    (``nnz``, if the caller has it), csr_matmat the product and
     csr_sort_indices its order."""
     n = S.shape[0]
     if nnz is None:
-        nnz = _square_nnz(S)
+        nnz = _square_nnz(S, A)
     idx = np.promote_types(S.indices.dtype, np.int64 if nnz > np.iinfo(np.int32).max else np.int32)
-    ptr, ind = S.indptr.astype(idx, copy=False), S.indices.astype(idx, copy=False)
+    a, s = ((M.indptr.astype(idx, copy=False), M.indices.astype(idx, copy=False), M.data)
+            for M in (A, S))
     indptr, indices, data = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz)
-    _sparsetools.csr_matmat(n, n, ptr, ind, S.data, ptr, ind, S.data, indptr, indices, data)
+    _sparsetools.csr_matmat(n, n, *a, *s, indptr, indices, data)
     _sparsetools.csr_sort_indices(n, indptr, indices, data)
-    return type(S)((data, indices, indptr), shape=S.shape)  # pruned to the stored entries
+    stored = int(indptr[-1])
+    return _Arrays(indptr, indices[:stored], data[:stored])
+
+
+def _csr_square(S, nnz: int | None = None):
+    """S @ S (_csr_product) as a CSR matrix of S's class."""
+    indptr, indices, data = _csr_product(S, S, nnz)
+    return type(S)((data, indices, indptr), shape=S.shape)
 
 
 def _square_strips(A, At, blocks=None):
@@ -706,10 +709,33 @@ def _stored(S):
 
 def _pairs(U, V):
     """(i, j, U_ij, U_ji) for the stored entries (i, j) of U, by the blocks
-    of _stored, with V from StochasticMatrix._paired."""
+    of _stored, with V from _paired."""
     ptr = U.indptr
     for b, i, j, p in _stored(U):
         yield i, j, p, V[ptr[b.start]:ptr[b.stop]]
+
+
+def _paired(S):
+    """(U, V): the entries of the canonical CSR matrix S on the union of its
+    pattern and its transpose, as a CSR matrix U, and for each stored entry
+    (i, j) of U the entry U[j, i] at the same position of the array V.
+
+    U is S itself when its pattern is symmetric, as the pattern of every
+    graph chain and of its square is; any other pattern gets explicit zeros
+    on the transposed pattern.  So S_ij and S_ji are read for every pair
+    where either is nonzero, and their products and differences are those
+    of the dense arrays S and S'.
+    """
+    from scipy.sparse import coo_matrix
+
+    V = _transposed_data(S)
+    if V is None:
+        rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+        S = coo_matrix((np.concatenate([S.data, np.zeros(S.data.size)]),
+                        (np.concatenate([rows, S.indices]), np.concatenate([S.indices, rows]))),
+                       shape=S.shape).tocsr()  # duplicates summed, the zeros kept
+        V = _transposed_data(S)
+    return S, V
 
 
 def _transposed_data(S) -> np.ndarray | None:
@@ -936,24 +962,28 @@ def _halves(size: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def _rank_update(threads: _Threads, trans: str, alpha: float, size: int, inner: int,
-                 x, c, ld: int) -> None:
+                 x, c, ld: int, uplo: str = "U") -> None:
     """C += alpha X'X (trans "T", X of shape inner x size) or alpha X X'
-    ("N", X of shape size x inner) on the upper triangle of the size x size
-    C, as two calls of equal work on ``threads``: dsyrk on C's first
-    p = size / sqrt(2) columns, and dgemm above the diagonal and dsyrk on
-    it for the rest.  x(j) is the address of X's column j ("T") or row j
-    ("N"), c(i, j) that of C_ij; both Fortran-ordered with leading
-    dimension ``ld``."""
+    ("N", X of shape size x inner) on the ``uplo`` triangle of the
+    size x size C, as two calls of equal work on ``threads``: dsyrk on C's
+    first p = size / sqrt(2) rows and columns, and dgemm off the diagonal
+    and dsyrk on it for the rest.  x(j) is the address of X's column j
+    ("T") or row j ("N"), c(i, j) that of C_ij; both Fortran-ordered with
+    leading dimension ``ld``."""
     p = round(size / math.sqrt(2))
     other = "N" if trans == "T" else "T"
 
     def first():
-        _call("dsyrk", "U", trans, p, inner, alpha, x(0), ld, 1.0, c(0, 0), ld)
+        _call("dsyrk", uplo, trans, p, inner, alpha, x(0), ld, 1.0, c(0, 0), ld)
 
     def second():
-        _call("dgemm", trans, other, p, size - p, inner, alpha, x(0), ld, x(p), ld,
-              1.0, c(0, p), ld)
-        _call("dsyrk", "U", trans, size - p, inner, alpha, x(p), ld, 1.0, c(p, p), ld)
+        if uplo == "U":
+            _call("dgemm", trans, other, p, size - p, inner, alpha, x(0), ld, x(p), ld,
+                  1.0, c(0, p), ld)
+        else:
+            _call("dgemm", trans, other, size - p, p, inner, alpha, x(p), ld, x(0), ld,
+                  1.0, c(p, 0), ld)
+        _call("dsyrk", uplo, trans, size - p, inner, alpha, x(p), ld, 1.0, c(p, p), ld)
 
     threads.both(first, second)
 
@@ -1022,14 +1052,16 @@ def _cholesky_inverse(B: np.ndarray, threads: _Threads) -> bool:
 def _inverted_z(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray | None:
     """Z of a reversible chain that is inverted directly; None if not
     positive definite.  A chain stored as sparse CSR (the n^2 / 32 rule of
-    _sparse) is inverted within the envelope of its grounded conductance
-    Laplacian (_grounded_z), unless that takes more flops than the dense
-    inverse; a square held as its factor, and a dense chain, take the
-    Cholesky inverse of B_s (_fundamental_cholesky)."""
-    system = None
-    if P._held is None and _sparse(P._csr.nnz, P.n):
+    _sparse), and a square held as its factor, are inverted through their
+    grounded conductance Laplacian (_grounded_system, _grounded_z), unless
+    that takes more flops than the dense inverse; the others, and a system
+    that the route finds not positive definite, take the Cholesky inverse
+    of B_s (_fundamental_cholesky)."""
+    Z = None
+    if P._held is not None or _sparse(P._csr.nnz, P.n):
         system = _grounded_system(P, pi)
-    return _fundamental_cholesky(P, pi) if system is None else _grounded_z(pi, system)
+        Z = None if system is None else _grounded_z(pi, system)
+    return _fundamental_cholesky(P, pi) if Z is None else Z
 
 
 def _fundamental_cholesky(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray | None:
@@ -1104,10 +1136,11 @@ class _Grounded(NamedTuple):
     """The grounded conductance Laplacian L of a reversible chain, in the
     order of its envelope (see _grounded_system)."""
 
-    perm: np.ndarray  # the state at each position; the ground last
-    blocks: list  # (j0, j1, e) of _envelope_blocks
-    at: np.ndarray  # flat positions r * n + s, r <= s, of L's stored entries
+    perm: np.ndarray  # the state at each position: the interior, the split states, the ground
+    blocks: list  # (j0, j1, e) of _envelope_blocks, over the interior
+    at: np.ndarray  # flat positions r * n + s, r <= s, of the interior's stored entries
     values: np.ndarray  # L_rs at those positions
+    border: np.ndarray  # (b + 1) x (m + b): the border's rows of L and the ground's
 
 
 _ENVELOPE_BLOCK = 64
@@ -1139,10 +1172,76 @@ def _envelope_flops(blocks) -> float:
     return flops
 
 
+def _border_flops(m: int, b: int) -> int:
+    """The flops of _border_inverse on an interior of m states and a border
+    of b columns, the ground's column beside them: symm 2 m^2 (b + 1),
+    syrk m^2 b, the gemm that forms S 2 m b (b + 1) and the two trsm
+    2 m b^2."""
+    return m * m * (3 * b + 2) + m * b * (4 * b + 2)
+
+
+def _without_columns(S, states) -> _Arrays:
+    """The CSR matrix S with the stored entries of the columns ``states``
+    dropped, the others in their order."""
+    keep = np.ones(S.shape[0], bool)
+    keep[states] = False
+    mask = keep[S.indices]
+    indptr = np.concatenate([[0], np.cumsum(mask)])[S.indptr].astype(S.indptr.dtype)
+    return _Arrays(indptr, S.indices[mask], S.data[mask])
+
+
+def _split_states(F, Ft) -> np.ndarray | None:
+    """The states k of the chain F whose two-step paths i -> k -> j the held
+    square F F keeps as copies of k (see _grounded_system), as few as make
+    the square without their paths pass _sparse; None where so many would
+    be needed that their border alone takes more flops than the dense
+    inverse.
+
+    The states are taken by the clique that their paths make in F F (the
+    entries of their column times those of their row, the degree squared
+    on a symmetric pattern), largest first, ties by index.  Dropping more
+    states leaves fewer paths, so the count is bisected between the states
+    whose clique alone breaks _sparse, which are tried first, and the
+    most, ``top``, whose border stays within the dense inverse's n^3 flops,
+    which is tried before the bisection: k split states give a border of
+    b >= 2k - 1 columns (_border_flops(n, 2k - 1) <= n^3)."""
+    n = F.shape[0]
+    size = np.diff(Ft.indptr).astype(np.int64) * np.diff(F.indptr)
+    order = np.argsort(-size, kind="stable")
+    top = bisect.bisect_right(range(1, n), n ** 3, key=lambda k: _border_flops(n, 2 * k - 1))
+    forced = int(np.count_nonzero(size * 32 > n * n))
+    low = max(1, forced)
+
+    def sparse_without(k: int) -> bool:
+        return _sparse(_square_nnz(F, _without_columns(F, order[:k])), n)
+
+    if low > top:
+        return None
+    if forced and sparse_without(low):  # the hubs alone, the common case
+        return order[:low]
+    if not sparse_without(top):
+        return None
+    return order[:low + bisect.bisect_left(range(low, top), True, key=sparse_without)]
+
+
+def _copy_conductances(F, Ft, k: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j, c): the states j joined to state k by F's row or column k, and
+    the conductances c_jk = (w_j F_jk + w_k F_kj) / 2 of their one-step
+    arcs, in the units of w (see _grounded_system)."""
+    ends = slice(F.indptr[k], F.indptr[k + 1]), slice(Ft.indptr[k], Ft.indptr[k + 1])
+    j = np.union1d(F.indices[ends[0]], Ft.indices[ends[1]])
+    at = np.full(j.size, k)
+    c = w[j] * _lookup(F, j, at)
+    c += w[k] * _lookup(F, at, j)
+    c *= 0.5
+    return j, c
+
+
 def _grounded_system(P: StochasticMatrix, pi: np.ndarray) -> _Grounded | None:
     """The grounded conductance Laplacian of the reversible chain P, stored
-    as sparse CSR, in the order in which its envelope is narrow; None where
-    _envelope_inverse would take more flops than the dense Cholesky inverse.
+    as sparse CSR or held as its factor, in the order in which its envelope
+    is narrow; None where _envelope_inverse and _border_inverse would take
+    more flops than the dense Cholesky inverse.
 
     The max-pi state, g, is grounded: its row and column go, which leaves
     L positive definite.  The conductances are taken in units of pi_g,
@@ -1153,39 +1252,94 @@ def _grounded_system(P: StochasticMatrix, pi: np.ndarray) -> _Grounded | None:
     never a difference.  In those units a chain with equal pi_i, such as
     the lazy ring or the uniform line, has conductances that are its own
     entries, unrounded: in units of 1, K(P^2) of the uniform line200 was
-    2.2e-13 from its spectrum, against 3.2e-14 in units of pi_g.  The
-    other states are ordered by scipy's reverse Cuthill-McKee, and the
-    ground is put last.  Row r's envelope starts at its first entry, or at
-    a later row's first entry where that is smaller, so that the rows
-    reaching into a block are consecutive (_envelope_blocks)."""
+    2.2e-13 from its spectrum, against 3.2e-14 in units of pi_g.
+
+    A square held as its factor F, P = F F, has a hub whose paths make a
+    clique, which is why it is dense.  So its split states H (_split_states)
+    keep their paths apart: the states' own conductances are those of the
+    paths through the other states, read off F[:, H dropped] F (a CSR
+    product of at most n^2 / 32 entries), and each k in H gets a copy k',
+    joined to each state j by the conductance c_jk of F's arc
+    (_copy_conductances), with the sum of those as its diagonal.  Every
+    diagonal is still a sum of conductances, and eliminating the copies
+    (a Kron reduction) leaves the grounded Laplacian of F F, since
+    pi_i (F F)_ij = sum_k c_ik c_kj / pi_k; so the states' block of the
+    larger system's inverse is the G of F F.  A chain stored as CSR has
+    no split states and no copies.
+
+    The states other than H and g are the interior, ordered by scipy's
+    reverse Cuthill-McKee on the pattern among themselves; the states of
+    H other than g follow, then the ground.  Row r's envelope starts at
+    its first entry, or at a later row's first entry where that is
+    smaller, so that the rows reaching into a block are consecutive
+    (_envelope_blocks).  The split states and the copies form a border of
+    b = 2 |H| - [g in H] rows (_border_inverse)."""
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     n = pi.size
-    U, V = P._paired()
-    rows = np.repeat(np.arange(n), np.diff(U.indptr))
-    cols = U.indices
     ground = int(np.argmax(pi))
     w = pi / pi[ground]
+    split, copies = np.empty(0, np.intp), []
+    if P._held is None:
+        U, V = P._paired()
+    else:
+        F, Ft = P._held
+        split = _split_states(F, Ft)
+        if split is None:
+            return None
+        U, V = _paired(_csr_product(_without_columns(F, split), F))
+    rows = np.repeat(np.arange(n), np.diff(U.indptr))
+    cols = U.indices
     c = w[rows] * U.data
     c += w[cols] * V
     c *= 0.5
     c[rows == cols] = 0.0
     diag = _product(_Arrays(U.indptr, U.indices, c), np.ones(n))
-    order = reverse_cuthill_mckee(U, symmetric_mode=True)
-    perm = np.append(order[order != ground], ground)
+    pattern = U
+    if split.size:
+        copies = [_copy_conductances(F, Ft, k, w) for k in split.tolist()]
+        for j, ck in copies:
+            diag[j] += ck
+        keep = np.ones(n, bool)
+        keep[split] = False
+        inner = keep[rows] & keep[cols]
+        indptr = np.concatenate([[0], np.cumsum(inner)])[U.indptr]
+        pattern = type(F)((U.data[inner], cols[inner], indptr), shape=F.shape)
+    order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    outside = np.append(split[split != ground], ground)
+    inside = np.ones(n, bool)
+    inside[outside] = False
+    perm = np.concatenate([order[inside[order]], outside])
     pos = np.empty(n, np.intp)
     pos[perm] = np.arange(n)
     r, s = pos[rows], pos[cols]
-    m = n - 1
+    m = n - outside.size
     first = np.arange(n)
     np.minimum.at(first, r, s)
     first = np.minimum.accumulate(first[m - 1::-1])[::-1]
     blocks = _envelope_blocks(first)
-    if _envelope_flops(blocks) > float(n) ** 3:  # the dense potrf and potri's
+    b = outside.size - 1 + split.size
+    if _envelope_flops(blocks) + _border_flops(m, b) > float(n) ** 3:
         return None
     upper = (r < s) & (s < m)
     at = np.concatenate([r[upper] * n + s[upper], np.arange(m) * (n + 1)])
-    return _Grounded(perm, blocks, at, np.concatenate([-c[upper], diag[perm[:m]]]))
+    values = np.concatenate([-c[upper], diag[perm[:m]]])
+    # the border's rows: the split states' at m..n-2, the copies' from n-1,
+    # then the ground's row, without its diagonal
+    border = np.zeros((b + 1, m + b))
+    if b:
+        row = pos - m
+        row[ground] = b
+        edge = (r >= m) & (s < n - 1) & (rows != cols)
+        border[row[rows[edge]], s[edge]] = -c[edge]
+        for a, (j, ck) in enumerate(copies, start=n - 1 - m):  # copy a, column m + a
+            mine = j != ground
+            border[a, pos[j[mine]]] = -ck[mine]
+            outer = pos[j] >= m
+            border[row[j[outer]], m + a] = -ck[outer]
+        t = np.arange(b)
+        border[t, m + t] = np.concatenate([diag[perm[m:n - 1]], [ck.sum() for _, ck in copies]])
+    return _Grounded(perm, blocks, at, values, border)
 
 
 def _envelope_inverse(B: np.ndarray, blocks, threads: _Threads) -> bool:
@@ -1207,16 +1361,27 @@ def _envelope_inverse(B: np.ndarray, blocks, threads: _Threads) -> bool:
     then dgemm): O(m^2 |S|) work instead of m^3.  Above one row block
     (_block_rows(n) < n, which depends on n alone) the dgemm into G[T, I]
     runs as two halves of T on the two ``threads``, the second with the
-    dsymm; the rows of each call do not depend on the thread count."""
+    dsymm; the rows of each call do not depend on the thread count.
+
+    A block that no later row reaches into (e = j1) and whose A_II is
+    diagonal when its turn comes, such as a block of the two-star's
+    leaves, needs neither: G[I, I] is the reciprocal of that diagonal."""
     n = B.shape[0]
     m = blocks[-1][1]
     base = B.ctypes.data
+    diagonal = set()
 
     def at(i: int, j: int) -> int:  # the address of A_ij
         return base + B.itemsize * (i + j * n)
 
     for j0, j1, e in blocks:
         k, s = j1 - j0, e - j1
+        if not s and np.count_nonzero(B[j0:j1, j0:j1]) == k:
+            d = np.arange(j0, j1)
+            if not (B[d, d] > 0).all():
+                return False
+            diagonal.add(j0)
+            continue
         if _call("dpotrf", "L", k, at(j0, j0), n):
             return False
         if s:
@@ -1225,6 +1390,10 @@ def _envelope_inverse(B: np.ndarray, blocks, threads: _Threads) -> bool:
     split = _block_rows(n) < n
     for j0, j1, e in reversed(blocks):
         k, s, t = j1 - j0, e - j1, m - e
+        if j0 in diagonal:
+            d = np.arange(j0, j1)
+            B[d, d] = 1.0 / B[d, d]
+            continue
         if s:
             W = np.ascontiguousarray(B[j0:j1, j1:e])  # L_SI, Fortran-ordered s x k
             w = W.ctypes.data
@@ -1251,13 +1420,78 @@ def _envelope_inverse(B: np.ndarray, blocks, threads: _Threads) -> bool:
     return True
 
 
+def _border_inverse(B: np.ndarray, border: np.ndarray, blocks, threads: _Threads) -> bool:
+    """Extend in place the inverse A^-1 of the m x m interior, which
+    _envelope_inverse left in B from its ``blocks``, to the states' block
+    of the inverse of M = [[A, C], [C', E]], whose b border rows [C', E]
+    are the first rows of the C-ordered (b + 1) x (m + b) array ``border``
+    (the split states' first, the copies' after them; see
+    _grounded_system), the last being the ground's row [c', e'] (the
+    ground's column, dropped from M).  False if LAPACK finds the Schur
+    complement S = E - C' A^-1 C not positive definite.
+
+    In the layout of _envelope_inverse (LAPACK's lower triangle,
+    Fortran-ordered with leading dimension n): W = A^-1 [C, c] by dsymm,
+    S and its ground column [E, e] - C'W by dgemm, whose terms are all of
+    one sign off S's diagonal.  S's diagonal is then the sum of the rest
+    of its row, the ground column's included, as the Laplacian that S is
+    has rows summing to 0: never a difference, where E - C'A^-1 C would
+    lose the small conductance from a border row through the interior to
+    the ground.  Then S = L L' by dpotrf; X = W L'^-1 by dtrsm and
+    A^-1 += X X' (_rank_update, on the two ``threads``), which gives M^-1's
+    interior block A^-1 + W S^-1 W'; W S^-1 = X L^-1 by dtrsm, and S^-1 by
+    dpotri.  The split states' rows, n - 1 - m of them, then take -W S^-1
+    and S^-1 on their columns; the copies' rows are not kept.  A block
+    that no later row reaches into (e = j1) ends a diagonal block of A, and
+    so of A^-1, so W takes one dsymm per such block: the two-star's
+    interior, its leaves, is diagonal.  A^-1 >= 0, C <= 0 and c <= 0, and
+    L is an M-matrix, so L^-1 >= 0: W and X are <= 0, and every sum of the
+    update adds terms of one sign."""
+    n = B.shape[0]
+    b, width = border.shape[0] - 1, border.shape[1]
+    m = width - b
+    if not b:
+        return True
+    W = np.empty((b + 1, n))  # Fortran n x (b + 1), its first m rows used
+    S = border[:, m:].copy()  # [E, e], Fortran b x (b + 1)
+    base, c, w, e = B.ctypes.data, border.ctypes.data, W.ctypes.data, S.ctypes.data
+    size = B.itemsize
+    start = 0
+    for _, j1, reach in blocks:
+        if reach == j1:  # W[start:j1] = A^-1[start:j1, start:j1] [C, c][start:j1]
+            at = size * start
+            _call("dsymm", "L", "L", j1 - start, b + 1, 1.0, base + at * (n + 1), n, c + at,
+                  width, 0.0, w + at, n)
+            start = j1
+    _call("dgemm", "T", "N", b, b + 1, m, -1.0, c, width, w, n, 1.0, e, b)
+    d = np.arange(b)
+    S[d, d] = 0.0
+    S[d, d] = -S.sum(axis=0)
+    if _call("dpotrf", "L", b, e, b):
+        return False
+    _call("dtrsm", "R", "L", "T", "N", m, b, 1.0, e, b, w, n)
+    _rank_update(threads, "N", 1.0, m, b, lambda i: w + size * i,
+                 lambda i, j: base + size * (i + j * n), n, uplo="L")
+    _call("dtrsm", "R", "L", "N", "N", m, b, 1.0, e, b, w, n)
+    if _call("dpotri", "L", b, e, b):
+        return False
+    split = n - 1 - m
+    np.negative(W[:split, :m].T, out=B[:m, m:m + split])
+    B[m:m + split, m:m + split] = S[:split, :split]
+    return True
+
+
 def _move_rows(B: np.ndarray, source: np.ndarray) -> None:
     """B[i] = B[source[i]] for every row i in place, ``source`` a
-    permutation: row by row along the cycles of i -> source[i], a group of
-    short cycles by one gather and one scatter of at most a row block, a
-    long cycle a row block at a time from a copy of its first row."""
+    permutation: by one gather where B is at most a row block, else row by
+    row along the cycles of i -> source[i], a group of short cycles by one
+    gather and one scatter of at most a row block, a long cycle a row block
+    at a time from a copy of its first row."""
     n = B.shape[0]
     step = _block_rows(n)
+    if n <= step:  # the whole array is one row block
+        B[:] = B[source]
+        return
     nxt = source.tolist()
     done = [False] * n
     group = []
@@ -1292,10 +1526,11 @@ def _grounded_z(pi: np.ndarray, system: _Grounded) -> np.ndarray | None:
     column at the ground, gives Z = (I - 1 pi') G D_pi (I - 1 pi') + 1 pi'.
     L is taken in units of the ground's pi_g, so the buffer holds
     G' = pi_g G, and with w = pi / pi_g and v = G' pi that reads
-    Z_ij = w_j (G'_ij - v_i - v_j + pi'v + pi_g).  The Laplacian is
-    scattered into the zeroed buffer, inverted within its envelope
-    (_envelope_inverse) and mirrored onto its other triangle, still in the
-    envelope's order.  v is taken there by row blocks; then one pass of row
+    Z_ij = w_j (G'_ij - v_i - v_j + pi'v + pi_g).  The interior of the
+    Laplacian is scattered into the zeroed buffer and inverted within its
+    envelope (_envelope_inverse), a border of split states and their copies
+    is applied around it (_border_inverse), and G' is mirrored onto its
+    other triangle, still in the envelope's order.  v is taken there by row blocks; then one pass of row
     blocks gathers each row's columns into the states' order and writes
     that formula, and _move_rows puts the rows in the states' order.  Every
     pass runs its blocks on the same _Threads as the inversion."""
@@ -1325,7 +1560,8 @@ def _grounded_z(pi: np.ndarray, system: _Grounded) -> np.ndarray | None:
             np.multiply(rows, w, out=B[b])
 
     with _Threads(_block_threads(n)) as threads:
-        if not _envelope_inverse(B, system.blocks, threads):
+        if not (_envelope_inverse(B, system.blocks, threads)
+                and _border_inverse(B, system.border, system.blocks, threads)):
             return None
         _mirror(B.T, threads)
         threads.run(times_pi, _row_blocks(n))
@@ -1486,10 +1722,12 @@ def hitting_times(P: StochasticMatrix) -> np.ndarray:
     off Z(P^2), which it builds and checks first, as
     Z(P^2) + P Z(P^2) - 1 pi'; so asking for H of such a chain costs P^2
     and Z(P^2) as well.  A squared or periodic chain inverts directly: a
-    reversible one stored as sparse CSR through the inverse of its
-    grounded conductance Laplacian within its reverse Cuthill-McKee
-    envelope, one held as its factor or dense by the Cholesky inverse of
-    its symmetrized form, and any other by an LU solve.  The residual
+    reversible one stored as sparse CSR, or held as its factor with hubs
+    whose paths split off as copies, through the inverse of its grounded
+    conductance Laplacian within its reverse Cuthill-McKee envelope (with
+    the hubs' rows and copies as a Schur border), any other reversible one
+    by the Cholesky inverse of its symmetrized form, and any other chain by
+    an LU solve.  The residual
     is evaluated from Z through the product P Z and cached with it, so
     later calls only check it again; H itself is built from Z on the first
     call and cached too.  The returned array is read-only.

@@ -14,7 +14,13 @@ of P^2.  The referees here reach the same numbers another way:
   delta_ss with no rounding at all (``exact_lazy_z`` gives that Z, and Z
   of P itself);
 * ``delta_ss_bounds`` brackets delta_ss for diagonal noise between the
-  Kemeny constant and the largest effective resistance of P^2.
+  Kemeny constant and the largest effective resistance of P^2;
+* ``gth_square_forms`` runs GTH elimination (Grassmann, Taksar and Heyman,
+  1985) in numpy ``longdouble`` on the grounded Laplacian of P^2's
+  conductances and reads K(P^2), delta_ss and the largest resistance of
+  P^2 off its inverse: every pivot is a sum and every update adds terms
+  of one sign, so it is accurate to about the 64-bit mantissa's rounding
+  whatever route the package takes.
 
 Three more rebuild, one node or one sort at a time, arrays the package
 gets from numpy and scipy calls: ``grid_edges`` and ``tree_edges`` the
@@ -127,6 +133,54 @@ def delta_ss_bounds(P, variances) -> tuple[float, float]:
     P2 = square_chain(P)
     return (float(w.min()) * kemeny_constant_combinatorial(P2),
             float(w.max()) * float(effective_resistance(P2).max()))
+
+
+def gth_square_forms(E, pi, variances) -> tuple[float, float, float]:
+    """K(P^2), delta_ss for diagonal noise and max_ij R_ij of P^2 for the
+    reversible chain with dense entries E and stationary law pi, by GTH
+    elimination in numpy ``longdouble``.  Give pi exactly, or in
+    ``longdouble`` from a closed form, as it is not solved for here.
+
+    The conductances c_ij = pi_i (P^2)_ij come from E E in ``longdouble``.
+    With the max-pi state g grounded and ordered last, state k is
+    eliminated by a rank-1 loop: its pivot p_k is the sum of its row's
+    remaining conductances, the ground's included, never a difference, and
+    c_ij += c_ik c_kj / p_k.  So the grounded Laplacian is U' D U, with D
+    the pivots and U unit upper triangular, U_kj = -c_kj / p_k; V = U^-1
+    >= 0 by back-substitution, and G = V D^-1 V' its inverse, padded with a
+    zero row and column at g.  Then, with t_i = G_ii - 2 (G pi)_i + pi'G pi,
+    K(P^2) = tr Z(P^2) - 1 = sum_i pi_i t_i, delta_ss = sum_i sigma_i^2
+    pi_i^2 t_i and R_ij = G_ii + G_jj - 2 G_ij.  O(n^3) in ``longdouble``:
+    about a second at n = 400."""
+    E = np.asarray(E, np.longdouble)
+    pi = np.asarray(pi, np.longdouble)
+    n = pi.size
+    C = (pi[:, None] * E) @ E
+    C = (C + C.T) / 2
+    np.fill_diagonal(C, 0)
+    g = int(np.argmax(pi))
+    order = np.r_[np.delete(np.arange(n), g), g]
+    C = C[np.ix_(order, order)]
+    m = n - 1
+    p = np.empty(m, np.longdouble)
+    U = np.zeros((m, m), np.longdouble)  # -U off the diagonal: c_kj / p_k
+    for k in range(m):
+        row = C[k, k + 1:]
+        p[k] = row.sum()
+        C[k + 1:, k + 1:] += np.outer(row / p[k], row)
+        U[k, k + 1:] = row[:-1] / p[k]
+    V = np.eye(m, dtype=np.longdouble)
+    for k in range(m - 2, -1, -1):
+        V[k, k + 1:] = U[k, k + 1:] @ V[k + 1:, k + 1:]
+    G = (V / p) @ V.T
+    w = pi[order]
+    Gpi = G @ w[:m]
+    piGpi = w[:m] @ Gpi
+    t = np.append(np.diag(G) - 2 * Gpi + piGpi, piGpi)
+    v = np.asarray(variances, np.longdouble)[order]
+    d = np.diag(G)
+    R = max((d[:, None] + d[None, :] - 2 * G).max(), d.max())
+    return float((w * t).sum()), float((v * w * w * t).sum()), float(R)
 
 
 def per_target_hitting_times(P) -> np.ndarray:

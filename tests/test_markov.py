@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -211,50 +212,116 @@ def _whole_array_cholesky_z(E: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return Z * s / s[:, None]
 
 
-def _whole_array_grounded_z(E: np.ndarray, pi: np.ndarray) -> np.ndarray | None:
+def _split_set(F: np.ndarray) -> list | None:
+    """The split states of the square F F held as its factor F: its states
+    by the size of the clique their paths make in F F (the entries of
+    their column times those of their row), largest first, ties by index,
+    and the fewest of them without whose paths the square has at most
+    n^2 / 32 entries, by a search upward from one while their border of
+    2k - 1 columns takes at most n^3 flops (markov._border_flops); None
+    where none does.  The entries are counted on scipy's boolean product."""
+    from scipy.sparse import csr_matrix
+
+    from consensuslab.markov import _border_flops
+
+    n = F.shape[0]
+    A = F != 0
+    size = A.sum(axis=0) * A.sum(axis=1)
+    order = np.argsort(-size, kind="stable")
+    for k in itertools.takewhile(lambda k: _border_flops(n, 2 * k - 1) <= n ** 3, range(1, n)):
+        keep = np.ones(n, bool)
+        keep[order[:k]] = False
+        if (csr_matrix(A[:, keep]) @ csr_matrix(A[keep])).nnz * 32 <= n * n:
+            return order[:k].tolist()
+    return None
+
+
+def _whole_array_grounded_z(E: np.ndarray, pi: np.ndarray, held: bool = False) -> np.ndarray | None:
     """Z of a reversible chain from its grounded conductance Laplacian L,
-    each pass on the whole dense array: the max-pi state g grounded and put
-    last after the others in the reverse Cuthill-McKee order of the pattern
-    of E + E', the conductances (w_i E_ij + w_j E_ji) / 2 in units of pi_g
-    (w = pi / pi_g), each diagonal summed along its row in order (as
-    csr_matvec sums the stored entries), the envelope read off the rows'
-    first entries, then inverted by the package's own envelope inverse of
-    a whole array (markov._envelope_inverse), so that the passes around it
-    are what the comparison checks.  Its inverse G and v = G pi give
-    Z_ij = w_j (G_ij - v_i - v_j + pi'v + pi_g).  None where that inverse
-    takes more flops than the dense one, so that the dense route is the one
+    each pass on the whole dense array: the max-pi state g grounded, the
+    conductances (w_i E_ij + w_j E_ji) / 2 in units of pi_g (w = pi / pi_g),
+    each diagonal summed along its row in order (as csr_matvec sums the
+    stored entries).
+
+    With ``held``, E is the factor F of a square held as F F: the split
+    states H (_split_set) keep their paths apart, so the conductances are
+    those of scipy's product F[:, H dropped] @ F[H dropped], and each k in
+    H gets a copy joined to each state j of F's row or column k by
+    (w_j F_jk + w_k F_kj) / 2, added to j's diagonal, with the sum of those
+    as the copy's own.
+
+    The interior (the states other than H and g) is put in the reverse
+    Cuthill-McKee order of the pattern of E + E' among themselves, then
+    the states of H other than g, the ground last, then the copies; the
+    envelope is read off the interior's first entries, and the interior
+    and the border rows of L are inverted by the package's own envelope
+    and border inverses of a whole array (markov._envelope_inverse,
+    markov._border_inverse), so that the passes around them are what the
+    comparison checks.  Its inverse G and v = G pi give
+    Z_ij = w_j (G_ij - v_i - v_j + pi'v + pi_g).  None where those inverses
+    take more flops than the dense one, so that the dense route is the one
     to compare with."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     from consensuslab.markov import (
         _block_threads,
+        _border_flops,
+        _border_inverse,
         _envelope_blocks,
         _envelope_flops,
         _envelope_inverse,
         _Threads,
     )
 
-    n, m = pi.size, pi.size - 1
+    n = pi.size
     ground = int(np.argmax(pi))
     w = pi / pi[ground]
-    F = w[:, None] * E
-    C = (F + F.T) * 0.5
+    split = []
+    if held:
+        F, split = E, _split_set(E)
+        if split is None:
+            return None
+        keep = np.ones(n, bool)
+        keep[split] = False
+        E = (csr_matrix(F[:, keep]) @ csr_matrix(F[keep])).toarray()
+    X = w[:, None] * E
+    C = (X + X.T) * 0.5
     np.fill_diagonal(C, 0.0)
-    order = reverse_cuthill_mckee(csr_matrix((E != 0) | (E.T != 0)), symmetric_mode=True)
-    perm = np.append(order[order != ground], ground)
-    L = -C[np.ix_(perm, perm)]
-    L[np.diag_indices(n)] = np.cumsum(C, axis=1)[perm, -1]
-    L[m], L[:, m] = 0.0, 0.0
-    first = np.minimum.accumulate(np.argmax(L[:m, :m] != 0, axis=1)[::-1])[::-1]
-    blocks = _envelope_blocks(first)
-    if _envelope_flops(blocks) > float(n) ** 3:
-        return None
-    B = np.triu(L)
-    with _Threads(_block_threads(n)) as threads:
-        assert _envelope_inverse(B, blocks, threads)
+    diag = np.cumsum(C, axis=1)[:, -1]
+    copies = []
+    for k in split:
+        j = np.flatnonzero((F[k] != 0) | (F[:, k] != 0))
+        ck = (w[j] * F[j, k] + w[k] * F[k, j]) * 0.5
+        diag[j] += ck
+        copies.append((j, ck))
+    pattern = (E != 0) | (E.T != 0)
+    pattern[split] = pattern[:, split] = False
+    order = reverse_cuthill_mckee(csr_matrix(pattern), symmetric_mode=True)
+    outside = [k for k in split if k != ground] + [ground]
+    perm = np.array([i for i in order.tolist() if i not in outside] + outside)
+    m, size = n - len(outside), n - 1 + len(split)
     pos = np.empty(n, int)
     pos[perm] = np.arange(n)
+    L = np.zeros((size, size))
+    L[:n - 1, :n - 1] = -C[np.ix_(perm[:-1], perm[:-1])]
+    L[np.arange(n - 1), np.arange(n - 1)] = diag[perm[:-1]]
+    to_ground = np.zeros(size)  # the ground's row of the augmented Laplacian
+    to_ground[:n - 1] = -C[ground, perm[:-1]]
+    for q, (j, ck) in enumerate(copies):
+        L[n - 1 + q, n - 1 + q] = ck.sum()
+        to_ground[n - 1 + q] = -ck[j == ground].sum()
+        j, ck = j[j != ground], ck[j != ground]
+        L[pos[j], n - 1 + q] = L[n - 1 + q, pos[j]] = -ck
+    first = np.minimum.accumulate(np.argmax(L[:m, :m] != 0, axis=1)[::-1])[::-1]
+    blocks = _envelope_blocks(first)
+    if _envelope_flops(blocks) + _border_flops(m, size - m) > float(n) ** 3:
+        return None
+    B = np.zeros((n, n))
+    B[:m, :m] = np.triu(L[:m, :m])
+    with _Threads(_block_threads(n)) as threads:
+        assert _envelope_inverse(B, blocks, threads)
+        assert _border_inverse(B, np.vstack([L[m:], to_ground]), blocks, threads)
     G = np.triu(B) + np.triu(B, 1).T
     # v = G pi by the row blocks of the envelope's order, then its states'
     v = np.concatenate([G[b] @ pi[perm] for b in _row_blocks(n)])
@@ -268,16 +335,19 @@ def _whole_array_grounded_z(E: np.ndarray, pi: np.ndarray) -> np.ndarray | None:
 
 def _whole_array_z(Q: StochasticMatrix, pi: np.ndarray) -> np.ndarray:
     """Z of the reversible chain Q, inverted directly, by the whole-array
-    version of the route it takes: the grounded one for a chain stored as
-    sparse CSR (the n^2 / 32 rule) whose envelope inverse takes no more
-    flops than the dense one, else the Cholesky inverse of B_s."""
+    version of the route it takes: the grounded one for a square held as
+    its factor, and for a chain stored as sparse CSR (the n^2 / 32 rule),
+    whose inverses take no more flops than the dense one, else the
+    Cholesky inverse of B_s."""
     from consensuslab.markov import _sparse
 
-    E = Q.entries
-    Z = None
-    if Q._held is None and _sparse(np.count_nonzero(E), Q.n):
-        Z = _whole_array_grounded_z(E, pi)
-    return _whole_array_cholesky_z(E, pi) if Z is None else Z
+    if Q._held is not None:  # read off the factor, so that Q's entries stay unbuilt
+        Z = _whole_array_grounded_z(Q._held[0].toarray(), pi, held=True)
+    elif _sparse(np.count_nonzero(Q.entries), Q.n):
+        Z = _whole_array_grounded_z(Q.entries, pi)
+    else:
+        Z = None
+    return _whole_array_cholesky_z(Q.entries, pi) if Z is None else Z
 
 
 def _z_from_square(P: StochasticMatrix, Z2: np.ndarray) -> np.ndarray:
@@ -351,16 +421,18 @@ def test_direct_routes_of_the_fundamental_matrix():
     ("lazy", "ring", 1024, "_envelope_inverse"), ("uniform", "line", 1200, "_envelope_inverse"),
     ("lazy", "tree", 255, "_envelope_inverse"), ("uniform", "grid", 576, "_envelope_inverse"),
     ("simple", "ring", 300, "_envelope_inverse"),
-    ("uniform", "grid", 256, "_cholesky_inverse"), ("uniform", "two-star", 400, "_cholesky_inverse"),
-    ("lazy", "starry-line", 288, "_cholesky_inverse"), ("lazy", "complete", 300, "_cholesky_inverse"),
-    ("lazy", "ring", 9, "_cholesky_inverse"),
+    ("uniform", "two-star", 400, "_envelope_inverse"),
+    ("lazy", "starry-line", 288, "_envelope_inverse"), ("uniform", "star", 127, "_envelope_inverse"),
+    ("uniform", "grid", 256, "_cholesky_inverse"), ("lazy", "tree", 127, "_cholesky_inverse"),
+    ("lazy", "complete", 300, "_cholesky_inverse"), ("lazy", "ring", 9, "_cholesky_inverse"),
 ])
 def test_which_chains_reach_the_cholesky_inverse(walk, family, n, route, monkeypatch):
     # a reversible chain inverted directly (a square, or the periodic simple
-    # ring300) takes the envelope route when it is stored as sparse CSR;
-    # a square held as its factor (grid256, two-star, starry-line) and a
-    # dense chain (complete300, and ring9, whose square is dense) keep B_s's
-    # Cholesky inverse
+    # ring300) takes the envelope route when it is stored as sparse CSR, and
+    # so does a square held as its factor whose hubs split off (the
+    # two-star's two, the starry-line's two, the star's one); a held square
+    # with no such hubs (grid256, tree127) and a dense chain (complete300,
+    # and ring9, whose square is dense) keep B_s's Cholesky inverse
     from consensuslab import markov
 
     seen = []
@@ -375,6 +447,131 @@ def test_which_chains_reach_the_cholesky_inverse(walk, family, n, route, monkeyp
     assert Q.reversible
     Q._fundamental
     assert seen == [route]
+
+
+def _hub_chain(n: int, hubs: int) -> StochasticMatrix:
+    """The uniform walk on ``hubs`` stars joined in a line by their centers,
+    states 0..hubs-1, the other states their leaves in turn."""
+    from consensuslab.graphs import custom_graph
+
+    edges = [(i % hubs, i) for i in range(hubs, n)] + [(h, h + 1) for h in range(hubs - 1)]
+    return uniform_edge_matrix(custom_graph(n, edges))
+
+
+@pytest.mark.parametrize("name, split", [
+    ("two-star400", [0, 399]), ("star127", [0]), ("eight-hubs400", [1, 2, 3, 4, 5, 6, 0]),
+    ("grid256", None), ("tree127", None),
+])
+def test_split_states_are_the_fewest_hubs(name, split):
+    # the package's search for the split states (the hubs whose cliques
+    # alone break the n^2 / 32 rule first, then a bisection) against the
+    # test's search upward from one state (_split_set): the two-star's and
+    # the star's hubs each break it alone, none of eight hubs of 49 leaves
+    # does but seven of them together, and the grid's and the tree's
+    # squares have no hub to split.  Where a set exists, Z is that of the
+    # whole-array route, bit for bit
+    from consensuslab.markov import _split_states
+
+    P = {"two-star400": lambda: uniform_edge_matrix(build_graph("two-star", 400)),
+         "star127": lambda: uniform_edge_matrix(build_graph("star", 127)),
+         "eight-hubs400": lambda: _hub_chain(400, 8),
+         "grid256": lambda: uniform_edge_matrix(build_graph("grid", 256)),
+         "tree127": lambda: lazy_walk_matrix(build_graph("tree", 127))}[name]()
+    Q, pi = square_chain(P), P.stationary()
+    F, Ft = Q._held
+    got = _split_states(F, Ft)
+    assert (None if got is None else got.tolist()) == split == _split_set(F.toarray())
+    if split is not None:
+        assert np.array_equal(Q._fundamental[0], _whole_array_z(Q, pi))
+
+
+def test_split_route_reads_an_asymmetric_pattern():
+    # weight 1e-15 moved from P[0, 0] onto the arc from hub 0 to a leaf of
+    # the other hub, which has no reverse arc: the chain still balances
+    # within REVERSIBILITY_RTOL, its square is held, and the split route
+    # reads the union of each hub's row and column, and pairs the split
+    # square's entries with explicit zeros; the ground is a leaf, so both
+    # hubs and both copies form the border.  Z is that of the whole-array
+    # route, bit for bit
+    from scipy.sparse import csr_matrix
+
+    from consensuslab.markov import _grounded_system
+
+    n = 300
+    E = uniform_edge_matrix(build_graph("two-star", n)).entries.copy()
+    E[0, n - 2] += 1e-15
+    E[0, 0] -= 1e-15
+    P = StochasticMatrix(csr_matrix(E))
+    assert P.reversible and P.aperiodic
+    Q, pi = square_chain(P), P.stationary()
+    assert Q._held is not None and _grounded_system(Q, pi).border.shape == (5, n + 1)
+    assert np.array_equal(Q._fundamental[0], _whole_array_z(Q, pi))
+
+
+def test_envelope_inverse_takes_a_diagonal_block_as_its_reciprocals():
+    # a block that no later row reaches into and that is diagonal when its
+    # turn comes takes no dpotrf and no dpotri: its inverse is the
+    # reciprocal of its diagonal, and a diagonal entry that is not positive
+    # refuses the matrix, as dpotrf would.  Here the last two blocks are
+    # such blocks; row 130 reaches into the second block, whose update
+    # leaves A_130,130 - L_130,70^2 on the third's diagonal
+    from consensuslab.markov import _block_threads, _envelope_blocks, _envelope_inverse, _Threads
+
+    n = 200
+    A = np.diag(np.random.default_rng(5).uniform(1.0, 2.0, n))
+    A[:64, :64] += 0.1 * _spd(64, 0)
+    A[130, 70] = A[70, 130] = -0.3
+    first = np.minimum.accumulate(np.argmax(A != 0, axis=1)[::-1])[::-1]
+    blocks = _envelope_blocks(first)
+    B = np.triu(A)
+    with _Threads(_block_threads(n)) as threads:
+        assert _envelope_inverse(B, blocks, threads)
+    G = np.triu(B) + np.triu(B, 1).T
+    assert np.abs(G - np.linalg.inv(A)).max() <= 1e-15
+    d = np.r_[128:130, 131:n]
+    assert np.array_equal(G[d, d], 1.0 / A[d, d])
+    for k in (0, 100, 199):
+        B = np.triu(A)
+        B[k, k] = -1.0
+        with _Threads(_block_threads(n)) as threads:
+            assert not _envelope_inverse(B, blocks, threads)
+
+
+@pytest.mark.parametrize("part", ["interior", "border"])
+def test_a_failed_split_inverse_falls_back_to_the_cholesky_route(part, monkeypatch):
+    # dpotrf reports the lazy starry-line288's split system not positive
+    # definite, on the first block of the interior that it factors (the
+    # line's: the blocks of leaves are diagonal and take no dpotrf) or on
+    # the border's Schur complement; the square then takes B_s's Cholesky
+    # inverse, bit for bit, whose own dpotrf calls succeed (and a failure
+    # there sends it to LU, as
+    # test_cholesky_route_refuses_what_is_not_positive_definite checks)
+    from consensuslab import markov
+
+    P = lazy_walk_matrix(build_graph("starry-line", 288))
+    Q, pi = square_chain(P), P.stationary()
+    expected = markov._fundamental_cholesky(Q, pi)
+    b = markov._grounded_system(Q, pi).border.shape[0] - 1
+    call, grounded_z = markov._call, markov._grounded_z
+    state = {"inside": False, "failed": 0}
+
+    def failing_call(name, *args):
+        if state["inside"] and name == "dpotrf" and (args[1] == b) == (part == "border"):
+            state["failed"] += 1
+            return 1
+        return call(name, *args)
+
+    def split_z(*args):
+        state["inside"] = True
+        try:
+            return grounded_z(*args)
+        finally:
+            state["inside"] = False
+
+    monkeypatch.setattr(markov, "_call", failing_call)
+    monkeypatch.setattr(markov, "_grounded_z", split_z)
+    assert np.array_equal(Q._fundamental[0], expected)
+    assert state["failed"] == 1
 
 
 def _spd(n: int, seed: int) -> np.ndarray:
@@ -965,8 +1162,12 @@ def _dense_square_chains() -> dict[str, StochasticMatrix]:
 def test_a_dense_square_is_held_as_its_factor(name):
     # a sparse, irreducible and aperiodic chain with a dense square holds it
     # as its own CSR matrix: the square's flags come from P, and its pi
-    # checks, Z, K and hitting residual are those of the stored product bit
-    # for bit, the Cholesky route's on the graph chains and LU's otherwise
+    # checks are those of the stored product bit for bit.  Its Z is that of
+    # the whole-array version of its route, the split grounded route on the
+    # graph chains, and LU's on the stored product otherwise; its hitting
+    # residual is the stored product's on that Z
+    from consensuslab.markov import _hitting_residual
+
     P = _dense_square_chains()[name]
     assert P._factors is not None and P.irreducible and P.aperiodic
     Q = square_chain(P)
@@ -975,9 +1176,11 @@ def test_a_dense_square_is_held_as_its_factor(name):
     assert Q.reversible == P.reversible == (name in ("two-star", "starry-line"))
     held, stored = _held_and_stored(P)
     assert held._stationary[1:] == stored._stationary[1:]
-    assert np.array_equal(Q._fundamental[0], stored._fundamental[0])
-    assert Q._fundamental[1] == stored._fundamental[1]
-    assert np.array_equal(P._fundamental[0], _z_from_square(P, stored._fundamental[0]))
+    pi = P.stationary()
+    Z2 = _whole_array_z(Q, pi) if Q.reversible else stored._fundamental[0]
+    assert np.array_equal(Q._fundamental[0], Z2)
+    assert Q._fundamental[1] == _hitting_residual(stored, Z2, pi)
+    assert np.array_equal(P._fundamental[0], _z_from_square(P, Z2))
     _assert_strips_are_the_product(P)
     # only the LU route reads the entries, which are then the CSR product's
     assert ("_csr" in vars(Q)) == (not Q.reversible)
@@ -988,7 +1191,9 @@ def test_analyze_and_sweep_build_two_sparse_matrices(monkeypatch):
     """One analyze, and one sweep row, build the chain's CSR matrix and, for
     a sparse square, its square's, and no other compressed sparse matrix:
     every other pass runs scipy's CSR kernels on those two.  A dense square
-    is held as the chain's matrix, so a two-star run builds only that."""
+    is held as the chain's matrix, and its split square is kept as plain
+    arrays, so a two-star run builds only the chain's and the pattern that
+    reverse Cuthill-McKee orders."""
     from scipy.sparse import _compressed
 
     built = []
@@ -1001,8 +1206,8 @@ def test_analyze_and_sweep_build_two_sparse_matrices(monkeypatch):
     monkeypatch.setattr(_compressed._cs_matrix, "__init__", counted)
     for argv, count in ((["analyze", "--family", "ring", "--n", "16"], 2),
                         (["sweep", "--family", "ring", "--n-list", "256"], 2),
-                        (["analyze", "--family", "two-star", "--n", "200", "--chain", "uniform"], 1),
-                        (["sweep", "--family", "two-star", "--n-list", "400", "--chain", "uniform"], 1)):
+                        (["analyze", "--family", "two-star", "--n", "200", "--chain", "uniform"], 2),
+                        (["sweep", "--family", "two-star", "--n-list", "400", "--chain", "uniform"], 2)):
         built.clear()
         code, _, err = run_main(*argv)
         assert code == 0, err
@@ -1097,6 +1302,100 @@ def test_grid_closed_forms_match_the_kronecker_spectrum(side):
         delta = delta_ss_theorem(P, NoiseCovariance.scalar(n, 1.5)).delta_ss
         assert abs(K - exact) <= floor * exact
         assert abs(delta - 1.5 * exact / n) <= floor * 1.5 * exact / n
+
+
+def _csr_grounded_system(Q: StochasticMatrix, pi: np.ndarray) -> tuple:
+    """(perm, blocks, at, values) of the grounded system of a square stored
+    as sparse CSR, built as the envelope route built it before held squares
+    took it too: the conductances of Q's paired entries in units of the
+    max-pi state's pi, each diagonal their row's sum (scipy's matrix-vector
+    product, csr_matvec), reverse Cuthill-McKee on Q's pattern with the
+    ground moved last, and the envelope and the stored upper entries of
+    the states other than the ground."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    from consensuslab.markov import _envelope_blocks
+
+    n = pi.size
+    U, V = Q._paired()
+    rows = np.repeat(np.arange(n), np.diff(U.indptr))
+    cols = U.indices
+    ground = int(np.argmax(pi))
+    w = pi / pi[ground]
+    c = w[rows] * U.data
+    c += w[cols] * V
+    c *= 0.5
+    c[rows == cols] = 0.0
+    diag = csr_matrix((c, U.indices, U.indptr), shape=U.shape) @ np.ones(n)
+    order = reverse_cuthill_mckee(U, symmetric_mode=True)
+    perm = np.append(order[order != ground], ground)
+    pos = np.empty(n, np.intp)
+    pos[perm] = np.arange(n)
+    r, s = pos[rows], pos[cols]
+    m = n - 1
+    first = np.arange(n)
+    np.minimum.at(first, r, s)
+    first = np.minimum.accumulate(first[m - 1::-1])[::-1]
+    upper = (r < s) & (s < m)
+    at = np.concatenate([r[upper] * n + s[upper], np.arange(m) * (n + 1)])
+    return perm, _envelope_blocks(first), at, np.concatenate([-c[upper], diag[perm[:m]]])
+
+
+@pytest.mark.parametrize("family, chain", [
+    ("ring", "lazy"), ("line", "uniform"), ("grid", "uniform"), ("tree", "lazy"),
+])
+def test_csr_squares_split_no_state_and_keep_their_system(family, chain):
+    # the sweep's squares stored as sparse CSR, at every perfbench size:
+    # no split state, so no border, and the system arrays of the route as
+    # it was built before held squares took it (_csr_grounded_system), bit
+    # for bit.  The grid's square at 256 states is held, and no split set
+    # makes it sparse within the border's flops, so it stays dense
+    from consensuslab.markov import _grounded_system
+
+    for n in BENCH_SIZES[family][-3:]:
+        P = (lazy_walk_matrix if chain == "lazy" else uniform_edge_matrix)(build_graph(family, n))
+        Q = square_chain(P)
+        pi = Q.stationary()
+        system = _grounded_system(Q, pi)
+        if Q._held is not None:
+            assert (family, n) == ("grid", 256) and system is None
+            continue
+        assert system.border.shape == (1, n - 1)
+        perm, blocks, at, values = _csr_grounded_system(Q, pi)
+        assert system.perm.dtype == perm.dtype and np.array_equal(system.perm, perm)
+        assert system.blocks == blocks
+        assert np.array_equal(system.at, at) and np.array_equal(system.values, values)
+
+
+@pytest.mark.parametrize("chain, family, n, bounds", [
+    ("uniform", "star", 127, (7.0e-16, 2.2e-16, 2.2e-16)),
+    ("uniform", "two-star", 400, (3.9e-15, 3.9e-15, 5.7e-15)),
+    ("uniform", "starry-line", 288, (2.7e-12, 2.7e-12, 3.4e-12)),
+    ("lazy", "starry-line", 288, (9.5e-13, 1.2e-12, 1.2e-12)),
+])
+def test_split_route_closed_forms_match_the_gth_referee(chain, family, n, bounds):
+    # K(P^2), delta_ss and the max resistance of squares held as their
+    # factor, whose hubs split off, against GTH in longdouble
+    # (referees.gth_square_forms) with pi in longdouble from its closed
+    # form.  Each bound is the relative error measured at one and at two
+    # BLAS threads (the same there), rounded up, and at least one float64
+    # ulp (the star's delta_ss and max R read 0 and 1.1e-16); B_s's
+    # Cholesky inverse read 6.9e-16 (star), 1.3e-12 (two-star), 4.2e-11
+    # and 1.7e-12 (uniform and lazy starry-line) for K(P^2)
+    from referees import gth_square_forms
+
+    g = build_graph(family, n)
+    P = (lazy_walk_matrix if chain == "lazy" else uniform_edge_matrix)(g)
+    d = g.degrees().astype(np.longdouble)
+    pi = d / d.sum() if chain == "lazy" else np.full(n, 1 / np.longdouble(n))
+    variances = np.random.default_rng(3).uniform(0.25, 4.0, n)
+    Q = square_chain(P)
+    assert Q._held is not None
+    got = (kemeny_constant_combinatorial(Q),
+           delta_ss_theorem(P, NoiseCovariance.diagonal(variances)).delta_ss, _max_resistance(Q))
+    for value, ref, bound in zip(got, gth_square_forms(P.entries, pi, variances), bounds):
+        assert abs(value - ref) <= bound * ref
 
 
 @pytest.mark.parametrize("n, measured", [(511, 5.0e-14), (1023, 5.0e-14)])
